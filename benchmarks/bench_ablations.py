@@ -159,7 +159,7 @@ def test_lock_contention_ablation(benchmark):
 
 def test_allocation_heuristic_ablation(benchmark):
     """Threaded-scheduler ablation: allocation heuristics' load balance."""
-    from repro.sched.collaborative import CollaborativeExecutor
+    from repro.sched import CollaborativeExecutor
     from repro.tasks.state import PropagationState
 
     tree = synthetic_tree(

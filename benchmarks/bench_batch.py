@@ -29,7 +29,7 @@ import time
 import numpy as np
 
 from repro import InferenceEngine, random_network
-from repro.sched.collaborative import CollaborativeExecutor
+from repro.sched import CollaborativeExecutor
 from repro.sched.serial import SerialExecutor
 
 DEFAULT_OUTPUT = (

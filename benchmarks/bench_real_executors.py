@@ -26,8 +26,11 @@ import numpy as np
 import pytest
 
 from repro.jt.generation import synthetic_tree
-from repro.sched.baselines import DataParallelExecutor, LevelParallelExecutor
-from repro.sched.collaborative import CollaborativeExecutor
+from repro.sched import (
+    CollaborativeExecutor,
+    DataParallelExecutor,
+    LevelParallelExecutor,
+)
 from repro.sched.process import ProcessSharedMemoryExecutor
 from repro.sched.serial import SerialExecutor
 from repro.tasks.dag import build_task_graph

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro import InferenceEngine, random_network
 from repro.jt.build import junction_tree_from_network
-from repro.sched.collaborative import CollaborativeExecutor
+from repro.sched import CollaborativeExecutor
 from repro.serve import EngineSessionPool, InferenceService, QueryRequest
 
 DEFAULT_OUTPUT = (

@@ -29,10 +29,9 @@ import pytest
 
 from repro.jt.generation import synthetic_tree
 from repro.obs.tracer import Tracer
-from repro.sched.collaborative import CollaborativeExecutor
+from repro.sched import CollaborativeExecutor, WorkStealingExecutor
 from repro.sched.process import ProcessSharedMemoryExecutor
 from repro.sched.serial import SerialExecutor
-from repro.sched.workstealing import WorkStealingExecutor
 from repro.tasks.dag import build_task_graph
 from repro.tasks.state import PropagationState
 

@@ -12,7 +12,7 @@ Run:  python examples/generic_dag_scheduling.py
 
 import numpy as np
 
-from repro.sched.generic import run_dag
+from repro.sched import run_dag
 
 
 def main():

@@ -38,11 +38,14 @@ from repro.jt.generation import paper_tree, synthetic_tree, template_tree
 from repro.jt.junction_tree import Clique, JunctionTree
 from repro.jt.rerooting import reroot, reroot_optimally, select_root
 from repro.potential.table import PotentialTable
-from repro.sched.baselines import DataParallelExecutor, LevelParallelExecutor
-from repro.sched.collaborative import CollaborativeExecutor
-from repro.sched.process import ProcessSharedMemoryExecutor
-from repro.sched.serial import SerialExecutor
-from repro.sched.workstealing import WorkStealingExecutor
+from repro.sched import (
+    CollaborativeExecutor,
+    DataParallelExecutor,
+    LevelParallelExecutor,
+    ProcessSharedMemoryExecutor,
+    SerialExecutor,
+    WorkStealingExecutor,
+)
 from repro.durability import (
     DurableModelStore,
     RecoveryManager,

@@ -9,14 +9,12 @@ from repro.bn.network import BayesianNetwork
 from repro.bn.generation import random_network, chain_network, naive_bayes_network
 from repro.bn.moralization import moralize
 from repro.bn.triangulation import triangulate, elimination_cliques
-from repro.bn.dsep import d_separated, markov_blanket, reachable
 from repro.bn.sampling import (
     forward_sample,
     gibbs_sampling,
     likelihood_weighting,
 )
 from repro.bn.learning import fit_cpts, log_likelihood
-from repro.bn.chowliu import chow_liu_tree, fit_chow_liu
 from repro.bn.cpd import (
     deterministic_cpd,
     noisy_or_cpd,
@@ -33,16 +31,11 @@ __all__ = [
     "moralize",
     "triangulate",
     "elimination_cliques",
-    "d_separated",
-    "markov_blanket",
-    "reachable",
     "forward_sample",
     "likelihood_weighting",
     "gibbs_sampling",
     "fit_cpts",
     "log_likelihood",
-    "chow_liu_tree",
-    "fit_chow_liu",
     "uniform_cpd",
     "tabular_cpd",
     "deterministic_cpd",

@@ -17,7 +17,6 @@ from repro.inference.mpe import max_propagate, mpe_bruteforce
 from repro.inference.engine import InferenceEngine
 from repro.inference.shafershenoy import ShaferShenoyEngine
 from repro.inference.variable_elimination import ve_marginal, ve_query
-from repro.inference.map_query import marginal_map
 from repro.inference.sensitivity import (
     evidence_impact,
     finding_strength,
@@ -38,7 +37,6 @@ __all__ = [
     "ShaferShenoyEngine",
     "ve_query",
     "ve_marginal",
-    "marginal_map",
     "evidence_impact",
     "finding_strength",
     "rank_findings",

@@ -43,6 +43,7 @@ from repro.inference.incremental import (
 from repro.jt.build import junction_tree_from_network
 from repro.jt.junction_tree import JunctionTree
 from repro.jt.rerooting import reroot_optimally
+from repro.sched.resilient import ResilientExecutor, run_executor
 from repro.sched.serial import SerialExecutor
 from repro.sched.stats import ExecutionStats
 from repro.tasks.dag import build_task_graph
@@ -580,8 +581,6 @@ class InferenceEngine:
         executor = executor or SerialExecutor()
         base_executor = executor
         if resilience:
-            from repro.sched.resilient import ResilientExecutor
-
             if not isinstance(executor, ResilientExecutor):
                 kwargs = resilience if isinstance(resilience, dict) else {}
                 executor = ResilientExecutor(executor, **kwargs)
@@ -597,28 +596,8 @@ class InferenceEngine:
             for key, value in (meta or {}).items():
                 tracer.meta[key] = value
 
-        run_kwargs = {}
-        if deadline is not None:
-            import inspect
-
-            try:
-                params = inspect.signature(executor.run).parameters
-            except (TypeError, ValueError):
-                params = {}
-            if "deadline" in params:
-                run_kwargs["deadline"] = deadline
-
+        stats = run_executor(executor, graph, state, tracer, deadline)
         if tracer is not None:
-            import inspect
-
-            try:
-                params = inspect.signature(executor.run).parameters
-            except (TypeError, ValueError):
-                params = {}
-            if "tracer" in params:
-                stats = executor.run(graph, state, tracer=tracer, **run_kwargs)
-            else:
-                stats = executor.run(graph, state, **run_kwargs)
             # Label the trace with the executor that actually completed
             # the run: after a ResilientExecutor degradation cascade the
             # requested executor's name and partition threshold would
@@ -645,8 +624,6 @@ class InferenceEngine:
                 trace, "__fspath__"
             ):
                 self.last_trace.save(trace)
-        else:
-            stats = executor.run(graph, state, **run_kwargs)
         return stats
 
     def _top_up(

@@ -3,44 +3,38 @@
 All executors produce numerically equivalent results; they differ in *how*
 tasks are ordered, interleaved, and mapped onto hardware:
 
-* :class:`SerialExecutor` — reference topological execution.
-* :class:`CollaborativeExecutor` — the paper's Algorithm 2 on real Python
-  threads: per-thread Allocate/Fetch/Partition/Execute modules around a
-  shared global task list and per-thread local ready lists.
-* :class:`LevelParallelExecutor` — OpenMP-style level-synchronous
-  parallel-for with a barrier per level (baseline 1).
-* :class:`DataParallelExecutor` — every primitive split across all threads
-  with a fork/join per task (baseline 2).
-* :class:`WorkStealingExecutor` — per-thread deques with steal-when-empty
-  (the Section 8 future-work direction).
+* :class:`SerialExecutor` — reference topological execution, its own
+  loop: the oracle every other executor is compared against.
+* :mod:`repro.sched.core` — the paper's Algorithm 2 as *one* threaded
+  loop whose Allocate / Fetch / Partition decisions come from a policy.
+  :class:`CollaborativeExecutor` (the paper's scheduler),
+  :class:`WorkStealingExecutor` (Section 8), the Section 7 baselines
+  :class:`LevelParallelExecutor` and :class:`DataParallelExecutor`, and
+  :func:`run_dag` (any DAG of callables) each pick a policy and call it.
+  GIL-bound: they show scheduling correctness and load balance, not
+  speedup — for timing see :mod:`repro.simcore`.
 * :class:`ProcessSharedMemoryExecutor` — Algorithm 2 across worker
-  *processes* with all potential tables in ``multiprocessing``
-  shared memory (zero-copy numpy views), the one executor that escapes
-  the GIL and can therefore show genuine multicore wall-clock speedup.
-
-The threaded executors are GIL-bound, so they demonstrate scheduling
-correctness and load balance rather than speedup; for wall-clock speedup
-use the process executor on sufficiently large tables (see
-``benchmarks/bench_real_executors.py``), or the multicore simulator in
-:mod:`repro.simcore`, which replays the same policies over the same task
-graphs with a calibrated cost model.
+  *processes* with all potential tables in shared memory, the one
+  executor that can show genuine multicore wall-clock speedup
+  (``benchmarks/bench_real_executors.py``).
 
 Fault tolerance: :class:`ResilientExecutor` wraps any executor in a
 degradation cascade (processes → threads → serial) with numerical health
 guards and a log-space underflow rescue; :class:`FaultPlan` injects
-deterministic crashes/delays/corruption for testing the recovery paths,
-and the process executor natively supports per-task deadlines, bounded
-retry with backoff, and arena-preserving pool restarts after a crash.
+deterministic faults for testing the recovery paths.  :func:`run_executor`
+forwards ``tracer`` / ``deadline`` only to a ``run`` that accepts them.
 """
 
-from repro.sched.stats import ExecutionStats, SpanRecord
+from repro.sched.stats import ExecutionStats
 from repro.sched.serial import SerialExecutor
-from repro.sched.collaborative import CollaborativeExecutor
-from repro.sched.baselines import DataParallelExecutor, LevelParallelExecutor
-from repro.sched.workstealing import WorkStealingExecutor
+from repro.sched.core import (
+    CollaborativeExecutor,
+    DataParallelExecutor,
+    LevelParallelExecutor,
+    WorkStealingExecutor,
+    run_dag,
+)
 from repro.sched.process import ProcessSharedMemoryExecutor
-from repro.sched.generic import run_dag
-from repro.sched.online import OnlineScheduler, TaskHandle
 from repro.sched.faults import (
     FaultPlan,
     FaultRecord,
@@ -49,11 +43,14 @@ from repro.sched.faults import (
     check_state_health,
     scan_tables,
 )
-from repro.sched.resilient import DegradationRecord, ResilientExecutor
+from repro.sched.resilient import (
+    DegradationRecord,
+    ResilientExecutor,
+    run_executor,
+)
 
 __all__ = [
     "ExecutionStats",
-    "SpanRecord",
     "SerialExecutor",
     "CollaborativeExecutor",
     "LevelParallelExecutor",
@@ -61,8 +58,7 @@ __all__ = [
     "WorkStealingExecutor",
     "ProcessSharedMemoryExecutor",
     "run_dag",
-    "OnlineScheduler",
-    "TaskHandle",
+    "run_executor",
     "FaultPlan",
     "FaultRecord",
     "HealthReport",

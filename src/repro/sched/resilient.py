@@ -52,19 +52,20 @@ def _executor_name(executor) -> str:
     return type(executor).__name__
 
 
-def _run_tier(tier, graph, state, tracer, deadline=None):
-    """Run one tier, forwarding tracer/deadline only if the tier accepts them.
+def run_executor(executor, graph, state, tracer=None, deadline=None):
+    """``executor.run(graph, state)``, forwarding ``tracer`` / ``deadline``
+    only if that ``run`` accepts them.
 
-    Third-party executors predating the observability subsystem (or the
-    cooperative deadline checks) keep working inside a traced,
-    deadline-bounded cascade — just untraced and unbounded.
+    Third-party executors with a bare ``run(self, graph, state)`` keep
+    working inside a traced, deadline-bounded engine call or cascade —
+    just untraced and unbounded.
     """
     if tracer is None and deadline is None:
-        return tier.run(graph, state)
+        return executor.run(graph, state)
     import inspect
 
     try:
-        params = inspect.signature(tier.run).parameters
+        params = inspect.signature(executor.run).parameters
     except (TypeError, ValueError):
         params = {}
     kwargs = {}
@@ -72,7 +73,7 @@ def _run_tier(tier, graph, state, tracer, deadline=None):
         kwargs["tracer"] = tracer
     if deadline is not None and "deadline" in params:
         kwargs["deadline"] = deadline
-    return tier.run(graph, state, **kwargs)
+    return executor.run(graph, state, **kwargs)
 
 
 def default_cascade(primary) -> List[object]:
@@ -82,7 +83,7 @@ def default_cascade(primary) -> List[object]:
     threshold where it exposes them, so a degraded run still balances
     load the same way — it only gives up on escaping the GIL.
     """
-    from repro.sched.collaborative import CollaborativeExecutor
+    from repro.sched import CollaborativeExecutor
     from repro.sched.process import ProcessSharedMemoryExecutor
     from repro.sched.serial import SerialExecutor
 
@@ -194,7 +195,7 @@ class ResilientExecutor:
             if i > 0:
                 self._restore(state, snapshot)
             try:
-                stats = _run_tier(tier, graph, state, tracer, deadline)
+                stats = run_executor(tier, graph, state, tracer, deadline)
             except Exception as exc:
                 from repro.sched.faults import TaskExecutionError
 

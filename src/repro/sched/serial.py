@@ -5,6 +5,7 @@ from __future__ import annotations
 import time
 from typing import Optional
 
+from repro.sched.faults import TaskExecutionError
 from repro.sched.stats import ExecutionStats
 from repro.tasks.state import PropagationState
 from repro.tasks.task import TaskGraph
@@ -26,19 +27,15 @@ class SerialExecutor:
     ) -> ExecutionStats:
         """Run the graph; ``deadline`` is an absolute ``time.monotonic()``
         instant checked between tasks (the serial form of the parallel
-        executors' fetch-boundary check), raising
-        :class:`~repro.sched.faults.TaskExecutionError` with
-        ``phase="deadline"`` on overrun."""
+        executors' fetch-boundary check).  A whole-run overrun surfaces
+        only as :class:`~repro.sched.faults.TaskExecutionError` with
+        ``phase="deadline"``; no stats object outlives it."""
         buf = tracer.bind(0) if tracer is not None else None
         start_ns = time.perf_counter_ns()
         compute_ns = 0
         executed = 0
-        stats = ExecutionStats(num_threads=1)
         for tid in graph.topological_order():
             if deadline is not None and time.monotonic() >= deadline:
-                from repro.sched.faults import TaskExecutionError
-
-                stats.deadline_misses += 1
                 raise TaskExecutionError(
                     f"serial propagation exceeded its deadline with "
                     f"{graph.num_tasks - executed} of {graph.num_tasks} "

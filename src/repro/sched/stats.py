@@ -3,37 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
-
-
-@dataclass
-class SpanRecord:
-    """One task-execution interval in ``ExecutionStats.events``.
-
-    ``start`` / ``end`` are seconds relative to the run's start; ``worker``
-    is the executing thread/slot.  For backward compatibility the record
-    still unpacks like the old free-form 4-tuple::
-
-        tid, worker, start, end = record
-    """
-
-    tid: int
-    worker: int
-    start: float
-    end: float
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-    def __iter__(self) -> Iterator:
-        return iter((self.tid, self.worker, self.start, self.end))
-
-    def __getitem__(self, index):
-        return (self.tid, self.worker, self.start, self.end)[index]
-
-    def __len__(self) -> int:
-        return 4
+from typing import List, Optional
 
 
 @dataclass
@@ -59,10 +29,6 @@ class ExecutionStats:
     compute_time: List[float] = field(default_factory=list)
     sched_time: List[float] = field(default_factory=list)
     tasks_per_thread: List[int] = field(default_factory=list)
-    # Optional per-task event log (SpanRecord: task id, worker, start, end
-    # relative to the run's start); populated when the executor records
-    # events.  Entries unpack like 4-tuples for older consumers.
-    events: List[SpanRecord] = field(default_factory=list)
     # Process-executor extras: tasks the master ran inline instead of
     # dispatching, bytes of the shared-memory arena, and the worker
     # process pids in per-slot order (for correlating with OS tooling).

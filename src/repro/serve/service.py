@@ -478,7 +478,7 @@ class InferenceService:
     fallback:
         Thread-tier executor used when the primary is absent, skipped by
         an open breaker, or failing; defaults to a fresh
-        :class:`~repro.sched.collaborative.CollaborativeExecutor` — pass
+        :class:`~repro.sched.core.CollaborativeExecutor` — pass
         a :class:`~repro.sched.serial.SerialExecutor` to keep the
         service single-tier.  A serial last resort always backstops the
         cascade.
@@ -537,7 +537,7 @@ class InferenceService:
         self.pool = pool
         self.primary = primary
         if fallback is None:
-            from repro.sched.collaborative import CollaborativeExecutor
+            from repro.sched import CollaborativeExecutor
 
             fallback = CollaborativeExecutor(num_threads=2)
         self.fallback = fallback

@@ -37,7 +37,6 @@ from repro.simcore.cluster import (
     ClusterProfile,
     partition_tree,
 )
-from repro.simcore.hetero import CELL_BE, CellPolicy, HeteroSpec
 
 __all__ = [
     "PlatformProfile",
@@ -54,9 +53,6 @@ __all__ = [
     "ClusterPolicy",
     "GIGE_CLUSTER",
     "partition_tree",
-    "HeteroSpec",
-    "CellPolicy",
-    "CELL_BE",
     "SerialPolicy",
     "CollaborativePolicy",
     "WorkStealingPolicy",

@@ -192,18 +192,14 @@ class CollaborativePolicy:
         fault_plan=None,
     ) -> SimResult:
         sim = build_sim_graph(graph, self.partition_threshold, self.max_chunks)
-        overhead = profile.task_sched_overhead(num_cores)
+        overhead, lock_hold = self._overheads(profile, num_cores)
         trace = Trace(num_cores) if record_trace else None
-        # The global-task-list lock is a serialized resource: every task's
-        # Allocate pass holds it for `lock_cost` seconds.  Irrelevant for
-        # coarse tasks, but it floors the makespan of fine-grained graphs
-        # on many cores (the paper's Section 8 concern).
         result = _greedy_schedule(
             sim,
             profile,
             num_cores,
             overhead,
-            dispatch_latency=profile.lock_cost if num_cores > 1 else 0.0,
+            dispatch_latency=lock_hold if num_cores > 1 else 0.0,
             trace=trace,
             fault_plan=fault_plan,
         )
@@ -214,6 +210,16 @@ class CollaborativePolicy:
             result.sim_graph = sim
         return result
 
+    def _overheads(self, profile: PlatformProfile, num_cores: int):
+        """``(per-task scheduling overhead, serialized lock hold)`` seconds.
+
+        The global-task-list lock is a serialized resource: every task's
+        Allocate pass holds it for ``lock_cost`` seconds.  Irrelevant for
+        coarse tasks, but it floors the makespan of fine-grained graphs
+        on many cores (the paper's Section 8 concern).
+        """
+        return profile.task_sched_overhead(num_cores), profile.lock_cost
+
 
 class WorkStealingPolicy(CollaborativePolicy):
     """Simulated work-stealing variant of the collaborative scheduler.
@@ -222,40 +228,18 @@ class WorkStealingPolicy(CollaborativePolicy):
     with core count.  Work stealing keeps ready tasks in per-thread deques
     and only takes a shared lock on the rare steal, so the per-task
     overhead loses its contention term.  The matching real-thread
-    implementation is :class:`repro.sched.workstealing.WorkStealingExecutor`.
+    implementation is :class:`repro.sched.core.WorkStealingExecutor`.
     """
 
     name = "work-stealing"
 
-    def simulate(
-        self,
-        graph: TaskGraph,
-        profile: PlatformProfile,
-        num_cores: int,
-        record_trace: bool = False,
-        fault_plan=None,
-    ) -> SimResult:
-        sim = build_sim_graph(graph, self.partition_threshold, self.max_chunks)
+    def _overheads(self, profile: PlatformProfile, num_cores: int):
         # Own-deque push/pop needs no contended lock; only the (short)
         # dependency-counter update remains a shared serialized section.
-        overhead = profile.sched_overhead + profile.lock_cost
-        trace = Trace(num_cores) if record_trace else None
-        result = _greedy_schedule(
-            sim,
-            profile,
-            num_cores,
-            overhead,
-            dispatch_latency=(
-                profile.lock_cost * 0.25 if num_cores > 1 else 0.0
-            ),
-            trace=trace,
-            fault_plan=fault_plan,
+        return (
+            profile.sched_overhead + profile.lock_cost,
+            profile.lock_cost * 0.25,
         )
-        result.policy = self.name
-        if record_trace:
-            result.trace = trace
-            result.sim_graph = sim
-        return result
 
 
 class LevelParallelPolicy:

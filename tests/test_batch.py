@@ -16,7 +16,7 @@ import pytest
 from repro.bn.generation import random_network
 from repro.inference.engine import InferenceEngine
 from repro.jt.generation import synthetic_tree
-from repro.sched.collaborative import CollaborativeExecutor
+from repro.sched import CollaborativeExecutor
 from repro.sched.faults import TaskExecutionError
 from repro.sched.process import ProcessSharedMemoryExecutor
 from repro.sched.serial import SerialExecutor

@@ -8,7 +8,7 @@ from repro.bn.generation import random_network
 from repro.inference.engine import InferenceEngine
 from repro.inference.propagation import propagate_reference
 from repro.jt.build import junction_tree_from_network
-from repro.sched.collaborative import CollaborativeExecutor
+from repro.sched import CollaborativeExecutor
 from repro.tasks.dag import build_task_graph
 from repro.tasks.state import PropagationState
 
@@ -100,16 +100,3 @@ class TestFacadeKwargs:
             CollaborativePolicy(), graph, record_trace=True
         )
         assert result.trace is not None
-
-    def test_online_weights_steer_allocation(self):
-        from repro.sched.online import OnlineScheduler
-
-        # Functional check only: heavy/light weights must not break
-        # execution or ordering.
-        with OnlineScheduler(num_threads=2) as pool:
-            heavy = pool.submit(lambda: "h", weight=100.0)
-            light = [
-                pool.submit(lambda i=i: i, weight=0.1) for i in range(20)
-            ]
-            assert heavy.result(timeout=5) == "h"
-            assert [h.result(timeout=5) for h in light] == list(range(20))

@@ -538,7 +538,7 @@ class TestEngineResilience:
 
     def test_trace_labels_survive_clean_resilient_run(self):
         from repro import InferenceEngine, random_network
-        from repro.sched.collaborative import CollaborativeExecutor
+        from repro.sched import CollaborativeExecutor
 
         bn = random_network(12, seed=6)
         engine = InferenceEngine.from_network(bn)

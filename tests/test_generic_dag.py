@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.sched.generic import run_dag
+from repro.sched import run_dag
 
 
 class TestBasics:

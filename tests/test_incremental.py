@@ -27,10 +27,9 @@ from repro.inference.incremental import (
     plan_incremental,
 )
 from repro.jt.generation import synthetic_tree
-from repro.sched.collaborative import CollaborativeExecutor
+from repro.sched import CollaborativeExecutor, WorkStealingExecutor
 from repro.sched.resilient import ResilientExecutor
 from repro.sched.serial import SerialExecutor
-from repro.sched.workstealing import WorkStealingExecutor
 from repro.tasks.clique_graph import dirty_ancestor_closure, dirty_cliques
 from repro.tasks.dag import build_task_graph
 from repro.tasks.state import PropagationState

@@ -7,7 +7,7 @@ from repro.bn.generation import chain_network, random_network
 from repro.inference.engine import InferenceEngine
 from repro.inference.evidence import Evidence
 from repro.jt.generation import synthetic_tree
-from repro.sched.collaborative import CollaborativeExecutor
+from repro.sched import CollaborativeExecutor
 
 
 class TestAgainstBruteForce:

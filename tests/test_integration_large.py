@@ -12,7 +12,7 @@ from repro.jt.generation import paper_tree, template_tree
 from repro.jt.rerooting import reroot_optimally, select_root_bruteforce
 from repro.jt.stats import summarize_tree
 from repro.jt.validate import check_running_intersection, check_tree_structure
-from repro.sched.collaborative import CollaborativeExecutor
+from repro.sched import CollaborativeExecutor
 from repro.tasks.dag import build_task_graph
 from repro.tasks.metrics import summarize
 

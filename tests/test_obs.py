@@ -27,11 +27,10 @@ from repro.obs import (
     sim_trace_to_chrome,
     validate_chrome_trace,
 )
-from repro.sched.collaborative import CollaborativeExecutor
+from repro.sched import CollaborativeExecutor, WorkStealingExecutor
 from repro.sched.process import ProcessSharedMemoryExecutor
 from repro.sched.resilient import ResilientExecutor
 from repro.sched.serial import SerialExecutor
-from repro.sched.workstealing import WorkStealingExecutor
 from repro.tasks.dag import build_task_graph
 from repro.tasks.state import PropagationState
 
@@ -206,6 +205,55 @@ class TestTracedExecutors:
         # steals counter exists when any steal happened; spans always do.
         assert trace.execute_spans()
         assert all(s.start_ns >= 0 for s in trace.spans)
+
+    # The schedule invariants, read off the tracer's execute spans; the
+    # partitioned runs cover chunk and combine spans too.
+    @pytest.mark.parametrize("delta", [None, 4], ids=["whole", "chunked"])
+    @pytest.mark.parametrize(
+        "executor_cls",
+        [CollaborativeExecutor, WorkStealingExecutor],
+        ids=["collaborative", "workstealing"],
+    )
+    def test_spans_form_valid_schedule(self, executor_cls, delta):
+        tree, graph = _workload(num_cliques=16, clique_width=4, seed=91)
+        trace, stats, _ = _traced_run(
+            executor_cls(num_threads=4, partition_threshold=delta), tree, graph
+        )
+        spans = trace.execute_spans()
+        assert (stats.tasks_partitioned > 0) == (delta is not None)
+
+        # Every task appears: exactly once whole, or as chunks + a combiner.
+        by_task = {}
+        for span in spans:
+            by_task.setdefault(span.tid, []).append(span.role)
+        assert set(by_task) == set(range(graph.num_tasks))
+        for roles in by_task.values():
+            assert roles == ["task"] or (
+                roles.count("combine") == 1 and roles.count("chunk") >= 2
+                and roles.count("task") == 0
+            )
+
+        # A task starts only after every dependency has ended.
+        first_start = {
+            tid: min(s.start_ns for s in spans if s.tid == tid)
+            for tid in by_task
+        }
+        last_end = {
+            tid: max(s.end_ns for s in spans if s.tid == tid)
+            for tid in by_task
+        }
+        for tid, deps in enumerate(graph.deps):
+            for dep in deps:
+                assert first_start[tid] >= last_end[dep], (tid, dep)
+
+        # No two spans overlap on one worker row.
+        for worker in {s.worker for s in spans}:
+            row = sorted(
+                (s for s in spans if s.worker == worker),
+                key=lambda s: s.start_ns,
+            )
+            for before, after in zip(row, row[1:]):
+                assert before.end_ns <= after.start_ns
 
     def test_untraced_run_unchanged(self):
         tree, graph = _workload()

@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 
 from repro.inference.propagation import propagate_reference
 from repro.jt.generation import synthetic_tree
-from repro.sched.baselines import DataParallelExecutor, LevelParallelExecutor
-from repro.sched.collaborative import CollaborativeExecutor
-from repro.sched.workstealing import WorkStealingExecutor
+from repro.sched import (
+    CollaborativeExecutor,
+    DataParallelExecutor,
+    LevelParallelExecutor,
+    WorkStealingExecutor,
+)
 from repro.tasks.dag import build_task_graph
 from repro.tasks.state import PropagationState
 

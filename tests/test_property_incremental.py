@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 
 from repro.bn.generation import random_network
 from repro.inference.engine import InferenceEngine
-from repro.sched.collaborative import CollaborativeExecutor
+from repro.sched import CollaborativeExecutor, WorkStealingExecutor
 from repro.sched.resilient import ResilientExecutor
 from repro.sched.serial import SerialExecutor
-from repro.sched.workstealing import WorkStealingExecutor
 
 NUM_VARS = 10
 

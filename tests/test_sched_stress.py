@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 
 from repro.jt.generation import synthetic_tree
-from repro.sched.collaborative import CollaborativeExecutor
+from repro.sched import CollaborativeExecutor, WorkStealingExecutor
 from repro.sched.serial import SerialExecutor
-from repro.sched.workstealing import WorkStealingExecutor
 from repro.tasks.dag import build_task_graph
 from repro.tasks.state import PropagationState
 

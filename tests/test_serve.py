@@ -19,11 +19,10 @@ from repro.bn.generation import random_network
 from repro.inference.cache import QueryCache
 from repro.inference.engine import InferenceEngine
 from repro.jt.build import junction_tree_from_network
-from repro.sched.collaborative import CollaborativeExecutor
+from repro.sched import CollaborativeExecutor, WorkStealingExecutor
 from repro.sched.faults import TaskExecutionError
 from repro.sched.resilient import ResilientExecutor
 from repro.sched.serial import SerialExecutor
-from repro.sched.workstealing import WorkStealingExecutor
 from repro.serve import (
     CircuitBreaker,
     DeadlineExceeded,

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from repro.bn.generation import random_network
 from repro.inference.engine import InferenceEngine
 from repro.jt.build import junction_tree_from_network
-from repro.sched.collaborative import CollaborativeExecutor
+from repro.sched import CollaborativeExecutor
 from repro.serve import EngineSessionPool, InferenceService, QueryRequest
 
 NUM_VARS = 14

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sched.stats import ExecutionStats, SpanRecord
+from repro.sched.stats import ExecutionStats
 from repro.util.rng import make_rng, spawn_rngs
 from repro.util.validation import check_positive, check_probability_vector
 
@@ -96,23 +96,6 @@ class TestExecutionStats:
             assert row["sched_time"] == 0.0
         assert [r["tasks"] for r in rows] == [3, 4, 0, 0]
         assert rows[2]["role"] == "master"
-
-
-class TestSpanRecord:
-    def test_unpacks_like_legacy_tuple(self):
-        rec = SpanRecord(tid=7, worker=1, start=0.5, end=1.25)
-        tid, worker, start, end = rec
-        assert (tid, worker, start, end) == (7, 1, 0.5, 1.25)
-
-    def test_indexing_and_len(self):
-        rec = SpanRecord(tid=7, worker=1, start=0.5, end=1.25)
-        assert len(rec) == 4
-        assert rec[0] == 7
-        assert rec[-1] == 1.25
-        assert rec[1:3] == (1, 0.5)
-
-    def test_duration(self):
-        assert SpanRecord(0, 0, 1.0, 3.5).duration == pytest.approx(2.5)
 
 
 class TestRng:

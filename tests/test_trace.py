@@ -3,7 +3,7 @@
 import pytest
 
 from repro.jt.generation import synthetic_tree
-from repro.simcore.policies import CollaborativePolicy
+from repro.simcore.policies import CollaborativePolicy, WorkStealingPolicy
 from repro.simcore.profiles import XEON
 from repro.simcore.trace import Trace, TraceEvent
 from repro.tasks.dag import build_task_graph
@@ -71,14 +71,13 @@ class TestPolicyTracing:
     def test_collaborative_trace_is_valid_schedule(self):
         tree = synthetic_tree(20, clique_width=5, seed=42)
         graph = build_task_graph(tree)
-        result = CollaborativePolicy().simulate(
-            graph, XEON, 4, record_trace=True
-        )
-        trace = result.trace
-        assert trace is not None
-        trace.check_no_overlap()
-        trace.check_dependencies(result.sim_graph.deps)
-        assert len(trace.events) == result.sim_graph.num_nodes
+        for policy in (CollaborativePolicy(), WorkStealingPolicy()):
+            result = policy.simulate(graph, XEON, 4, record_trace=True)
+            trace = result.trace
+            assert trace is not None, policy.name
+            trace.check_no_overlap()
+            trace.check_dependencies(result.sim_graph.deps)
+            assert len(trace.events) == result.sim_graph.num_nodes
 
     def test_trace_makespan_matches_result(self):
         tree = synthetic_tree(15, clique_width=4, seed=43)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.jt.generation import synthetic_tree
 from repro.sched.serial import SerialExecutor
-from repro.sched.workstealing import WorkStealingExecutor
+from repro.sched import WorkStealingExecutor
 from repro.tasks.dag import build_task_graph
 from repro.tasks.state import PropagationState
 

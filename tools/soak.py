@@ -77,7 +77,7 @@ import numpy as np
 from repro import InferenceEngine, random_network
 from repro.jt.build import junction_tree_from_network
 from repro.registry import ModelRegistry, RegistryService, TenantScheduler
-from repro.sched.collaborative import CollaborativeExecutor
+from repro.sched import CollaborativeExecutor
 from repro.sched.faults import FaultPlan
 from repro.sched.process import ProcessSharedMemoryExecutor
 from repro.sched.serial import SerialExecutor
