@@ -183,12 +183,23 @@ def read_acks(
     return acks, recovered, False
 
 
-def kill_child(proc: subprocess.Popen) -> None:
-    """SIGKILL the child — the real, unsimulated crash."""
+def kill_child(proc: subprocess.Popen) -> List[Dict[str, object]]:
+    """SIGKILL the child — the real, unsimulated crash.
+
+    Returns the acks the child had already printed that ``read_acks``
+    had not read yet: the child keeps serving between the parent's last
+    read and the kill, and an ack it delivered in that window is
+    delivered — the next incarnation will rightly not repeat it.
+    """
     proc.send_signal(signal.SIGKILL)
     proc.wait()
+    unread: List[Dict[str, object]] = []
     if proc.stdout is not None:
+        for line in proc.stdout:
+            if line.startswith("ACK ") and line.endswith("\n"):
+                unread.append(json.loads(line[4:]))
         proc.stdout.close()
+    return unread
 
 
 def verify_acks(dbn, schedule, acks, atol: float = 1e-9) -> List[str]:

@@ -61,7 +61,6 @@ class CompiledModel:
 def _stage_guard(
     model_id: str,
     deadline_at: Optional[float],
-    clock: Callable[[], float],
     started: float,
     verb: str,
 ) -> Tuple[Callable[[str], None], List[Tuple[str, float]]]:
@@ -76,7 +75,7 @@ def _stage_guard(
     last = [("start", started)]
 
     def on_stage(stage: str) -> None:
-        now = clock()
+        now = time.monotonic()
         prev_name, prev_at = last[0]
         if prev_name != "start":
             marks.append((prev_name, now - prev_at))
@@ -88,7 +87,7 @@ def _stage_guard(
             )
 
     def finish() -> None:
-        now = clock()
+        now = time.monotonic()
         prev_name, prev_at = last[0]
         if prev_name != "start":
             marks.append((prev_name, now - prev_at))
@@ -116,8 +115,6 @@ def compile_model(
     sessions: int = 2,
     cache_size: int = 512,
     deadline_at: Optional[float] = None,
-    heuristic: str = "min-fill",
-    clock: Callable[[], float] = time.monotonic,
 ) -> CompiledModel:
     """Cold compile: network → junction tree → rerooted warm pool.
 
@@ -131,11 +128,11 @@ def compile_model(
     """
     if sessions < 1:
         raise ValueError("sessions must be >= 1")
-    started = clock()
+    started = time.monotonic()
     on_stage, marks = _stage_guard(
-        model_id, deadline_at, clock, started, "compile"
+        model_id, deadline_at, started, "compile"
     )
-    jt = junction_tree_from_network(network, heuristic, on_stage=on_stage)
+    jt = junction_tree_from_network(network, on_stage=on_stage)
     on_stage("reroot")
     pool = EngineSessionPool.from_junction_tree(
         jt, sessions=sessions, cache_size=cache_size, warm=False
@@ -155,7 +152,7 @@ def compile_model(
         baseline=baseline,
         cost_bytes=model_cost_bytes(pool),
         stub_cost_bytes=stub_cost_bytes(rerooted, baseline),
-        compile_seconds=clock() - started,
+        compile_seconds=time.monotonic() - started,
         stages=marks,
         rehydrated=False,
     )
@@ -168,7 +165,6 @@ def rehydrate_model(
     sessions: int = 2,
     cache_size: int = 512,
     deadline_at: Optional[float] = None,
-    clock: Callable[[], float] = time.monotonic,
 ) -> CompiledModel:
     """Warm restart an evicted model from its retained stub.
 
@@ -183,9 +179,9 @@ def rehydrate_model(
         raise ValueError("sessions must be >= 1")
     if baseline is None:
         raise ValueError("rehydrate needs the retained baseline checkpoint")
-    started = clock()
+    started = time.monotonic()
     on_stage, marks = _stage_guard(
-        model_id, deadline_at, clock, started, "rehydrate"
+        model_id, deadline_at, started, "rehydrate"
     )
     on_stage("build-sessions")
     engines = [
@@ -208,7 +204,7 @@ def rehydrate_model(
         baseline=baseline,
         cost_bytes=model_cost_bytes(pool),
         stub_cost_bytes=stub_cost_bytes(junction_tree, baseline),
-        compile_seconds=clock() - started,
+        compile_seconds=time.monotonic() - started,
         stages=marks,
         rehydrated=True,
     )

@@ -45,7 +45,6 @@ from typing import Callable, Dict, List, Optional
 from repro.bn.network import BayesianNetwork
 from repro.durability.recovery import ModelRecovery
 from repro.durability.store import DurableModelStore
-from repro.obs.metrics import latency_percentiles
 from repro.obs.span import CAT_RECOVERY, CAT_SERVE
 from repro.obs.tracer import Tracer
 from repro.registry.compiler import (
@@ -55,6 +54,7 @@ from repro.registry.compiler import (
     stub_cost_bytes,
 )
 from repro.registry.fairness import TenantScheduler
+from repro.serve.core import Future, ServingCore, Ticket
 from repro.serve.report import ServiceReport
 from repro.serve.request import (
     STATUS_DEADLINE,
@@ -66,7 +66,7 @@ from repro.serve.request import (
     QueryResponse,
     ServiceClosed,
 )
-from repro.serve.service import InferenceService, _Future
+from repro.serve.service import InferenceService
 
 # Entry lifecycle: cold --compile--> resident --evict--> stub
 #                  stub --rehydrate--> resident; stub --pressure--> cold
@@ -74,26 +74,6 @@ _COLD = "cold"
 _COMPILING = "compiling"
 _RESIDENT = "resident"
 _STUB = "stub"
-
-# ServiceReport counters summed when aggregating per-model services.
-_SUMMED_FIELDS = (
-    "submitted",
-    "served_ok",
-    "served_stale",
-    "coalesced",
-    "shed",
-    "deadline_missed",
-    "failed",
-    "breaker_short_circuits",
-    "batches",
-    "batched_flights",
-    "single_flights",
-    "quarantined",
-    "session_recycles",
-    "session_recycles_from_checkpoint",
-    "watchdog_interventions",
-)
-
 
 class _Entry:
     """One registered model's lifecycle record (guarded by the registry
@@ -142,13 +122,8 @@ class ModelRegistry:
         budget overrun.
     sessions, cache_size:
         Per-model pool shape (see :class:`EngineSessionPool`).
-    max_queue, workers, max_batch, watchdog_grace:
+    max_queue, workers, max_batch:
         Per-model :class:`InferenceService` admission/batching knobs.
-    primary_factory, fallback_factory:
-        Zero-arg callables building the executor tiers for each
-        per-model service (called once per compile/rehydrate, so evicted
-        models' executors are truly released).  ``None`` keeps the
-        service defaults.
     durable_root:
         Directory compiled-model artifacts (rerooted tree + baseline
         checkpoint) persist under.  A fresh process registering a model
@@ -166,11 +141,6 @@ class ModelRegistry:
         max_queue: int = 32,
         workers: Optional[int] = None,
         max_batch: int = 1,
-        watchdog_grace: Optional[float] = None,
-        primary_factory: Optional[Callable[[], object]] = None,
-        fallback_factory: Optional[Callable[[], object]] = None,
-        heuristic: str = "min-fill",
-        clock: Callable[[], float] = time.monotonic,
         durable_root: Optional[str] = None,
     ):
         if memory_budget is not None and memory_budget < 1:
@@ -181,11 +151,6 @@ class ModelRegistry:
         self.max_queue = max_queue
         self.workers = workers
         self.max_batch = max_batch
-        self.watchdog_grace = watchdog_grace
-        self.primary_factory = primary_factory
-        self.fallback_factory = fallback_factory
-        self.heuristic = heuristic
-        self._clock = clock
         self.durable_root = durable_root
         self._durable = (
             DurableModelStore(durable_root) if durable_root is not None else None
@@ -208,13 +173,8 @@ class ModelRegistry:
         self.recovered_models = 0
         self.model_recoveries: List[ModelRecovery] = []
 
-        # Aggregated totals absorbed from drained per-model services.
-        self._totals: Dict[str, int] = {f: 0 for f in _SUMMED_FIELDS}
-        self._tier_counts: Dict[str, int] = {}
-        self._per_tenant: Dict[str, Dict[str, int]] = {}
-        self._per_model: Dict[str, Dict[str, int]] = {}
-        self._served_durations: List[float] = []
-        self._queue_high_water = 0
+        # Every per-model service this registry ever drained, merged.
+        self._drained = ServiceReport()
 
         self._tracer = Tracer()
         self._buf = self._tracer.buffer(0)
@@ -378,7 +338,7 @@ class ModelRegistry:
         :class:`ModelNotFound` for unregistered ids and
         :class:`ServiceClosed` after :meth:`close`.
         """
-        clock = self._clock
+        clock = time.monotonic
         with self._lock:
             entry = self._entries.get(model_id)
             if entry is None:
@@ -474,7 +434,6 @@ class ModelRegistry:
                 sessions=self.sessions,
                 cache_size=self.cache_size,
                 deadline_at=deadline_at,
-                clock=self._clock,
             )
         network = entry.loader()
         if not isinstance(network, BayesianNetwork):
@@ -488,23 +447,7 @@ class ModelRegistry:
             sessions=self.sessions,
             cache_size=self.cache_size,
             deadline_at=deadline_at,
-            heuristic=self.heuristic,
-            clock=self._clock,
         )
-
-    def _make_service(self, pool) -> InferenceService:
-        kwargs: Dict[str, object] = {
-            "max_queue": self.max_queue,
-            "max_batch": self.max_batch,
-            "watchdog_grace": self.watchdog_grace,
-        }
-        if self.workers is not None:
-            kwargs["workers"] = self.workers
-        if self.primary_factory is not None:
-            kwargs["primary"] = self.primary_factory()
-        if self.fallback_factory is not None:
-            kwargs["fallback"] = self.fallback_factory()
-        return InferenceService(pool, **kwargs)
 
     def _install(
         self, entry: _Entry, compiled: CompiledModel, rehydrated: bool
@@ -514,7 +457,12 @@ class ModelRegistry:
         entry.baseline = compiled.baseline
         entry.cost_bytes = compiled.cost_bytes
         entry.stub_cost_bytes = compiled.stub_cost_bytes
-        entry.service = self._make_service(compiled.pool)
+        entry.service = InferenceService(
+            compiled.pool,
+            workers=self.workers,
+            max_queue=self.max_queue,
+            max_batch=self.max_batch,
+        )
         entry.state = _RESIDENT
         entry.misses += 1
         self.misses += 1
@@ -587,8 +535,7 @@ class ModelRegistry:
         rehydrated model.
         """
         t0_ns = time.perf_counter_ns()
-        report = entry.service.drain()
-        self._absorb_report(report)
+        self._drained.merge(entry.service.drain())
         entry.pool.close()
         entry.service = None
         entry.pool = None
@@ -622,38 +569,13 @@ class ModelRegistry:
     # Report aggregation / lifecycle
     # ------------------------------------------------------------------ #
 
-    def _absorb_report(self, report: ServiceReport) -> None:
-        for field_name in _SUMMED_FIELDS:
-            self._totals[field_name] += getattr(report, field_name)
-        for tier, count in report.tier_counts.items():
-            self._tier_counts[tier] = self._tier_counts.get(tier, 0) + count
-        for tenant, counts in report.per_tenant.items():
-            bucket = self._per_tenant.setdefault(tenant, {})
-            for status, count in counts.items():
-                bucket[status] = bucket.get(status, 0) + count
-        for model, counts in report.per_model.items():
-            bucket = self._per_model.setdefault(model, {})
-            for status, count in counts.items():
-                bucket[status] = bucket.get(status, 0) + count
-        self._queue_high_water = max(
-            self._queue_high_water, report.queue_high_water
-        )
-        trace = report.trace
-        if trace is not None:
-            self._served_durations.extend(
-                span.duration
-                for span in trace.spans
-                if span.cat == CAT_SERVE
-                and span.name.startswith(("request:ok", "request:stale"))
-            )
-
     def close(self) -> ServiceReport:
         """Drain every resident model and return the aggregated report.
 
         Idempotent.  The report sums every per-model service this
         registry ever drained (evictions included) and carries the
         registry's own counters; latency percentiles are recomputed over
-        the union of all served spans.
+        the union of all served responses.
         """
         with self._lock:
             if self._report is not None:
@@ -669,11 +591,7 @@ class ModelRegistry:
             return self._report
 
     def _build_report_locked(self) -> ServiceReport:
-        trace = self._tracer.finalize(executor="ModelRegistry")
         report = ServiceReport(
-            tier_counts=dict(self._tier_counts),
-            per_tenant={t: dict(c) for t, c in self._per_tenant.items()},
-            per_model={m: dict(c) for m, c in self._per_model.items()},
             model_hits=self.hits,
             model_misses=self.misses,
             compiles=self.compiles,
@@ -683,19 +601,13 @@ class ModelRegistry:
             peak_resident_bytes=self.peak_resident_bytes,
             memory_budget=self.memory_budget,
             recoveries=self.recovered_models,
-            latency=latency_percentiles(
-                self._served_durations, points=(50, 90, 99)
-            ),
             wall_seconds=(time.perf_counter_ns() - self._started_ns) * 1e-9,
-            queue_high_water=self._queue_high_water,
-            trace=trace,
+            trace=self._tracer.finalize(executor="ModelRegistry"),
         )
-        for field_name in _SUMMED_FIELDS:
-            setattr(report, field_name, self._totals[field_name])
-        return report
+        return report.merge(self._drained)
 
 
-class RegistryService:
+class RegistryService(ServingCore):
     """Multi-tenant front door over a :class:`ModelRegistry`.
 
     ``submit`` never blocks on compiles it can refuse and never raises
@@ -704,6 +616,11 @@ class RegistryService:
     refusals, unknown models), exactly like the single-model service's
     exact-or-explicit contract.  Only :class:`ServiceClosed` (the whole
     front door draining) raises.
+
+    A :class:`~repro.serve.core.ServingCore` with no workers of its own:
+    admitted requests are queued and served by the per-model services,
+    while the refusals issued here resolve, count and report through the
+    same ``finish`` / ``drain`` as theirs.
 
     Parameters
     ----------
@@ -720,39 +637,29 @@ class RegistryService:
         registry holding exactly one model routes there implicitly.
     """
 
+    closed_message = "registry service is draining"
+
     def __init__(
         self,
         registry: ModelRegistry,
         scheduler: Optional[TenantScheduler] = None,
         capacity: int = 64,
         default_model: Optional[str] = None,
-        clock: Callable[[], float] = time.monotonic,
     ):
         self.registry = registry
         self.scheduler = scheduler or TenantScheduler(capacity=capacity)
         self.default_model = default_model
-        self._clock = clock
-        self._closed = False
-        self._lifecycle_lock = threading.Lock()
-        self._report: Optional[ServiceReport] = None
-        self._stats_lock = threading.Lock()
-        self.shed_by_quota = 0
-        self.compile_deadline_refusals = 0
-        # Front-door refusals never reach a per-model service, so their
-        # accounting (submitted/shed/deadline/failed + per-tenant and
-        # per-model breakdowns) is kept here and merged into the report.
-        self._front_counts = {
-            "submitted": 0,
-            "shed": 0,
-            "deadline_missed": 0,
-            "failed": 0,
-        }
-        self._front_tenant: Dict[str, Dict[str, int]] = {}
-        self._front_model: Dict[str, Dict[str, int]] = {}
+        super().__init__(workers=0)
 
     # ------------------------------------------------------------------ #
     # Admission + routing
     # ------------------------------------------------------------------ #
+
+    def place(self, ticket: Ticket, refusal: QueryResponse) -> QueryResponse:
+        """Front-door tickets are never queued: they are the refusals."""
+        if refusal.kind == "quota":
+            self._bump("shed_by_quota")
+        return refusal
 
     def _refuse(
         self,
@@ -761,44 +668,26 @@ class RegistryService:
         status: str,
         kind: Optional[str],
         error: str,
-    ) -> _Future:
-        future = _Future()
-        counter = {
-            STATUS_SHED: "shed",
-            STATUS_DEADLINE: "deadline_missed",
-            STATUS_FAILED: "failed",
-        }[status]
-        with self._stats_lock:
-            self._front_counts["submitted"] += 1
-            self._front_counts[counter] += 1
-            if kind == "quota":
-                self.shed_by_quota += 1
-            if kind == "compile-deadline":
-                self.compile_deadline_refusals += 1
-            bucket = self._front_tenant.setdefault(request.tenant or "", {})
-            bucket[status] = bucket.get(status, 0) + 1
-            if model_id:
-                bucket = self._front_model.setdefault(model_id, {})
-                bucket[status] = bucket.get(status, 0) + 1
-        future.resolve(
-            QueryResponse(
-                status=status,
-                error=error,
-                kind=kind,
-                model_id=model_id,
-                tenant=request.tenant,
-            )
+    ) -> Future:
+        ticket = self.ticket(
+            request, None, tenant=request.tenant or "", model_id=model_id
         )
-        return future
+        refusal = QueryResponse(
+            status=status,
+            error=error,
+            kind=kind,
+            model_id=model_id,
+            tenant=ticket.tenant,
+        )
+        return self.admit(ticket, refusal)
 
-    def submit(self, request: QueryRequest) -> _Future:
+    def submit(self, request: QueryRequest) -> Future:
         """Admit one request: fairness, then routing, then forwarding.
 
         The returned future resolves to the per-model service's response
         (with ``model_id``/``tenant`` stamped) or to a typed refusal.
         """
-        if self._closed:
-            raise ServiceClosed("registry service is draining")
+        self._check_open()
         model_id = request.model_id or self.default_model
         if model_id is None:
             models = self.registry.models()
@@ -828,9 +717,16 @@ class RegistryService:
             )
 
         deadline_at = (
-            self._clock() + request.deadline
+            time.monotonic() + request.deadline
             if request.deadline is not None
             else None
+        )
+        # The tenant's admission charge is released exactly once: by the
+        # forwarded future's resolution, or below on every other path.
+        refusal = (
+            STATUS_FAILED,
+            None,
+            "model was evicted repeatedly while routing; giving up",
         )
         try:
             for _attempt in range(3):
@@ -839,26 +735,18 @@ class RegistryService:
                         model_id, deadline_at=deadline_at
                     )
                 except CompileDeadlineExceeded as exc:
-                    self.scheduler.release(tenant)
-                    return self._refuse(
-                        request,
-                        model_id,
-                        STATUS_DEADLINE,
-                        "compile-deadline",
-                        str(exc),
-                    )
+                    refusal = (STATUS_DEADLINE, "compile-deadline", str(exc))
+                    break
                 remaining = None
                 if deadline_at is not None:
-                    remaining = deadline_at - self._clock()
+                    remaining = deadline_at - time.monotonic()
                     if remaining <= 0:
-                        self.scheduler.release(tenant)
-                        return self._refuse(
-                            request,
-                            model_id,
+                        refusal = (
                             STATUS_DEADLINE,
                             None,
                             "deadline passed while acquiring the model",
                         )
+                        break
                 forwarded = replace(
                     request,
                     model_id=model_id,
@@ -876,17 +764,11 @@ class RegistryService:
                     lambda _resp, t=tenant: self.scheduler.release(t)
                 )
                 return future
-            self.scheduler.release(tenant)
-            return self._refuse(
-                request,
-                model_id,
-                STATUS_FAILED,
-                None,
-                "model was evicted repeatedly while routing; giving up",
-            )
         except BaseException:
             self.scheduler.release(tenant)
             raise
+        self.scheduler.release(tenant)
+        return self._refuse(request, model_id, *refusal)
 
     def query(
         self,
@@ -917,40 +799,9 @@ class RegistryService:
     # Lifecycle
     # ------------------------------------------------------------------ #
 
-    def drain(self) -> ServiceReport:
-        """Stop admissions, close the registry, return the full report."""
-        with self._lifecycle_lock:
-            if self._report is not None:
-                return self._report
-            self._closed = True
-            report = self.registry.close()
-            with self._stats_lock:
-                report.submitted += self._front_counts["submitted"]
-                report.shed += self._front_counts["shed"]
-                report.deadline_missed += self._front_counts[
-                    "deadline_missed"
-                ]
-                report.failed += self._front_counts["failed"]
-                report.shed_by_quota = self.shed_by_quota
-                # compile-deadline refusals all originate in
-                # registry.acquire and are already counted there; the
-                # front-door counter mirrors them for live introspection.
-                for tenant, counts in self._front_tenant.items():
-                    bucket = report.per_tenant.setdefault(tenant, {})
-                    for status, count in counts.items():
-                        bucket[status] = bucket.get(status, 0) + count
-                for model, counts in self._front_model.items():
-                    bucket = report.per_model.setdefault(model, {})
-                    for status, count in counts.items():
-                        bucket[status] = bucket.get(status, 0) + count
-            self._report = report
-            return self._report
-
-    def __enter__(self) -> "RegistryService":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.drain()
+    def _build_report(self) -> ServiceReport:
+        """Close the registry; its report plus this front door's refusals."""
+        return self.registry.close().merge(super()._build_report())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

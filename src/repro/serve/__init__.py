@@ -7,7 +7,11 @@ that makes it *operable* under many concurrent callers: an
 (:class:`EngineSessionPool`), with bounded admission, request coalescing,
 end-to-end deadlines, a :class:`CircuitBreaker` around the process tier,
 stale-tolerant load shedding and a graceful ``drain()`` returning a
-:class:`ServiceReport`.  See ``docs/serving.md``.
+:class:`ServiceReport`.  The admission → workers → resolve-exactly-once
+→ drain → report lifecycle is written once, in
+:class:`repro.serve.core.ServingCore`; :class:`InferenceService`,
+:class:`StreamingService` and :class:`~repro.registry.RegistryService`
+subclass it and supply only their decisions.  See ``docs/serving.md``.
 """
 
 from repro.serve.breaker import BreakerTransition, CircuitBreaker
@@ -29,9 +33,10 @@ from repro.serve.request import (
     StreamClosed,
     StreamOverflow,
     TenantQuotaExceeded,
+    TickResponse,
 )
 from repro.serve.service import EngineSessionPool, InferenceService
-from repro.serve.streaming import StreamHandle, StreamingService, TickResponse
+from repro.serve.streaming import StreamHandle, StreamingService
 
 __all__ = [
     "CompileDeadlineExceeded",

@@ -1,30 +1,63 @@
 """The drain-time accounting record of one service lifetime.
 
-:meth:`~repro.serve.service.InferenceService.drain` returns a
-:class:`ServiceReport`: every admission decision, every tier that served,
-every breaker transition, and latency percentiles derived from the
-service's own span tracer (``cat="serve"`` request-lifecycle spans) — the
-numbers an operator needs to answer "did the service refuse work, and
-what did the work it accepted cost?".
+Every ``drain()`` in the serving stack — :class:`~repro.serve.service.
+InferenceService`, :class:`~repro.serve.streaming.StreamingService`,
+:class:`~repro.registry.RegistryService` — returns a
+:class:`ServiceReport` built by :class:`~repro.serve.core.ServingCore`
+from its counters: every admission decision, every tier that served,
+every breaker transition, and latency percentiles over the responses
+``finish`` recorded as served — the numbers an operator needs to answer
+"did the service refuse work, and what did the work it accepted cost?".
+Reports of several services (the registry's per-model services, its
+front door) combine with :meth:`ServiceReport.merge`, which walks the
+dataclass fields, so a counter added here is aggregated without a
+second list to keep in step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
+from repro.obs.metrics import latency_percentiles
 from repro.serve.breaker import BreakerTransition
+
+# Per-field exceptions to merge's defaults (ints add, dicts of counts
+# add, lists extend) and to_dict's (every field is emitted).
+_MAX = {"merge": "max"}
+_KEEP = {"merge": "keep"}  # ours unless unset
+
+
+def _add_counts(mine: Dict, theirs: Dict) -> Dict:
+    """Add ``theirs`` into ``mine``: ``{k: n}`` or ``{name: {k: n}}``."""
+    for key, value in theirs.items():
+        if isinstance(value, dict):
+            _add_counts(mine.setdefault(key, {}), value)
+        else:
+            mine[key] = mine.get(key, 0) + value
+    return mine
+
+
+def _breakdown(title: str, table: Dict[str, Dict[str, int]]) -> List[str]:
+    """``format()`` lines for one ``{name: {status: n}}`` table."""
+    if not table:
+        return []
+    lines = [title]
+    for name in sorted(table):
+        counts = table[name]
+        per = ", ".join(f"{status} {counts[status]}" for status in sorted(counts))
+        lines.append(f"  {name or '(anon)':<16s} {per}")
+    return lines
 
 
 @dataclass
 class ServiceReport:
-    """Everything one drained :class:`~repro.serve.service.InferenceService`
-    did.
+    """Everything one drained service (or a merged group of them) did.
 
     ``served_ok`` counts every exact response (coalesced followers
     included; ``coalesced`` says how many of them rode another request's
     propagation).  ``latency`` holds nearest-rank percentiles (seconds)
-    over served responses, computed from the tracer's serve spans.
+    over ``served_latencies``, the latency of every served response.
     """
 
     submitted: int = 0
@@ -88,14 +121,24 @@ class ServiceReport:
     evictions: int = 0
     shed_by_quota: int = 0
     compile_deadline_refusals: int = 0
-    peak_resident_bytes: int = 0
-    memory_budget: Optional[int] = None
+    peak_resident_bytes: int = field(default=0, metadata=_MAX)
+    memory_budget: Optional[int] = field(default=None, metadata=_KEEP)
     tier_counts: Dict[str, int] = field(default_factory=dict)
     breaker_transitions: List[BreakerTransition] = field(default_factory=list)
-    latency: Dict[str, float] = field(default_factory=dict)
-    wall_seconds: float = 0.0
-    queue_high_water: int = 0
-    trace: Optional[object] = None  # PropagationTrace of the serve spans
+    latency: Dict[str, float] = field(
+        default_factory=dict, metadata={"merge": "recompute"}
+    )
+    wall_seconds: float = field(default=0.0, metadata=_MAX)
+    queue_high_water: int = field(default=0, metadata=_MAX)
+    # Not emitted by to_dict: the latency of every served response (what
+    # ``latency`` is computed from, kept so merged reports can recompute
+    # it) and the PropagationTrace of the service's spans.
+    served_latencies: List[float] = field(
+        default_factory=list, repr=False, metadata={"emit": False}
+    )
+    trace: Optional[object] = field(
+        default=None, metadata={"merge": "keep", "emit": False}
+    )
 
     @property
     def served(self) -> int:
@@ -112,55 +155,49 @@ class ServiceReport:
         """Refusals as a fraction of everything submitted."""
         return self.refused / self.submitted if self.submitted else 0.0
 
+    def merge(self, other: "ServiceReport") -> "ServiceReport":
+        """Fold ``other`` into this report, field by field; returns self.
+
+        Ints add, ``{status: n}`` and ``{name: {status: n}}`` dicts add,
+        lists extend; high-water marks and wall time take the max, the
+        memory budget and the trace stay ours unless unset, and the
+        latency percentiles are recomputed over both sides' served
+        latencies.
+        """
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            rule = f.metadata.get("merge")
+            if rule == "recompute":
+                continue
+            if rule == "max":
+                merged = max(mine, theirs)
+            elif rule == "keep":
+                merged = mine if mine is not None else theirs
+            elif isinstance(mine, dict):
+                merged = _add_counts(mine, theirs)
+            else:
+                merged = mine + theirs
+            setattr(self, f.name, merged)
+        self.latency = latency_percentiles(self.served_latencies)
+        return self
+
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready form (benchmark emission); the trace is omitted."""
-        return {
-            "submitted": self.submitted,
-            "served_ok": self.served_ok,
-            "served_stale": self.served_stale,
-            "coalesced": self.coalesced,
-            "shed": self.shed,
-            "stale_signature_miss": self.stale_signature_miss,
-            "deadline_missed": self.deadline_missed,
-            "failed": self.failed,
-            "breaker_short_circuits": self.breaker_short_circuits,
-            "batches": self.batches,
-            "batched_flights": self.batched_flights,
-            "single_flights": self.single_flights,
-            "quarantined": self.quarantined,
-            "session_recycles": self.session_recycles,
-            "session_recycles_from_checkpoint": (
-                self.session_recycles_from_checkpoint
-            ),
-            "watchdog_interventions": self.watchdog_interventions,
-            "per_tenant": {t: dict(c) for t, c in self.per_tenant.items()},
-            "per_model": {m: dict(c) for m, c in self.per_model.items()},
-            "model_hits": self.model_hits,
-            "model_misses": self.model_misses,
-            "compiles": self.compiles,
-            "rehydrations": self.rehydrations,
-            "evictions": self.evictions,
-            "shed_by_quota": self.shed_by_quota,
-            "compile_deadline_refusals": self.compile_deadline_refusals,
-            "peak_resident_bytes": self.peak_resident_bytes,
-            "memory_budget": self.memory_budget,
-            "streams": self.streams,
-            "ticks_ok": self.ticks_ok,
-            "ticks_overflowed": self.ticks_overflowed,
-            "ticks_deadline": self.ticks_deadline,
-            "ticks_failed": self.ticks_failed,
-            "window_rolls": self.window_rolls,
-            "replayed_ticks": self.replayed_ticks,
-            "dropped_unacked": self.dropped_unacked,
-            "recoveries": self.recoveries,
-            "per_stream": {s: dict(c) for s, c in self.per_stream.items()},
-            "tier_counts": dict(self.tier_counts),
-            "breaker_transitions": [str(t) for t in self.breaker_transitions],
-            "latency": dict(self.latency),
-            "wall_seconds": self.wall_seconds,
-            "queue_high_water": self.queue_high_water,
-            "shed_rate": self.shed_rate,
-        }
+        out: Dict[str, object] = {}
+        for f in fields(self):
+            if not f.metadata.get("emit", True):
+                continue
+            value = getattr(self, f.name)
+            if isinstance(value, dict):
+                value = {
+                    k: dict(v) if isinstance(v, dict) else v
+                    for k, v in value.items()
+                }
+            elif isinstance(value, list):
+                value = [str(item) for item in value]
+            out[f.name] = value
+        out["shed_rate"] = self.shed_rate
+        return out
 
     def format(self) -> str:
         """Multi-line human rendering (``repro serve-demo`` prints this)."""
@@ -225,40 +262,15 @@ class ServiceReport:
                 f"   ticks replayed in {self.recoveries} recoveries"
                 f" ({self.dropped_unacked} unacked dropped)"
             )
-        if self.per_stream:
-            lines.append("per-stream:")
-            for stream in sorted(self.per_stream):
-                counts = self.per_stream[stream]
-                per = ", ".join(
-                    f"{status} {counts[status]}"
-                    for status in sorted(counts)
-                )
-                lines.append(f"  {stream:<16s} {per}")
+        lines += _breakdown("per-stream:", self.per_stream)
         if self.shed_by_quota or self.compile_deadline_refusals:
             lines.append(
                 f"typed refusals     {self.shed_by_quota:8d}"
                 f"   quota, {self.compile_deadline_refusals} compile-deadline"
             )
-        if self.per_model:
-            lines.append("per-model:")
-            for model in sorted(self.per_model):
-                counts = self.per_model[model]
-                per = ", ".join(
-                    f"{status} {counts[status]}"
-                    for status in sorted(counts)
-                )
-                lines.append(f"  {model:<16s} {per}")
-        if self.per_tenant and (
-            len(self.per_tenant) > 1 or "" not in self.per_tenant
-        ):
-            lines.append("per-tenant:")
-            for tenant in sorted(self.per_tenant):
-                counts = self.per_tenant[tenant]
-                per = ", ".join(
-                    f"{status} {counts[status]}"
-                    for status in sorted(counts)
-                )
-                lines.append(f"  {tenant or '(anon)':<16s} {per}")
+        lines += _breakdown("per-model:", self.per_model)
+        if len(self.per_tenant) > 1 or "" not in self.per_tenant:
+            lines += _breakdown("per-tenant:", self.per_tenant)
         if self.latency:
             per = "  ".join(
                 f"{name} {value * 1e3:.2f} ms"

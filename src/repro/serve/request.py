@@ -89,10 +89,10 @@ _STATUS_ERRORS = {
     STATUS_FAILED: ServiceError,
 }
 
-# Finer-grained refusal kinds (set by the registry layer) mapped to their
-# typed exceptions; ``raise_for_status`` prefers these over the plain
-# status mapping so callers can catch e.g. CompileDeadlineExceeded
-# separately from an ordinary missed deadline.
+# Finer-grained refusal kinds (set by the registry and streaming layers)
+# mapped to their typed exceptions; ``raise_for_status`` prefers these
+# over the plain status mapping so callers can catch e.g.
+# CompileDeadlineExceeded separately from an ordinary missed deadline.
 _KIND_ERRORS = {
     "compile-deadline": CompileDeadlineExceeded,
     "quota": TenantQuotaExceeded,
@@ -163,8 +163,26 @@ class QueryRequest:
         return self.evidence().signature()
 
 
+class _TypedRefusal:
+    """``raise_for_status`` for both response types, written once."""
+
+    def raise_for_status(self):
+        """Raise the matching :class:`ServiceError` unless :attr:`ok`.
+
+        Refusals stamped with a :attr:`kind` raise their finer-typed
+        exception (:class:`CompileDeadlineExceeded`,
+        :class:`TenantQuotaExceeded`, :class:`ModelNotFound`,
+        :class:`StreamOverflow`, :class:`StreamClosed`); everything else
+        falls back to the status-level mapping.
+        """
+        exc = _KIND_ERRORS.get(self.kind) or _STATUS_ERRORS.get(self.status)
+        if exc is not None and not self.ok:
+            raise exc(self.error or self.status)
+        return self
+
+
 @dataclass
-class QueryResponse:
+class QueryResponse(_TypedRefusal):
     """The service's answer to one :class:`QueryRequest`.
 
     ``marginals`` is exact (matches a fresh serial propagation to within
@@ -194,15 +212,26 @@ class QueryResponse:
         """True when the response carries usable marginals (exact or stale)."""
         return self.status in (STATUS_OK, STATUS_STALE)
 
-    def raise_for_status(self) -> "QueryResponse":
-        """Raise the matching :class:`ServiceError` unless :attr:`ok`.
 
-        Refusals stamped with a :attr:`kind` raise their finer-typed
-        exception (:class:`CompileDeadlineExceeded`,
-        :class:`TenantQuotaExceeded`, :class:`ModelNotFound`); everything
-        else falls back to the status-level mapping.
-        """
-        exc = _KIND_ERRORS.get(self.kind) or _STATUS_ERRORS.get(self.status)
-        if exc is not None and not self.ok:
-            raise exc(self.error or self.status)
-        return self
+@dataclass
+class TickResponse(_TypedRefusal):
+    """The streaming service's answer to one pushed tick.
+
+    ``marginals`` maps *slice-template* variable ids to their posterior
+    at the tick's time when ``status == "ok"``; refusals carry no
+    marginals, and their evidence was not applied to the stream.
+    """
+
+    stream: str
+    status: str
+    t: int = -1  # absolute tick time; -1 for refusals (time not advanced)
+    marginals: Dict[int, np.ndarray] = field(default_factory=dict)
+    latency: float = 0.0
+    rolled: bool = False
+    incremental: bool = False
+    error: Optional[str] = None
+    kind: Optional[str] = None  # "stream-overflow" | "stream-closed" | None
+
+    @property
+    def ok(self) -> bool:
+        return self.status == STATUS_OK

@@ -37,12 +37,11 @@ import numpy as np
 from repro.inference.cache import QueryCache
 from repro.inference.engine import InferenceEngine
 from repro.integrity.checksum import TornWriteError
-from repro.obs.metrics import latency_percentiles
 from repro.obs.span import CAT_SERVE
-from repro.obs.tracer import Tracer
 from repro.sched.faults import TaskExecutionError, check_state_health
 from repro.sched.serial import SerialExecutor
 from repro.serve.breaker import CircuitBreaker
+from repro.serve.core import Future, ServingCore, Ticket
 from repro.serve.report import ServiceReport
 from repro.serve.request import (
     STATUS_DEADLINE,
@@ -54,11 +53,6 @@ from repro.serve.request import (
     QueryResponse,
     ServiceClosed,
 )
-
-# Sentinel priority: sorts after every client priority, so drain sentinels
-# are consumed only once the real queue is empty.
-_SENTINEL_PRIORITY = 1 << 30
-
 
 @dataclass
 class _SessionHealth:
@@ -382,73 +376,6 @@ class EngineSessionPool:
             self._release(engine)
 
 
-class _Future:
-    """Minimal thread-safe one-shot result cell (concurrent.futures-lite).
-
-    ``concurrent.futures.Future`` would work, but this keeps the
-    dependency surface to ``threading`` and makes the resolved-exactly-
-    once invariant explicit.
-    """
-
-    __slots__ = ("_event", "_response", "_lock", "_callbacks")
-
-    def __init__(self):
-        self._event = threading.Event()
-        self._response: Optional[QueryResponse] = None
-        # resolve() must be atomic: the watchdog races the worker that a
-        # stuck flight eventually un-sticks, and exactly one may win.
-        self._lock = threading.Lock()
-        self._callbacks: List = []
-
-    def resolve(self, response: QueryResponse) -> None:
-        with self._lock:
-            if self._response is not None:
-                return
-            self._response = response
-            callbacks, self._callbacks = self._callbacks, []
-        self._event.set()
-        for callback in callbacks:
-            try:
-                callback(response)
-            except Exception:
-                pass  # a broken observer must not strand the client
-
-    def add_done_callback(self, callback) -> None:
-        """Run ``callback(response)`` on resolution (immediately if done).
-
-        The registry layer uses this to release tenant-admission charges
-        and tally per-tenant outcomes without polling futures.  Callbacks
-        run on the resolving thread; exceptions are swallowed.
-        """
-        with self._lock:
-            if self._response is None:
-                self._callbacks.append(callback)
-                return
-            response = self._response
-        try:
-            callback(response)
-        except Exception:
-            pass
-
-    def result(self, timeout: Optional[float] = None) -> QueryResponse:
-        if not self._event.wait(timeout):
-            raise TimeoutError("response not ready")
-        return self._response
-
-    def done(self) -> bool:
-        return self._event.is_set()
-
-
-@dataclass
-class _Member:
-    """One request riding a flight (the leader is members[0])."""
-
-    request: QueryRequest
-    future: _Future
-    admitted_ns: int
-    deadline_at: Optional[float]
-
-
 @dataclass
 class _Flight:
     """A single-flight group: all requests sharing one evidence signature.
@@ -456,17 +383,33 @@ class _Flight:
     While ``open`` (queued) the flight is joinable — new submissions with
     the same signature attach as members instead of enqueueing.  The
     serving worker closes the flight when it begins serving, so late
-    joiners start a fresh flight rather than racing resolution.
+    joiners start a fresh flight rather than racing resolution.  The
+    leader is ``members[0]``.
     """
 
     signature: Tuple
     evidence: object
-    members: List[_Member] = field(default_factory=list)
+    members: List[Ticket] = field(default_factory=list)
     open: bool = True
 
 
-class InferenceService:
+class _UnusableResult(RuntimeError):
+    """A tier's propagation finished but nothing in it may be served."""
+
+    def __init__(self, message: str, poisoned: bool):
+        super().__init__(message)
+        # Whether the session's own cached state is the suspect one.
+        self.poisoned = poisoned
+
+
+class InferenceService(ServingCore):
     """Thread-safe concurrent inference over a pool of engine sessions.
+
+    The admission / worker / resolve-once / drain lifecycle is
+    :class:`~repro.serve.core.ServingCore`'s; this class supplies the
+    request service's decisions: the unit of work is a single-flight
+    group keyed by evidence signature, a full queue means stale-or-shed,
+    and serving is a breaker-guarded tier cascade.
 
     Parameters
     ----------
@@ -481,7 +424,7 @@ class InferenceService:
         :class:`~repro.sched.core.CollaborativeExecutor` — pass
         a :class:`~repro.sched.serial.SerialExecutor` to keep the
         service single-tier.  A serial last resort always backstops the
-        cascade.
+        cascade.  :meth:`drain` closes both executors.
     workers:
         Service worker threads; defaults to ``pool.num_sessions`` (more
         would only contend on session checkout).
@@ -491,9 +434,6 @@ class InferenceService:
     breaker:
         The :class:`~repro.serve.breaker.CircuitBreaker` guarding the
         primary tier; a default one is built when the primary is set.
-    own_executors:
-        Close the primary/fallback executors (their worker pools) during
-        :meth:`drain`.  Leave True unless the executors are shared.
     max_batch:
         Micro-batching width: a worker that dequeues a flight drains up
         to this many *compatible* queued flights (same model, not yet
@@ -522,7 +462,6 @@ class InferenceService:
         workers: Optional[int] = None,
         max_queue: int = 32,
         breaker: Optional[CircuitBreaker] = None,
-        own_executors: bool = True,
         max_batch: int = 1,
         watchdog_grace: Optional[float] = None,
         watchdog_interval: float = 0.05,
@@ -542,71 +481,29 @@ class InferenceService:
             fallback = CollaborativeExecutor(num_threads=2)
         self.fallback = fallback
         self.breaker = breaker or CircuitBreaker()
-        self.own_executors = own_executors
         self.max_queue = max_queue
 
-        self._queue: "queue.PriorityQueue" = queue.PriorityQueue()
-        self._seq = 0
+        # Guarded by the core's admission lock: the joinable flights and
+        # how many of them sit in the ready queue.
         self._flights: Dict[Tuple, _Flight] = {}
-        self._flights_lock = threading.Lock()
-        self._queued = 0  # live flights in the queue (admission accounting)
-
-        self._stats_lock = threading.Lock()
-        self._counts: Dict[str, int] = {
-            "submitted": 0,
-            "served_ok": 0,
-            "served_stale": 0,
-            "coalesced": 0,
-            "shed": 0,
-            "stale_signature_miss": 0,
-            "deadline_missed": 0,
-            "failed": 0,
-            "breaker_short_circuits": 0,
-            "batches": 0,
-            "batched_flights": 0,
-            "single_flights": 0,
-            "quarantined": 0,
-            "watchdog_interventions": 0,
-        }
-        self._tier_counts: Dict[str, int] = {}
+        self._queued = 0
         self._queue_high_water = 0
-        # Per-tenant / per-model response-status breakdowns (filled by
-        # _finish from the request's tenant/model_id stamps; surfaced in
-        # ServiceReport.per_tenant / per_model and aggregated across
-        # services by the registry).
-        self._tenant_status: Dict[str, Dict[str, int]] = {}
-        self._model_status: Dict[str, Dict[str, int]] = {}
+        self._tier_counts: Dict[str, int] = {}
 
         # Last-known exact marginals, {var: (values, monotonic_ts, sig)} —
         # the degraded answer served on overload when the caller opted in.
         self._stale_store: Dict[int, Tuple[np.ndarray, float, Tuple]] = {}
         self._stale_lock = threading.Lock()
 
-        self._tracer = Tracer()
-        self._started_ns = time.perf_counter_ns()
-        self._closed = False
-        self._report: Optional[ServiceReport] = None
-        self._lifecycle_lock = threading.Lock()
-
         # In-flight registry for the watchdog: token -> (members,
         # deadline_at, engine).  Entries exist only while a worker holds
         # a session for the flight.
-        self._inflight: Dict[int, Tuple[List[_Member], Optional[float], InferenceEngine]] = {}
+        self._inflight: Dict[int, Tuple[List[Ticket], Optional[float], InferenceEngine]] = {}
         self._inflight_lock = threading.Lock()
         self._inflight_seq = 0
 
         n_workers = workers if workers is not None else pool.num_sessions
-        self._workers = [
-            threading.Thread(
-                target=self._worker_loop,
-                args=(slot,),
-                name=f"serve-worker-{slot}",
-                daemon=True,
-            )
-            for slot in range(max(n_workers, 1))
-        ]
-        for thread in self._workers:
-            thread.start()
+        super().__init__(max(n_workers, 1))
 
         self.watchdog_grace = watchdog_grace
         self.watchdog_interval = watchdog_interval
@@ -625,54 +522,27 @@ class InferenceService:
     # Admission
     # ------------------------------------------------------------------ #
 
-    def _bump(self, key: str, n: int = 1) -> None:
-        with self._stats_lock:
-            self._counts[key] += n
-
-    def submit(self, request: QueryRequest) -> _Future:
+    def submit(self, request: QueryRequest) -> Future:
         """Admit one request; returns a future resolving to its response.
 
         Raises :class:`~repro.serve.request.ServiceClosed` once
         :meth:`drain` has begun.  Never blocks on a full queue: the
         overload path resolves the future immediately (stale or shed).
         """
-        if self._closed:
-            raise ServiceClosed("service is draining; no new requests")
-        now = time.monotonic()
-        deadline_at = (
-            now + request.deadline if request.deadline is not None else None
-        )
-        member = _Member(
-            request=request,
-            future=_Future(),
-            admitted_ns=time.perf_counter_ns(),
-            deadline_at=deadline_at,
+        label = ""
+        if request.model_id or request.tenant:
+            # Model/tenant-attributed serve spans let a trace viewer
+            # group request lifecycles by route.
+            label = f"@{request.model_id or '-'}/{request.tenant or '-'}"
+        ticket = self.ticket(
+            request,
+            request.deadline,
+            tenant=request.tenant or "",
+            model_id=request.model_id,
+            label=label,
         )
         evidence = request.evidence()
-        signature = evidence.signature()
-
-        with self._flights_lock:
-            # Re-check under the lock: drain() marks closed and enqueues
-            # its sentinels while holding it, so anything admitted here is
-            # guaranteed to be processed before the workers exit.
-            if self._closed:
-                raise ServiceClosed("service is draining; no new requests")
-            self._bump("submitted")
-            flight = self._flights.get(signature)
-            if flight is not None and flight.open:
-                flight.members.append(member)
-                self._bump("coalesced")
-                return member.future
-            if self._queued >= self.max_queue:
-                self._resolve_overload(member)
-                return member.future
-            flight = _Flight(signature, evidence, members=[member])
-            self._flights[signature] = flight
-            self._queued += 1
-            self._queue_high_water = max(self._queue_high_water, self._queued)
-            self._seq += 1
-            self._queue.put((request.priority, self._seq, flight))
-        return member.future
+        return self.admit(ticket, evidence, evidence.signature())
 
     def query(
         self,
@@ -695,8 +565,35 @@ class InferenceService:
         )
         return future.result(timeout)
 
-    def _resolve_overload(self, member: _Member) -> None:
-        """Full queue: serve a tolerated-stale answer or shed explicitly.
+    def respond(self, ticket: Ticket, status: str, **fields) -> QueryResponse:
+        return QueryResponse(
+            status=status,
+            model_id=ticket.model_id,
+            tenant=ticket.tenant,
+            **fields,
+        )
+
+    def place(self, ticket: Ticket, evidence, signature: Tuple):
+        """Join the open flight with this signature, or queue a new one."""
+        flight = self._flights.get(signature)
+        if flight is not None and flight.open:
+            flight.members.append(ticket)
+            self._bump("coalesced")
+            return None
+        if self._queued >= self.max_queue:
+            return self._overload_answer(ticket, signature)
+        self._flights[signature] = flight = _Flight(
+            signature, evidence, members=[ticket]
+        )
+        self._queued += 1
+        self._queue_high_water = max(self._queue_high_water, self._queued)
+        self.enqueue(flight, ticket.payload.priority)
+        return None
+
+    def _overload_answer(
+        self, ticket: Ticket, signature: Tuple
+    ) -> QueryResponse:
+        """Full queue: a tolerated-stale answer or an explicit shed.
 
         A stale answer is a *dated* answer to the same question: every
         stale-store entry is stamped with the evidence signature it was
@@ -706,18 +603,16 @@ class InferenceService:
         ``stale_signature_miss`` — and the request is shed instead of
         being handed another conditioning's marginals.
         """
-        request = member.request
+        request = ticket.payload
         if request.max_staleness is not None:
             needed = (
                 [int(v) for v in request.vars]
                 if request.vars is not None
                 else self.pool.variables
             )
-            signature = request.signature()
             now = time.monotonic()
             marginals: Dict[int, np.ndarray] = {}
             worst_age = 0.0
-            signature_miss = False
             with self._stale_lock:
                 for var in needed:
                     entry = self._stale_store.get(var)
@@ -727,7 +622,7 @@ class InferenceService:
                     values, ts, sig = entry
                     if sig != signature:
                         marginals = {}
-                        signature_miss = True
+                        self._bump("stale_signature_miss")
                         break
                     age = now - ts
                     if age > request.max_staleness:
@@ -735,55 +630,39 @@ class InferenceService:
                         break
                     worst_age = max(worst_age, age)
                     marginals[var] = values
-            if signature_miss:
-                self._bump("stale_signature_miss")
             if marginals:
-                self._bump("served_stale")
-                self._finish(
-                    member,
-                    QueryResponse(
-                        status=STATUS_STALE,
-                        marginals=marginals,
-                        executor="stale-store",
-                        stale_age=worst_age,
-                    ),
+                return self.respond(
+                    ticket,
+                    STATUS_STALE,
+                    marginals=marginals,
+                    executor="stale-store",
+                    stale_age=worst_age,
                 )
-                return
-        self._bump("shed")
-        self._finish(
-            member,
-            QueryResponse(
-                status=STATUS_SHED,
-                error=f"admission queue full ({self.max_queue} flights)",
-            ),
+        return self.respond(
+            ticket,
+            STATUS_SHED,
+            error=f"admission queue full ({self.max_queue} flights)",
         )
 
     # ------------------------------------------------------------------ #
     # Workers
     # ------------------------------------------------------------------ #
 
-    def _worker_loop(self, slot: int) -> None:
-        buf = self._tracer.bind(slot)
-        self._tracer.name_row(slot, f"serve-{slot}")
-        while True:
-            _prio, _seq, flight = self._queue.get()
-            if flight is None:
-                return
-            with self._flights_lock:
-                self._queued -= 1
-            group = (
-                self._collect_batch(flight)
-                if self.max_batch > 1
-                else [flight]
-            )
-            try:
-                if len(group) == 1:
-                    self._serve_flight(group[0])
-                else:
-                    self._serve_batch(group)
-            except BaseException as exc:  # never strand a client
-                for member_flight in group:
-                    self._abort_flight(member_flight, exc)
+    def serve(self, flight: _Flight) -> None:
+        with self._admission:
+            self._queued -= 1
+        group = (
+            self._collect_batch(flight) if self.max_batch > 1 else [flight]
+        )
+        try:
+            self._serve_group(group)
+        except BaseException as exc:  # never strand a client
+            for stranded in group:
+                self.refuse(
+                    self._close_flight(stranded),
+                    STATUS_FAILED,
+                    f"{type(exc).__name__}: {exc}",
+                )
 
     def _batch_compatible(self, flight: _Flight) -> bool:
         """Whether a queued flight may ride the current micro-batch.
@@ -794,11 +673,9 @@ class InferenceService:
         deadline-missed response.
         """
         now = time.monotonic()
-        with self._flights_lock:
+        with self._admission:
             members = list(flight.members)
-        return any(
-            m.deadline_at is None or now < m.deadline_at for m in members
-        )
+        return not all(m.expired(now) for m in members)
 
     def _collect_batch(self, first: _Flight) -> List[_Flight]:
         """Drain up to ``max_batch - 1`` compatible queued flights.
@@ -811,7 +688,7 @@ class InferenceService:
         requeue = []
         while len(flights) < self.max_batch:
             try:
-                item = self._queue.get_nowait()
+                item = self._ready.get_nowait()
             except queue.Empty:
                 break
             flight = item[2]
@@ -819,80 +696,44 @@ class InferenceService:
                 requeue.append(item)
                 break
             if self._batch_compatible(flight):
-                with self._flights_lock:
+                with self._admission:
                     self._queued -= 1
                 flights.append(flight)
             else:
                 requeue.append(item)
         for item in requeue:
-            self._queue.put(item)
+            self._ready.put(item)
         return flights
 
-    def _close_flight(self, flight: _Flight) -> List[_Member]:
+    def _close_flight(self, flight: _Flight) -> List[Ticket]:
         """Stop accepting joiners; returns the final member snapshot."""
-        with self._flights_lock:
+        with self._admission:
             flight.open = False
             if self._flights.get(flight.signature) is flight:
                 del self._flights[flight.signature]
             return list(flight.members)
 
-    def _abort_flight(self, flight: _Flight, exc: BaseException) -> None:
-        for member in self._close_flight(flight):
-            if not member.future.done():
-                self._bump("failed")
-                self._finish(
-                    member,
-                    QueryResponse(
-                        status=STATUS_FAILED,
-                        error=f"{type(exc).__name__}: {exc}",
-                    ),
-                )
-
-    def _finish(self, member: _Member, response: QueryResponse) -> None:
-        """Stamp latency, record the serve span, resolve the future."""
-        end_ns = time.perf_counter_ns()
-        request = member.request
-        response.latency = (end_ns - member.admitted_ns) * 1e-9
-        if response.model_id is None:
-            response.model_id = request.model_id
-        if not response.tenant:
-            response.tenant = request.tenant
-        with self._stats_lock:
-            bucket = self._tenant_status.setdefault(request.tenant or "", {})
-            bucket[response.status] = bucket.get(response.status, 0) + 1
-            if request.model_id:
-                bucket = self._model_status.setdefault(request.model_id, {})
-                bucket[response.status] = bucket.get(response.status, 0) + 1
-        name = f"request:{response.status}"
-        if request.model_id or request.tenant:
-            # Model/tenant-attributed serve spans: the prefix keeps the
-            # latency-percentile extraction working, the suffix lets a
-            # trace viewer group request lifecycles by route.
-            name += f"@{request.model_id or '-'}/{request.tenant or '-'}"
-        self._tracer.current().span(
-            name, CAT_SERVE, member.admitted_ns, end_ns
-        )
-        member.future.resolve(response)
-
     # ------------------------------------------------------------------ #
     # Watchdog (stuck-flight detection)
     # ------------------------------------------------------------------ #
 
-    def _register_inflight(
+    @contextmanager
+    def _watched(
         self,
-        members: List[_Member],
+        members: List[Ticket],
         deadline_at: Optional[float],
         engine: InferenceEngine,
-    ) -> int:
+    ):
+        """Expose the flight to the watchdog while its session is held."""
         with self._inflight_lock:
             self._inflight_seq += 1
             token = self._inflight_seq
             self._inflight[token] = (members, deadline_at, engine)
-            return token
-
-    def _unregister_inflight(self, token: int) -> None:
-        with self._inflight_lock:
-            self._inflight.pop(token, None)
+        try:
+            yield
+        finally:
+            with self._inflight_lock:
+                self._inflight.pop(token, None)
 
     def _watchdog_loop(self, row: int) -> None:
         """Force-resolve flights stuck past deadline + grace.
@@ -900,8 +741,8 @@ class InferenceService:
         A worker wedged inside a tier (hung worker process, livelocked
         executor) holds its members' futures hostage; clients blocked in
         ``future.result()`` would wait forever.  The watchdog resolves
-        overdue members as DeadlineExceeded (idempotent — if the worker
-        un-sticks later, its resolution is a no-op) and flags the
+        overdue members as DeadlineExceeded (if the worker un-sticks
+        later, its resolution loses and is not counted) and flags the
         session for recycling, since a flight that had to be torn loose
         may leave the session state half-written.
         """
@@ -928,34 +769,28 @@ class InferenceService:
                 self.pool.flag_recycle(
                     engine, "watchdog: flight stuck past deadline+grace"
                 )
-                for member in pending:
-                    self._bump("deadline_missed")
-                    self._finish(
-                        member,
-                        QueryResponse(
-                            status=STATUS_DEADLINE,
-                            error=(
-                                "watchdog: flight stuck past deadline "
-                                f"(+{self.watchdog_grace:.3f}s grace)"
-                            ),
-                        ),
-                    )
+                self.refuse(
+                    pending,
+                    STATUS_DEADLINE,
+                    "watchdog: flight stuck past deadline "
+                    f"(+{self.watchdog_grace:.3f}s grace)",
+                )
 
     # ------------------------------------------------------------------ #
-    # Serving one flight
+    # Serving a group of flights (one, or a micro-batch)
     # ------------------------------------------------------------------ #
 
-    def _union_vars(self, members: Sequence[_Member]) -> Optional[List[int]]:
-        """Variables the flight must answer; None means all of them."""
+    def _union_vars(self, members: Sequence[Ticket]) -> Optional[List[int]]:
+        """Variables the members must be answered; None means all."""
         union: set = set()
         for member in members:
-            if member.request.vars is None:
+            if member.payload.vars is None:
                 return None
-            union.update(int(v) for v in member.request.vars)
+            union.update(int(v) for v in member.payload.vars)
         return sorted(union)
 
     def _cached_answer(
-        self, signature: Tuple, members: Sequence[_Member]
+        self, signature: Tuple, members: Sequence[Ticket]
     ) -> Optional[Dict[int, np.ndarray]]:
         """All requested marginals already cached → skip propagation."""
         needed = self._union_vars(members)
@@ -968,6 +803,34 @@ class InferenceService:
                 return None
             results[var] = values
         return results
+
+    def _serve_group(self, flights: Sequence[_Flight]) -> None:
+        """Answer every flight: expired, from cache, or by propagating.
+
+        Per-flight deadlines and priorities are preserved: expired
+        flights resolve as deadline-missed without costing a session,
+        cache-served flights never cost a batch column, and what is left
+        shares one propagation (batched when more than one flight).
+        """
+        live: List[Tuple[_Flight, List[Ticket]]] = []
+        now = time.monotonic()
+        for flight in flights:
+            members = self._close_flight(flight)
+            if all(m.expired(now) for m in members):
+                self._miss_deadline(members)
+                continue
+            # Fast path: a previous flight with this signature already
+            # cached every marginal this one needs.
+            cached = self._cached_answer(flight.signature, members)
+            if cached is not None:
+                self._bump("single_flights")
+                self._resolve_ok(members, cached, "cache")
+                continue
+            live.append((flight, members))
+        if len(live) == 1:
+            self._serve_single(*live[0])
+        elif live:
+            self._serve_batch(live)
 
     def _tiers(self) -> List[Tuple[str, object, bool]]:
         """(name, executor, breaker_guarded) cascade for one flight."""
@@ -985,344 +848,194 @@ class InferenceService:
             tiers.append(("SerialExecutor", SerialExecutor(), False))
         return tiers
 
-    def _serve_flight(self, flight: _Flight) -> None:
-        members = self._close_flight(flight)
+    def _cascade(
+        self,
+        members: List[Ticket],
+        deadline_at: Optional[float],
+        propagate,
+        accept,
+    ) -> None:
+        """Answer ``members`` from the first tier whose result is usable.
 
-        # Expired-before-start requests answer without costing a session.
-        now = time.monotonic()
-        if all(
-            m.deadline_at is not None and now >= m.deadline_at
-            for m in members
-        ):
-            self._resolve_deadline(members)
-            return
-
-        # Fast path: a previous flight with this signature already cached
-        # every marginal this one needs.
-        cached = self._cached_answer(flight.signature, members)
-        if cached is not None:
-            self._bump("single_flights")
-            self._resolve_ok(members, cached, "cache")
-            return
-
-        self._serve_members(flight, members)
-
-    def _serve_members(self, flight: _Flight, members: List[_Member]) -> None:
-        deadline_at = self._flight_deadline(members)
+        ``propagate(engine, executor, incremental)`` runs one tier and
+        returns its state; ``accept(engine, state, name, guarded)``
+        either raises :class:`_UnusableResult` or calls
+        :meth:`_tier_served` and resolves the members.  Members are
+        always answered: exactly, by their deadline, or — when every
+        tier failed (serial included: pathological evidence or a
+        corrupted tree) — with an explicit failure, never a silent wrong
+        answer.
+        """
         tiers = self._tiers()
         # A half-open breaker reserved a probe slot in _tiers(); if a
         # deadline aborts the flight before the guarded tier is even
         # attempted, hand the slot back so probing is not starved.
-        guarded_unattempted = bool(tiers) and tiers[0][2]
-        last_error: Optional[BaseException] = None
-        with self.pool.session() as engine:
-            token = self._register_inflight(members, deadline_at, engine)
-            try:
-                engine.set_evidence(flight.evidence)
-                incremental = True
-                for name, executor, guarded in tiers:
-                    if (
-                        deadline_at is not None
-                        and time.monotonic() >= deadline_at
-                    ):
-                        if guarded_unattempted:
-                            self.breaker.release_probe()
-                        self._resolve_deadline(members)
-                        return
-                    if guarded:
-                        guarded_unattempted = False
-                    try:
-                        state = engine.propagate(
-                            executor=executor,
-                            incremental=incremental,
-                            deadline=deadline_at,
-                        )
-                    except TaskExecutionError as exc:
-                        if exc.phase == "deadline":
-                            self._resolve_deadline(members)
-                            return
-                        last_error = exc
-                        # A torn write means the shared arena (and any
-                        # state built from it) cannot be trusted:
-                        # recycle the session before its next checkout.
-                        self.pool.note_failure(
-                            engine, str(exc),
-                            poisoned=isinstance(exc, TornWriteError),
-                        )
-                        if guarded:
-                            self.breaker.record_failure(str(exc))
-                        # A failed tier may have mutated tables the
-                        # previous state shared with the incremental
-                        # plan: rebuild.
-                        incremental = False
-                        continue
-                    except Exception as exc:
-                        if (
-                            deadline_at is not None
-                            and time.monotonic() >= deadline_at
-                        ):
-                            self._resolve_deadline(members)
-                            return
-                        last_error = exc
-                        self.pool.note_failure(engine, str(exc))
-                        if guarded:
-                            self.breaker.record_failure(str(exc))
-                        incremental = False
-                        continue
-                    health = check_state_health(state)
-                    if not health.healthy:
-                        last_error = RuntimeError(
-                            f"unhealthy result from {name}: "
-                            f"{health.summary()}"
-                        )
-                        # The engine's cached state *is* the poisoned
-                        # one — the next flight's incremental plan would
-                        # build on it.  Flag for recycling.
-                        self.pool.note_failure(
-                            engine, health.summary(), poisoned=True
-                        )
-                        if guarded:
-                            self.breaker.record_failure(health.summary())
-                        incremental = False
-                        continue
-                    if guarded:
-                        self.breaker.record_success()
-                    self.pool.note_success(engine)
-                    union = self._union_vars(members)
-                    results = engine.query(
-                        vars=union if union is not None else None
-                    )
-                    self._record_stale(flight.signature, results)
-                    self._bump("single_flights")
-                    self._resolve_ok(members, results, name)
-                    return
-            finally:
-                self._unregister_inflight(token)
+        probe_reserved = tiers[0][2]
 
-        # Every tier failed (serial included — pathological evidence or a
-        # corrupted tree): explicit failure, never a silent wrong answer.
-        error = (
-            f"{type(last_error).__name__}: {last_error}"
-            if last_error is not None
-            else "no executor tier available"
-        )
-        for member in members:
-            if member.future.done():
-                continue
-            self._bump("failed")
-            self._finish(
-                member, QueryResponse(status=STATUS_FAILED, error=error)
+        def overdue() -> bool:
+            return deadline_at is not None and time.monotonic() >= deadline_at
+
+        with self.pool.session() as engine, self._watched(
+            members, deadline_at, engine
+        ):
+            incremental = True
+            for name, executor, guarded in tiers:
+                if overdue():
+                    if probe_reserved:
+                        self.breaker.release_probe()
+                    self._miss_deadline(members)
+                    return
+                if guarded:
+                    probe_reserved = False
+                try:
+                    state = propagate(engine, executor, incremental)
+                except TaskExecutionError as exc:
+                    if exc.phase == "deadline":
+                        self._miss_deadline(members)
+                        return
+                    # A torn write means the shared arena (and any state
+                    # built from it) cannot be trusted: recycle the
+                    # session before its next checkout.
+                    error, poisoned = exc, isinstance(exc, TornWriteError)
+                except Exception as exc:
+                    if overdue():
+                        self._miss_deadline(members)
+                        return
+                    error, poisoned = exc, False
+                else:
+                    try:
+                        accept(engine, state, name, guarded)
+                        return
+                    except _UnusableResult as exc:
+                        error, poisoned = exc, exc.poisoned
+                self.pool.note_failure(engine, str(error), poisoned=poisoned)
+                if guarded:
+                    self.breaker.record_failure(str(error))
+                # A failed tier may have mutated tables the previous
+                # state shared with the incremental plan: rebuild.
+                incremental = False
+        self.refuse(members, STATUS_FAILED, f"{type(error).__name__}: {error}")
+
+    def _tier_served(
+        self, engine: InferenceEngine, guarded: bool, strike: Optional[str] = None
+    ) -> None:
+        """A tier's result was accepted (before any client sees it)."""
+        if guarded:
+            self.breaker.record_success()
+        if strike is None:
+            self.pool.note_success(engine)
+        else:
+            self.pool.note_failure(engine, strike)
+
+    def _serve_single(self, flight: _Flight, members: List[Ticket]) -> None:
+        deadline_at = self._flight_deadline(members)
+
+        def propagate(engine, executor, incremental):
+            engine.set_evidence(flight.evidence)
+            return engine.propagate(
+                executor=executor, incremental=incremental, deadline=deadline_at
             )
 
-    # ------------------------------------------------------------------ #
-    # Serving a micro-batch of flights
-    # ------------------------------------------------------------------ #
+        def accept(engine, state, name, guarded):
+            health = check_state_health(state)
+            if not health.healthy:
+                # The engine's cached state *is* the poisoned one — the
+                # next flight's incremental plan would build on it.
+                raise _UnusableResult(
+                    f"unhealthy result from {name}: {health.summary()}",
+                    poisoned=True,
+                )
+            self._tier_served(engine, guarded)
+            results = engine.query(vars=self._union_vars(members))
+            self._record_stale(flight.signature, results)
+            self._bump("single_flights")
+            self._resolve_ok(members, results, name)
 
-    def _serve_batch(self, flights: Sequence[_Flight]) -> None:
+        self._cascade(members, deadline_at, propagate, accept)
+
+    def _serve_batch(self, live: List[Tuple[_Flight, List[Ticket]]]) -> None:
         """One batched propagation answering several flights at once.
 
-        Per-flight deadlines and priorities are preserved: expired
-        flights resolve as deadline-missed, cache-served flights never
-        cost a batch column, and each member's response is split out of
-        its own batch case.  A case whose posteriors come back
-        non-finite is quarantined — its members get an explicit failure,
-        nothing poisoned is cached or served — while the rest of the
-        batch is answered exactly.
+        Each member's response is split out of its own batch case.  A
+        case whose posteriors come back non-finite is quarantined — its
+        members get an explicit failure, nothing poisoned is cached or
+        served — while the rest of the batch is answered exactly.
         """
-        live: List[Tuple[_Flight, List[_Member]]] = []
-        now = time.monotonic()
-        for flight in flights:
-            members = self._close_flight(flight)
-            if all(
-                m.deadline_at is not None and now >= m.deadline_at
-                for m in members
-            ):
-                self._resolve_deadline(members)
-                continue
-            cached = self._cached_answer(flight.signature, members)
-            if cached is not None:
-                self._bump("single_flights")
-                self._resolve_ok(members, cached, "cache")
-                continue
-            live.append((flight, members))
-        if not live:
-            return
-        if len(live) == 1:
-            flight, members = live[0]
-            self._serve_members(flight, members)
-            return
-
+        everyone = [m for _flight, members in live for m in members]
         # The batch's propagation budget must accommodate every flight;
         # members with earlier deadlines get explicit refusals at
         # resolution, exactly like coalesced members of a single flight.
-        deadline_at: Optional[float] = 0.0
-        for _flight, members in live:
-            flight_deadline = self._flight_deadline(members)
-            if flight_deadline is None:
-                deadline_at = None
-                break
-            deadline_at = max(deadline_at, flight_deadline)
+        deadline_at = self._flight_deadline(everyone)
+        union = self._union_vars(everyone)
+        needed = union if union is not None else self.pool.variables
 
-        union: Optional[set] = set()
-        for _flight, members in live:
-            flight_union = self._union_vars(members)
-            if flight_union is None:
-                union = None
-                break
-            union.update(flight_union)
-        needed = sorted(union) if union is not None else self.pool.variables
+        def propagate(engine, executor, _incremental):
+            return engine.propagate_batch(
+                [flight.evidence for flight, _members in live],
+                executor=executor,
+                deadline=deadline_at,
+            )
 
-        tiers = self._tiers()
-        guarded_unattempted = bool(tiers) and tiers[0][2]
-        last_error: Optional[BaseException] = None
-        all_members = [m for _flight, members in live for m in members]
-        with self.pool.session() as engine:
-            token = self._register_inflight(all_members, deadline_at, engine)
-            try:
-                for name, executor, guarded in tiers:
-                    if (
-                        deadline_at is not None
-                        and time.monotonic() >= deadline_at
-                    ):
-                        if guarded_unattempted:
-                            self.breaker.release_probe()
-                        for _flight, members in live:
-                            self._resolve_deadline(members)
-                        return
-                    if guarded:
-                        guarded_unattempted = False
-                    try:
-                        state = engine.propagate_batch(
-                            [flight.evidence for flight, _members in live],
-                            executor=executor,
-                            deadline=deadline_at,
-                        )
-                    except TaskExecutionError as exc:
-                        if exc.phase == "deadline":
-                            for _flight, members in live:
-                                self._resolve_deadline(members)
-                            return
-                        last_error = exc
-                        self.pool.note_failure(
-                            engine, str(exc),
-                            poisoned=isinstance(exc, TornWriteError),
-                        )
-                        if guarded:
-                            self.breaker.record_failure(str(exc))
-                        continue
-                    except Exception as exc:
-                        if (
-                            deadline_at is not None
-                            and time.monotonic() >= deadline_at
-                        ):
-                            for _flight, members in live:
-                                self._resolve_deadline(members)
-                            return
-                        last_error = exc
-                        self.pool.note_failure(engine, str(exc))
-                        if guarded:
-                            self.breaker.record_failure(str(exc))
-                        continue
-
-                    # One batch-aware health scan attributes non-finite
-                    # or underflowed tables to their batch columns —
-                    # no per-case, per-variable re-scanning.
-                    report = check_state_health(state)
-                    poisoned = report.poisoned_columns()
-                    likelihoods = np.asarray(state.likelihood()).reshape(-1)
-                    finite = np.isfinite(likelihoods)
-                    healthy = [
-                        bool(finite[i]) and i not in poisoned
-                        for i in range(len(live))
-                    ]
-                    if not any(healthy):
-                        last_error = RuntimeError(
-                            f"every batch case from {name} was non-finite"
-                        )
-                        self.pool.note_failure(
-                            engine, "fully poisoned batch result"
-                        )
-                        if guarded:
-                            self.breaker.record_failure(
-                                "fully poisoned batch result"
-                            )
-                        continue
-                    rows = {var: state.marginal(var) for var in needed}
-                    if guarded:
-                        self.breaker.record_success()
-                    if all(healthy):
-                        # propagate_batch leaves the session's cached
-                        # single-case state untouched, so a partially
-                        # quarantined batch is a strike, not a poisoning.
-                        self.pool.note_success(engine)
-                    else:
-                        self.pool.note_failure(
-                            engine,
-                            f"batch columns quarantined: "
-                            f"{sorted(i for i in range(len(live)) if not healthy[i])}",
-                        )
-                    for i, (flight, members) in enumerate(live):
-                        if not healthy[i]:
-                            self._bump("quarantined")
-                            for member in members:
-                                if member.future.done():
-                                    continue
-                                self._bump("failed")
-                                self._finish(
-                                    member,
-                                    QueryResponse(
-                                        status=STATUS_FAILED,
-                                        error=(
-                                            "batch case quarantined: "
-                                            "non-finite posterior"
-                                        ),
-                                    ),
-                                )
-                            continue
-                        results = {var: rows[var][i] for var in needed}
-                        for var, values in results.items():
-                            self.pool.cache.put_marginal(
-                                flight.signature, var, values
-                            )
-                        self.pool.cache.put_likelihood(
-                            flight.signature, float(likelihoods[i])
-                        )
-                        self._record_stale(flight.signature, results)
-                        self._bump("batched_flights")
-                        self._resolve_ok(members, results, name, batched=True)
-                    self._bump("batches")
-                    return
-            finally:
-                self._unregister_inflight(token)
-
-        error = (
-            f"{type(last_error).__name__}: {last_error}"
-            if last_error is not None
-            else "no executor tier available"
-        )
-        for _flight, members in live:
-            for member in members:
-                if member.future.done():
-                    continue
-                self._bump("failed")
-                self._finish(
-                    member, QueryResponse(status=STATUS_FAILED, error=error)
+        def accept(engine, state, name, guarded):
+            # One batch-aware health scan attributes non-finite or
+            # underflowed tables to their batch columns — no per-case,
+            # per-variable re-scanning.
+            poisoned = check_state_health(state).poisoned_columns()
+            likelihoods = np.asarray(state.likelihood()).reshape(-1)
+            finite = np.isfinite(likelihoods)
+            quarantined = [
+                i
+                for i in range(len(live))
+                if i in poisoned or not finite[i]
+            ]
+            if len(quarantined) == len(live):
+                raise _UnusableResult(
+                    f"every batch case from {name} was non-finite",
+                    poisoned=False,
                 )
+            rows = {var: state.marginal(var) for var in needed}
+            # propagate_batch leaves the session's cached single-case
+            # state untouched, so a partially quarantined batch is a
+            # strike, not a poisoning.
+            self._tier_served(
+                engine,
+                guarded,
+                f"batch columns quarantined: {quarantined}"
+                if quarantined
+                else None,
+            )
+            for i, (flight, members) in enumerate(live):
+                if i in quarantined:
+                    self._bump("quarantined")
+                    self.refuse(
+                        members,
+                        STATUS_FAILED,
+                        "batch case quarantined: non-finite posterior",
+                    )
+                    continue
+                results = {var: rows[var][i] for var in needed}
+                for var, values in results.items():
+                    self.pool.cache.put_marginal(flight.signature, var, values)
+                self.pool.cache.put_likelihood(
+                    flight.signature, float(likelihoods[i])
+                )
+                self._record_stale(flight.signature, results)
+                self._bump("batched_flights")
+                self._resolve_ok(members, results, name, batched=True)
+            self._bump("batches")
+
+        self._cascade(everyone, deadline_at, propagate, accept)
 
     @staticmethod
-    def _flight_deadline(members: Sequence[_Member]) -> Optional[float]:
+    def _flight_deadline(members: Sequence[Ticket]) -> Optional[float]:
         """The propagation budget: generous enough for every member.
 
         ``None`` (unbounded) if any member is unbounded, else the latest
         member deadline — members whose own deadline lapses first get an
         explicit DeadlineExceeded at resolution.
         """
-        deadline = 0.0
-        for member in members:
-            if member.deadline_at is None:
-                return None
-            deadline = max(deadline, member.deadline_at)
-        return deadline
+        deadlines = [member.deadline_at for member in members]
+        return None if None in deadlines else max(deadlines)
 
     def _record_stale(
         self, signature: Tuple, results: Dict[int, np.ndarray]
@@ -1334,7 +1047,7 @@ class InferenceService:
 
     def _resolve_ok(
         self,
-        members: Sequence[_Member],
+        members: Sequence[Ticket],
         results: Dict[int, np.ndarray],
         tier: str,
         batched: bool = False,
@@ -1343,31 +1056,24 @@ class InferenceService:
             self._tier_counts[tier] = self._tier_counts.get(tier, 0) + 1
         now = time.monotonic()
         for i, member in enumerate(members):
-            if member.future.done():
-                # The watchdog force-resolved this member while its
-                # worker was stuck; the late result must not double-count.
-                continue
-            if member.deadline_at is not None and now >= member.deadline_at:
-                self._bump("deadline_missed")
-                self._finish(
-                    member,
-                    QueryResponse(
-                        status=STATUS_DEADLINE,
-                        error="deadline passed before resolution",
-                    ),
+            if member.expired(now):
+                self.refuse(
+                    [member],
+                    STATUS_DEADLINE,
+                    "deadline passed before resolution",
                 )
                 continue
-            wanted = member.request.vars
+            wanted = member.payload.vars
             marginals = (
                 dict(results)
                 if wanted is None
                 else {int(v): results[int(v)] for v in wanted}
             )
-            self._bump("served_ok")
-            self._finish(
+            self.finish(
                 member,
-                QueryResponse(
-                    status=STATUS_OK,
+                self.respond(
+                    member,
+                    STATUS_OK,
                     marginals=marginals,
                     executor=tier,
                     coalesced=i > 0,
@@ -1375,98 +1081,32 @@ class InferenceService:
                 ),
             )
 
-    def _resolve_deadline(self, members: Sequence[_Member]) -> None:
-        for member in members:
-            if member.future.done():
-                continue
-            self._bump("deadline_missed")
-            self._finish(
-                member,
-                QueryResponse(
-                    status=STATUS_DEADLINE,
-                    error="end-to-end deadline exceeded",
-                ),
-            )
+    def _miss_deadline(self, members: Sequence[Ticket]) -> None:
+        self.refuse(members, STATUS_DEADLINE, "end-to-end deadline exceeded")
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
 
-    def drain(self, timeout: Optional[float] = None) -> ServiceReport:
-        """Stop admissions, finish queued work, report.
-
-        Idempotent: later calls return the same report.  ``timeout``
-        bounds the per-worker join (None waits indefinitely).
-        """
-        with self._lifecycle_lock:
-            if self._report is not None:
-                return self._report
-            self._closed = True
-            with self._flights_lock:
-                for _ in self._workers:
-                    self._seq += 1
-                    self._queue.put((_SENTINEL_PRIORITY, self._seq, None))
-            for thread in self._workers:
-                thread.join(timeout)
-            self._watchdog_stop.set()
-            if self._watchdog is not None:
-                self._watchdog.join(timeout)
-            if self.own_executors:
-                for executor in (self.primary, self.fallback):
-                    close = getattr(executor, "close", None)
-                    if callable(close):
-                        close()
-            self._report = self._build_report()
-            return self._report
+    def _stopped(self, timeout: Optional[float]) -> None:
+        self._watchdog_stop.set()
+        if self._watchdog is not None:
+            self._watchdog.join(timeout)
+        for executor in (self.primary, self.fallback):
+            close = getattr(executor, "close", None)
+            if callable(close):
+                close()
 
     def _build_report(self) -> ServiceReport:
-        trace = self._tracer.finalize(executor="InferenceService")
-        served_spans = [
-            span.duration
-            for span in trace.spans
-            if span.cat == CAT_SERVE
-            and span.name.startswith(("request:ok", "request:stale"))
-        ]
-        with self._stats_lock:
-            counts = dict(self._counts)
-            tier_counts = dict(self._tier_counts)
-            high_water = self._queue_high_water
-            per_tenant = {t: dict(c) for t, c in self._tenant_status.items()}
-            per_model = {m: dict(c) for m, c in self._model_status.items()}
-        return ServiceReport(
-            submitted=counts["submitted"],
-            served_ok=counts["served_ok"],
-            served_stale=counts["served_stale"],
-            coalesced=counts["coalesced"],
-            shed=counts["shed"],
-            stale_signature_miss=counts["stale_signature_miss"],
-            deadline_missed=counts["deadline_missed"],
-            failed=counts["failed"],
-            breaker_short_circuits=counts["breaker_short_circuits"],
-            batches=counts["batches"],
-            batched_flights=counts["batched_flights"],
-            single_flights=counts["single_flights"],
-            quarantined=counts["quarantined"],
-            watchdog_interventions=counts["watchdog_interventions"],
-            session_recycles=getattr(self.pool, "recycles", 0),
-            session_recycles_from_checkpoint=getattr(
-                self.pool, "recycles_from_checkpoint", 0
-            ),
-            per_tenant=per_tenant,
-            per_model=per_model,
-            tier_counts=tier_counts,
-            breaker_transitions=list(self.breaker.transitions),
-            latency=latency_percentiles(served_spans, points=(50, 90, 99)),
-            wall_seconds=(time.perf_counter_ns() - self._started_ns) * 1e-9,
-            queue_high_water=high_water,
-            trace=trace,
+        report = super()._build_report()
+        report.session_recycles = self.pool.recycles
+        report.session_recycles_from_checkpoint = (
+            self.pool.recycles_from_checkpoint
         )
-
-    def __enter__(self) -> "InferenceService":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.drain()
+        report.tier_counts = dict(self._tier_counts)
+        report.breaker_transitions = list(self.breaker.transitions)
+        report.queue_high_water = self._queue_high_water
+        return report
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

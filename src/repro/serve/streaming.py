@@ -41,28 +41,21 @@ import queue
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, Mapping, Optional, Sequence
-
-import numpy as np
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence
 
 from repro.durability.journal import TickJournal, atomic_write_text
 from repro.durability.recovery import RecoveryManager, RecoveryReport
-from repro.obs.metrics import latency_percentiles
 from repro.obs.span import CAT_STREAM
-from repro.obs.tracer import Tracer
 from repro.sched.faults import InjectedCrash
+from repro.serve.core import Future, ServingCore, Ticket, WorkerExit
 from repro.serve.report import ServiceReport
 from repro.serve.request import (
     STATUS_DEADLINE,
     STATUS_FAILED,
     STATUS_OK,
     STATUS_SHED,
-    _KIND_ERRORS,
-    _STATUS_ERRORS,
-    ServiceClosed,
+    TickResponse,
 )
-from repro.serve.service import _Future
 from repro.streaming.session import (
     FilteringSession,
     TickDeadline,
@@ -70,43 +63,11 @@ from repro.streaming.session import (
 )
 
 
-@dataclass
-class TickResponse:
-    """The service's answer to one pushed tick.
+class _Tick(NamedTuple):
+    """A tick ticket's payload: which stream, what evidence."""
 
-    ``marginals`` maps *slice-template* variable ids to their posterior
-    at the tick's time when ``status == "ok"``; refusals carry no
-    marginals, and their evidence was not applied to the stream.
-    """
-
-    stream: str
-    status: str
-    t: int = -1  # absolute tick time; -1 for refusals (time not advanced)
-    marginals: Dict[int, np.ndarray] = field(default_factory=dict)
-    latency: float = 0.0
-    rolled: bool = False
-    incremental: bool = False
-    error: Optional[str] = None
-    kind: Optional[str] = None  # "stream-overflow" | "stream-closed" | None
-
-    @property
-    def ok(self) -> bool:
-        return self.status == STATUS_OK
-
-    def raise_for_status(self) -> "TickResponse":
-        """Raise the matching typed refusal unless :attr:`ok`."""
-        exc = _KIND_ERRORS.get(self.kind) or _STATUS_ERRORS.get(self.status)
-        if exc is not None and not self.ok:
-            raise exc(self.error or self.status)
-        return self
-
-
-@dataclass
-class _TickJob:
+    handle: "StreamHandle"
     delta: Dict[int, object]
-    deadline_at: Optional[float]
-    future: _Future
-    admitted_ns: int
 
 
 class StreamHandle:
@@ -130,7 +91,10 @@ class StreamHandle:
         # Next WAL sequence number; touched only by the single worker
         # currently serving this stream (and by recovery, pre-traffic).
         self.next_seq = journal.next_seq if journal is not None else 0
-        self.pending: "deque[_TickJob]" = deque()
+        # Guarded by the service's admission lock: admitted tickets
+        # (payload: a _Tick), and whether a worker owns (or the ready
+        # queue holds) this stream.
+        self.pending: "deque[Ticket]" = deque()
         self.scheduled = False
         self.closed = False
         self.counts: Dict[str, int] = {}
@@ -138,14 +102,23 @@ class StreamHandle:
         self.updates_queue: "queue.Queue[Optional[TickResponse]]" = (
             queue.Queue()
         )
-        self._sentinel_sent = False
+        self._feed_ended = False
 
-    def _count(self, status: str) -> None:
-        self.counts[status] = self.counts.get(status, 0) + 1
+    def end_feed(self) -> None:
+        """Terminate the update feed, once (admission lock held)."""
+        if not self._feed_ended:
+            self._feed_ended = True
+            self.updates_queue.put(None)
 
 
-class StreamingService:
+class StreamingService(ServingCore):
     """Concurrent online-filtering service over one DBN template.
+
+    The admission / worker / resolve-once / drain lifecycle is
+    :class:`~repro.serve.core.ServingCore`'s; this class supplies the
+    streaming decisions: the unit of work is a :class:`StreamHandle`
+    served by at most one worker at a time, a full per-stream queue
+    means ``stream-overflow``, and serving is journal → tick → ack.
 
     Parameters
     ----------
@@ -184,6 +157,11 @@ class StreamingService:
         ``SIGKILL`` at that exact byte (:attr:`crashed` turns true).
     """
 
+    span_prefix = "tick"
+    span_cat = CAT_STREAM
+    row_prefix = "stream"
+    closed_message = "streaming service is draining"
+
     def __init__(
         self,
         dbn,
@@ -207,40 +185,12 @@ class StreamingService:
         self.durable_root = durable_root
         self.fault_plan = fault_plan
 
-        self._streams: Dict[str, StreamHandle] = {}
-        self._lock = threading.Lock()
-        self._ready: "queue.Queue[Optional[StreamHandle]]" = queue.Queue()
-        self._counts = {
-            "submitted": 0,
-            "ticks_ok": 0,
-            "ticks_overflowed": 0,
-            "ticks_deadline": 0,
-            "ticks_failed": 0,
-            "ticks_closed": 0,
-            "window_rolls": 0,
-            "replayed_ticks": 0,
-            "dropped_unacked": 0,
-            "recoveries": 0,
-        }
-        self._tracer = Tracer()
-        self._started_ns = time.perf_counter_ns()
-        self._closed = False
-        self._report: Optional[ServiceReport] = None
-        self._lifecycle_lock = threading.Lock()
-        self._seq = 0
+        # Guarded by the core's admission lock (None reserves a name).
+        self._streams: Dict[str, Optional[StreamHandle]] = {}
+        self._auto_names = 0
         self._crash_event = threading.Event()
         self._recovery: Optional[RecoveryReport] = None
-        self._workers = [
-            threading.Thread(
-                target=self._worker_loop,
-                args=(slot,),
-                name=f"stream-worker-{slot}",
-                daemon=True,
-            )
-            for slot in range(max(workers, 1))
-        ]
-        for thread in self._workers:
-            thread.start()
+        super().__init__(max(workers, 1))
         if durable_root is not None:
             self._recover(durable_root)
 
@@ -260,11 +210,10 @@ class StreamingService:
         self._tracer.name_row(row, "recovery")
         report = RecoveryManager(root).recover_streams(self, span_buffer=buf)
         self._recovery = report
-        with self._lock:
-            self._counts["replayed_ticks"] += report.replayed_ticks
-            self._counts["dropped_unacked"] += report.dropped_unacked
-            if report.streams:
-                self._counts["recoveries"] += 1
+        self._bump("replayed_ticks", report.replayed_ticks)
+        self._bump("dropped_unacked", report.dropped_unacked)
+        if report.streams:
+            self._bump("recoveries")
 
     @property
     def recovery_report(self) -> Optional[RecoveryReport]:
@@ -279,10 +228,6 @@ class StreamingService:
     # ------------------------------------------------------------------ #
     # Subscription / admission
     # ------------------------------------------------------------------ #
-
-    def _bump(self, key: str, n: int = 1) -> None:
-        with self._lock:
-            self._counts[key] += n
 
     def subscribe(
         self,
@@ -304,8 +249,7 @@ class StreamingService:
         tail from a previous crash) and a durable ``meta.json`` so a
         fresh process can re-subscribe it with the same geometry.
         """
-        if self._closed:
-            raise ServiceClosed("streaming service is draining")
+        self._check_open()
         window = window if window is not None else self.window
         retire = retire if retire is not None else self.retire
         max_pending = (
@@ -314,12 +258,11 @@ class StreamingService:
         # Reserve the name first so session/journal construction (slow,
         # filesystem-touching) runs outside the lock without racing a
         # duplicate subscribe.
-        with self._lock:
-            if self._closed:
-                raise ServiceClosed("streaming service is draining")
+        with self._admission:
+            self._check_open()
             if name is None:
-                self._seq += 1
-                name = f"stream-{self._seq}"
+                self._auto_names += 1
+                name = f"stream-{self._auto_names}"
             if name in self._streams:
                 raise ValueError(f"stream {name!r} already subscribed")
             self._streams[name] = None  # reservation
@@ -361,18 +304,18 @@ class StreamingService:
         except BaseException:
             if journal is not None:
                 journal.close()
-            with self._lock:
+            with self._admission:
                 if self._streams.get(name) is None:
                     self._streams.pop(name, None)
             raise
-        with self._lock:
+        with self._admission:
             self._streams[name] = handle
         return handle
 
     def _handle(self, stream) -> StreamHandle:
         if isinstance(stream, StreamHandle):
             return stream
-        with self._lock:
+        with self._admission:
             handle = self._streams.get(stream)
         if handle is None:
             raise KeyError(f"unknown stream {stream!r}")
@@ -383,56 +326,52 @@ class StreamingService:
         stream,
         delta: Optional[Mapping[int, object]] = None,
         deadline: Optional[float] = None,
-    ) -> _Future:
+    ) -> Future:
         """Admit one evidence tick; returns a future of its TickResponse.
 
         Never blocks: a full per-stream queue (or a closed stream)
         resolves the future immediately with a typed refusal whose
         evidence was not applied.
         """
-        if self._closed:
-            raise ServiceClosed("streaming service is draining")
+        self._check_open()
         handle = self._handle(stream)
         if deadline is None:
             deadline = self.default_deadline
-        now = time.monotonic()
-        job = _TickJob(
-            delta=dict(delta or {}),
-            deadline_at=now + deadline if deadline is not None else None,
-            future=_Future(),
-            admitted_ns=time.perf_counter_ns(),
+        ticket = self.ticket(
+            _Tick(handle, dict(delta or {})), deadline, label=f"@{handle.name}"
         )
-        refusal: Optional[TickResponse] = None
-        with self._lock:
-            self._counts["submitted"] += 1
-            if self._closed or handle.closed:
-                self._counts["ticks_closed"] += 1
-                refusal = TickResponse(
-                    stream=handle.name,
-                    status=STATUS_SHED,
-                    kind="stream-closed",
-                    error=f"stream {handle.name!r} no longer accepts ticks",
-                )
-            elif len(handle.pending) >= handle.max_pending:
-                self._counts["ticks_overflowed"] += 1
-                handle._count("overflowed")
-                refusal = TickResponse(
-                    stream=handle.name,
-                    status=STATUS_SHED,
-                    kind="stream-overflow",
-                    error=(
-                        f"stream {handle.name!r} tick queue full "
-                        f"({handle.max_pending} pending)"
-                    ),
-                )
-            else:
-                handle.pending.append(job)
-                if not handle.scheduled:
-                    handle.scheduled = True
-                    self._ready.put(handle)
-        if refusal is not None:
-            self._resolve(handle, job, refusal)
-        return job.future
+        return self.admit(ticket)
+
+    def respond(self, ticket: Ticket, status: str, **fields) -> TickResponse:
+        return TickResponse(
+            stream=ticket.payload.handle.name, status=status, **fields
+        )
+
+    def place(self, ticket: Ticket):
+        """Queue the tick behind its stream's earlier ones, if it fits."""
+        handle = ticket.payload.handle
+        if handle.closed:
+            return self.respond(
+                ticket,
+                STATUS_SHED,
+                kind="stream-closed",
+                error=f"stream {handle.name!r} no longer accepts ticks",
+            )
+        if len(handle.pending) >= handle.max_pending:
+            return self.respond(
+                ticket,
+                STATUS_SHED,
+                kind="stream-overflow",
+                error=(
+                    f"stream {handle.name!r} tick queue full "
+                    f"({handle.max_pending} pending)"
+                ),
+            )
+        handle.pending.append(ticket)
+        if not handle.scheduled:
+            handle.scheduled = True
+            self.enqueue(handle)
+        return None
 
     def close_stream(self, stream) -> None:
         """Stop admitting ticks to one stream; pending ticks still run.
@@ -441,15 +380,10 @@ class StreamingService:
         stops) once every already-admitted tick has resolved.
         """
         handle = self._handle(stream)
-        with self._lock:
+        with self._admission:
             handle.closed = True
-            idle = not handle.pending and not handle.scheduled
-            if idle and not handle._sentinel_sent:
-                handle._sentinel_sent = True
-            else:
-                idle = False
-        if idle:
-            handle.updates_queue.put(None)
+            if not handle.pending and not handle.scheduled:
+                handle.end_feed()
 
     def updates(self, stream, timeout: Optional[float] = None) -> Iterator[TickResponse]:
         """Yield this stream's tick responses in admission order.
@@ -475,82 +409,57 @@ class StreamingService:
     # Workers
     # ------------------------------------------------------------------ #
 
-    def _worker_loop(self, slot: int) -> None:
-        self._tracer.bind(slot)
-        self._tracer.name_row(slot, f"stream-{slot}")
+    def serve(self, handle: StreamHandle) -> None:
+        """Run the stream's pending ticks in order until none are left."""
         while True:
-            handle = self._ready.get()
-            if handle is None:
-                return
-            while True:
-                with self._lock:
-                    if not handle.pending:
-                        handle.scheduled = False
-                        send_sentinel = (
-                            (handle.closed or self._closed)
-                            and not handle._sentinel_sent
-                        )
-                        if send_sentinel:
-                            handle._sentinel_sent = True
-                        break
-                    job = handle.pending.popleft()
-                try:
-                    self._serve_tick(handle, job)
-                except InjectedCrash:
-                    # A planned crash point fired: die exactly like
-                    # SIGKILL would — no resolution, no sentinel, no
-                    # cleanup.  Recovery (a fresh service on the same
-                    # durable root) is the only way forward.
-                    self._crash_event.set()
+            with self._admission:
+                if not handle.pending:
+                    handle.scheduled = False
+                    if handle.closed or self._closed:
+                        handle.end_feed()
                     return
-            if send_sentinel:
-                handle.updates_queue.put(None)
+                ticket = handle.pending.popleft()
+            try:
+                self._serve_tick(handle, ticket)
+            except InjectedCrash:
+                # A planned crash point fired: die exactly like
+                # SIGKILL would — no resolution, no sentinel, no
+                # cleanup.  Recovery (a fresh service on the same
+                # durable root) is the only way forward.
+                self._crash_event.set()
+                raise WorkerExit from None
 
-    def _serve_tick(self, handle: StreamHandle, job: _TickJob) -> None:
+    def _serve_tick(self, handle: StreamHandle, ticket: Ticket) -> None:
+        delta = ticket.payload.delta
         session = handle.session
         journal = handle.journal
-        if (
-            job.deadline_at is not None
-            and time.monotonic() >= job.deadline_at
-        ):
+        if ticket.expired(time.monotonic()):
             # Expired before execution: nothing was journaled, nothing
             # needs to be — the evidence never touched the stream.
-            self._bump("ticks_deadline")
-            handle._count("deadline")
-            self._resolve(
-                handle,
-                job,
-                TickResponse(
-                    stream=handle.name,
-                    status=STATUS_DEADLINE,
-                    error="deadline passed while the tick was queued",
-                ),
+            self.refuse(
+                [ticket],
+                STATUS_DEADLINE,
+                "deadline passed while the tick was queued",
             )
             return
         seq = -1
         if journal is not None:
             # Write-ahead: the tick is durable before it executes.  An
-            # InjectedCrash from a planned crash point propagates to the
-            # worker loop (simulated SIGKILL).
+            # InjectedCrash from a planned crash point propagates to
+            # serve() (simulated SIGKILL).
             seq = handle.next_seq
             handle.next_seq = seq + 1
-            journal.append_tick(seq, job.delta)
-        try:
-            result = session.tick(job.delta, deadline=job.deadline_at)
-        except TickDeadline as exc:
-            self._bump("ticks_deadline")
-            handle._count("deadline")
-            self._resolve(
-                handle,
-                job,
-                TickResponse(
-                    stream=handle.name,
-                    status=STATUS_DEADLINE,
-                    error=str(exc),
-                ),
-            )
+            journal.append_tick(seq, delta)
+
+        def refused(status: str, error: str) -> None:
+            self.refuse([ticket], status, error)
             if journal is not None:
                 journal.append_ack(seq, "refused")
+
+        try:
+            result = session.tick(delta, deadline=ticket.deadline_at)
+        except TickDeadline as exc:
+            refused(STATUS_DEADLINE, str(exc))
             return
         except Exception as exc:  # TickFailed and anything unexpected
             if not isinstance(exc, TickFailed):
@@ -560,32 +469,17 @@ class StreamingService:
                     session.resync()
                 except Exception:
                     pass
-            self._bump("ticks_failed")
-            handle._count("failed")
-            self._resolve(
-                handle,
-                job,
-                TickResponse(
-                    stream=handle.name,
-                    status=STATUS_FAILED,
-                    error=f"{type(exc).__name__}: {exc}",
-                ),
-            )
-            if journal is not None:
-                journal.append_ack(seq, "refused")
+            refused(STATUS_FAILED, f"{type(exc).__name__}: {exc}")
             return
         marginals = session.posteriors(handle.query_vars, t=result.t)
         if result.rolled:
             self._bump("window_rolls")
             handle.window_rolls += 1
-        self._bump("ticks_ok")
-        handle._count("ok")
-        self._resolve(
-            handle,
-            job,
-            TickResponse(
-                stream=handle.name,
-                status=STATUS_OK,
+        self.finish(
+            ticket,
+            self.respond(
+                ticket,
+                STATUS_OK,
                 t=result.t,
                 marginals=marginals,
                 rolled=result.rolled,
@@ -611,110 +505,56 @@ class StreamingService:
                     session.snapshot_state(), next_seq=handle.next_seq
                 )
 
-    def _resolve(
-        self, handle: StreamHandle, job: _TickJob, response: TickResponse
-    ) -> None:
-        end_ns = time.perf_counter_ns()
-        response.latency = (end_ns - job.admitted_ns) * 1e-9
-        self._tracer.current().span(
-            f"tick:{response.status}@{handle.name}",
-            CAT_STREAM,
-            job.admitted_ns,
-            end_ns,
-        )
-        job.future.resolve(response)
+    def _resolved(self, ticket: Ticket, response: TickResponse) -> None:
+        """Per-stream tally, then the response joins the update feed."""
+        handle = ticket.payload.handle
+        overflow = response.kind == "stream-overflow"
+        if response.kind != "stream-closed":
+            key = "overflowed" if overflow else response.status
+            with self._stats_lock:
+                handle.counts[key] = handle.counts.get(key, 0) + 1
+                if overflow:
+                    self._counts["ticks_overflowed"] += 1
         handle.updates_queue.put(response)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
 
-    def drain(self, timeout: Optional[float] = None) -> ServiceReport:
-        """Stop admissions, finish every pending tick, report.
+    def _handles(self) -> List[StreamHandle]:
+        with self._admission:
+            return [h for h in self._streams.values() if h is not None]
 
-        Idempotent; the report's streaming sections (``streams``,
-        ``ticks_*``, ``window_rolls``, ``per_stream``) ride next to the
-        shared fields (``submitted``, latency percentiles, the span
-        trace).
-        """
-        with self._lifecycle_lock:
-            if self._report is not None:
-                return self._report
-            with self._lock:
-                self._closed = True
-                # Schedule every stream with pending work that no worker
-                # currently owns, so nothing is stranded behind the
-                # sentinels.
-                for handle in self._streams.values():
-                    if handle is None:
-                        continue
-                    if handle.pending and not handle.scheduled:
-                        handle.scheduled = True
-                        self._ready.put(handle)
-            for _ in self._workers:
-                self._ready.put(None)
-            for thread in self._workers:
-                thread.join(timeout)
+    def _closing(self) -> None:
+        # Schedule every stream with pending work that no worker
+        # currently owns, so nothing is stranded behind the sentinels.
+        for handle in self._streams.values():
+            if handle is not None and handle.pending and not handle.scheduled:
+                handle.scheduled = True
+                self.enqueue(handle)
+
+    def _stopped(self, timeout: Optional[float]) -> None:
+        for handle in self._handles():
             # Streams never scheduled after close still need their update
             # feeds terminated.
-            for handle in list(self._streams.values()):
-                if handle is None:
-                    continue
-                with self._lock:
-                    send = not handle._sentinel_sent
-                    if send:
-                        handle._sentinel_sent = True
-                if send:
-                    handle.updates_queue.put(None)
+            with self._admission:
+                handle.end_feed()
             # Every pending tick has resolved (or the process is
-            # simulating death); flush and release the journals.
-            for handle in list(self._streams.values()):
-                if handle is not None and handle.journal is not None:
-                    handle.journal.close()
-            self._report = self._build_report()
-            return self._report
+            # simulating death); flush and release the journal.
+            if handle.journal is not None:
+                handle.journal.close()
 
     def _build_report(self) -> ServiceReport:
-        trace = self._tracer.finalize(executor="StreamingService")
-        ok_spans = [
-            span.duration
-            for span in trace.spans
-            if span.cat == CAT_STREAM and span.name.startswith("tick:ok")
-        ]
-        with self._lock:
-            counts = dict(self._counts)
-            per_stream = {
-                name: dict(handle.counts)
-                for name, handle in self._streams.items()
-                if handle is not None
-            }
-            streams = len(per_stream)
-        return ServiceReport(
-            submitted=counts["submitted"],
-            served_ok=counts["ticks_ok"],
-            shed=counts["ticks_overflowed"] + counts["ticks_closed"],
-            deadline_missed=counts["ticks_deadline"],
-            failed=counts["ticks_failed"],
-            streams=streams,
-            ticks_ok=counts["ticks_ok"],
-            ticks_overflowed=counts["ticks_overflowed"],
-            ticks_deadline=counts["ticks_deadline"],
-            ticks_failed=counts["ticks_failed"],
-            window_rolls=counts["window_rolls"],
-            replayed_ticks=counts["replayed_ticks"],
-            dropped_unacked=counts["dropped_unacked"],
-            recoveries=counts["recoveries"],
-            per_stream=per_stream,
-            latency=latency_percentiles(ok_spans, points=(50, 90, 99)),
-            wall_seconds=(time.perf_counter_ns() - self._started_ns) * 1e-9,
-            trace=trace,
-        )
-
-    def __enter__(self) -> "StreamingService":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.drain()
+        """The shared fields plus the streaming sections (``streams``,
+        ``ticks_*``, ``per_stream``; ``window_rolls`` and the recovery
+        counters are bumped as they happen)."""
+        report = super()._build_report()
+        report.per_stream = {h.name: dict(h.counts) for h in self._handles()}
+        report.streams = len(report.per_stream)
+        report.ticks_ok = report.served_ok
+        report.ticks_deadline = report.deadline_missed
+        report.ticks_failed = report.failed
+        return report
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -784,7 +784,7 @@ def phase_f(seed: int, duration: float, failures: List[str]):
     # Cycle 1: kill after ~1/3 of the schedule.
     proc = harness.spawn_child(root, seed, ticks)
     acks, recovered, done = harness.read_acks(proc, count=max(3, ticks // 3))
-    harness.kill_child(proc)
+    acks += harness.kill_child(proc)
     if done or not acks:
         failures.append(
             f"phase F cycle 1: expected a mid-traffic kill, got "
@@ -810,7 +810,7 @@ def phase_f(seed: int, duration: float, failures: List[str]):
     # Cycle 2: recover, kill again after a few more acks.
     proc = harness.spawn_child(root, seed, ticks)
     acks, recovered, done = harness.read_acks(proc, count=3)
-    harness.kill_child(proc)
+    acks += harness.kill_child(proc)
     if recovered is None:
         failures.append("phase F cycle 2: child reported no recovery")
     else:
