@@ -9,12 +9,6 @@ from repro.bn.network import BayesianNetwork
 from repro.bn.generation import random_network, chain_network, naive_bayes_network
 from repro.bn.moralization import moralize
 from repro.bn.triangulation import triangulate, elimination_cliques
-from repro.bn.sampling import (
-    forward_sample,
-    gibbs_sampling,
-    likelihood_weighting,
-)
-from repro.bn.learning import fit_cpts, log_likelihood
 from repro.bn.cpd import (
     deterministic_cpd,
     noisy_or_cpd,
@@ -31,11 +25,6 @@ __all__ = [
     "moralize",
     "triangulate",
     "elimination_cliques",
-    "forward_sample",
-    "likelihood_weighting",
-    "gibbs_sampling",
-    "fit_cpts",
-    "log_likelihood",
     "uniform_cpd",
     "tabular_cpd",
     "deterministic_cpd",

@@ -4,8 +4,9 @@ Subcommands
 -----------
 * ``info`` — library version and module inventory.
 * ``demo`` — a short end-to-end inference demo on a random network.
-* ``experiment {fig5,fig6,fig7,fig8,fig9,rerooting-cost,all}`` —
-  regenerate the paper's evaluation tables.
+* ``experiment {fig5,...,fig9,rerooting-cost,ablations,...,all}`` —
+  regenerate the paper's evaluation tables and check the paper-shape
+  claims on them (exit 1 when one fails).
 * ``query`` — build a random network, absorb evidence, print a marginal
   or the most probable explanation.
 """
@@ -569,99 +570,19 @@ def _cmd_model(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    from repro.experiments import (
-        format_series_table,
-        run_fig5,
-        run_fig6,
-        run_fig7,
-        run_fig8,
-        run_fig9,
-        run_rerooting_cost,
-    )
+    from repro.experiments import EXPERIMENTS
 
-    which = args.figure
-    todo = (
-        ["fig5", "fig6", "fig7", "fig8", "fig9", "rerooting-cost", "manycore"]
-        if which == "all"
-        else [which]
-    )
-    cores = (1, 2, 4, 8)
-    if "fig5" in todo:
-        for platform, rows in run_fig5(cores=cores).items():
-            print(
-                format_series_table(
-                    f"Fig. 5 — rerooting speedup ({platform})",
-                    "b",
-                    cores,
-                    {str(b): sp for b, sp in rows.items()},
-                )
-            )
-            print()
-    if "fig6" in todo:
-        procs = (1, 2, 4, 6, 8)
-        print(
-            format_series_table(
-                "Fig. 6 — PNL-like execution time (s) on IBM P655-like",
-                "workload",
-                procs,
-                run_fig6(processors=procs),
-                fmt="{:.3f}",
-            )
-        )
+    names = list(EXPERIMENTS) if args.figure == "all" else [args.figure]
+    failed = 0
+    for name in names:
+        experiment = EXPERIMENTS[name]
+        result = experiment.run()
+        print(experiment.render(result))
+        for claim, holds in experiment.verdicts(result):
+            print(f"  [{'ok' if holds else 'FAILED'}] {claim}")
+            failed += not holds
         print()
-    if "fig7" in todo:
-        for platform, rows in run_fig7(cores=cores).items():
-            print(
-                format_series_table(
-                    f"Fig. 7 — speedup ({platform})",
-                    "workload/method",
-                    cores,
-                    rows,
-                )
-            )
-            print()
-    if "fig8" in todo:
-        result = run_fig8()
-        print("Fig. 8 — load balance & overhead (JT1, Opteron-like)")
-        for p in sorted(result.sched_ratio):
-            print(
-                f"  P={p}: imbalance {result.load_imbalance[p]:.3f}, "
-                f"sched ratio {result.sched_ratio[p] * 100:.3f}%"
-            )
-        print()
-    if "fig9" in todo:
-        for panel, rows in run_fig9(cores=cores).items():
-            print(
-                format_series_table(
-                    f"Fig. 9({panel})", "configuration", cores, rows
-                )
-            )
-            print()
-    if "rerooting-cost" in todo:
-        result = run_rerooting_cost()
-        print("Rerooting cost — Algorithm 1 vs brute force")
-        for n in sorted(result.fast_seconds):
-            print(
-                f"  N={n}: Alg.1 {result.fast_seconds[n] * 1e3:.3f} ms, "
-                f"brute {result.brute_seconds[n] * 1e3:.3f} ms, "
-                f"modeled overhead {result.modeled_fraction[n]:.2e}"
-            )
-        print()
-    if "manycore" in todo:
-        from repro.experiments.manycore import run_manycore
-
-        many_cores = (1, 2, 4, 8, 16, 32, 64)
-        print(
-            format_series_table(
-                "Many-core projection (Section 8 outlook, fine-grained "
-                "workload)",
-                "scheduler",
-                many_cores,
-                run_manycore(cores=many_cores),
-            )
-        )
-        print()
-    return 0
+    return 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -888,21 +809,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     experiment = sub.add_parser(
-        "experiment", help="regenerate a paper experiment"
+        "experiment",
+        help="regenerate a paper experiment and check its claims",
     )
-    experiment.add_argument(
-        "figure",
-        choices=[
-            "fig5",
-            "fig6",
-            "fig7",
-            "fig8",
-            "fig9",
-            "rerooting-cost",
-            "manycore",
-            "all",
-        ],
-    )
+    from repro.experiments import EXPERIMENTS
+
+    experiment.add_argument("figure", choices=[*EXPERIMENTS, "all"])
     return parser
 
 

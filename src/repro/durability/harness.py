@@ -14,7 +14,7 @@ line per acknowledged tick::
     ACK {"seq": 3, "t": 3, "m": [0.41, 0.42, 0.17]}
 
 then ``DONE`` after a clean drain.  The parent (soak phase F,
-``bench_recovery``) reads acks until it has seen enough, ``SIGKILL``s
+``tests/test_durability.py``) reads acks until it has seen enough, ``SIGKILL``s
 the child mid-traffic, and verifies against the next incarnation:
 
 * every acked seq is applied in the recovered state (no acked tick

@@ -1,29 +1,55 @@
-"""Experiment runners that regenerate every figure of the paper's evaluation.
+"""The paper's evaluation (Section 7), reproduced on the multicore simulator.
 
-Each ``run_figN`` function reproduces the corresponding figure's data series
-using the synthetic workloads and the multicore simulator; formatting
-helpers in :mod:`repro.experiments.tables` turn them into the text tables
-printed by the benchmark harness and recorded in ``EXPERIMENTS.md``.
+Every experiment module has the same three functions: ``run()`` produces
+the figure's data series at the size EXPERIMENTS.md reports, ``render``
+turns them into the text tables, and ``verdicts`` states the paper-shape
+claims the reproduction is held to.  :data:`EXPERIMENTS` lists them; the
+CLI (``repro experiment``), the tier-1 test ``test_paper_claims_hold`` and
+``tools/make_experiments_md.py`` are three loops over that table.
 """
 
-from repro.experiments.fig5 import run_fig5
-from repro.experiments.fig6 import run_fig6
-from repro.experiments.fig7 import run_fig7
-from repro.experiments.fig8 import run_fig8
-from repro.experiments.fig9 import run_fig9
-from repro.experiments.rerooting_cost import run_rerooting_cost
-from repro.experiments.manycore import run_manycore
-from repro.experiments.robustness import run_robustness
-from repro.experiments.tables import format_series_table
+from __future__ import annotations
 
-__all__ = [
-    "run_fig5",
-    "run_fig6",
-    "run_fig7",
-    "run_fig8",
-    "run_fig9",
-    "run_rerooting_cost",
-    "run_manycore",
-    "run_robustness",
-    "format_series_table",
-]
+from typing import Any, Callable, Dict, List, NamedTuple, Tuple
+
+from repro.experiments import (
+    ablations,
+    fig5,
+    fig6,
+    fig7,
+    fig8,
+    fig9,
+    manycore,
+    rerooting_cost,
+    robustness,
+)
+
+
+class Experiment(NamedTuple):
+    """One row of :data:`EXPERIMENTS`."""
+
+    run: Callable[[], Any]
+    render: Callable[[Any], str]
+    verdicts: Callable[[Any], List[Tuple[str, bool]]]
+
+    def check(self, result) -> List[str]:
+        """The claims ``result`` breaks; empty when the paper's shape holds."""
+        return [claim for claim, holds in self.verdicts(result) if not holds]
+
+
+EXPERIMENTS: Dict[str, Experiment] = {
+    name: Experiment(module.run, module.render, module.verdicts)
+    for name, module in (
+        ("fig5", fig5),
+        ("fig6", fig6),
+        ("fig7", fig7),
+        ("fig8", fig8),
+        ("fig9", fig9),
+        ("rerooting-cost", rerooting_cost),
+        ("ablations", ablations),
+        ("manycore", manycore),
+        ("robustness", robustness),
+    )
+}
+
+__all__ = ["EXPERIMENTS", "Experiment"]

@@ -13,8 +13,9 @@ threads to reach the maximum.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
+from repro.experiments.tables import format_series_table
 from repro.jt.generation import template_tree
 from repro.jt.rerooting import reroot, select_root
 from repro.simcore.policies import CollaborativePolicy
@@ -22,9 +23,12 @@ from repro.simcore.profiles import OPTERON, XEON, PlatformProfile
 from repro.tasks.dag import build_task_graph
 
 
-def run_fig5(
+CORES = tuple(range(1, 9))
+
+
+def run(
     branch_counts: Sequence[int] = (1, 2, 4, 8),
-    cores: Sequence[int] = tuple(range(1, 9)),
+    cores: Sequence[int] = CORES,
     platforms: Sequence[PlatformProfile] = (XEON, OPTERON),
     num_cliques: int = 512,
     clique_width: int = 15,
@@ -50,3 +54,46 @@ def run_fig5(
             per_b[b] = speedups
         results[profile.name] = per_b
     return results
+
+
+def render(result) -> str:
+    return "\n\n".join(
+        format_series_table(
+            f"Fig. 5 — rerooting speedup Sp vs #cores ({platform})",
+            "b",
+            CORES,
+            {str(b): sp for b, sp in per_b.items()},
+        )
+        for platform, per_b in result.items()
+    )
+
+
+def verdicts(result) -> List[Tuple[str, bool]]:
+    curves = [sp for per_b in result.values() for sp in per_b.values()]
+    return [
+        (
+            "no rerooting benefit on one core: |Sp - 1| < 0.05",
+            all(abs(sp[0] - 1.0) < 0.05 for sp in curves),
+        ),
+        (
+            "Sp saturates near 2 once P > b: Sp > 1.85 at 8 cores for b <= 4",
+            all(
+                sp[-1] > 1.85
+                for per_b in result.values()
+                for b, sp in per_b.items()
+                if b <= 4
+            ),
+        ),
+        (
+            "Sp never exceeds 2: max Sp <= 2.05",
+            all(max(sp) <= 2.05 for sp in curves),
+        ),
+        (
+            "Sp at 8 cores is no lower than at one",
+            all(sp[-1] >= sp[0] for sp in curves),
+        ),
+        (
+            "larger b needs more threads: at P = 2, b = 8 gains less than b = 1",
+            all(per_b[8][1] < per_b[1][1] for per_b in result.values()),
+        ),
+    ]

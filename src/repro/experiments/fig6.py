@@ -10,8 +10,9 @@ junction trees 1-3.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
+from repro.experiments.tables import format_series_table
 from repro.jt.generation import paper_tree
 from repro.jt.rerooting import reroot_optimally
 from repro.simcore.policies import CentralizedPolicy
@@ -19,9 +20,12 @@ from repro.simcore.profiles import IBM_P655, PlatformProfile
 from repro.tasks.dag import build_task_graph
 
 
-def run_fig6(
+PROCS = (1, 2, 4, 6, 8)
+
+
+def run(
     trees: Sequence[int] = (1, 2, 3),
-    processors: Sequence[int] = (1, 2, 4, 6, 8),
+    processors: Sequence[int] = PROCS,
     profile: PlatformProfile = IBM_P655,
     seed: int = 0,
 ) -> Dict[str, List[float]]:
@@ -36,3 +40,28 @@ def run_fig6(
         ]
         results[f"Junction tree {which}"] = times
     return results
+
+
+def render(result) -> str:
+    return format_series_table(
+        "Fig. 6 — PNL-like centralized inference, execution time (s) "
+        "vs #processors (IBM P655-like)",
+        "workload",
+        PROCS,
+        result,
+        fmt="{:.3f}",
+    )
+
+
+def verdicts(result) -> List[Tuple[str, bool]]:
+    at = {name: dict(zip(PROCS, times)) for name, times in result.items()}
+    return [
+        (
+            "execution time rises past 4 processors on every tree",
+            all(by_proc[8] > by_proc[4] for by_proc in at.values()),
+        ),
+        (
+            "some parallelism helps initially: min time < 1-processor time",
+            all(min(times) < times[0] for times in result.values()),
+        ),
+    ]

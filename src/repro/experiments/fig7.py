@@ -11,8 +11,9 @@ on Opteron at 8 cores on JT1) and roughly 2x the baselines.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
+from repro.experiments.tables import format_series_table
 from repro.jt.generation import paper_tree
 from repro.jt.rerooting import reroot_optimally
 from repro.simcore.policies import (
@@ -30,9 +31,12 @@ METHODS = {
 }
 
 
-def run_fig7(
+CORES = (1, 2, 4, 8)
+
+
+def run(
     trees: Sequence[int] = (1, 2, 3),
-    cores: Sequence[int] = (1, 2, 4, 8),
+    cores: Sequence[int] = CORES,
     platforms: Sequence[PlatformProfile] = (XEON, OPTERON),
     seed: int = 0,
 ) -> Dict[str, Dict[str, List[float]]]:
@@ -55,3 +59,54 @@ def run_fig7(
                 ]
         results[profile.name] = rows
     return results
+
+
+def render(result) -> str:
+    return "\n\n".join(
+        format_series_table(
+            f"Fig. 7 — speedup vs #cores ({platform})",
+            "workload/method",
+            CORES,
+            rows,
+        )
+        for platform, rows in result.items()
+    )
+
+
+def verdicts(result) -> List[Tuple[str, bool]]:
+    """The paper's headlines: 7.4x / 7.1x at 8 cores, ~2.1x over OpenMP
+    and ~1.8x over the data-parallel method."""
+    xeon = {name: sp[-1] for name, sp in result[XEON.name].items()}
+    opteron = {name: sp[-1] for name, sp in result[OPTERON.name].items()}
+    at_8 = [
+        (name, sp[-1]) for rows in result.values() for name, sp in rows.items()
+    ]
+    return [
+        (
+            "JT1 collaborative at 8 cores on Xeon > 7.0 (paper 7.4)",
+            xeon["JT1/collaborative"] > 7.0,
+        ),
+        (
+            "JT1 collaborative at 8 cores on Opteron > 6.8 (paper 7.1)",
+            opteron["JT1/collaborative"] > 6.8,
+        ),
+        (
+            "collaborative / OpenMP on JT1, Xeon, in 1.6-2.9 (paper 2.1)",
+            1.6 < xeon["JT1/collaborative"] / xeon["JT1/openmp"] < 2.9,
+        ),
+        (
+            "collaborative / data-parallel on JT1, Opteron, in 1.4-2.6 "
+            "(paper 1.8)",
+            1.4
+            < opteron["JT1/collaborative"] / opteron["JT1/data-parallel"]
+            < 2.6,
+        ),
+        (
+            "collaborative is near-linear on every workload: > 6.0 at 8 cores",
+            all(s > 6.0 for n, s in at_8 if n.endswith("collaborative")),
+        ),
+        (
+            "baselines saturate well below it: < 5.5 at 8 cores",
+            all(s < 5.5 for n, s in at_8 if not n.endswith("collaborative")),
+        ),
+    ]

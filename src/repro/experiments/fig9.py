@@ -12,11 +12,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
+from repro.experiments.tables import format_series_table
 from repro.jt.generation import synthetic_tree
 from repro.jt.rerooting import reroot_optimally
 from repro.simcore.policies import CollaborativePolicy
 from repro.simcore.profiles import XEON, PlatformProfile
 from repro.tasks.dag import build_task_graph
+
+CORES = (1, 2, 4, 8)
 
 # JT1's parameters, the sweep baseline.
 BASE = {"num_cliques": 512, "clique_width": 20, "states": 2, "avg_children": 4}
@@ -40,8 +43,8 @@ def _speedups(
     return [base / policy.simulate(graph, profile, p).makespan for p in cores]
 
 
-def run_fig9(
-    cores: Sequence[int] = (1, 2, 4, 8),
+def run(
+    cores: Sequence[int] = CORES,
     profile: PlatformProfile = XEON,
     seed: int = 0,
     panels: Sequence[str] = tuple(SWEEPS),
@@ -67,3 +70,33 @@ def run_fig9(
             rows[f"{param}={value}"] = _speedups(params, cores, profile, seed)
         results[panel] = rows
     return results
+
+
+def render(result) -> str:
+    return "\n\n".join(
+        format_series_table(
+            f"Fig. 9({panel}) — proposed method speedup vs #cores "
+            "(Intel Xeon-like)",
+            "configuration",
+            CORES,
+            rows,
+        )
+        for panel, rows in result.items()
+    )
+
+
+def verdicts(result) -> List[Tuple[str, bool]]:
+    n, w, r, k = (
+        {name: sp[-1] for name, sp in result[panel].items()}
+        for panel in SWEEPS
+    )
+    return [
+        ("every N scales above 7 at 8 cores", all(s > 7.0 for s in n.values())),
+        ("w_C = 20 scales above 7 at 8 cores", w["clique_width=20"] > 7.0),
+        (
+            "w_C = 10 at r = 2 (1024-entry tables) is overhead-bound: < 6.0",
+            w["clique_width=10"] < 6.0,
+        ),
+        ("r = 3 scales better than r = 2", r["states=3"] > r["states=2"]),
+        ("every k scales above 6.5 at 8 cores", all(s > 6.5 for s in k.values())),
+    ]

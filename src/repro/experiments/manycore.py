@@ -10,8 +10,9 @@ graph's own parallelism runs out.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
+from repro.experiments.tables import format_series_table
 from repro.jt.generation import synthetic_tree
 from repro.jt.rerooting import reroot_optimally
 from repro.simcore.policies import CollaborativePolicy, WorkStealingPolicy
@@ -19,8 +20,11 @@ from repro.simcore.profiles import XEON, PlatformProfile
 from repro.tasks.dag import build_task_graph
 
 
-def run_manycore(
-    cores: Sequence[int] = (1, 2, 4, 8, 16, 32, 64),
+CORES = (1, 2, 4, 8, 16, 32, 64)
+
+
+def run(
+    cores: Sequence[int] = CORES,
     profile: PlatformProfile = XEON,
     seed: int = 0,
 ) -> Dict[str, List[float]]:
@@ -51,3 +55,33 @@ def run_manycore(
             for p in cores
         ]
     return results
+
+
+def render(result) -> str:
+    return format_series_table(
+        "Extension — JT1 speedup projected to many-core (Xeon-like)",
+        "scheduler",
+        CORES,
+        result,
+    )
+
+
+def verdicts(result) -> List[Tuple[str, bool]]:
+    shared = result["collaborative (shared locks)"]
+    stealing = result["work-stealing (Section 8)"]
+    return [
+        (
+            "the serialized global-list lock caps the shared-lock scheduler "
+            "below 8x",
+            max(shared) < 8.0,
+        ),
+        ("and then degrades it: 64 cores below its peak", shared[-1] < max(shared)),
+        (
+            "work stealing at 64 cores > 3x the shared-lock scheduler",
+            stealing[-1] > 3.0 * shared[-1],
+        ),
+        (
+            "work stealing keeps scaling past 8 cores: > 12x at 16",
+            stealing[CORES.index(16)] > 12.0,
+        ),
+    ]

@@ -10,7 +10,7 @@ several seeds and reports the spread of the collaborative scheduler's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from repro.jt.generation import paper_tree
 from repro.jt.rerooting import reroot_optimally
@@ -33,7 +33,7 @@ class RobustnessResult:
         return max(self.speedups) - min(self.speedups)
 
 
-def run_robustness(
+def run(
     seeds: Sequence[int] = tuple(range(5)),
     cores: int = 8,
     which_tree: int = 1,
@@ -50,3 +50,25 @@ def run_robustness(
             base / policy.simulate(graph, profile, cores).makespan
         )
     return RobustnessResult(list(seeds), speedups)
+
+
+def render(result: RobustnessResult) -> str:
+    return "\n".join(
+        [
+            "Robustness — JT1 collaborative 8-core speedup across "
+            "workload seeds",
+            "seed     " + "  ".join(f"{s:>5}" for s in result.seeds),
+            "speedup  " + "  ".join(f"{v:>5.2f}" for v in result.speedups),
+            f"mean {result.mean:.2f}, spread {result.spread:.2f}",
+        ]
+    )
+
+
+def verdicts(result: RobustnessResult) -> List[Tuple[str, bool]]:
+    return [
+        (
+            "every seed lands near the paper's 7.4: speedup > 7.0",
+            all(s > 7.0 for s in result.speedups),
+        ),
+        ("the spread across seeds is small: < 0.5", result.spread < 0.5),
+    ]

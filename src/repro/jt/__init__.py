@@ -17,16 +17,12 @@ from repro.jt.rerooting import (
 from repro.jt.validate import check_running_intersection, check_tree_structure
 from repro.jt.calibration import check_calibrated, separator_disagreements
 from repro.jt.stats import summarize_tree, treewidth
-from repro.jt.render import render_tree, task_graph_to_dot, tree_to_dot
 
 __all__ = [
     "check_calibrated",
     "separator_disagreements",
     "summarize_tree",
     "treewidth",
-    "render_tree",
-    "tree_to_dot",
-    "task_graph_to_dot",
     "Clique",
     "JunctionTree",
     "junction_tree_from_network",

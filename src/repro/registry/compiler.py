@@ -10,8 +10,9 @@ managing explicitly — :func:`compile_model` is the cacheable unit, and
 :func:`rehydrate_model` is the cheap path back from an eviction: it
 rebuilds sessions over the *retained* rerooted tree and restores each
 from the retained checkpoint, skipping triangulation, rerooting and every
-calibration propagation (restore beats recompile; see
-``benchmarks/bench_checkpoint.py`` and ``bench_registry.py``).
+calibration propagation (restore beats recompile: the benchmark suite's
+``registry.rehydrate_ms`` against ``registry.compile_ms``, and
+``integrity.load_ms`` against ``inference.propagate_ms``).
 
 Both entry points take an absolute ``deadline_at`` and check it
 cooperatively between pipeline stages, refusing with the typed
@@ -172,8 +173,8 @@ def rehydrate_model(
     was captured over (the registry retains exactly that on eviction).
     Each new session restores the checkpoint directly — no moralization,
     no triangulation, no rerooting, no calibration propagation — which is
-    why rehydration beats a cold compile (gated in
-    ``benchmarks/bench_registry.py``).
+    why rehydration beats a cold compile (``registry.rehydrate_ms``
+    against ``registry.compile_ms`` in the benchmark suite).
     """
     if sessions < 1:
         raise ValueError("sessions must be >= 1")

@@ -15,8 +15,8 @@ tasks are ordered, interleaved, and mapped onto hardware:
   speedup — for timing see :mod:`repro.simcore`.
 * :class:`ProcessSharedMemoryExecutor` — Algorithm 2 across worker
   *processes* with all potential tables in shared memory, the one
-  executor that can show genuine multicore wall-clock speedup
-  (``benchmarks/bench_real_executors.py``).
+  executor that can show genuine multicore wall-clock speedup (the
+  benchmark suite times it as ``sched.process.run_ms``).
 
 Fault tolerance: :class:`ResilientExecutor` wraps any executor in a
 degradation cascade (processes → threads → serial) with numerical health

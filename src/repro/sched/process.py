@@ -26,8 +26,8 @@ intermediate placed in one ``multiprocessing.shared_memory`` arena:
 Results match :class:`~repro.sched.serial.SerialExecutor` to floating-point
 round-off (identical when no marginalization is partitioned).  Speedup
 needs genuinely parallel hardware and tables large enough that numpy time
-dominates dispatch; ``benchmarks/bench_real_executors.py`` records the
-curve.
+dominates dispatch; the benchmark suite reads it as
+``sched.process.run_ms`` beside ``sched.serial.run_ms``.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ graphs* inside a discrete-event simulation with a calibrated cost model
 contention, memory-bandwidth pressure, fork/join and barrier costs).
 
 The simulator reports per-core compute and scheduling-overhead clocks plus
-the makespan, from which the benchmark harness derives the speedup curves,
+the makespan, from which :mod:`repro.experiments` derives the speedup curves,
 load-balance profiles and overhead ratios of Figs. 5-9.
 """
 
@@ -29,14 +29,7 @@ from repro.simcore.policies import (
     SerialPolicy,
     WorkStealingPolicy,
 )
-from repro.simcore.priority import CriticalPathPolicy
 from repro.simcore.machine import Machine
-from repro.simcore.cluster import (
-    GIGE_CLUSTER,
-    ClusterPolicy,
-    ClusterProfile,
-    partition_tree,
-)
 
 __all__ = [
     "PlatformProfile",
@@ -49,14 +42,9 @@ __all__ = [
     "Trace",
     "TraceEvent",
     "Machine",
-    "ClusterProfile",
-    "ClusterPolicy",
-    "GIGE_CLUSTER",
-    "partition_tree",
     "SerialPolicy",
     "CollaborativePolicy",
     "WorkStealingPolicy",
-    "CriticalPathPolicy",
     "LevelParallelPolicy",
     "OpenMPPolicy",
     "DataParallelPolicy",

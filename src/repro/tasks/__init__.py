@@ -11,7 +11,6 @@ from repro.tasks.clique_graph import CliqueUpdatingGraph, build_clique_updating_
 from repro.tasks.dag import build_task_graph
 from repro.tasks.state import PropagationState
 from repro.tasks.partition_plan import combine_flops, plan_partition
-from repro.tasks.metrics import GraphSummary, summarize
 
 __all__ = [
     "Task",
@@ -22,6 +21,4 @@ __all__ = [
     "PropagationState",
     "plan_partition",
     "combine_flops",
-    "GraphSummary",
-    "summarize",
 ]

@@ -14,12 +14,7 @@ from repro.jt.calibration import (
 from repro.jt.generation import synthetic_tree
 from repro.jt.rerooting import reroot_optimally
 from repro.simcore.policies import CollaborativePolicy, WorkStealingPolicy
-from repro.simcore.priority import (
-    CriticalPathPolicy,
-    upward_ranks,
-)
 from repro.simcore.profiles import XEON
-from repro.simcore.simgraph import SimGraph, build_sim_graph
 from repro.tasks.dag import build_task_graph
 
 
@@ -73,59 +68,6 @@ def graph():
     )
     tree, _, _ = reroot_optimally(tree)
     return build_task_graph(tree)
-
-
-class TestUpwardRanks:
-    def test_rank_includes_own_weight(self):
-        sim = SimGraph()
-        a = sim.add(3.0)
-        b = sim.add(5.0, [a])
-        ranks = upward_ranks(sim)
-        assert ranks[b] == 5.0
-        assert ranks[a] == 8.0
-
-    def test_rank_takes_heaviest_chain(self):
-        sim = SimGraph()
-        a = sim.add(1.0)
-        b = sim.add(10.0, [a])
-        c = sim.add(2.0, [a])
-        ranks = upward_ranks(sim)
-        assert ranks[a] == 11.0
-
-
-class TestCriticalPathPolicy:
-    def test_matches_or_beats_fifo(self, graph):
-        cp = CriticalPathPolicy("upward-rank")
-        fifo = CriticalPathPolicy("fifo")
-        for p in (2, 4, 8):
-            t_cp = cp.simulate(graph, XEON, p).makespan
-            t_fifo = fifo.simulate(graph, XEON, p).makespan
-            assert t_cp <= t_fifo * 1.05
-
-    def test_single_core_equals_serial_work(self, graph):
-        pol = CriticalPathPolicy()
-        result = pol.simulate(graph, XEON, 1)
-        sim = build_sim_graph(graph, pol.partition_threshold, pol.max_chunks)
-        work = sum(XEON.duration(w, 1) for w in sim.weights)
-        overhead = sim.num_nodes * XEON.task_sched_overhead(1)
-        assert result.makespan == pytest.approx(work + overhead)
-
-    def test_respects_lower_bounds(self, graph):
-        pol = CriticalPathPolicy()
-        sim = build_sim_graph(graph, pol.partition_threshold, pol.max_chunks)
-        for p in (2, 4, 8):
-            result = pol.simulate(graph, XEON, p)
-            work = sum(XEON.duration(w, p) for w in sim.weights)
-            span = XEON.duration(sim.critical_path(), p)
-            assert result.makespan >= max(span, work / p) * 0.999
-
-    def test_bad_priority_rejected(self):
-        with pytest.raises(ValueError):
-            CriticalPathPolicy("vibes")
-
-    def test_policy_name_carries_priority(self, graph):
-        result = CriticalPathPolicy("weight").simulate(graph, XEON, 2)
-        assert "weight" in result.policy
 
 
 class TestWorkStealingPolicy:

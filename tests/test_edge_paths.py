@@ -68,7 +68,7 @@ class TestDisconnectedNetworks:
 
 class TestExperimentWrappers:
     def test_manycore_runner_small(self):
-        from repro.experiments.manycore import run_manycore
+        from repro.experiments.manycore import run as run_manycore
 
         results = run_manycore(cores=(1, 2))
         assert set(results) == {
@@ -79,7 +79,7 @@ class TestExperimentWrappers:
             assert curve[0] == pytest.approx(1.0)
 
     def test_robustness_runner_small(self):
-        from repro.experiments.robustness import run_robustness
+        from repro.experiments.robustness import run as run_robustness
 
         result = run_robustness(seeds=(0, 1), cores=4, which_tree=3)
         assert len(result.speedups) == 2

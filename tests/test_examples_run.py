@@ -64,12 +64,6 @@ class TestExamples:
         assert "smoothed" in out and "filtered" in out
 
     @pytest.mark.slow
-    def test_learning_pipeline(self, capsys):
-        _load("learning_pipeline").main()
-        out = capsys.readouterr().out
-        assert "OK" in out
-
-    @pytest.mark.slow
     def test_parallel_scaling(self, capsys):
         _load("parallel_scaling").main()
         out = capsys.readouterr().out

@@ -1,18 +1,28 @@
-"""Experiment runners: small-parameter sanity runs and table formatting."""
+"""Experiment runners: the paper's claims at full size, small-parameter
+sanity runs and table formatting."""
 
 import numpy as np
 import pytest
 
-from repro.experiments.fig5 import run_fig5
-from repro.experiments.fig6 import run_fig6
-from repro.experiments.fig7 import run_fig7
-from repro.experiments.fig8 import run_fig8
-from repro.experiments.fig9 import run_fig9
-from repro.experiments.rerooting_cost import run_rerooting_cost
+from repro.experiments import EXPERIMENTS
+from repro.experiments.fig5 import run as run_fig5
+from repro.experiments.fig6 import run as run_fig6
+from repro.experiments.fig7 import run as run_fig7
+from repro.experiments.fig8 import run as run_fig8
+from repro.experiments.fig9 import run as run_fig9
+from repro.experiments.rerooting_cost import run as run_rerooting_cost
 from repro.experiments.tables import format_series_table
 from repro.simcore.profiles import XEON
 
 SMALL_CORES = (1, 2, 4)
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_paper_claims_hold(name):
+    """Section 7's shapes (7.4x / 7.1x at 8 cores, Sp -> 2, PNL slowing
+    past 4 processors, ...) at the sizes EXPERIMENTS.md reports."""
+    experiment = EXPERIMENTS[name]
+    assert experiment.check(experiment.run()) == []
 
 
 class TestFig5Runner:

@@ -1,96 +1,11 @@
-"""Information measures and dynamic Bayesian networks."""
+"""Dynamic Bayesian networks."""
 
 import numpy as np
 import pytest
 
 from repro.bn.dbn import DynamicBayesianNetwork, make_hmm
 from repro.inference.engine import InferenceEngine
-from repro.potential.info import (
-    entropy,
-    jensen_shannon,
-    kl_divergence,
-    mutual_information,
-)
 from repro.potential.table import PotentialTable
-
-
-class TestEntropy:
-    def test_uniform_is_log_n(self):
-        t = PotentialTable([0], [4], np.full(4, 0.25))
-        assert entropy(t) == pytest.approx(np.log(4))
-
-    def test_point_mass_is_zero(self):
-        t = PotentialTable([0], [3], np.array([0.0, 1.0, 0.0]))
-        assert entropy(t) == 0.0
-
-    def test_unnormalized_input_handled(self):
-        a = PotentialTable([0], [2], np.array([1.0, 1.0]))
-        b = PotentialTable([0], [2], np.array([10.0, 10.0]))
-        assert entropy(a) == pytest.approx(entropy(b))
-
-
-class TestKl:
-    def test_zero_for_identical(self):
-        rng = np.random.default_rng(0)
-        t = PotentialTable.random([0, 1], [2, 3], rng)
-        assert kl_divergence(t, t) == pytest.approx(0.0)
-
-    def test_positive_for_different(self):
-        p = PotentialTable([0], [2], np.array([0.9, 0.1]))
-        q = PotentialTable([0], [2], np.array([0.5, 0.5]))
-        assert kl_divergence(p, q) > 0
-
-    def test_infinite_off_support(self):
-        p = PotentialTable([0], [2], np.array([0.5, 0.5]))
-        q = PotentialTable([0], [2], np.array([1.0, 0.0]))
-        assert kl_divergence(p, q) == float("inf")
-
-    def test_alignment_across_axis_orders(self):
-        rng = np.random.default_rng(1)
-        p = PotentialTable.random([0, 1], [2, 3], rng)
-        assert kl_divergence(p, p.aligned_to([1, 0])) == pytest.approx(0.0)
-
-    def test_scope_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            kl_divergence(
-                PotentialTable([0], [2]), PotentialTable([1], [2])
-            )
-
-
-class TestMutualInformation:
-    def test_independent_variables_zero(self):
-        p = np.outer([0.3, 0.7], [0.6, 0.4])
-        t = PotentialTable([0, 1], [2, 2], p)
-        assert mutual_information(t, [0], [1]) == pytest.approx(0.0, abs=1e-12)
-
-    def test_identical_variables_full_entropy(self):
-        joint = np.diag([0.5, 0.5])
-        t = PotentialTable([0, 1], [2, 2], joint)
-        assert mutual_information(t, [0], [1]) == pytest.approx(np.log(2))
-
-    def test_extra_variables_marginalized(self):
-        rng = np.random.default_rng(2)
-        t = PotentialTable.random([0, 1, 2], [2, 2, 2], rng)
-        direct = mutual_information(t, [0], [1])
-        from repro.potential.primitives import marginalize
-
-        reduced = marginalize(t, (0, 1))
-        assert direct == pytest.approx(
-            mutual_information(reduced, [0], [1])
-        )
-
-    def test_overlapping_groups_rejected(self):
-        t = PotentialTable([0, 1], [2, 2])
-        with pytest.raises(ValueError):
-            mutual_information(t, [0], [0, 1])
-
-    def test_js_symmetric_and_finite(self):
-        p = PotentialTable([0], [2], np.array([1.0, 0.0]))
-        q = PotentialTable([0], [2], np.array([0.0, 1.0]))
-        js = jensen_shannon(p, q)
-        assert js == pytest.approx(jensen_shannon(q, p))
-        assert np.isfinite(js)
-        assert js == pytest.approx(np.log(2))
 
 
 def _toy_hmm():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.jt.generation import synthetic_tree
 from repro.simcore.policies import CollaborativePolicy, SerialPolicy
-from repro.simcore.priority import CriticalPathPolicy
 from repro.simcore.profiles import OPTERON, XEON
 from repro.simcore.simgraph import build_sim_graph
 from repro.tasks.dag import build_task_graph
@@ -73,19 +72,6 @@ def test_greedy_is_work_conserving(graph, cores):
     # Each task also passes once through the serialized global-list lock.
     lock_serial = sim.num_nodes * XEON.lock_cost if cores > 1 else 0.0
     assert result.makespan <= serial_work + overhead + lock_serial + 1e-12
-
-
-@given(task_graphs(), st.integers(min_value=1, max_value=8))
-@settings(max_examples=30, deadline=None)
-def test_priority_scheduler_matches_bounds(graph, cores):
-    pol = CriticalPathPolicy()
-    result = pol.simulate(graph, XEON, cores)
-    sim = build_sim_graph(graph, pol.partition_threshold, pol.max_chunks)
-    work = sum(XEON.duration(w, cores) for w in sim.weights)
-    span = XEON.duration(sim.critical_path(), cores)
-    assert result.makespan >= max(span, work / cores) * 0.999
-    overhead = sim.num_nodes * XEON.task_sched_overhead(cores)
-    assert result.makespan <= work + overhead + 1e-9
 
 
 @given(task_graphs())

@@ -1,9 +1,8 @@
-"""Rendering helpers and the simulated-machine facade."""
+"""The simulated-machine facade."""
 
 import pytest
 
-from repro.jt.generation import synthetic_tree, template_tree
-from repro.jt.render import render_tree, task_graph_to_dot, tree_to_dot
+from repro.jt.generation import synthetic_tree
 from repro.simcore.machine import Machine
 from repro.simcore.policies import (
     CollaborativePolicy,
@@ -12,49 +11,6 @@ from repro.simcore.policies import (
 )
 from repro.simcore.profiles import XEON
 from repro.tasks.dag import build_task_graph
-
-
-class TestRenderTree:
-    def test_contains_every_clique(self):
-        tree = synthetic_tree(12, clique_width=3, seed=1)
-        text = render_tree(tree)
-        for i in range(12):
-            assert f"C{i} " in text
-
-    def test_line_count_matches_cliques(self):
-        tree = synthetic_tree(9, clique_width=3, seed=2)
-        assert len(render_tree(tree).splitlines()) == 9
-
-    def test_long_scopes_elided(self):
-        tree = synthetic_tree(4, clique_width=10, width_jitter=0, seed=3)
-        text = render_tree(tree, max_vars=3)
-        assert "+7" in text
-
-    def test_single_clique(self):
-        tree = synthetic_tree(1, clique_width=2, seed=4)
-        assert render_tree(tree).startswith("C0")
-
-
-class TestDotExport:
-    def test_tree_dot_structure(self):
-        tree = template_tree(2, num_cliques=13, clique_width=3)
-        dot = tree_to_dot(tree)
-        assert dot.startswith("graph junction_tree {")
-        assert dot.rstrip().endswith("}")
-        assert dot.count(" -- ") == tree.num_cliques - 1
-
-    def test_tree_dot_without_separators(self):
-        tree = synthetic_tree(6, clique_width=3, seed=5)
-        dot = tree_to_dot(tree, show_separators=False)
-        assert "label=\"{" not in dot.split("node", 1)[1].split("];", 1)[1]
-
-    def test_task_graph_dot(self):
-        tree = synthetic_tree(5, clique_width=3, seed=6)
-        graph = build_task_graph(tree)
-        dot = task_graph_to_dot(graph)
-        assert dot.startswith("digraph task_graph {")
-        assert dot.count("->") == sum(len(s) for s in graph.succs)
-        assert "lightblue" in dot and "lightsalmon" in dot
 
 
 class TestMachine:

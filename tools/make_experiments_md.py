@@ -1,8 +1,9 @@
 #!/usr/bin/env python
-"""Generate EXPERIMENTS.md from the recorded benchmark tables.
+"""Generate EXPERIMENTS.md by running ``repro.experiments.EXPERIMENTS``.
 
-Run after ``pytest benchmarks/ --benchmark-only`` (which writes the tables
-to ``benchmarks/results/``):
+Works from a clean checkout (the simulator is deterministic; only the
+wall-clock rerooting-cost table and the threaded allocation-heuristic
+ablation vary run to run):
 
     python tools/make_experiments_md.py
 """
@@ -13,26 +14,30 @@ import pathlib
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-RESULTS = ROOT / "benchmarks" / "results"
+sys.path.insert(0, str(ROOT / "src"))
+
+from repro.experiments import EXPERIMENTS  # noqa: E402
 
 HEADER = """\
 # EXPERIMENTS — paper vs measured
 
 Every figure of the paper's evaluation (Section 7), reproduced by
-`pytest benchmarks/ --benchmark-only`.  Absolute times are *simulated*
+`python -m repro experiment all`.  Absolute times are *simulated*
 seconds on the calibrated platform profiles (the authors' 2009 testbeds
 are gone); the comparison is about **shape**: who wins, by what factor,
-and where the crossovers fall.  Each benchmark asserts the shape claims
-below, so a regression fails the suite.
+and where the crossovers fall.  Each experiment states its shape claims
+as code (`verdicts()` in `src/repro/experiments/`); tier-1
+(`tests/test_experiments.py::test_paper_claims_hold`) asserts them at
+the sizes shown here, and `repro experiment` prints each verdict and
+exits 1 when one fails.
 
-The numbers in this file were produced by the benchmark run recorded in
-`benchmarks/results/` (regenerate with `python tools/make_experiments_md.py`).
+Regenerate this file with `python tools/make_experiments_md.py`.
 """
 
-SECTIONS = [
-    (
+# Heading and paper-vs-measured commentary per EXPERIMENTS row.
+PROSE = {
+    "fig5": (
         "Fig. 5 — speedup from junction-tree rerooting",
-        ["fig5_xeon", "fig5_opteron"],
         """\
 **Paper:** on Fig. 4 template trees (512 cliques, width 15, binary;
 ``b + 1`` equal branches rooted at the far end of branch 0), rerooting at
@@ -46,9 +51,8 @@ climbing at 8 cores (1.77).  The rerooted root found by Algorithm 1 is
 the junction clique in every configuration, matching the paper's
 "clique R became the new root".""",
     ),
-    (
+    "fig6": (
         "Fig. 6 — PNL-style centralized inference",
-        ["fig6_pnl"],
         """\
 **Paper:** Intel PNL's parallel junction-tree inference on an IBM P655
 multiprocessor slows down beyond 4 processors for all three junction
@@ -61,9 +65,8 @@ JT2 bottoms at 4-6 and rises at 8; tiny JT3 is dispatch-bound even
 earlier.  The paper's qualitative claim — more processors eventually
 hurt a centralized scheduler — holds throughout.""",
     ),
-    (
+    "fig7": (
         "Fig. 7 — scalability of the three methods",
-        ["fig7_xeon", "fig7_opteron"],
         """\
 **Paper:** on both platforms the proposed collaborative scheduler shows
 linear speedup — 7.4x (Xeon) and 7.1x (Opteron) at 8 cores — versus
@@ -77,9 +80,8 @@ flatten from 4 to 8 cores while the proposed method keeps scaling —
 the paper's central claim.  JT3 (width 10) scales worst for the
 per-primitive baselines, consistent with the paper's overhead analysis.""",
     ),
-    (
+    "fig8": (
         "Fig. 8 — load balance and scheduling overhead",
-        ["fig8_load_balance"],
         """\
 **Paper:** per-thread computation times on JT1 (Opteron) are nearly
 equal at every thread count, and scheduling takes less than 0.9 % of the
@@ -91,9 +93,8 @@ grows mildly with thread count (lock contention) but stays at 0.60 % at
 8 threads — under the paper's 0.9 % bound, with the same rising trend
 the paper shows.""",
     ),
-    (
+    "fig9": (
         "Fig. 9 — parameter sweeps around Junction tree 1",
-        ["fig9a", "fig9b", "fig9c", "fig9d"],
         """\
 **Paper:** varying N (cliques), w_C (width), r (states) and k (children)
 around JT1, all configurations show linear speedup above 7 at 8 cores —
@@ -105,9 +106,8 @@ scheduling overheads are relatively large.
 small-table case); raising r to 3 at width 10 restores ~7.1.  Same
 winners, same outlier, same reason.""",
     ),
-    (
+    "rerooting-cost": (
         "Section 7 text — rerooting cost",
-        ["rerooting_cost"],
         """\
 **Paper:** rerooting a 512-clique tree took 24 µs against an overall
 execution time of ~milliseconds (negligible), and Algorithm 1 is
@@ -118,56 +118,39 @@ O(w_C N) versus the straightforward O(w_C N^2) approach.
 modeled rerooting cost is < 0.02 % of the simulated propagation
 makespan — negligible, as the paper reports.""",
     ),
-    (
+    "ablations": (
         "Ablations (beyond the paper)",
-        [
-            "ablation_partition_threshold",
-            "ablation_rerooting",
-            "ablation_fetch_priority",
-            "ablation_lock_contention",
-            "ablation_allocation",
-        ],
         """\
 Design-choice ablations called out in DESIGN.md: the partition threshold
 δ (off / coarse / default / fine), rerooting under the full scheduler,
-the Fetch-module ordering (FIFO vs critical-path-first), lock-contention
-overhead (shared-lock vs work-stealing), and the Allocate-module
-heuristic in the real threaded executor.""",
+lock-contention overhead (shared-lock vs work-stealing), and the
+Allocate-module heuristic in the real threaded executor (wall clock, so
+that last table varies run to run).""",
     ),
-    (
-        "Extensions (beyond the paper)",
-        ["extension_cluster_vs_shared", "extension_manycore",
-         "robustness_seeds"],
+    "manycore": (
+        "Extension — many-core projection (beyond the paper)",
         """\
-Two projections of the paper's argument: (1) the same task graph on a
-message-passing cluster (the related-work platform) scales clearly below
-shared memory — the paper's motivation quantified; (2) extrapolating the
-calibrated model to 64 cores on a fine-grained workload shows the
-shared-lock scheduler capping and then degrading while the Section 8
-work-stealing remedy keeps scaling.  A seed sweep confirms the headline
-speedup is a property of the workload class, not of one lucky seed.""",
+Extrapolating the calibrated model to 64 cores on a fine-grained
+workload shows the shared-lock scheduler capping and then degrading
+while the Section 8 work-stealing remedy keeps scaling.""",
     ),
-]
+    "robustness": (
+        "Extension — seed robustness (beyond the paper)",
+        """\
+A seed sweep confirms the headline speedup is a property of the
+workload class, not of one lucky seed.""",
+    ),
+}
 
 
 def main() -> int:
-    if not RESULTS.exists():
-        print(
-            "no benchmarks/results/ directory; run "
-            "`pytest benchmarks/ --benchmark-only` first",
-            file=sys.stderr,
-        )
-        return 1
     parts = [HEADER]
-    for title, names, commentary in SECTIONS:
+    for name, experiment in EXPERIMENTS.items():
+        title, commentary = PROSE[name]
+        table = experiment.render(experiment.run())
         parts.append(f"\n## {title}\n")
         parts.append(commentary + "\n")
-        for name in names:
-            path = RESULTS / f"{name}.txt"
-            if path.exists():
-                parts.append("```\n" + path.read_text().rstrip() + "\n```\n")
-            else:
-                parts.append(f"*(missing: {name}.txt — rerun benchmarks)*\n")
+        parts.append("```\n" + table + "\n```\n")
     (ROOT / "EXPERIMENTS.md").write_text("\n".join(parts))
     print(f"wrote {ROOT / 'EXPERIMENTS.md'}")
     return 0
