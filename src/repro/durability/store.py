@@ -36,7 +36,12 @@ import re
 from typing import Dict, Optional, Tuple
 
 from repro.durability.journal import atomic_write_bytes, atomic_write_text
-from repro.integrity.checkpoint import read_manifest, tree_signature
+from repro.integrity.checkpoint import (
+    CHECKPOINT_FORMAT,
+    CheckpointMismatch,
+    read_manifest,
+    tree_signature,
+)
 from repro.io.json_io import tree_from_dict, tree_to_dict
 
 _SLUG_OK = re.compile(r"[^A-Za-z0-9._-]")
@@ -127,10 +132,16 @@ class DurableModelStore:
         with open(ckpt_path, "rb") as handle:
             baseline = handle.read()
         recorded = read_manifest(io.BytesIO(baseline))
+        if recorded.get("format") != CHECKPOINT_FORMAT:
+            # Written by a build with another table layout: recompile
+            # cold now, not fail the restore at first acquire.
+            raise CheckpointMismatch(
+                f"durable checkpoint for {model_id!r} has format "
+                f"{recorded.get('format')!r}, this build reads "
+                f"{CHECKPOINT_FORMAT}"
+            )
         expected = tree_signature(junction_tree)
         if recorded.get("tree_signature") != expected:
-            from repro.integrity.checkpoint import CheckpointMismatch
-
             raise CheckpointMismatch(
                 f"durable checkpoint for {model_id!r} was written against a "
                 f"different tree (signature {recorded.get('tree_signature')!r}"

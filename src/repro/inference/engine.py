@@ -100,6 +100,9 @@ class InferenceEngine:
         # (lazy distribute: a targeted query refreshes only the cliques
         # on the root-to-host paths and leaves the rest stale).
         self._stale: Set[int] = set()
+        # The ``resilience`` the last propagate() asked for; repropagations
+        # that queries trigger on their own run under it too.
+        self._resilience = None
         self.last_stats: Optional[ExecutionStats] = None
         # PropagationTrace of the last traced propagate(trace=...), if any.
         self.last_trace = None
@@ -211,68 +214,80 @@ class InferenceEngine:
         call simply repropagates.
         """
         with self._lock:
-            return self._propagate_locked(
+            self._resilience = resilience
+            return self._repropagate(
                 executor=executor, resilience=resilience, trace=trace,
                 incremental=incremental, deadline=deadline,
             )
 
-    def _propagate_locked(
-        self, executor=None, resilience=None, trace=None, incremental="auto",
-        deadline=None,
+    def _repropagate(
+        self, targets: Optional[Set[int]] = None, executor=None,
+        resilience=None, trace=None, incremental=True, deadline=None,
     ) -> PropagationState:
-        cards = self._cardinalities()
-        assignments = self.evidence.checked_against(cards)
-        soft = self.evidence.soft_as_dict()
+        """The one repropagation: plan, state, restricted graph, run, adopt.
 
+        Brings the cached state up to the current findings with the
+        distribute phase restricted to the root-to-``targets`` paths
+        (``None``: every clique); cliques left out stay in ``_stale``.
+        The new state replaces ``self._state`` only after the run
+        succeeded.  ``incremental`` is :meth:`propagate`'s argument.
+        """
+        assignments = self.evidence.checked_against(self._cardinalities())
+        soft = self.evidence.soft_as_dict()
         plan = None
         if incremental and self._state is not None:
+            # None: reuse is unsound (weakening delta over zeroed
+            # separators, missing collect messages) -> full propagation.
             plan = plan_incremental(self.jt, self._state, assignments, soft)
-
-        if plan is not None and not plan.changed_variables:
-            if incremental is True:
-                # Same findings: calibrate whatever is still stale, reuse.
-                state = self._top_up(executor=executor, targets=None)
-                self._mark_synced()
-                return state
-            plan = None  # "auto": preserve full re-run semantics
-
+        if (
+            plan is not None
+            and not plan.changed_variables
+            and incremental is not True
+        ):
+            plan = None  # "auto", same findings: full re-run semantics
         if plan is None:
             state = PropagationState(self.jt, assignments, soft)
             graph = self.task_graph
-            stale_after: Set[int] = set()
+            stale: Set[int] = set()
             meta = {"mode": "full"}
         else:
-            state = PropagationState.incremental(
-                self._state,
-                evidence=assignments,
-                soft_evidence=soft,
-                rebuild=sorted(plan.rebuild),
-            )
-            # Full calibration: every non-root clique is stale under the
-            # new findings, so distribute covers the whole tree (None).
+            if plan.changed_variables:
+                state = PropagationState.incremental(
+                    self._state,
+                    evidence=assignments,
+                    soft_evidence=soft,
+                    rebuild=sorted(plan.rebuild),
+                )
+                # Every non-root clique is stale under the new findings.
+                stale = set(range(self.jt.num_cliques)) - {self.jt.root}
+            else:
+                # Same findings: finish the lazy distribute on the state
+                # we have (zero tasks when the targets are calibrated).
+                state, stale = self._state, self._stale
+            edges = distribute_edges_for(self.jt, stale, targets)
             graph = build_task_graph(
                 self.jt,
                 collect_edges=plan.collect_edges,
-                distribute_edges=None,
+                distribute_edges=edges,
             )
-            stale_after = set()
+            stale = stale - {child for _, child in edges}
             meta = {
                 "mode": "incremental",
                 "dirty_cliques": len(plan.dirty),
                 "rebuilt_cliques": len(plan.rebuild),
                 "tasks_skipped": self.task_graph.num_tasks - graph.num_tasks,
             }
-
-        stats = self._run_graph(
-            graph, state, executor=executor, resilience=resilience,
-            trace=trace, meta=meta, deadline=deadline,
-        )
-        if plan is not None:
-            stats.incremental = True
-            stats.tasks_skipped = self.task_graph.num_tasks - graph.num_tasks
-        self.last_stats = stats
+        if graph.num_tasks or state is not self._state:
+            stats = self._run_graph(
+                graph, state, executor=executor, resilience=resilience,
+                trace=trace, meta=meta, deadline=deadline,
+            )
+            if plan is not None:
+                stats.incremental = True
+                stats.tasks_skipped = meta["tasks_skipped"]
+            self.last_stats = stats
         self._state = state
-        self._stale = stale_after
+        self._stale = stale
         self._mark_synced()
         return state
 
@@ -626,76 +641,26 @@ class InferenceEngine:
                 self.last_trace.save(trace)
         return stats
 
-    def _top_up(
-        self, executor=None, targets: Optional[Set[int]] = None
-    ) -> PropagationState:
-        """Distribute to still-stale cliques of the current state."""
-        state = self._state
-        edges = distribute_edges_for(self.jt, self._stale, targets)
-        if edges:
-            graph = build_task_graph(
-                self.jt, collect_edges=(), distribute_edges=edges
-            )
-            stats = self._run_graph(graph, state, executor=executor)
-            stats.incremental = True
-            stats.tasks_skipped = self.task_graph.num_tasks - graph.num_tasks
-            self.last_stats = stats
-            self._stale -= {child for _, child in edges}
-        return state
-
     def _sync(
         self, targets: Optional[Set[int]] = None
     ) -> PropagationState:
         """Make the cached state answer queries on ``targets`` correctly.
 
-        Four cases, cheapest first: no propagation yet (raise — the
-        caller never asked for one), evidence unchanged and targets fresh
-        (no-op), evidence unchanged but targets stale (distribute top-up),
-        evidence changed (incremental repropagation with distribution
-        restricted to the targets; full propagation when the incremental
-        plan is unsound).
+        No propagation yet: raise (the caller never asked for one).
+        Evidence unchanged and targets fresh: no-op.  Otherwise one
+        :meth:`_repropagate` restricted to the targets — a distribute
+        top-up, an incremental repropagation or, when reuse is unsound, a
+        full one — under the resilience the last :meth:`propagate` asked for.
         """
         if self._state is None:
             raise RuntimeError(
                 "no propagation results; call propagate() after setting evidence"
             )
-        if self._evidence_token != (id(self.evidence), self.evidence.version):
-            cards = self._cardinalities()
-            assignments = self.evidence.checked_against(cards)
-            soft = self.evidence.soft_as_dict()
-            plan = plan_incremental(self.jt, self._state, assignments, soft)
-            if plan is None:
-                # Unsound reuse (weakening delta over zeroed separators,
-                # or missing collect messages): full repropagation.
-                state = PropagationState(self.jt, assignments, soft)
-                self.last_stats = SerialExecutor().run(self.task_graph, state)
-                self._state = state
-                self._stale = set()
-            elif plan.changed_variables:
-                state = PropagationState.incremental(
-                    self._state,
-                    evidence=assignments,
-                    soft_evidence=soft,
-                    rebuild=sorted(plan.rebuild),
-                )
-                stale = set(range(self.jt.num_cliques)) - {self.jt.root}
-                edges = distribute_edges_for(self.jt, stale, targets)
-                graph = build_task_graph(
-                    self.jt,
-                    collect_edges=plan.collect_edges,
-                    distribute_edges=edges,
-                )
-                stats = SerialExecutor().run(graph, state)
-                stats.incremental = True
-                stats.tasks_skipped = (
-                    self.task_graph.num_tasks - graph.num_tasks
-                )
-                self.last_stats = stats
-                self._state = state
-                self._stale = stale - {child for _, child in edges}
-            self._mark_synced()
-        if self._stale and (targets is None or (targets & self._stale)):
-            self._top_up(targets=targets)
+        moved = self._evidence_token != (id(self.evidence), self.evidence.version)
+        if moved or (
+            self._stale and (targets is None or (targets & self._stale))
+        ):
+            self._repropagate(targets=targets, resilience=self._resilience)
         return self._state
 
     # ------------------------------------------------------------------ #

@@ -129,9 +129,10 @@ def distribute_edges_for(
     the root, matching the dependency expectations of
     :func:`repro.tasks.dag.build_task_graph`.
     """
-    edges: Set[Edge] = set()
     if targets is None:
-        targets = stale
+        # Every stale clique is its own target.
+        return {(jt.parent[c], c) for c in stale if jt.parent[c] is not None}
+    edges: Set[Edge] = set()
     for t in targets:
         for c in jt.path_to_root(t):
             p = jt.parent[c]
@@ -143,18 +144,3 @@ def distribute_edges_for(
                 break
             edges.add((p, c))
     return edges
-
-
-def incremental_state(
-    prev: PropagationState,
-    plan: IncrementalPlan,
-    new_assignments: Mapping[int, int],
-    new_soft: Mapping[int, "np.ndarray"],
-) -> PropagationState:
-    """Materialize the plan: a new state carrying ``prev``'s clean tables."""
-    return PropagationState.incremental(
-        prev,
-        evidence=new_assignments,
-        soft_evidence=new_soft,
-        rebuild=sorted(plan.rebuild),
-    )

@@ -2,33 +2,38 @@
 
 Format: one ``.npz`` archive with exactly two entries — a
 ``__manifest__`` JSON document and a single ``__tables__`` float64
-vector packing every working table back to back in canonical key
-order.  One packed vector instead of one npz entry per table matters:
-a serving-scale tree holds thousands of small tables, and the per-entry
-zip + npy-header overhead of reading them individually costs more than
-the whole restore is allowed to (warm restart must beat recalibration
-by a wide margin).  The manifest records:
+vector: the state's table buffer as it stands, in
+:func:`repro.tasks.layout.table_layout` order.  One packed vector
+instead of one npz entry per table matters: a serving-scale tree holds
+thousands of small tables, and the per-entry zip + npy-header overhead
+of reading them individually costs more than the whole restore is
+allowed to (warm restart must beat recalibration by a wide margin).
+Because the vector *is* the buffer, saving packs nothing and restoring
+adopts the loaded vector through the same layout the live state uses.
+The manifest records:
 
-* the checkpoint format version,
+* the checkpoint format version (``2``: layout-ordered buffer; a
+  format-``1`` archive, packed in sorted-key order, is refused like any
+  other foreign format),
 * :func:`tree_signature` of the junction tree the state was calibrated
   on (clique scopes, topology *and* prior potentials — a checkpoint is
-  only valid against the exact tree it came from),
-* the table index: each packed table's key — clique potentials
-  (``pot:<i>``), separators (``sep:<p>:<c>``) and pipeline
-  intermediates (``inter:<phase>:<p>:<c>:<stage>``, which includes the
-  stored child messages the incremental planner needs) — with its
-  entry count, in pack order,
+  only valid against the exact tree it came from; the layout is a
+  function of the same scopes and topology),
+* the table index: which pipeline intermediates were computed (as
+  positions in the layout's ``inter`` order — the stored child messages
+  the incremental planner needs are among them; a slot no task wrote
+  stays absent after restore),
 * the hard evidence and soft-evidence weight vectors, with their
   canonical :func:`evidence_signature`,
-* a whole-state crc32 over the key index and the packed bytes.
+* a whole-state crc32 over the table index and the packed bytes.
 
 ``float64`` round-trips through npz bit-exactly, so a state restored
 by :func:`load_state` answers queries *bit-identically* to the state
 that was saved.  Loading validates everything it can and refuses with a
 typed error instead of returning a silently-wrong state:
-:class:`CheckpointMismatch` for a foreign tree or inconsistent evidence
-record, :class:`CheckpointCorrupt` for bytes that fail the whole-state
-checksum or a structurally broken archive.
+:class:`CheckpointMismatch` for a foreign tree, format or inconsistent
+evidence record, :class:`CheckpointCorrupt` for bytes that fail the
+whole-state checksum or a structurally broken archive.
 """
 
 from __future__ import annotations
@@ -37,24 +42,16 @@ import hashlib
 import json
 import os
 import zlib
-from typing import Dict, List, Mapping, Optional, Tuple
-from weakref import WeakKeyDictionary
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
-CHECKPOINT_FORMAT = 1
+from repro.tasks.layout import table_layout
+
+CHECKPOINT_FORMAT = 2
 
 _MANIFEST_KEY = "__manifest__"
 _TABLES_KEY = "__tables__"
-
-# Restore plans (decoded table keys + resolved scopes) memoized per live
-# junction tree.  Warm restart is repeated by design — the session pool
-# recycles every poisoned engine from the same baseline against the same
-# tree — so the name-decoding and scope-resolution work is paid once.
-# Entries are (tree_signature, joined_names, plan); both are re-checked
-# before reuse, so a mutated tree or a different archive never hits a
-# stale plan.
-_RESTORE_PLANS: "WeakKeyDictionary" = WeakKeyDictionary()
 
 
 class CheckpointError(RuntimeError):
@@ -110,42 +107,15 @@ def evidence_signature(
     return repr((hard, soft))
 
 
-# --------------------------------------------------------------------- #
-# Key encoding (npz archive names <-> PropagationState table keys)
-# --------------------------------------------------------------------- #
+def _state_checksum(computed: List[int], packed: np.ndarray) -> int:
+    """crc32 over the table index and the packed table bytes.
 
-
-def _encode_key(key: tuple) -> str:
-    if key[0] == "pot":
-        return f"pot:{key[1]}"
-    if key[0] == "sep":
-        parent, child = key[1]
-        return f"sep:{parent}:{child}"
-    phase, (parent, child), stage = key[1], key[2], key[3]
-    return f"inter:{phase}:{parent}:{child}:{stage}"
-
-
-def _decode_key(name: str) -> tuple:
-    parts = name.split(":")
-    if parts[0] == "pot" and len(parts) == 2:
-        return ("pot", int(parts[1]))
-    if parts[0] == "sep" and len(parts) == 3:
-        return ("sep", (int(parts[1]), int(parts[2])))
-    if parts[0] == "inter" and len(parts) == 5:
-        return ("inter", parts[1], (int(parts[2]), int(parts[3])), parts[4])
-    raise CheckpointCorrupt(f"unrecognized checkpoint table key {name!r}")
-
-
-def _state_checksum(names: List[str], packed: np.ndarray) -> int:
-    """crc32 over the table-key index and the packed table bytes.
-
-    Two crc updates total, not two per table: the key list (pack order
-    is part of what the checksum protects — swapping two same-sized
-    tables must not validate) followed by the whole packed vector.
+    Two crc updates total, not two per table: the computed-intermediate
+    index (which slots hold a message is part of what the checksum
+    protects) followed by the whole packed vector.
     """
-    crc = zlib.crc32("\x00".join(names).encode())
-    flat = np.ascontiguousarray(packed, dtype=np.float64)
-    return zlib.crc32(flat.tobytes(), crc)
+    crc = zlib.crc32(",".join(map(str, computed)).encode())
+    return zlib.crc32(np.ascontiguousarray(packed, dtype=np.float64), crc)
 
 
 # --------------------------------------------------------------------- #
@@ -172,26 +142,11 @@ def save_state(state, path) -> Dict[str, object]:
             "checkpointing batched states is not supported; checkpoint the "
             "single-case session state instead"
         )
-    arrays: Dict[str, np.ndarray] = {}
-    for i, table in state.potentials.items():
-        arrays[_encode_key(("pot", i))] = np.asarray(
-            table.values, dtype=np.float64
-        )
-    for edge, table in state.separators.items():
-        arrays[_encode_key(("sep", edge))] = np.asarray(
-            table.values, dtype=np.float64
-        )
-    for (phase, edge, stage), table in state._inter.items():
-        arrays[_encode_key(("inter", phase, edge, stage))] = np.asarray(
-            table.values, dtype=np.float64
-        )
-    names = sorted(arrays)
-    if names:
-        packed = np.concatenate(
-            [np.ascontiguousarray(arrays[n]).reshape(-1) for n in names]
-        )
-    else:
-        packed = np.empty(0, dtype=np.float64)
+    layout = table_layout(state.jt)
+    computed = [
+        index for index, key in enumerate(layout.inter) if key in state._inter
+    ]
+    packed = state.buffer
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "tree_signature": tree_signature(state.jt),
@@ -203,13 +158,10 @@ def save_state(state, path) -> Dict[str, object]:
         "evidence_signature": evidence_signature(
             state.evidence, state.soft_evidence
         ),
-        "state_checksum": _state_checksum(names, packed),
-        # NUL-joined keys + a flat size list instead of a list of pairs:
-        # the manifest is parsed on every warm restart, and json.loads
-        # of 761 two-element lists costs more than the rest of the parse.
-        "table_names": "\x00".join(names),
-        "table_sizes": [int(arrays[n].size) for n in names],
-        "tables": len(names),
+        "state_checksum": _state_checksum(computed, packed),
+        "computed": computed,
+        "tables": len(layout.potentials) + len(layout.separators)
+        + len(computed),
     }
     entries = {
         _MANIFEST_KEY: np.array(json.dumps(manifest)),
@@ -296,20 +248,16 @@ def load_state(
             f"(checkpoint {str(expected_tree)[:12]}…, "
             f"this tree {actual_tree[:12]}…)"
         )
-    joined = manifest.get("table_names", "")
-    names = joined.split("\x00") if joined else []
-    sizes = [int(s) for s in manifest.get("table_sizes", [])]
-    if len(names) != len(sizes):
+    layout = table_layout(jt)
+    index = manifest.get("computed")
+    if not isinstance(index, list) or packed.shape != (layout.size,):
         raise CheckpointCorrupt(
-            f"manifest lists {len(names)} table keys but {len(sizes)} sizes"
-        )
-    if sum(sizes) != packed.size:
-        raise CheckpointCorrupt(
-            f"packed table vector has {packed.size} entries, the manifest "
-            f"index implies {sum(sizes)}"
+            f"table index {type(index).__name__} / packed vector of shape "
+            f"{packed.shape}: the tree's layout needs a list and "
+            f"({layout.size},)"
         )
     recorded = manifest.get("state_checksum")
-    actual = _state_checksum(names, packed)
+    actual = _state_checksum(index, packed)
     if recorded != actual:
         raise CheckpointCorrupt(
             f"whole-state checksum mismatch (recorded {recorded}, "
@@ -333,123 +281,16 @@ def load_state(
             "checkpoint evidence signature does not match the expected one"
         )
 
-    from repro.potential.table import PotentialTable
-
-    cached = _RESTORE_PLANS.get(jt)
-    if cached is not None and cached[0] == actual_tree and cached[1] == joined:
-        plan = cached[2]
-    else:
-        plan = _build_plan(jt, names)
-        try:
-            _RESTORE_PLANS[jt] = (actual_tree, joined, plan)
-        except TypeError:  # non-weakref-able tree stand-ins stay uncached
-            pass
-
-    state = PropagationState.__new__(PropagationState)
-    state.jt = jt
-    state.evidence = evidence
-    state.soft_evidence = soft_evidence
-    state.batch = None
-    state.case_evidence = None
-    state.potentials = {}
-    state.separators = {}
-    state._inter = {}
-    # The restored tables are disjoint views into ``packed`` (which this
-    # state owns outright), so no per-table copy is needed — the point
-    # of the packed format is that warm restart does O(tables) cheap
-    # slicing, not O(tables) archive reads.
-    containers = (state.potentials, state.separators, state._inter)
-    offset = 0
-    for (which, dkey, scope, cards, expected), name, size in zip(
-        plan, names, sizes
-    ):
-        values = packed[offset:offset + size]
-        offset += size
-        containers[which][dkey] = _table(
-            PotentialTable, scope, cards, expected, values, name
-        )
-    return state
-
-
-def _build_plan(jt, names: List[str]) -> List[tuple]:
-    """Decode checkpoint table keys and resolve their scopes on ``jt``.
-
-    Returns one ``(container, dict_key, scope, cards, expected)`` entry
-    per name, where ``container`` indexes (potentials, separators,
-    intermediates).  Scope lookups are cached per clique and per edge —
-    thousands of tables share a few hundred scopes — and the whole plan
-    is memoized per tree so repeated warm restarts skip this entirely.
-    """
-    from repro.tasks.task import COLLECT
-
-    clique_scopes = [
-        (c.variables, c.cardinalities, c.table_size) for c in jt.cliques
-    ]
-    sep_scopes: Dict[Tuple[int, int], tuple] = {}
-
-    def _sep_scope(parent: int, child: int) -> tuple:
-        cached = sep_scopes.get((parent, child))
-        if cached is None:
-            sep = jt.separator(child, parent)
-            cards = jt.separator_cards(child, parent)
-            expected = 1
-            for c in cards:
-                expected *= c
-            cached = (sep, cards, expected)
-            sep_scopes[(parent, child)] = cached
-        return cached
-
-    plan: List[tuple] = []
-    seen_pots = set()
-    for name in names:
-        key = _decode_key(name)
-        if key[0] == "pot":
-            i = key[1]
-            if not 0 <= i < jt.num_cliques:
-                raise CheckpointMismatch(
-                    f"checkpoint clique {i} does not exist in this tree"
-                )
-            seen_pots.add(i)
-            scope, cards, expected = clique_scopes[i]
-            plan.append((0, i, scope, cards, expected))
-        elif key[0] == "sep":
-            parent, child = key[1]
-            scope, cards, expected = _sep_scope(parent, child)
-            plan.append((1, (parent, child), scope, cards, expected))
-        else:
-            _, phase, (parent, child), stage = key
-            if stage == "extended":
-                target = parent if phase == COLLECT else child
-                scope, cards, expected = clique_scopes[target]
-            else:  # sep_new / ratio live on the separator scope
-                scope, cards, expected = _sep_scope(parent, child)
-            plan.append(
-                (2, (phase, (parent, child), stage), scope, cards, expected)
-            )
-    missing = [i for i in range(jt.num_cliques) if i not in seen_pots]
-    if missing:
+    keys = list(layout.inter)
+    try:
+        computed = [keys[i] for i in index]
+    except (TypeError, IndexError) as exc:
         raise CheckpointCorrupt(
-            f"checkpoint is missing clique potentials {missing[:5]}"
-        )
-    return plan
-
-
-def _table(cls, variables, cardinalities, expected, values, name):
-    """Rebuild one table without re-running scope validation.
-
-    The scope metadata comes from the *live* junction tree (not the
-    archive), so only the entry count needs checking here; bypassing
-    ``PotentialTable.__init__`` keeps warm restart's per-table cost to a
-    reshape and four slot assignments.
-    """
-    if values.size != expected:
-        raise CheckpointCorrupt(
-            f"table {name!r} has {values.size} entries, scope implies "
-            f"{expected}"
-        )
-    table = cls.__new__(cls)
-    table.variables = variables
-    table.cardinalities = cardinalities
-    table.values = values.reshape(cardinalities or ())
-    table.batch = None
-    return table
+            "manifest table index does not name intermediates of this tree"
+        ) from exc
+    # ``packed`` is a fresh array this call owns outright, already in
+    # layout order: the restored state adopts it as its buffer, so warm
+    # restart builds views and copies nothing.
+    return PropagationState.over(
+        jt, packed, evidence, soft_evidence, computed=computed
+    )

@@ -59,9 +59,8 @@ def crc32_regions(
     each).
 
     Region order matters and callers on both sides of the process
-    boundary must use the same one — :meth:`_ShmOps.written_flat
-    <repro.sched.process._ShmOps.written_flat>` is the single source of
-    that order.
+    boundary must use the same one — :func:`repro.sched.process._written_flat`
+    is the single source of that order.
     """
     crc = 0
     for region in regions:

@@ -21,11 +21,12 @@ from repro.potential.primitives import (
     primitive_flops,
 )
 from repro.potential.partition import (
+    add_partials_into,
     chunk_ranges,
-    divide_chunk,
-    extend_chunk,
+    divide_chunk_into,
+    extend_chunk_into,
     marginalize_chunk,
-    multiply_chunk,
+    multiply_chunk_into,
 )
 
 __all__ = [
@@ -38,7 +39,8 @@ __all__ = [
     "primitive_flops",
     "chunk_ranges",
     "marginalize_chunk",
-    "extend_chunk",
-    "multiply_chunk",
-    "divide_chunk",
+    "extend_chunk_into",
+    "multiply_chunk_into",
+    "divide_chunk_into",
+    "add_partials_into",
 ]

@@ -1,18 +1,20 @@
 """Chunked execution of node-level primitives.
 
 The paper's Partition module (Section 6) splits a large task into subtasks
-that each process a slice of the potential table; the final subtask combines
-the partial results (concatenation for extend/multiply/divide, addition for
-marginalization).  The functions here compute exactly one such slice, so the
-real threaded scheduler and the multicore simulator can share the same
-partitioning semantics.
+that each process a slice of the potential table; the final subtask
+``T̂_n`` combines the partial results.  The functions here compute exactly
+one such slice, one kernel per primitive, so every executor and the
+multicore simulator share the same partitioning semantics.
 
 Slices are expressed over the *flat* (C-order) index space of a table:
 
-* For extend/multiply/divide the **output** index space is partitioned and
-  each chunk is computed independently; the combiner concatenates.
+* For extend/multiply/divide the **output** index space is partitioned:
+  the output table lives in a buffer every worker (thread or process)
+  sees, each chunk owns a disjoint slice of it and writes that slice in
+  place (``*_chunk_into``), and nothing is left to combine.
 * For marginalization the **input** index space is partitioned; each chunk
-  produces a partial output table and the combiner adds them.
+  returns a partial output table (:func:`marginalize_chunk`) and the
+  combiner adds them (:func:`add_partials_into`).
 """
 
 from __future__ import annotations
@@ -94,16 +96,17 @@ def marginalize_chunk(
     return PotentialTable(onto, cards, out, batch=table.batch)
 
 
-def extend_chunk(
+def extend_chunk_into(
+    out_flat: np.ndarray,
     table: PotentialTable,
     variables: Sequence[int],
     cardinalities: Sequence[int],
     lo: int,
     hi: int,
-) -> np.ndarray:
-    """Entries ``[lo, hi)`` of the flat extended table.
+) -> None:
+    """Write entries ``[lo, hi)`` of the flat extended table into ``out_flat``.
 
-    Concatenating the chunks of a full partition reproduces
+    Writing every chunk of a full partition reproduces
     :func:`repro.potential.primitives.extend`.
     """
     variables = tuple(int(v) for v in variables)
@@ -132,48 +135,7 @@ def extend_chunk(
         )
     else:
         src_flat = np.zeros(hi - lo, dtype=np.intp)
-    return table.values.reshape(-1)[src_flat]
-
-
-def multiply_chunk(
-    a_flat: np.ndarray, b_flat: np.ndarray, lo: int, hi: int
-) -> np.ndarray:
-    """Entries ``[lo, hi)`` of the pointwise product of two aligned tables."""
-    return a_flat[lo:hi] * b_flat[lo:hi]
-
-
-def divide_chunk(
-    num_flat: np.ndarray, den_flat: np.ndarray, lo: int, hi: int
-) -> np.ndarray:
-    """Entries ``[lo, hi)`` of the pointwise ratio (0/0 = 0) of aligned tables."""
-    num = num_flat[lo:hi]
-    den = den_flat[lo:hi]
-    out = np.zeros_like(num)
-    np.divide(num, den, out=out, where=den != 0)
-    return out
-
-
-# --------------------------------------------------------------------- #
-# In-place chunk writers
-# --------------------------------------------------------------------- #
-# When the output table lives in a buffer shared between workers (threads
-# or processes over multiprocessing.shared_memory), the concatenating
-# primitives need no combiner at all: each chunk owns a disjoint slice of
-# the flat output and writes it directly.  These helpers express exactly
-# that idiom; only marginalization still needs an additive combine
-# (:func:`add_partials_into`).
-
-
-def extend_chunk_into(
-    out_flat: np.ndarray,
-    table: PotentialTable,
-    variables: Sequence[int],
-    cardinalities: Sequence[int],
-    lo: int,
-    hi: int,
-) -> None:
-    """Write entries ``[lo, hi)`` of the extension directly into ``out_flat``."""
-    out_flat[lo:hi] = extend_chunk(table, variables, cardinalities, lo, hi)
+    out_flat[lo:hi] = table.values.reshape(-1)[src_flat]
 
 
 def multiply_chunk_into(
@@ -190,8 +152,12 @@ def divide_chunk_into(
     lo: int,
     hi: int,
 ) -> None:
-    """Write the ``[lo, hi)`` ratio slice (0/0 = 0) into ``out_flat``."""
-    out_flat[lo:hi] = divide_chunk(num_flat, den_flat, lo, hi)
+    """Write the ``[lo, hi)`` ratio slice (0/0 = 0) of two aligned tables
+    into ``out_flat``."""
+    den = den_flat[lo:hi]
+    out = out_flat[lo:hi]
+    out[...] = 0.0
+    np.divide(num_flat[lo:hi], den, out=out, where=den != 0)
 
 
 def add_partials_into(

@@ -6,15 +6,17 @@ Propagating evidence from clique Y to clique X through separator S is
     ratio     = divide(psi_S_new, psi_S_old)
     psi_X_new = multiply(psi_X, extend(ratio, scope(X)))
 
-(Eq. 1 of the paper).  Each primitive here is a pure function of potential
-tables; :func:`primitive_flops` gives the operation-count estimate used both
-for task weights in the scheduler and for the multicore cost model.
+(Eq. 1 of the paper).  Each primitive here is a function of potential
+tables that returns a new table or, given ``out=``, writes the same values
+into a table the caller already holds (the propagation state's hot path);
+:func:`primitive_flops` gives the operation-count estimate used both for
+task weights in the scheduler and for the multicore cost model.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -47,25 +49,58 @@ def _merged_batch(a: PotentialTable, b: PotentialTable):
     return a.batch if a.batch is not None else b.batch
 
 
-def marginalize(table: PotentialTable, onto: Sequence[int]) -> PotentialTable:
-    """Sum ``table`` down to the scope ``onto`` (a subset of its variables).
-
-    The result's axes follow the order of ``onto``; a batched table yields
-    a batched result (each case marginalized independently).
-    """
+def _reduce_onto(
+    reducer: np.ufunc,
+    what: str,
+    table: PotentialTable,
+    onto: Sequence[int],
+    out: Optional[PotentialTable],
+) -> PotentialTable:
+    """Fold ``table`` down to the scope ``onto`` with ``reducer``."""
     onto = tuple(int(v) for v in onto)
     missing = set(onto) - set(table.variables)
     if missing:
-        raise ValueError(f"marginalize target has unknown variables {missing}")
+        raise ValueError(f"{what} target has unknown variables {missing}")
     offset = 0 if table.batch is None else 1
     drop_axes = tuple(
         i + offset for i, v in enumerate(table.variables) if v not in onto
     )
-    summed = table.values.sum(axis=drop_axes) if drop_axes else table.values
-    kept = [v for v in table.variables if v in onto]
+    kept = tuple(v for v in table.variables if v in onto)
+    if out is not None:
+        out.require(
+            onto, tuple(table.card_of(v) for v in onto), table.batch
+        )
+        if drop_axes and kept == onto:
+            reducer.reduce(table.values, axis=drop_axes, out=out.values)
+            return out
+    folded = (
+        reducer.reduce(table.values, axis=drop_axes)
+        if drop_axes
+        else table.values
+    )
     kept_cards = [table.card_of(v) for v in kept]
-    partial = PotentialTable(kept, kept_cards, summed, batch=table.batch)
-    return partial.aligned_to(onto)
+    result = PotentialTable(
+        kept, kept_cards, folded, batch=table.batch
+    ).aligned_to(onto)
+    if out is None:
+        return result
+    out.values[...] = result.values
+    return out
+
+
+def marginalize(
+    table: PotentialTable,
+    onto: Sequence[int],
+    out: Optional[PotentialTable] = None,
+) -> PotentialTable:
+    """Sum ``table`` down to the scope ``onto`` (a subset of its variables).
+
+    The result's axes follow the order of ``onto``; a batched table yields
+    a batched result (each case marginalized independently).  ``out``, a
+    table over exactly that scope, receives the result in place and is
+    returned.
+    """
+    return _reduce_onto(np.add, "marginalize", table, onto, out)
 
 
 def max_marginalize(table: PotentialTable, onto: Sequence[int]) -> PotentialTable:
@@ -74,30 +109,21 @@ def max_marginalize(table: PotentialTable, onto: Sequence[int]) -> PotentialTabl
     The max-product analogue of :func:`marginalize`, used by MPE queries
     (Viterbi-style most-probable-explanation propagation).
     """
-    onto = tuple(int(v) for v in onto)
-    missing = set(onto) - set(table.variables)
-    if missing:
-        raise ValueError(f"max-marginalize target has unknown variables {missing}")
-    offset = 0 if table.batch is None else 1
-    drop_axes = tuple(
-        i + offset for i, v in enumerate(table.variables) if v not in onto
-    )
-    maxed = table.values.max(axis=drop_axes) if drop_axes else table.values
-    kept = [v for v in table.variables if v in onto]
-    kept_cards = [table.card_of(v) for v in kept]
-    partial = PotentialTable(kept, kept_cards, maxed, batch=table.batch)
-    return partial.aligned_to(onto)
+    return _reduce_onto(np.maximum, "max-marginalize", table, onto, None)
 
 
 def extend(
     table: PotentialTable,
     variables: Sequence[int],
     cardinalities: Sequence[int],
+    out: Optional[PotentialTable] = None,
 ) -> PotentialTable:
     """Broadcast ``table`` up to the superset scope ``variables``.
 
     New variables are replicated (each entry of ``table`` appears once per
     joint state of the added variables), matching the extension primitive.
+    ``out``, a table over exactly the target scope, receives the result in
+    place and is returned.
     """
     variables = tuple(int(v) for v in variables)
     cardinalities = tuple(int(c) for c in cardinalities)
@@ -120,16 +146,27 @@ def extend(
     if table.batch is not None:
         shape = [table.batch] + shape
         target_shape = (table.batch,) + cardinalities
-    values = aligned.values.reshape(shape)
-    values = np.broadcast_to(values, target_shape).copy()
-    return PotentialTable(variables, cardinalities, values, batch=table.batch)
+    values = np.broadcast_to(aligned.values.reshape(shape), target_shape)
+    if out is None:
+        return PotentialTable(
+            variables, cardinalities, values.copy(), batch=table.batch
+        )
+    out.require(variables, cardinalities, table.batch)
+    np.copyto(out.values, values)
+    return out
 
 
-def multiply(a: PotentialTable, b: PotentialTable) -> PotentialTable:
+def multiply(
+    a: PotentialTable,
+    b: PotentialTable,
+    out: Optional[PotentialTable] = None,
+) -> PotentialTable:
     """Pointwise product; ``b``'s scope must be a subset of ``a``'s.
 
     The result keeps ``a``'s scope and axis order (the common case is
     multiplying an extended separator ratio into a clique table).
+    ``out`` receives the result in place and is returned; it may be ``a``
+    itself (``a *= b``).
     """
     if not set(b.variables) <= set(a.variables):
         raise ValueError(
@@ -139,17 +176,27 @@ def multiply(a: PotentialTable, b: PotentialTable) -> PotentialTable:
     if b.variables != a.variables:
         b = extend(b, a.variables, a.cardinalities)
     # An unbatched operand broadcasts across the other's batch axis.
-    return PotentialTable(
-        a.variables, a.cardinalities, a.values * b.values, batch=batch
-    )
+    if out is None:
+        return PotentialTable(
+            a.variables, a.cardinalities, a.values * b.values, batch=batch
+        )
+    out.require(a.variables, a.cardinalities, batch)
+    np.multiply(a.values, b.values, out=out.values)
+    return out
 
 
-def divide(numerator: PotentialTable, denominator: PotentialTable) -> PotentialTable:
+def divide(
+    numerator: PotentialTable,
+    denominator: PotentialTable,
+    out: Optional[PotentialTable] = None,
+) -> PotentialTable:
     """Pointwise ratio over identical scopes with the 0/0 = 0 convention.
 
     A zero in the denominator implies the corresponding separator state has
     zero mass, in which case the numerator is also zero and the standard
-    junction-tree convention defines the ratio as zero.
+    junction-tree convention defines the ratio as zero.  ``out``, a table
+    over the numerator's scope that is neither operand, receives the result
+    in place and is returned.
     """
     if set(numerator.variables) != set(denominator.variables):
         raise ValueError(
@@ -158,14 +205,22 @@ def divide(numerator: PotentialTable, denominator: PotentialTable) -> PotentialT
         )
     batch = _merged_batch(numerator, denominator)
     denom = denominator.aligned_to(numerator.variables)
-    shape = np.broadcast_shapes(numerator.values.shape, denom.values.shape)
-    out = np.zeros(shape, dtype=np.float64)
+    if out is None:
+        shape = np.broadcast_shapes(numerator.values.shape, denom.values.shape)
+        out = PotentialTable(
+            numerator.variables,
+            numerator.cardinalities,
+            np.zeros(shape, dtype=np.float64),
+            batch=batch,
+        )
+    else:
+        out.require(numerator.variables, numerator.cardinalities, batch)
+        out.values[...] = 0.0
     np.divide(
-        numerator.values, denom.values, out=out, where=denom.values != 0
+        numerator.values, denom.values, out=out.values,
+        where=denom.values != 0,
     )
-    return PotentialTable(
-        numerator.variables, numerator.cardinalities, out, batch=batch
-    )
+    return out
 
 
 def primitive_flops(

@@ -110,6 +110,20 @@ class PotentialTable:
         """Cardinality of ``variable``, which must be in the scope."""
         return self.cardinalities[self.variables.index(variable)]
 
+    def require(self, variables, cardinalities, batch) -> None:
+        """Raise unless this table is exactly the ``out=`` destination a
+        result over ``variables`` x ``cardinalities`` (``batch``) needs."""
+        if (
+            self.variables != variables
+            or self.cardinalities != cardinalities
+            or self.batch != batch
+        ):
+            raise ValueError(
+                f"out= has scope {self.variables} x {self.cardinalities} "
+                f"(batch {self.batch}), the result needs {variables} x "
+                f"{cardinalities} (batch {batch})"
+            )
+
     def scope_cards(self) -> Dict[int, int]:
         """Mapping of variable id to cardinality."""
         return dict(zip(self.variables, self.cardinalities))
@@ -142,28 +156,6 @@ class PotentialTable:
         """Identity potential (all entries 1) over the given scope."""
         return cls(variables, cardinalities, batch=batch)
 
-    @classmethod
-    def stack(cls, tables: Sequence["PotentialTable"]) -> "PotentialTable":
-        """Stack single-case tables over one scope into a batched table.
-
-        Tables must share a variable *set*; each is aligned to the first
-        table's axis order before stacking, so the batch rows are
-        case-for-case comparable.
-        """
-        tables = list(tables)
-        if not tables:
-            raise ValueError("stack needs at least one table")
-        first = tables[0]
-        if any(t.batch is not None for t in tables):
-            raise ValueError("stack expects single-case (unbatched) tables")
-        rows = [t.aligned_to(first.variables).values for t in tables]
-        return cls(
-            first.variables,
-            first.cardinalities,
-            np.stack(rows, axis=0),
-            batch=len(rows),
-        )
-
     def case(self, index: int) -> "PotentialTable":
         """Extract evidence case ``index`` of a batched table (copied)."""
         if self.batch is None:
@@ -175,31 +167,6 @@ class PotentialTable:
         return PotentialTable(
             self.variables, self.cardinalities, self.values[index].copy()
         )
-
-    @classmethod
-    def from_buffer(
-        cls,
-        variables: Sequence[int],
-        cardinalities: Sequence[int],
-        buffer,
-        offset: int = 0,
-    ) -> "PotentialTable":
-        """Zero-copy table view over ``buffer`` starting at byte ``offset``.
-
-        ``buffer`` is any object exposing the buffer protocol (typically the
-        ``buf`` of a ``multiprocessing.shared_memory.SharedMemory`` block).
-        The returned table's ``values`` array is a *view*: writes through it
-        are visible to every process attached to the same buffer.  Scalar
-        scopes (empty ``variables``) occupy one float64 entry.
-        """
-        cardinalities = tuple(int(c) for c in cardinalities)
-        count = 1
-        for c in cardinalities:
-            count *= c
-        values = np.frombuffer(
-            buffer, dtype=np.float64, count=count, offset=offset
-        )
-        return cls(variables, cardinalities, values)
 
     @classmethod
     def random(
@@ -245,15 +212,23 @@ class PotentialTable:
             batch=self.batch,
         )
 
-    def reduce(self, evidence: Mapping[int, int]) -> "PotentialTable":
+    def reduce(
+        self, evidence: Mapping[int, int], out: "PotentialTable" = None
+    ) -> "PotentialTable":
         """Instantiate evidence variables *in place of* their full axes.
 
         Entries inconsistent with the evidence are zeroed; the scope is kept
         so the table shape (and downstream task structure) is unchanged.
         This matches evidence absorption in the paper: the variable is
         instantiated and the remaining entries renormalized later.
+        ``out``, a table over this table's scope, receives the result in
+        place and is returned.
         """
-        values = self.values.copy()
+        if out is None:
+            out = self.copy()
+        else:
+            out.require(self.variables, self.cardinalities, self.batch)
+            np.copyto(out.values, self.values)
         offset = 0 if self.batch is None else 1
         for var, state in evidence.items():
             if var not in self.variables:
@@ -269,10 +244,8 @@ class PotentialTable:
             mask[state] = 1.0
             shape = [1] * (len(self.cardinalities) + offset)
             shape[axis + offset] = card
-            values = values * mask.reshape(shape)
-        return PotentialTable(
-            self.variables, self.cardinalities, values, batch=self.batch
-        )
+            out.values *= mask.reshape(shape)
+        return out
 
     # ------------------------------------------------------------------ #
     # Arithmetic

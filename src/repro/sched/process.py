@@ -3,12 +3,15 @@
 The threaded executors in this package demonstrate the paper's scheduling
 *correctness* but are GIL-bound, so their wall clock cannot show multicore
 speedup.  :class:`ProcessSharedMemoryExecutor` runs the same task DAG across
-worker *processes* with every potential table, separator and pipeline
-intermediate placed in one ``multiprocessing.shared_memory`` arena:
+worker *processes* over the same :class:`~repro.tasks.state.PropagationState`
+every other executor runs — only its buffer lives in one
+``multiprocessing.shared_memory`` arena:
 
-* Workers attach to the arena once (at pool start) and build zero-copy
-  numpy views over it via :meth:`PotentialTable.from_buffer`; no table is
-  ever pickled during execution.
+* The master copies the state's buffer into the arena (one ``memcpy``),
+  runs the graph, and copies the arena back.  Workers attach once, at pool
+  start, and build a state over the arena (:meth:`PropagationState.over`);
+  no table is pickled during execution, and every process calls the one
+  ``execute`` / ``execute_chunk`` / ``combine_chunks``.
 * The master process runs the Allocate module: it tracks dependency
   degrees, dispatches ready tasks, and applies the Partition module
   (:func:`~repro.tasks.partition_plan.plan_partition`) to split tasks whose
@@ -20,8 +23,13 @@ intermediate placed in one ``multiprocessing.shared_memory`` arena:
   separator tables; the last subtask ``T̂_n`` is a pool-executed combiner
   that sums them into the shared output.
 * Tasks whose partitionable slice is at most ``inline_threshold`` entries
-  run inline in the master over the same shared views, keeping the tiny
+  run inline in the master over the same arena, keeping the tiny
   separator-sized divides off the IPC path.
+
+This module's own part is dispatch, retry, pool restart and the integrity
+protocol: which arena regions a task writes (:func:`_written_flat`, crc32
+stamped and verified) and which it mutates non-idempotently
+(:func:`_mutated_flat`, copied before dispatch, restored before a retry).
 
 Results match :class:`~repro.sched.serial.SerialExecutor` to floating-point
 round-off (identical when no marginalization is partitioned).  Speedup
@@ -41,14 +49,12 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import shared_memory
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.integrity.checksum import TornWriteError, crc32_regions
-from repro.potential import partition as chunked
-from repro.potential.primitives import PrimitiveKind, divide, extend, marginalize
-from repro.potential.table import PotentialTable
+from repro.potential.primitives import PrimitiveKind
 from repro.sched.faults import (
     FaultPlan,
     FaultRecord,
@@ -56,182 +62,53 @@ from repro.sched.faults import (
     corrupt_array,
 )
 from repro.sched.stats import ExecutionStats
+from repro.tasks.layout import table_layout
 from repro.tasks.partition_plan import plan_partition
 from repro.tasks.state import PropagationState
-from repro.tasks.task import TaskGraph
+from repro.tasks.task import Task, TaskGraph
 
-_FLOAT_BYTES = np.dtype(np.float64).itemsize
-
-
-class _Slot(NamedTuple):
-    """Location and scope of one table inside the shared arena."""
-
-    offset: int  # byte offset
-    variables: Tuple[int, ...]
-    cardinalities: Tuple[int, ...]
+# --------------------------------------------------------------------- #
+# The fault/integrity protocol: which tables of the state a task touches
+# --------------------------------------------------------------------- #
 
 
-class _TaskSpec(NamedTuple):
-    """Everything a worker needs to execute one task (no numeric payload)."""
+def _written_flat(
+    state: PropagationState, task: Task, chunk: bool = False
+) -> List[np.ndarray]:
+    """Flat views of every arena region a task (or chunk) writes.
 
-    tid: int
-    kind: PrimitiveKind
-    phase: str
-    edge: Tuple[int, int]
-    source: int
-    target: int
-
-
-def _attach_tables(buf, layout: Dict[tuple, _Slot]) -> Dict[tuple, PotentialTable]:
-    """Zero-copy table views over a shared buffer, one per layout slot."""
-    return {
-        key: PotentialTable.from_buffer(
-            slot.variables, slot.cardinalities, buf, slot.offset
-        )
-        for key, slot in layout.items()
-    }
-
-
-class _ShmOps:
-    """Primitive execution against shared-memory table views.
-
-    Mirrors :class:`~repro.tasks.state.PropagationState` semantics but
-    writes results into preallocated buffers instead of rebinding table
-    objects, so master and workers observe each other's updates.
+    The checksum contract: a worker stamps crc32 over exactly these
+    regions (in this order) after executing, and the master verifies
+    the same regions when the result arrives — so the list and its
+    order are the protocol, shared across the process boundary via
+    this one function.  DIVIDE writes two regions (the ratio *and* the
+    promoted separator); MARGINALIZE chunks write nothing shared
+    (their partials travel back by pickle), so they return no
+    regions and carry no checksum.
     """
+    if task.kind is PrimitiveKind.MARGINALIZE and chunk:
+        return []
+    regions = [state.output_table(task).values.reshape(-1)]
+    if task.kind is PrimitiveKind.DIVIDE:
+        regions.append(state.separators[task.edge].values.reshape(-1))
+    return regions
 
-    def __init__(self, tables: Dict[tuple, PotentialTable]):
-        self.tables = tables
 
-    def _keys(self, spec: _TaskSpec):
-        inter = lambda stage: ("inter", spec.phase, spec.edge, stage)  # noqa: E731
-        return {
-            "src": ("pot", spec.source),
-            "tgt": ("pot", spec.target),
-            "sep": ("sep", spec.edge),
-            "sep_new": inter("sep_new"),
-            "ratio": inter("ratio"),
-            "extended": inter("extended"),
-        }
+def _mutated_flat(state: PropagationState, task: Task) -> Optional[np.ndarray]:
+    """Flat view of the buffer a task mutates *non-idempotently*.
 
-    def run_task(self, spec: _TaskSpec) -> None:
-        k = self._keys(spec)
-        t = self.tables
-        if spec.kind is PrimitiveKind.MARGINALIZE:
-            out = t[k["sep_new"]]
-            out.values[...] = marginalize(t[k["src"]], out.variables).values
-        elif spec.kind is PrimitiveKind.DIVIDE:
-            sep_new, sep, ratio = t[k["sep_new"]], t[k["sep"]], t[k["ratio"]]
-            ratio.values[...] = divide(sep_new, sep).values
-            sep.values[...] = sep_new.values
-        elif spec.kind is PrimitiveKind.EXTEND:
-            out = t[k["extended"]]
-            out.values[...] = extend(
-                t[k["ratio"]], out.variables, out.cardinalities
-            ).values
-        elif spec.kind is PrimitiveKind.MULTIPLY:
-            t[k["tgt"]].values[...] *= t[k["extended"]].values
-        else:
-            raise ValueError(f"task {spec.tid} has unexpected kind {spec.kind}")
-
-    def run_chunk(self, spec: _TaskSpec, lo: int, hi: int) -> Optional[np.ndarray]:
-        """One chunk; returns a partial table only for MARGINALIZE."""
-        k = self._keys(spec)
-        t = self.tables
-        if spec.kind is PrimitiveKind.MARGINALIZE:
-            onto = t[k["sep_new"]].variables
-            partial = chunked.marginalize_chunk(t[k["src"]], onto, lo, hi)
-            return partial.values.reshape(-1)
-        if spec.kind is PrimitiveKind.DIVIDE:
-            sep_new = t[k["sep_new"]].values.reshape(-1)
-            sep = t[k["sep"]].values.reshape(-1)
-            chunked.divide_chunk_into(
-                t[k["ratio"]].values.reshape(-1), sep_new, sep, lo, hi
-            )
-            # The old separator slice is consumed above; promote the new one.
-            sep[lo:hi] = sep_new[lo:hi]
-            return None
-        if spec.kind is PrimitiveKind.EXTEND:
-            out = t[k["extended"]]
-            chunked.extend_chunk_into(
-                out.values.reshape(-1),
-                t[k["ratio"]],
-                out.variables,
-                out.cardinalities,
-                lo,
-                hi,
-            )
-            return None
-        if spec.kind is PrimitiveKind.MULTIPLY:
-            chunked.multiply_chunk_into(
-                t[k["tgt"]].values.reshape(-1),
-                t[k["extended"]].values.reshape(-1),
-                lo,
-                hi,
-            )
-            return None
-        raise ValueError(f"task {spec.tid} has unexpected kind {spec.kind}")
-
-    def combine_marginalize(self, spec: _TaskSpec, parts: List[np.ndarray]) -> None:
-        """The last subtask ``T̂_n``: sum chunk partials into the shared output."""
-        out = self.tables[("inter", spec.phase, spec.edge, "sep_new")]
-        chunked.add_partials_into(out.values.reshape(-1), parts)
-
-    def written_flat(
-        self, spec: _TaskSpec, chunk: bool = False
-    ) -> List[np.ndarray]:
-        """Flat views of every arena region a task (or chunk) writes.
-
-        The checksum contract: a worker stamps crc32 over exactly these
-        regions (in this order) after executing, and the master verifies
-        the same regions when the result arrives — so the list and its
-        order are the protocol, shared across the process boundary via
-        this one method.  DIVIDE writes two regions (the ratio *and* the
-        promoted separator); MARGINALIZE chunks write nothing shared
-        (their partials travel back by pickle), so they return no
-        regions and carry no checksum.
-        """
-        k = self._keys(spec)
-        if spec.kind is PrimitiveKind.MARGINALIZE:
-            if chunk:
-                return []
-            return [self.tables[k["sep_new"]].values.reshape(-1)]
-        if spec.kind is PrimitiveKind.DIVIDE:
-            return [
-                self.tables[k["ratio"]].values.reshape(-1),
-                self.tables[k["sep"]].values.reshape(-1),
-            ]
-        if spec.kind is PrimitiveKind.EXTEND:
-            return [self.tables[k["extended"]].values.reshape(-1)]
-        return [self.tables[k["tgt"]].values.reshape(-1)]
-
-    def output_table(self, spec: _TaskSpec) -> PotentialTable:
-        """The table a task writes (fault injection / recovery target)."""
-        k = self._keys(spec)
-        if spec.kind is PrimitiveKind.MARGINALIZE:
-            return self.tables[k["sep_new"]]
-        if spec.kind is PrimitiveKind.DIVIDE:
-            return self.tables[k["ratio"]]
-        if spec.kind is PrimitiveKind.EXTEND:
-            return self.tables[k["extended"]]
-        return self.tables[k["tgt"]]
-
-    def mutated_flat(self, spec: _TaskSpec) -> Optional[np.ndarray]:
-        """Flat view of the buffer a task mutates *non-idempotently*.
-
-        MARGINALIZE and EXTEND fully overwrite their output, so a retry
-        after a mid-task crash recomputes the same values.  DIVIDE
-        promotes the separator (``sep <- sep_new``) and MULTIPLY updates
-        the target in place (``tgt *= extended``); re-running either over
-        a partially-updated buffer is wrong, so recovery must restore
-        this region from a pre-dispatch snapshot first.
-        """
-        k = self._keys(spec)
-        if spec.kind is PrimitiveKind.DIVIDE:
-            return self.tables[k["sep"]].values.reshape(-1)
-        if spec.kind is PrimitiveKind.MULTIPLY:
-            return self.tables[k["tgt"]].values.reshape(-1)
-        return None
+    MARGINALIZE and EXTEND fully overwrite their output, so a retry
+    after a mid-task crash recomputes the same values.  DIVIDE
+    promotes the separator (``sep <- sep_new``) and MULTIPLY updates
+    the target in place (``tgt *= extended``); re-running either over
+    a partially-updated buffer is wrong, so recovery must restore
+    this region from a pre-dispatch snapshot first.
+    """
+    if task.kind is PrimitiveKind.DIVIDE:
+        return state.separators[task.edge].values.reshape(-1)
+    if task.kind is PrimitiveKind.MULTIPLY:
+        return state.potentials[task.clique].values.reshape(-1)
+    return None
 
 
 # --------------------------------------------------------------------- #
@@ -241,15 +118,24 @@ class _ShmOps:
 _WORKER: Dict[str, object] = {}
 
 
-def _worker_init(shm_name: str, layout: Dict[tuple, _Slot], specs) -> None:
+def _arena_state(shm, jt) -> PropagationState:
+    """The state over a shared-memory arena laid out for ``jt`` (every
+    intermediate present: another process may have written it)."""
+    arena = np.frombuffer(
+        shm.buf, dtype=np.float64, count=table_layout(jt).size
+    )
+    return PropagationState.over(jt, arena)
+
+
+def _worker_init(shm_name: str, jt, tasks: List[Task]) -> None:
     # Attaching re-registers the segment with the resource tracker, but pool
     # workers inherit the master's tracker (fork and spawn alike on POSIX),
     # where re-adding an already-tracked name is a no-op — so the master
     # stays the sole owner of cleanup and no unregister dance is needed.
     shm = shared_memory.SharedMemory(name=shm_name)
     _WORKER["shm"] = shm
-    _WORKER["ops"] = _ShmOps(_attach_tables(shm.buf, layout))
-    _WORKER["specs"] = specs
+    _WORKER["state"] = _arena_state(shm, jt)
+    _WORKER["tasks"] = tasks
 
 
 def _worker_ping():
@@ -257,15 +143,8 @@ def _worker_ping():
     return os.getpid()
 
 
-def _apply_faults(spec: _TaskSpec, delay: float, fail: bool) -> None:
-    if delay:
-        time.sleep(delay)
-    if fail:
-        raise ValueError("injected task failure (FaultPlan.fail_task)")
-
-
 def _stamp_and_tear(
-    spec: _TaskSpec, chunk: bool, lo, hi, checksum: bool, torn
+    task: Task, chunk: bool, lo, hi, checksum: bool, torn
 ) -> Optional[int]:
     """Worker-side checksum stamp over the regions this task wrote.
 
@@ -279,7 +158,7 @@ def _stamp_and_tear(
     """
     if not checksum and torn is None:
         return None
-    regions = _WORKER["ops"].written_flat(spec, chunk=chunk)
+    regions = _written_flat(_WORKER["state"], task, chunk=chunk)
     if not regions:
         return None
     crc = crc32_regions(regions, lo, hi)
@@ -291,78 +170,56 @@ def _stamp_and_tear(
     return crc
 
 
-# Each entry point returns ``(pid, elapsed_s, payload, t0_ns, t1_ns, crc)``.
-# The ns pair is captured worker-side on the system-wide monotonic clock
-# (perf_counter_ns is CLOCK_MONOTONIC on Linux, fork and spawn alike), so
-# the master can merge worker execution spans onto its own timeline — the
-# process-executor form of per-pid buffers merged at join.  ``crc`` is the
-# torn-write-detection stamp (None when checksumming is off).
-
-
-def _exec_task(
-    tid: int, delay: float = 0.0, corrupt=None, fail: bool = False,
-    torn=None, checksum: bool = False,
-):
-    spec = _WORKER["specs"][tid]
-    t0 = time.perf_counter_ns()
-    try:
-        _apply_faults(spec, delay, fail)
-        _WORKER["ops"].run_task(spec)
-        if corrupt is not None:
-            corrupt_array(_WORKER["ops"].output_table(spec).values, corrupt)
-        crc = _stamp_and_tear(spec, False, None, None, checksum, torn)
-    except TaskExecutionError:
-        raise
-    except Exception as exc:
-        raise TaskExecutionError.wrap(exc, spec) from exc
-    t1 = time.perf_counter_ns()
-    return os.getpid(), (t1 - t0) * 1e-9, None, t0, t1, crc
-
-
-def _exec_chunk(
-    tid: int, lo: int, hi: int,
+def _exec(
+    kind: str, tid: int, lo: int, hi: int, parts=None, ranges=None,
     delay: float = 0.0, corrupt=None, fail: bool = False,
     torn=None, checksum: bool = False,
 ):
-    spec = _WORKER["specs"][tid]
+    """Worker entry point for one dispatch: a whole ``"task"``, one
+    ``"chunk"`` ``[lo, hi)`` of it, or the ``"combine"`` subtask ``T̂_n`` of
+    a partitioned MARGINALIZE.
+
+    Returns ``(pid, elapsed_s, payload, t0_ns, t1_ns, crc)``.  The ns pair
+    is captured worker-side on the system-wide monotonic clock
+    (perf_counter_ns is CLOCK_MONOTONIC on Linux, fork and spawn alike), so
+    the master can merge worker execution spans onto its own timeline — the
+    process-executor form of per-pid buffers merged at join.  ``crc`` is the
+    torn-write-detection stamp (None when checksumming is off).
+    """
+    state, task = _WORKER["state"], _WORKER["tasks"][tid]
+    chunk = kind == "chunk"
+    if not chunk:
+        lo = hi = None  # the whole flat index space
+    partial = None
     t0 = time.perf_counter_ns()
     try:
-        _apply_faults(spec, delay, fail)
-        partial = _WORKER["ops"].run_chunk(spec, lo, hi)
+        if delay:
+            time.sleep(delay)
+        if fail:
+            raise ValueError("injected task failure (FaultPlan.fail_task)")
+        if kind == "task":
+            state.execute(task)
+        elif chunk:
+            partial = state.execute_chunk(task, lo, hi)
+        else:
+            state.combine_chunks(task, parts, ranges)
         if corrupt is not None:
             if partial is not None:
                 corrupt_array(partial, corrupt)
-            else:
-                out = _WORKER["ops"].output_table(spec).values.reshape(-1)
+            elif chunk:
+                out = state.output_table(task).values.reshape(-1)
                 corrupt_array(out[lo:hi], corrupt)
-        crc = _stamp_and_tear(spec, True, lo, hi, checksum, torn)
+            else:
+                corrupt_array(state.output_table(task).values, corrupt)
+        crc = _stamp_and_tear(task, chunk, lo, hi, checksum, torn)
     except TaskExecutionError:
         raise
     except Exception as exc:
-        raise TaskExecutionError.wrap(exc, spec, chunk=(lo, hi)) from exc
+        raise TaskExecutionError.wrap(
+            exc, task, chunk=(lo, hi) if chunk else None
+        ) from exc
     t1 = time.perf_counter_ns()
     return os.getpid(), (t1 - t0) * 1e-9, partial, t0, t1, crc
-
-
-def _exec_combine(
-    tid: int, parts: List[np.ndarray],
-    delay: float = 0.0, corrupt=None, fail: bool = False,
-    torn=None, checksum: bool = False,
-):
-    spec = _WORKER["specs"][tid]
-    t0 = time.perf_counter_ns()
-    try:
-        _apply_faults(spec, delay, fail)
-        _WORKER["ops"].combine_marginalize(spec, parts)
-        if corrupt is not None:
-            corrupt_array(_WORKER["ops"].output_table(spec).values, corrupt)
-        crc = _stamp_and_tear(spec, False, None, None, checksum, torn)
-    except TaskExecutionError:
-        raise
-    except Exception as exc:
-        raise TaskExecutionError.wrap(exc, spec) from exc
-    t1 = time.perf_counter_ns()
-    return os.getpid(), (t1 - t0) * 1e-9, None, t0, t1, crc
 
 
 class _ChunkProgress:
@@ -545,18 +402,6 @@ class ProcessSharedMemoryExecutor:
 
     # ------------------------------------------------------------------ #
 
-    def _build_layout(self, plan):
-        """Byte offsets for every planned table; returns (layout, total_bytes)."""
-        layout: Dict[tuple, _Slot] = {}
-        offset = 0
-        for key, variables, cards, _init in plan:
-            layout[key] = _Slot(offset, tuple(variables), tuple(cards))
-            count = 1
-            for c in cards:
-                count *= c
-            offset += count * _FLOAT_BYTES
-        return layout, offset
-
     def run(
         self,
         graph: TaskGraph,
@@ -589,25 +434,16 @@ class ProcessSharedMemoryExecutor:
                 "run each case separately"
             )
 
-        plan = state.shared_table_plan(graph)
-        layout, total_bytes = self._build_layout(plan)
-        specs = {}
-        for task in graph.tasks:
-            source, _sep_vars, _sep_cards, target = state.edge_scopes(task)
-            specs[task.tid] = _TaskSpec(
-                task.tid, task.kind, task.phase, task.edge, source, target
-            )
-        shm = shared_memory.SharedMemory(create=True, size=max(total_bytes, 1))
-        stats.shared_bytes = total_bytes
+        # The arena holds the state's whole table buffer: one memcpy in,
+        # the same PropagationState class over it on both sides of the
+        # process boundary, one memcpy back out.
+        shm = shared_memory.SharedMemory(create=True, size=state.buffer.nbytes)
+        stats.shared_bytes = state.buffer.nbytes
         start = time.perf_counter()
+        shared = None
         try:
-            tables = _attach_tables(shm.buf, layout)
-            for key, _vars, _cards, init in plan:
-                if init is None:
-                    tables[key].values[...] = 0.0
-                else:
-                    tables[key].values[...] = init
-            ops = _ShmOps(tables)
+            shared = _arena_state(shm, state.jt)
+            np.copyto(shared.buffer, state.buffer)
             ctx = mp.get_context(self.start_method)
 
             def make_pool() -> ProcessPoolExecutor:
@@ -615,15 +451,16 @@ class ProcessSharedMemoryExecutor:
                     max_workers=p,
                     mp_context=ctx,
                     initializer=_worker_init,
-                    initargs=(shm.name, layout, specs),
+                    initargs=(shm.name, state.jt, graph.tasks),
                 )
 
             self._schedule(
-                graph, specs, ops, make_pool, stats, master_slot, tracer,
+                graph, shared, make_pool, stats, master_slot, tracer,
                 deadline=deadline,
             )
             stats.wall_time = time.perf_counter() - start
-            state.absorb_shared(tables)
+            np.copyto(state.buffer, shared.buffer)
+            state.mark_computed(graph.tasks)
         except BaseException as exc:
             # Frames in the traceback pin the numpy views over the arena;
             # clear them so the buffer can actually be released below.
@@ -632,7 +469,7 @@ class ProcessSharedMemoryExecutor:
         finally:
             # Drop every view before freeing the arena (numpy arrays keep
             # the exported buffer alive, which would make close() fail).
-            tables = ops = None
+            shared = None
             try:
                 shm.close()
             except BufferError:  # a stray view survived; unlink regardless
@@ -646,7 +483,7 @@ class ProcessSharedMemoryExecutor:
     # ------------------------------------------------------------------ #
 
     def _schedule(
-        self, graph, specs, ops, make_pool, stats, master_slot, tracer=None,
+        self, graph, shared, make_pool, stats, master_slot, tracer=None,
         deadline=None,
     ):
         """The master's Allocate loop: dispatch ready tasks, resolve deps.
@@ -667,6 +504,7 @@ class ProcessSharedMemoryExecutor:
             else resilient
         )
         plan = self.fault_plan
+        tasks = graph.tasks
         dep_count = graph.indegrees()
         ready = deque(graph.roots())
         pending: Dict[object, _Dispatch] = {}
@@ -744,7 +582,7 @@ class ProcessSharedMemoryExecutor:
         def take_snapshot(disp: "_Dispatch"):
             if not resilient or disp.kind == "combine":
                 return None
-            flat = ops.mutated_flat(specs[disp.tid])
+            flat = _mutated_flat(shared, tasks[disp.tid])
             if flat is None:
                 return None
             if disp.kind == "chunk":
@@ -755,11 +593,11 @@ class ProcessSharedMemoryExecutor:
             if disp.kind == "combine":
                 # Re-zero a possibly partially-summed MARGINALIZE output so
                 # the additive combiner restarts from a clean slate.
-                ops.output_table(specs[disp.tid]).values[...] = 0.0
+                shared.output_table(tasks[disp.tid]).values[...] = 0.0
                 return
             if disp.snapshot is None:
                 return
-            flat = ops.mutated_flat(specs[disp.tid])
+            flat = _mutated_flat(shared, tasks[disp.tid])
             if disp.kind == "chunk":
                 flat[disp.lo:disp.hi] = disp.snapshot
             else:
@@ -781,13 +619,22 @@ class ProcessSharedMemoryExecutor:
                     ))
                     if mbuf is not None:
                         mbuf.instant(f"fault:kill pid {victim}", CAT_FAULT)
+                    # The pool reports a dead worker only once its manager
+                    # thread finds no result and no wakeup pending, and a
+                    # survivor streaming small results can starve that for
+                    # an unbounded stretch of the run.  A planned kill is
+                    # acted on now, so what a plan exercises never depends
+                    # on that timing (an external kill still does).
+                    broken[0] = True
+                    requeue.append(disp)
+                    return
             delay = plan.take_delay(disp.tid) if plan is not None else 0.0
             corrupt = plan.take_corruption(disp.tid) if plan is not None else None
             fail = plan.take_failure(disp.tid) if plan is not None else False
             torn = None
             if plan is not None and not (
                 disp.kind == "chunk"
-                and specs[disp.tid].kind is PrimitiveKind.MARGINALIZE
+                and tasks[disp.tid].kind is PrimitiveKind.MARGINALIZE
             ):
                 # MARGINALIZE chunks write nothing shared (partials travel
                 # by pickle), so a torn write there cannot exist; leave the
@@ -811,19 +658,14 @@ class ProcessSharedMemoryExecutor:
             ):
                 mbuf.instant(f"fault:inject#{disp.tid}", CAT_FAULT)
             disp.submit_ns = time.perf_counter_ns()
+            parts = ranges = None
+            if disp.kind == "combine":
+                prog = progress[disp.tid]
+                parts, ranges = prog.parts, prog.ranges
             try:
-                if disp.kind == "task":
-                    fut = pool.submit(
-                        _exec_task, disp.tid, delay, corrupt, fail,
-                        torn, verify)
-                elif disp.kind == "chunk":
-                    fut = pool.submit(
-                        _exec_chunk, disp.tid, disp.lo, disp.hi,
-                        delay, corrupt, fail, torn, verify)
-                else:
-                    fut = pool.submit(
-                        _exec_combine, disp.tid, progress[disp.tid].parts,
-                        delay, corrupt, fail, torn, verify)
+                fut = pool.submit(
+                    _exec, disp.kind, disp.tid, disp.lo, disp.hi,
+                    parts, ranges, delay, corrupt, fail, torn, verify)
             except BrokenProcessPool:
                 if not resilient:
                     raise
@@ -885,7 +727,7 @@ class ProcessSharedMemoryExecutor:
             stats.deadline_misses += len(overdue)
             for disp in overdue:
                 disp.attempts += 1
-                spec = specs[disp.tid]
+                task = tasks[disp.tid]
                 stats.fault_events.append(FaultRecord(
                     "deadline", disp.tid,
                     f"attempt {disp.attempts} exceeded "
@@ -895,14 +737,14 @@ class ProcessSharedMemoryExecutor:
                     mbuf.instant(f"fault:deadline#{disp.tid}", CAT_FAULT)
                 if disp.attempts > self.max_retries:
                     raise TaskExecutionError(
-                        f"task {disp.tid} ({spec.kind.value}, {spec.phase}, "
-                        f"edge {spec.edge}) missed its "
+                        f"task {disp.tid} ({task.kind.value}, {task.phase}, "
+                        f"edge {task.edge}) missed its "
                         f"{self.task_timeout:g}s deadline "
                         f"{disp.attempts} time(s)",
                         tid=disp.tid,
-                        kind=spec.kind.value,
-                        phase=spec.phase,
-                        edge=tuple(spec.edge),
+                        kind=task.kind.value,
+                        phase=task.phase,
+                        edge=tuple(task.edge),
                         chunk=(disp.lo, disp.hi)
                         if disp.kind == "chunk" else None,
                     )
@@ -925,7 +767,7 @@ class ProcessSharedMemoryExecutor:
                 check_run_deadline()
                 while ready:
                     tid = ready.popleft()
-                    task = graph.tasks[tid]
+                    task = tasks[tid]
                     ranges = plan_partition(
                         task, self.partition_threshold, self.max_chunks
                     )
@@ -938,7 +780,7 @@ class ProcessSharedMemoryExecutor:
                             dispatch(disp)
                     elif task.partition_size <= self.inline_threshold:
                         t0 = time.perf_counter_ns()
-                        ops.run_task(specs[tid])
+                        shared.execute(task)
                         t1 = time.perf_counter_ns()
                         if mbuf is not None:
                             mbuf.task_span(
@@ -1025,10 +867,10 @@ class ProcessSharedMemoryExecutor:
                         dispatch(disp)
                         continue
                     if verify and crc is not None:
-                        spec = specs[disp.tid]
+                        task = tasks[disp.tid]
                         chunked_disp = disp.kind == "chunk"
                         actual = crc32_regions(
-                            ops.written_flat(spec, chunk=chunked_disp),
+                            _written_flat(shared, task, chunk=chunked_disp),
                             disp.lo if chunked_disp else None,
                             disp.hi if chunked_disp else None,
                         )
@@ -1052,14 +894,14 @@ class ProcessSharedMemoryExecutor:
                             )
                             raise TornWriteError(
                                 f"torn write detected: task {disp.tid} "
-                                f"({spec.kind.value}, {spec.phase}, edge "
-                                f"{spec.edge}{where}) stamped checksum "
+                                f"({task.kind.value}, {task.phase}, edge "
+                                f"{task.edge}{where}) stamped checksum "
                                 f"{crc:#010x} but the arena reads "
                                 f"{actual:#010x}",
                                 tid=disp.tid,
-                                kind=spec.kind.value,
-                                phase=spec.phase,
-                                edge=tuple(spec.edge),
+                                kind=task.kind.value,
+                                phase=task.phase,
+                                edge=tuple(task.edge),
                                 chunk=(disp.lo, disp.hi)
                                 if chunked_disp else None,
                             )
@@ -1092,7 +934,7 @@ class ProcessSharedMemoryExecutor:
                         prog.remaining -= 1
                         stats.chunks_executed += 1
                         if prog.remaining == 0:
-                            if graph.tasks[disp.tid].kind is (
+                            if tasks[disp.tid].kind is (
                                     PrimitiveKind.MARGINALIZE):
                                 dispatch(_Dispatch("combine", disp.tid))
                             else:

@@ -30,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from repro.sched.faults import HealthReport, check_state_health
 from repro.sched.stats import ExecutionStats
 from repro.tasks.state import PropagationState
@@ -136,27 +138,6 @@ class ResilientExecutor:
         self.health_check = health_check
         self.logspace_fallback = logspace_fallback
 
-    # ------------------------------------------------------------------ #
-    # State snapshot/rollback (tiers mutate the state in place)
-    # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def _snapshot(state: PropagationState):
-        return (
-            {i: t.copy() for i, t in state.potentials.items()},
-            {e: t.copy() for e, t in state.separators.items()},
-            {k: t.copy() for k, t in state._inter.items()},
-        )
-
-    @staticmethod
-    def _restore(state: PropagationState, snap) -> None:
-        pots, seps, inter = snap
-        state.potentials = {i: t.copy() for i, t in pots.items()}
-        state.separators = {e: t.copy() for e, t in seps.items()}
-        state._inter = {k: t.copy() for k, t in inter.items()}
-
-    # ------------------------------------------------------------------ #
-
     def run(
         self,
         graph: TaskGraph,
@@ -170,7 +151,9 @@ class ResilientExecutor:
         cannot beat the clock the faster one already missed, so the
         ``phase="deadline"`` error re-raises immediately."""
         tiers = [self.executor] + self.fallbacks
-        snapshot = self._snapshot(state)
+        # Tiers mutate the state in place; every tier runs the same graph,
+        # so rolling back is restoring the bytes of its one table buffer.
+        snapshot = state.buffer.copy()
         records: List[DegradationRecord] = []
         last_exc: Optional[BaseException] = None
         stats: Optional[ExecutionStats] = None
@@ -193,7 +176,7 @@ class ResilientExecutor:
                 _executor_name(tiers[i + 1]) if i + 1 < len(tiers) else "none"
             )
             if i > 0:
-                self._restore(state, snapshot)
+                np.copyto(state.buffer, snapshot)
             try:
                 stats = run_executor(tier, graph, state, tracer, deadline)
             except Exception as exc:
@@ -251,7 +234,7 @@ class ResilientExecutor:
     ) -> bool:
         """Re-run an underflowed propagation in the log domain.
 
-        Replaces each clique potential with its stably-normalized linear
+        Overwrites each clique potential with its stably-normalized linear
         form (so per-clique and per-variable marginals read off exactly
         as usual) and records the evidence log-likelihood in
         ``stats.log_likelihood``.  Returns True when the rescue ran.
@@ -275,11 +258,16 @@ class ResilientExecutor:
             return False
         log_pots = propagate_reference_log(state.jt, state.evidence)
         for i, log_table in log_pots.items():
-            state.potentials[i] = PotentialTable(
+            table = state.potentials[i]
+            table.values[...] = PotentialTable(
                 log_table.variables,
                 log_table.cardinalities,
                 log_table.normalized_linear(),
-            )
+            ).aligned_to(table.variables).values
+        # The separators and stored messages are the underflowed run's
+        # zeros; they do not belong to the rescued potentials, so they must
+        # not seed an incremental repropagation.
+        state._inter.clear()
         stats.log_likelihood = log_pots[state.jt.root].log_total()
         records.append(DegradationRecord(
             "linear", "logspace",

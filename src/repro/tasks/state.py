@@ -1,19 +1,29 @@
 """Mutable numeric state threaded through task execution.
 
-A :class:`PropagationState` owns working copies of the clique potentials
-(with evidence absorbed), the per-edge separator tables, and the
-intermediate tables flowing between the primitives of one message pipeline.
+A :class:`PropagationState` owns **one flat float64 buffer** holding every
+table of a propagation — the working clique potentials (evidence absorbed),
+the per-edge separators and the ``sep_new`` / ``ratio`` / ``extended``
+intermediates of each message pipeline — at the offsets
+:func:`repro.tasks.layout.table_layout` fixes once per junction tree.
+``potentials``, ``separators`` and the intermediates are
+:class:`~repro.potential.table.PotentialTable` *views* into that buffer,
+and every task writes its result in place into the slot the layout names.
 Executing the tasks of a :class:`~repro.tasks.task.TaskGraph` in any order
 consistent with its dependencies leaves every clique potential calibrated.
 
-The state supports both whole-task execution (:meth:`execute`) and the
-Partition module's chunked execution (:meth:`execute_chunk` +
-:meth:`combine_chunks`), which are numerically identical.
+There is one body per task kind: :meth:`execute` runs a whole task,
+:meth:`execute_chunk` one slice of it (the Partition module), and
+:meth:`combine_chunks` is the last subtask ``T̂_n`` — an addition for
+marginalization, nothing for the primitives whose chunks already wrote
+their disjoint output slices.  Who allocated the buffer is the only
+difference between executors: :meth:`over` adopts any float64 vector, so
+the process executor runs this same class over a shared-memory arena and
+a checkpoint restores by adopting the vector it loaded.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +37,16 @@ from repro.potential.primitives import (
     multiply,
 )
 from repro.potential.table import PotentialTable
+from repro.tasks.layout import InterKey, table_layout, table_view
 from repro.tasks.task import COLLECT, Task
+
+# The pipeline intermediate each primitive writes (MULTIPLY updates the
+# target clique potential instead).
+_STAGE = {
+    PrimitiveKind.MARGINALIZE: "sep_new",
+    PrimitiveKind.DIVIDE: "ratio",
+    PrimitiveKind.EXTEND: "extended",
+}
 
 
 class PropagationState:
@@ -43,23 +62,100 @@ class PropagationState:
             raise ValueError(
                 "junction tree has no potentials; call initialize_potentials()"
             )
+        buffer = np.zeros(table_layout(jt).size)
+        self._bind(jt, buffer, evidence, soft_evidence, None, ())
+        # Evidence is absorbed up front (instantiating the observed
+        # variables zeroes inconsistent entries; soft findings multiply
+        # their likelihood vector into one host clique), leaving the
+        # tree's prior potentials untouched.
+        self._load_priors(range(jt.num_cliques))
+        # Separator tables start as the identity so the first DIVIDE in the
+        # collect phase passes the marginal through unchanged.
+        for table in self.separators.values():
+            table.values.fill(1.0)
+
+    def _bind(
+        self,
+        jt: JunctionTree,
+        buffer: np.ndarray,
+        evidence,
+        soft_evidence,
+        batch: Optional[int],
+        computed: Optional[Iterable[InterKey]],
+    ) -> None:
+        """Make ``buffer`` this state's storage and build the table views.
+
+        ``computed`` names the pipeline intermediates that count as
+        present (``None``: all).  A slot no task has written stays *absent*
+        from ``_inter`` although its bytes exist: presence means "this
+        message was computed" to the incremental planner and the checkpoint.
+        """
+        layout = table_layout(jt)
+        size = layout.size * (1 if batch is None else batch)
+        if (buffer.dtype, buffer.shape, buffer.flags.c_contiguous) != (
+            np.float64, (size,), True
+        ):
+            raise ValueError(
+                f"state buffer must be a flat float64 vector of {size} "
+                f"entries, got {buffer.dtype} {buffer.shape}"
+            )
         self.jt = jt
         self.evidence = dict(evidence or {})
         self.soft_evidence = dict(soft_evidence or {})
-        # Working copies: evidence is absorbed up front (instantiating the
-        # observed variables zeroes inconsistent entries; soft findings
-        # multiply their likelihood vector into one host clique), leaving
-        # the tree's prior potentials untouched.
-        self.potentials: Dict[int, PotentialTable] = {}
-        for i in range(jt.num_cliques):
-            table = jt.potential(i)
-            if self.evidence:
-                table = table.reduce(self.evidence)
-            else:
-                table = table.copy()
-            self.potentials[i] = table
+        # Single-case unless built via batched()/from_cases().
+        self.batch = batch
+        self.case_evidence = None
+        self.buffer = buffer
+        self._slots = layout.inter
+        self.potentials: Dict[int, PotentialTable] = {
+            i: table_view(buffer, slot, batch)
+            for i, slot in enumerate(layout.potentials)
+        }
+        self.separators: Dict[Tuple[int, int], PotentialTable] = {
+            edge: table_view(buffer, slot, batch)
+            for edge, slot in layout.separators.items()
+        }
+        # Message-pipeline intermediates keyed by (phase, edge, stage).
+        self._inter: Dict[InterKey, PotentialTable] = {
+            key: table_view(buffer, self._slots[key], batch)
+            for key in (self._slots if computed is None else computed)
+        }
+
+    @classmethod
+    def over(
+        cls,
+        jt: JunctionTree,
+        buffer: np.ndarray,
+        evidence: Optional[Mapping[int, int]] = None,
+        soft_evidence: Optional[Mapping[int, "np.ndarray"]] = None,
+        batch: Optional[int] = None,
+        computed: Optional[Iterable[InterKey]] = None,
+    ) -> "PropagationState":
+        """A state whose tables are views into ``buffer``, adopted uncopied.
+
+        ``buffer`` is a flat float64 vector in ``table_layout(jt)`` order: a
+        shared-memory arena another state was copied into, or the vector a
+        checkpoint packed.  ``computed`` lists the intermediates that were
+        written (default: every one, which a worker attached to a running
+        propagation must assume — the task graph orders the accesses).
+        """
+        state = cls.__new__(cls)
+        state._bind(jt, buffer, evidence, soft_evidence, batch, computed)
+        return state
+
+    def _load_priors(self, cliques) -> None:
+        """(Re)build the working potentials of ``cliques`` (a range or set)
+        from the tree's priors with the evidence absorbed."""
+        for i in cliques:
+            table = self.potentials[i]
+            prior = self.jt.potential(i)
+            if prior.variables != table.variables:
+                prior = prior.aligned_to(table.variables)
+            prior.reduce(self.evidence, out=table)
         for var, weights in self.soft_evidence.items():
-            host = jt.clique_containing([var])
+            host = self.jt.clique_containing([var])
+            if host not in cliques:
+                continue
             table = self.potentials[host]
             axis = table.variables.index(var)
             weights = np.asarray(weights, dtype=np.float64)
@@ -70,26 +166,7 @@ class PropagationState:
                 )
             shape = [1] * len(table.cardinalities)
             shape[axis] = weights.size
-            self.potentials[host] = PotentialTable(
-                table.variables,
-                table.cardinalities,
-                table.values * weights.reshape(shape),
-            )
-        # Separator tables start as the identity so the first DIVIDE in the
-        # collect phase passes the marginal through unchanged.
-        self.separators: Dict[Tuple[int, int], PotentialTable] = {}
-        for child in range(jt.num_cliques):
-            parent = jt.parent[child]
-            if parent is None:
-                continue
-            sep = jt.separator(child, parent)
-            cards = jt.separator_cards(child, parent)
-            self.separators[(parent, child)] = PotentialTable.ones(sep, cards)
-        # Message-pipeline intermediates keyed by (phase, edge, stage).
-        self._inter: Dict[Tuple[str, Tuple[int, int], str], PotentialTable] = {}
-        # Single-case state; batched states are built via batched()/from_cases().
-        self.batch: Optional[int] = None
-        self.case_evidence = None
+            table.values *= weights.reshape(shape)
 
     # ------------------------------------------------------------------ #
     # Batched construction (B evidence cases through one propagation)
@@ -119,7 +196,7 @@ class PropagationState:
         Works on fresh states (before propagation) and on propagated ones —
         the engine's per-case fallback path uses the latter to return a
         batched state from ``B`` individual runs.  Intermediates are only
-        stacked for keys present in *every* case.
+        present for keys present in *every* case.
         """
         states = list(states)
         if not states:
@@ -130,49 +207,26 @@ class PropagationState:
                 raise ValueError("all cases must share one junction tree")
             if s.batch is not None:
                 raise ValueError("from_cases expects single-case states")
-        state = cls.__new__(cls)
-        state.jt = jt
-        state.evidence = {}
-        state.soft_evidence = {}
-        state.batch = len(states)
-        state.case_evidence = [
-            (dict(s.evidence), dict(s.soft_evidence)) for s in states
-        ]
-        state.potentials = {
-            i: PotentialTable.stack([s.potentials[i] for s in states])
-            for i in range(jt.num_cliques)
-        }
-        state.separators = {
-            edge: PotentialTable.stack([s.separators[edge] for s in states])
-            for edge in states[0].separators
-        }
         shared_keys = set(states[0]._inter)
         for s in states[1:]:
             shared_keys &= set(s._inter)
-        state._inter = {
-            key: PotentialTable.stack([s._inter[key] for s in states])
-            for key in shared_keys
-        }
+        batch = len(states)
+        buffer = np.zeros(table_layout(jt).size * batch)
+        state = cls.over(jt, buffer, batch=batch, computed=shared_keys)
+        state.case_evidence = [
+            (dict(s.evidence), dict(s.soft_evidence)) for s in states
+        ]
+        # Every single-case buffer has the same layout, so each slot of the
+        # batched buffer is its B single-case slots stacked batch-major.
+        for row, s in enumerate(states):
+            for stacked, single in (
+                (state.potentials, s.potentials),
+                (state.separators, s.separators),
+                (state._inter, s._inter),
+            ):
+                for key, table in stacked.items():
+                    table.values[row] = single[key].values
         return state
-
-    def _absorb_soft(self, var: int, weights: "np.ndarray") -> None:
-        """Multiply a soft finding's weight vector into its host clique."""
-        host = self.jt.clique_containing([var])
-        table = self.potentials[host]
-        axis = table.variables.index(var)
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.size != table.cardinalities[axis]:
-            raise ValueError(
-                f"soft evidence for variable {var} has {weights.size} "
-                f"weights, variable has {table.cardinalities[axis]} states"
-            )
-        shape = [1] * len(table.cardinalities)
-        shape[axis] = weights.size
-        self.potentials[host] = PotentialTable(
-            table.variables,
-            table.cardinalities,
-            table.values * weights.reshape(shape),
-        )
 
     # ------------------------------------------------------------------ #
     # Incremental construction (reuse a previous run's tables)
@@ -188,6 +242,8 @@ class PropagationState:
     ) -> "PropagationState":
         """State for a *restricted* repropagation reusing ``prev``'s tables.
 
+        The new state starts as one copy of ``prev``'s buffer (never an
+        alias of it: a failed run must leave ``prev`` bit-identical).
         ``rebuild`` names the cliques whose evidence context changed (the
         dirty set plus its root-ward closure).  Their working potentials
         are reconstructed from the tree's prior potentials with the *new*
@@ -210,59 +266,33 @@ class PropagationState:
                 "state; batched runs must repropagate from scratch"
             )
         jt = prev.jt
-        state = cls.__new__(cls)
-        state.jt = jt
-        state.evidence = dict(evidence or {})
-        state.soft_evidence = dict(soft_evidence or {})
-        state.batch = None
-        state.case_evidence = None
+        state = cls.over(
+            jt, prev.buffer.copy(), evidence, soft_evidence,
+            computed=prev._inter,
+        )
         rebuild_set = set(rebuild)
-
-        state.potentials = {}
-        for i in range(jt.num_cliques):
-            if i not in rebuild_set:
-                state.potentials[i] = prev.potentials[i].copy()
-        for i in rebuild_set:
-            table = jt.potential(i)
-            if state.evidence:
-                table = table.reduce(state.evidence)
-            else:
-                table = table.copy()
-            state.potentials[i] = table
-        for var, weights in state.soft_evidence.items():
-            if jt.clique_containing([var]) in rebuild_set:
-                state._absorb_soft(var, weights)
+        state._load_priors(rebuild_set)
         for i in rebuild_set:
             for c in jt.children[i]:
                 if c in rebuild_set:
                     continue  # a fresh collect pipeline will deliver mu
-                mu = prev._inter[(COLLECT, (i, c), "sep_new")]
-                state.potentials[i] = multiply(state.potentials[i], mu)
-
-        state.separators = {}
-        for edge, table in prev.separators.items():
+                mu = state._inter[(COLLECT, (i, c), "sep_new")]
+                multiply(state.potentials[i], mu, out=state.potentials[i])
+        for edge, table in state.separators.items():
             if edge[1] in rebuild_set:
-                state.separators[edge] = PotentialTable.ones(
-                    table.variables, table.cardinalities
-                )
-            else:
-                state.separators[edge] = table.copy()
-        state._inter = {key: table.copy() for key, table in prev._inter.items()}
+                table.values.fill(1.0)
         return state
 
     @property
     def nbytes(self) -> int:
-        """Resident bytes of this state's tables.
+        """Resident bytes of this state's tables: its buffer.
 
-        Sums the working clique potentials, separator tables and message
-        intermediates (:class:`~repro.potential.table.PotentialTable`
-        float64 entries).  The model registry charges each pooled
-        session's state at this cost against its global memory budget.
+        Covers the working clique potentials, the separators and every
+        pipeline intermediate slot.  The model registry charges each
+        pooled session's state at this cost against its global memory
+        budget.
         """
-        total = sum(t.nbytes for t in self.potentials.values())
-        total += sum(t.nbytes for t in self.separators.values())
-        total += sum(t.nbytes for t in self._inter.values())
-        return total
+        return self.buffer.nbytes
 
     # ------------------------------------------------------------------ #
     # Checkpoint / restore
@@ -295,215 +325,121 @@ class PropagationState:
         return load_state(jt, path)
 
     # ------------------------------------------------------------------ #
-    # Scope helpers
+    # Task execution: one in-place body per task kind
     # ------------------------------------------------------------------ #
 
-    def edge_scopes(self, task: Task):
-        """(source clique id, separator scope/cards, target clique) per task."""
-        parent, child = task.edge
-        sep_vars = self.jt.separator(child, parent)
-        sep_cards = self.jt.separator_cards(child, parent)
-        if task.phase == COLLECT:
-            return child, sep_vars, sep_cards, parent
-        return parent, sep_vars, sep_cards, child
+    def output_table(self, task: Task) -> PotentialTable:
+        """The table ``task`` writes, counted present from now on.
 
-    # Backwards-compatible private alias (pre-shared-memory callers).
-    _edge_scopes = edge_scopes
+        MARGINALIZE / DIVIDE / EXTEND write the ``sep_new`` / ``ratio`` /
+        ``extended`` intermediate of their pipeline; MULTIPLY updates the
+        potential of the clique the pipeline targets.
+        """
+        stage = _STAGE.get(task.kind)
+        if stage is None:
+            return self.potentials[task.clique]
+        key = (task.phase, task.edge, stage)
+        table = self._inter.get(key)
+        if table is None:
+            table = self._inter[key] = table_view(
+                self.buffer, self._slots[key], self.batch
+            )
+        return table
 
-    # ------------------------------------------------------------------ #
-    # Whole-task execution
-    # ------------------------------------------------------------------ #
+    def mark_computed(self, tasks: Iterable[Task]) -> None:
+        """Count the tables ``tasks`` write as present: the bookkeeping of
+        :meth:`execute`, for an executor whose arithmetic ran in another
+        address space (the process tier copies its arena back into
+        ``buffer``)."""
+        for task in tasks:
+            self.output_table(task)
 
     def execute(self, task: Task) -> None:
-        """Run one task to completion against the state."""
-        source, sep_vars, sep_cards, target = self._edge_scopes(task)
-        key_base = (task.phase, task.edge)
-        if task.kind is PrimitiveKind.MARGINALIZE:
-            result = marginalize(self.potentials[source], sep_vars)
-            self._inter[key_base + ("sep_new",)] = result
-        elif task.kind is PrimitiveKind.DIVIDE:
-            sep_new = self._inter[key_base + ("sep_new",)]
-            old = self.separators[task.edge].aligned_to(sep_new.variables)
-            ratio = divide(sep_new, old)
-            self.separators[task.edge] = sep_new
-            self._inter[key_base + ("ratio",)] = ratio
-        elif task.kind is PrimitiveKind.EXTEND:
-            ratio = self._inter[key_base + ("ratio",)]
-            clique = self.jt.cliques[target]
-            self._inter[key_base + ("extended",)] = extend(
-                ratio, clique.variables, clique.cardinalities
-            )
-        elif task.kind is PrimitiveKind.MULTIPLY:
-            extended = self._inter[key_base + ("extended",)]
-            self.potentials[target] = multiply(self.potentials[target], extended)
+        """Run one task to completion against the state (Eq. 1, in place)."""
+        kind = task.kind
+        edge = task.edge
+        pipe = (task.phase, edge)
+        out = self.output_table(task)
+        if kind is PrimitiveKind.MARGINALIZE:
+            # The message flows from the other end of the edge into the
+            # clique the pipeline updates.
+            source = edge[1] if task.phase == COLLECT else edge[0]
+            marginalize(self.potentials[source], out.variables, out=out)
+        elif kind is PrimitiveKind.DIVIDE:
+            sep_new = self._inter[pipe + ("sep_new",)]
+            sep = self.separators[edge]
+            divide(sep_new, sep, out=out)
+            sep.values[...] = sep_new.values
+        elif kind is PrimitiveKind.EXTEND:
+            ratio = self._inter[pipe + ("ratio",)]
+            extend(ratio, out.variables, out.cardinalities, out=out)
+        elif kind is PrimitiveKind.MULTIPLY:
+            multiply(out, self._inter[pipe + ("extended",)], out=out)
         else:
-            raise ValueError(f"task {task} has unexpected kind {task.kind}")
+            raise ValueError(f"task {task} has unexpected kind {kind}")
 
-    # ------------------------------------------------------------------ #
-    # Partitioned execution (the scheduler's Partition module)
-    # ------------------------------------------------------------------ #
-
-    def execute_chunk(self, task: Task, lo: int, hi: int) -> np.ndarray:
-        """Compute one slice of ``task``; returns the partial result.
+    def execute_chunk(
+        self, task: Task, lo: int, hi: int
+    ) -> Optional[np.ndarray]:
+        """Compute one slice of ``task`` (the Partition module's subtask).
 
         For MARGINALIZE the slice is over the *input* flat index space and
-        the result is a full-size partial separator (chunks add); for the
-        other primitives the slice is over the *output* flat index space
-        (chunks concatenate in order).
+        the result is a full-size partial separator, returned for
+        :meth:`combine_chunks` to add.  For the other primitives the slice
+        is over the *output* flat index space and is written in place —
+        chunks own disjoint slices, so nothing is returned.
         """
-        source, sep_vars, sep_cards, target = self._edge_scopes(task)
-        key_base = (task.phase, task.edge)
-        if task.kind is PrimitiveKind.MARGINALIZE:
+        kind = task.kind
+        edge = task.edge
+        pipe = (task.phase, edge)
+        if kind is PrimitiveKind.MARGINALIZE:
+            source = edge[1] if task.phase == COLLECT else edge[0]
+            onto = self._slots[pipe + ("sep_new",)].variables
             partial = chunked.marginalize_chunk(
-                self.potentials[source], sep_vars, lo, hi
+                self.potentials[source], onto, lo, hi
             )
             return partial.values.reshape(-1)
-        if task.kind is PrimitiveKind.DIVIDE:
-            sep_new = self._inter[key_base + ("sep_new",)]
-            old = self.separators[task.edge].aligned_to(sep_new.variables)
-            return chunked.divide_chunk(
-                sep_new.values.reshape(-1), old.values.reshape(-1), lo, hi
+        out = self.output_table(task)
+        out_flat = out.values.reshape(-1)
+        if kind is PrimitiveKind.DIVIDE:
+            sep_new = self._inter[pipe + ("sep_new",)].values.reshape(-1)
+            sep = self.separators[edge].values.reshape(-1)
+            chunked.divide_chunk_into(out_flat, sep_new, sep, lo, hi)
+            # The old separator slice is consumed above; promote the new one.
+            sep[lo:hi] = sep_new[lo:hi]
+        elif kind is PrimitiveKind.EXTEND:
+            ratio = self._inter[pipe + ("ratio",)]
+            chunked.extend_chunk_into(
+                out_flat, ratio, out.variables, out.cardinalities, lo, hi
             )
-        if task.kind is PrimitiveKind.EXTEND:
-            ratio = self._inter[key_base + ("ratio",)]
-            clique = self.jt.cliques[target]
-            return chunked.extend_chunk(
-                ratio, clique.variables, clique.cardinalities, lo, hi
-            )
-        if task.kind is PrimitiveKind.MULTIPLY:
-            extended = self._inter[key_base + ("extended",)]
-            return chunked.multiply_chunk(
-                self.potentials[target].values.reshape(-1),
-                extended.values.reshape(-1),
-                lo,
-                hi,
-            )
-        raise ValueError(f"task {task} has unexpected kind {task.kind}")
+        elif kind is PrimitiveKind.MULTIPLY:
+            extended = self._inter[pipe + ("extended",)].values.reshape(-1)
+            chunked.multiply_chunk_into(out_flat, extended, lo, hi)
+        else:
+            raise ValueError(f"task {task} has unexpected kind {kind}")
+        return None
 
     def combine_chunks(
         self,
         task: Task,
-        parts: Sequence[np.ndarray],
+        parts: Sequence[Optional[np.ndarray]],
         ranges: Sequence[Tuple[int, int]],
     ) -> None:
-        """Finish a partitioned ``task`` from its chunk results.
+        """Finish a partitioned ``task`` from its chunk results (``T̂_n``).
 
         Must be called with a full partition of the task's index space, in
         the order produced by :func:`repro.potential.partition.chunk_ranges`.
-        Performs exactly the state transition of :meth:`execute`.
+        Only MARGINALIZE has anything left to do — its partials add into
+        the separator slot; the chunks of the other primitives already
+        wrote the output in place, exactly as
+        :func:`repro.tasks.partition_plan.combine_flops` models.
         """
         if len(parts) != len(ranges):
             raise ValueError("parts and ranges must have equal length")
-        source, sep_vars, sep_cards, target = self._edge_scopes(task)
-        key_base = (task.phase, task.edge)
         if task.kind is PrimitiveKind.MARGINALIZE:
-            size = int(np.prod(sep_cards)) if sep_cards else 1
-            if self.batch is not None:
-                size *= self.batch
-            total = np.zeros(size)
-            for part in parts:
-                total = total + part
-            self._inter[key_base + ("sep_new",)] = PotentialTable(
-                sep_vars, sep_cards, total, batch=self.batch
+            chunked.add_partials_into(
+                self.output_table(task).values.reshape(-1), parts
             )
-            return
-        flat = np.concatenate([np.asarray(p).reshape(-1) for p in parts])
-        if task.kind is PrimitiveKind.DIVIDE:
-            sep_new = self._inter[key_base + ("sep_new",)]
-            self.separators[task.edge] = sep_new
-            self._inter[key_base + ("ratio",)] = PotentialTable(
-                sep_new.variables, sep_new.cardinalities, flat,
-                batch=self.batch,
-            )
-        elif task.kind is PrimitiveKind.EXTEND:
-            clique = self.jt.cliques[target]
-            self._inter[key_base + ("extended",)] = PotentialTable(
-                clique.variables, clique.cardinalities, flat,
-                batch=self.batch,
-            )
-        elif task.kind is PrimitiveKind.MULTIPLY:
-            clique = self.jt.cliques[target]
-            self.potentials[target] = PotentialTable(
-                clique.variables, clique.cardinalities, flat,
-                batch=self.batch,
-            )
-        else:
-            raise ValueError(f"task {task} has unexpected kind {task.kind}")
-
-    # ------------------------------------------------------------------ #
-    # Shared-memory handoff (pickling-free)
-    # ------------------------------------------------------------------ #
-
-    def shared_table_plan(self, graph: "TaskGraph"):
-        """Every buffer a zero-copy shared-memory run of ``graph`` needs.
-
-        Returns a list of ``(key, variables, cardinalities, init)`` entries:
-        one per working clique potential (``("pot", i)``, initialized from
-        the evidence-absorbed working copy), one per separator
-        (``("sep", (parent, child))``), and three per (phase, edge) message
-        pipeline (``("inter", phase, edge, stage)`` for the ``sep_new``,
-        ``ratio`` and ``extended`` intermediates, zero-initialized).
-
-        The plan carries only scopes and small init arrays — workers attach
-        to the buffers by offset, so no potential table is ever pickled.
-        Batched states are refused: the shared-memory arena lays tables out
-        per case, so the process tier falls back to per-case runs instead.
-        """
-        if self.batch is not None:
-            raise ValueError(
-                "shared-memory table plans do not support batched states"
-            )
-        plan = []
-        for i in range(self.jt.num_cliques):
-            table = self.potentials[i]
-            plan.append(
-                (("pot", i), table.variables, table.cardinalities, table.values)
-            )
-        for edge, table in self.separators.items():
-            plan.append(
-                (("sep", edge), table.variables, table.cardinalities, table.values)
-            )
-        seen = set()
-        for task in graph.tasks:
-            pipe = (task.phase, task.edge)
-            if pipe in seen:
-                continue
-            seen.add(pipe)
-            _, sep_vars, sep_cards, target = self.edge_scopes(task)
-            clique = self.jt.cliques[target]
-            plan.append(
-                (("inter", task.phase, task.edge, "sep_new"), sep_vars, sep_cards, None)
-            )
-            plan.append(
-                (("inter", task.phase, task.edge, "ratio"), sep_vars, sep_cards, None)
-            )
-            plan.append(
-                (
-                    ("inter", task.phase, task.edge, "extended"),
-                    clique.variables,
-                    clique.cardinalities,
-                    None,
-                )
-            )
-        return plan
-
-    def absorb_shared(self, tables: Mapping[tuple, PotentialTable]) -> None:
-        """Copy results of a shared-memory run back into this state.
-
-        ``tables`` maps :meth:`shared_table_plan` keys to tables whose values
-        may be views into a buffer about to be freed, so everything is
-        deep-copied.  After this call the state is indistinguishable from
-        one produced by in-process execution of the same task graph.
-        """
-        for key, table in tables.items():
-            if key[0] == "pot":
-                self.potentials[key[1]] = table.copy()
-            elif key[0] == "sep":
-                self.separators[key[1]] = table.copy()
-            elif key[0] == "inter":
-                self._inter[(key[1], key[2], key[3])] = table.copy()
-            else:
-                raise KeyError(f"unknown shared table key {key!r}")
 
     # ------------------------------------------------------------------ #
     # Results

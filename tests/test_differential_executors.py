@@ -104,9 +104,12 @@ def _assert_states_close(tree, ref, other, label):
             rtol=RTOL,
             atol=ATOL,
         ), f"{label}: clique {i} diverges"
-    assert np.isclose(
+    assert np.allclose(
         ref.likelihood(), other.likelihood(), rtol=RTOL, atol=ATOL
     ), f"{label}: likelihood diverges"
+
+
+ALL_EXECUTORS = [("serial", SerialExecutor)] + PARALLEL_EXECUTORS
 
 
 @pytest.mark.parametrize(
@@ -146,15 +149,86 @@ def test_executors_match_variable_elimination(seed, num_vars, card, num_evidence
     expected = {
         t: ve_query(bn, [t], evidence).values for t in targets
     }
-    executors = [("serial", SerialExecutor)] + [
-        (label, make) for label, make in PARALLEL_EXECUTORS
-    ]
     engine = InferenceEngine.from_network(bn)
     engine.set_evidence(evidence)
-    for label, make in executors:
+    for label, make in ALL_EXECUTORS:
         engine.set_evidence(evidence)  # invalidate previous propagation
         engine.propagate(make())
         for t in targets:
             assert np.allclose(
                 engine.marginal(t), expected[t], rtol=RTOL, atol=ATOL
             ), f"{label} seed={seed}: P(X{t}) diverges from VE"
+
+
+@pytest.mark.parametrize(
+    "seed,num_cliques,width,states,children,num_evidence", TREE_SCENARIOS[3::3]
+)
+def test_restricted_graphs_agree_with_from_scratch_serial(
+    seed, num_cliques, width, states, children, num_evidence
+):
+    """Propagate, move the findings on two variables, repropagate
+    *incrementally* through each executor: the restricted graph over the
+    copied state must land where a from-scratch serial run under the new
+    findings lands.  (The two findings are new ones: overwriting a hard
+    finding is a weakening delta, which the planner soundly refuses.)"""
+    tree, _graph, evidence = _tree_workload(
+        seed, num_cliques, width, states, children, num_evidence
+    )
+    variables = sorted({v for c in tree.cliques for v in c.variables})
+    # The highest variable ids sit in the last-built (leaf-ward) cliques, so
+    # their root-ward closure leaves most of the tree reusable.
+    first, second = [v for v in variables if v not in evidence][-2:]
+    scratch = InferenceEngine(tree)
+    scratch.set_evidence({**evidence, first: 1, second: 0})
+    reference = scratch.propagate()
+    for label, make in ALL_EXECUTORS:
+        engine = InferenceEngine(tree)
+        engine.set_evidence(evidence)
+        engine.propagate()
+        engine.observe(first, 1).observe(second, 0)
+        state = engine.propagate(executor=make())
+        assert engine.last_stats.incremental, label
+        assert engine.last_stats.tasks_skipped > 0, label
+        _assert_states_close(
+            engine.jt, reference, state, f"{label} seed={seed} restricted"
+        )
+
+
+@pytest.mark.parametrize(
+    "seed,num_cliques,width,states,children,num_evidence", TREE_SCENARIOS[2::4]
+)
+def test_batched_states_agree_with_per_case_serial(
+    seed, num_cliques, width, states, children, num_evidence
+):
+    """B = 3 cases through one batched state, per executor that accepts
+    batched states: every batch row equals its own single-case run."""
+    tree, _graph, evidence = _tree_workload(
+        seed, num_cliques, width, states, children, num_evidence
+    )
+    free = sorted(
+        {v for c in tree.cliques for v in c.variables} - set(evidence)
+    )
+    cases = [
+        (evidence, {}),
+        ({**evidence, free[0]: 1}, {}),
+        ({free[1]: 0}, {free[0]: np.linspace(0.2, 0.8, states)}),
+    ]
+    singles = []
+    for hard, soft in cases:
+        single = PropagationState(tree, hard, soft)
+        SerialExecutor().run(build_task_graph(tree), single)
+        singles.append(single)
+    reference = PropagationState.from_cases(singles)
+    graph = build_task_graph(tree, batch=len(cases))
+    accepted = 0
+    for label, make in ALL_EXECUTORS:
+        executor = make()
+        if not getattr(executor, "supports_batched_state", True):
+            continue
+        accepted += 1
+        state = PropagationState.batched(tree, cases)
+        executor.run(graph, state)
+        _assert_states_close(
+            tree, reference, state, f"{label} seed={seed} batched"
+        )
+    assert accepted == len(ALL_EXECUTORS) - 1  # all but the process tier

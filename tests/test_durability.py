@@ -509,6 +509,40 @@ class TestRegistryRecovery:
         assert healed.stats()["recovered_models"] == 1
         healed.close()
 
+    def test_other_format_checkpoint_falls_back_cold(self, tmp_path):
+        """An artifact of another checkpoint format (an older build's pack
+        order) is refused whole: the entry stays cold and recompiles."""
+        import json
+
+        import numpy as np
+
+        from repro.registry import ModelRegistry
+
+        root = str(tmp_path / "root")
+        network = self._network()
+        cold = ModelRegistry(durable_root=root)
+        cold.register("m", network=network)
+        expected = cold.acquire("m").baseline
+        cold.close()
+
+        store = DurableModelStore(root)
+        ckpt = os.path.join(store.dir, store.manifest()["m"]["checkpoint"])
+        with np.load(ckpt, allow_pickle=False) as data:
+            arrays = {name: np.array(data[name]) for name in data.files}
+        manifest = json.loads(str(arrays["__manifest__"][()]))
+        manifest["format"] = 1
+        arrays["__manifest__"] = np.array(json.dumps(manifest))
+        with open(ckpt, "wb") as handle:
+            np.savez(handle, **arrays)
+
+        fresh = ModelRegistry(durable_root=root)
+        fresh.register("m", network=network)
+        assert fresh.stats()["recovered_models"] == 0
+        assert not fresh.model_recoveries[0].adopted
+        assert "format" in fresh.model_recoveries[0].detail
+        assert fresh.acquire("m").baseline == expected
+        fresh.close()
+
     def test_store_slug_is_filesystem_safe_and_collision_proof(self, tmp_path):
         from repro.durability.store import _slug
 

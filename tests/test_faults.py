@@ -26,6 +26,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.inference.engine import InferenceEngine
 from repro.jt.generation import synthetic_tree
 from repro.potential.table import PotentialTable
 from repro.sched.faults import (
@@ -415,6 +416,37 @@ class TestResilientExecutor:
                 rtol=1e-9,
                 atol=1e-12,
             )
+
+    def test_rescued_state_does_not_seed_incremental_reuse(self):
+        """A log-space-rescued state holds the underflowed run's zero
+        separators and messages next to rescued potentials: reusing it
+        incrementally answered ``[0, 0]``.  The next query must
+        repropagate in full, under the resilience propagate() asked for,
+        and stay exact."""
+        tree, _, _ = _workload(num_cliques=6, seed=23)
+        reference = InferenceEngine(tree.copy())
+        for i, table in tree.potentials.items():
+            tree.potentials[i] = PotentialTable(
+                table.variables, table.cardinalities, table.values * 1e-300
+            )
+        engine = InferenceEngine(tree)
+        engine.propagate(resilience=True)
+        assert any(
+            r.to_executor == "logspace" for r in engine.last_stats.degradations
+        )
+        variables = sorted({v for c in tree.cliques for v in c.variables})
+        engine.observe(variables[0], 1)
+        reference.observe(variables[0], 1)
+        reference.propagate()
+        for var in variables[1:]:
+            np.testing.assert_allclose(
+                engine.marginal(var), reference.marginal(var),
+                rtol=1e-9, atol=1e-12,
+            )
+        assert not engine.last_stats.incremental
+        assert any(
+            r.to_executor == "logspace" for r in engine.last_stats.degradations
+        )
 
     def test_logspace_rescue_can_be_disabled(self):
         tree, graph, _ = _workload(num_cliques=4, seed=23)

@@ -34,7 +34,10 @@ from repro.sched.faults import FaultPlan
 from repro.sched.process import ProcessSharedMemoryExecutor
 from repro.sched.serial import SerialExecutor
 from repro.serve import EngineSessionPool, InferenceService
+from repro.tasks.dag import build_task_graph
+from repro.tasks.layout import table_layout
 from repro.tasks.state import PropagationState
+from repro.tasks.task import DISTRIBUTE
 
 
 def _tree(num_cliques=14, width=5, seed=11):
@@ -213,7 +216,7 @@ class TestCheckpointRoundTrip:
         path = tmp_path / "state.npz"
         engine.checkpoint(path)
         manifest = read_manifest(path)
-        assert manifest["format"] == 1
+        assert manifest["format"] == 2
         assert "state_checksum" in manifest
 
     def test_file_like_round_trip(self):
@@ -226,6 +229,50 @@ class TestCheckpointRoundTrip:
         state = PropagationState.load(engine.jt, buf)
         for v in _variables(tree):
             assert (state.marginal(v) == engine.marginal(v)).all()
+
+    def test_unwritten_pipelines_stay_absent_across_a_round_trip(self):
+        """The buffer has a slot for every intermediate, but only written
+        ones are in the table index: a state whose distribute phase reached
+        one clique restores with the other messages still absent, bit for
+        bit, and finishes the distribute exactly.  (An engine's first
+        propagation is always full, so the partial state is built with a
+        restricted graph directly.)"""
+        from repro.inference.incremental import distribute_edges_for
+
+        tree = _tree(seed=9)
+        target = max(range(tree.num_cliques), key=tree.depth_of)
+        everyone = set(range(tree.num_cliques)) - {tree.root}
+        reached = distribute_edges_for(tree, everyone, {target})
+        state = PropagationState(tree, {0: 1})
+        SerialExecutor().run(
+            build_task_graph(tree, distribute_edges=reached), state
+        )
+        unwritten = {
+            key for key in table_layout(tree).inter if key not in state._inter
+        }
+        assert unwritten and all(key[0] == DISTRIBUTE for key in unwritten)
+
+        buf = io.BytesIO()
+        manifest = state.save(buf)
+        assert manifest["tables"] == (
+            2 * tree.num_cliques - 1 + len(state._inter)
+        )
+        buf.seek(0)
+        restored = PropagationState.load(tree, buf)
+        assert set(restored._inter) == set(state._inter)
+        assert np.array_equal(restored.buffer, state.buffer)
+        assert not np.shares_memory(restored.buffer, state.buffer)
+
+        rest = {(tree.parent[c], c) for c in everyone} - reached
+        finish = build_task_graph(
+            tree, collect_edges=(), distribute_edges=rest
+        )
+        full = PropagationState(tree, {0: 1})
+        SerialExecutor().run(build_task_graph(tree), full)
+        for resumed in (state, restored):
+            SerialExecutor().run(finish, resumed)
+            assert set(resumed._inter) == set(full._inter)
+            assert np.array_equal(resumed.buffer, full.buffer)
 
     def test_checkpoint_before_propagation_raises(self):
         tree = _tree(seed=9)
@@ -316,6 +363,17 @@ class TestCheckpointRefusals:
         np.savez(tampered, **arrays)
         with pytest.raises(CheckpointCorrupt, match="checksum"):
             InferenceEngine.from_checkpoint(tree, tampered)
+
+    def test_table_vector_of_another_layout_is_refused(self, tmp_path):
+        tree = _tree(seed=7)
+        payload = self._checkpoint_bytes(tree)
+        with np.load(io.BytesIO(payload), allow_pickle=False) as data:
+            arrays = {name: np.array(data[name]) for name in data.files}
+        arrays["__tables__"] = arrays["__tables__"][:-1]
+        short = tmp_path / "short.npz"
+        np.savez(short, **arrays)
+        with pytest.raises(CheckpointCorrupt, match="layout"):
+            InferenceEngine.from_checkpoint(tree, short)
 
     def test_structurally_broken_archive_is_refused(self):
         tree = _tree(seed=7)

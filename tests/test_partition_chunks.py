@@ -5,10 +5,10 @@ import pytest
 
 from repro.potential.partition import (
     chunk_ranges,
-    divide_chunk,
-    extend_chunk,
+    divide_chunk_into,
+    extend_chunk_into,
     marginalize_chunk,
-    multiply_chunk,
+    multiply_chunk_into,
 )
 from repro.potential.primitives import divide, extend, marginalize, multiply
 from repro.potential.table import PotentialTable
@@ -78,22 +78,21 @@ class TestExtendChunk:
         t = _random([1, 3], [2, 3], seed=3)
         target_vars, target_cards = (3, 2, 1), (3, 4, 2)
         whole = extend(t, target_vars, target_cards)
-        size = whole.size
-        parts = [
-            extend_chunk(t, target_vars, target_cards, lo, hi)
-            for lo, hi in chunk_ranges(size, max_chunk)
-        ]
-        assert np.allclose(np.concatenate(parts), whole.values.reshape(-1))
+        out = np.empty(whole.size)
+        for lo, hi in chunk_ranges(whole.size, max_chunk):
+            extend_chunk_into(out, t, target_vars, target_cards, lo, hi)
+        assert np.array_equal(out, whole.values.reshape(-1))
 
     def test_scalar_source(self):
         t = PotentialTable([], [], np.array(4.0))
-        part = extend_chunk(t, (0,), (3,), 0, 3)
-        assert np.array_equal(part, np.array([4.0, 4.0, 4.0]))
+        out = np.empty(3)
+        extend_chunk_into(out, t, (0,), (3,), 0, 3)
+        assert np.array_equal(out, np.array([4.0, 4.0, 4.0]))
 
     def test_out_of_range_rejected(self):
         t = _random([0], [2])
         with pytest.raises(ValueError, match="out of range"):
-            extend_chunk(t, (0, 1), (2, 2), 2, 9)
+            extend_chunk_into(np.empty(4), t, (0, 1), (2, 2), 2, 9)
 
 
 class TestElementwiseChunks:
@@ -101,24 +100,24 @@ class TestElementwiseChunks:
         a = _random([0, 1], [3, 4], seed=4)
         b = _random([0, 1], [3, 4], seed=5)
         whole = multiply(a, b).values.reshape(-1)
-        af, bf = a.values.reshape(-1), b.values.reshape(-1)
-        parts = [
-            multiply_chunk(af, bf, lo, hi) for lo, hi in chunk_ranges(12, 5)
-        ]
-        assert np.allclose(np.concatenate(parts), whole)
+        out, bf = a.values.reshape(-1).copy(), b.values.reshape(-1)
+        for lo, hi in chunk_ranges(12, 5):
+            multiply_chunk_into(out, bf, lo, hi)
+        assert np.array_equal(out, whole)
 
     def test_divide_chunks_equal_whole(self):
         a = _random([0, 1], [3, 4], seed=6)
         b = _random([0, 1], [3, 4], seed=7)
         whole = divide(a, b).values.reshape(-1)
         af, bf = a.values.reshape(-1), b.values.reshape(-1)
-        parts = [
-            divide_chunk(af, bf, lo, hi) for lo, hi in chunk_ranges(12, 4)
-        ]
-        assert np.allclose(np.concatenate(parts), whole)
+        out = np.empty(12)
+        for lo, hi in chunk_ranges(12, 4):
+            divide_chunk_into(out, af, bf, lo, hi)
+        assert np.array_equal(out, whole)
 
     def test_divide_chunk_zero_convention(self):
         num = np.array([0.0, 1.0])
         den = np.array([0.0, 2.0])
-        out = divide_chunk(num, den, 0, 2)
+        out = np.full(2, np.nan)
+        divide_chunk_into(out, num, den, 0, 2)
         assert np.array_equal(out, np.array([0.0, 0.5]))

@@ -117,6 +117,14 @@ class TestReduce:
         t.reduce({0: 0})
         assert np.array_equal(t.values, np.array([1.0, 2.0]))
 
+    def test_reduce_into_out_equals_reduce(self):
+        t = PotentialTable([0, 1], [2, 3], np.arange(1.0, 7.0))
+        out = PotentialTable([0, 1], [2, 3], np.full(6, np.nan))
+        assert t.reduce({1: 2}, out=out) is out
+        assert np.array_equal(out.values, t.reduce({1: 2}).values)
+        with pytest.raises(ValueError, match="out="):
+            t.reduce({1: 2}, out=PotentialTable.ones([1, 0], [3, 2]))
+
 
 class TestArithmetic:
     def test_normalize_sums_to_one(self):

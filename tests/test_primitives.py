@@ -178,6 +178,67 @@ class TestEq1Propagation:
         assert np.allclose(psi_x_new.values, direct.values)
 
 
+class TestOutDestination:
+    """``out=`` is a destination, not a mode: same values, written in place."""
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_each_primitive_is_bitwise_equal_with_and_without_out(self, batch):
+        rng = np.random.default_rng(8)
+
+        def table(variables, cards):
+            shape = tuple(cards) if batch is None else (batch,) + tuple(cards)
+            return PotentialTable(
+                variables, cards, rng.uniform(0.1, 2.0, shape), batch=batch
+            )
+
+        def blank(variables, cards):
+            filled = table(variables, cards)
+            filled.values[...] = np.nan
+            return filled
+
+        clique = table([0, 1, 2], [2, 3, 4])
+        # Kept-axis order equal to, and different from, the target order.
+        for onto, cards in (((0, 2), (2, 4)), ((2, 0), (4, 2)), ((), ())):
+            out = blank(onto, cards)
+            assert marginalize(clique, onto, out=out) is out
+            assert np.array_equal(out.values, marginalize(clique, onto).values)
+        whole = blank([0, 1, 2], [2, 3, 4])
+        marginalize(clique, [0, 1, 2], out=whole)
+        assert np.array_equal(whole.values, clique.values)
+        assert not np.shares_memory(whole.values, clique.values)
+
+        sep = table([2, 0], [4, 2])
+        out = blank([0, 1, 2], [2, 3, 4])
+        assert extend(sep, [0, 1, 2], [2, 3, 4], out=out) is out
+        assert np.array_equal(
+            out.values, extend(sep, [0, 1, 2], [2, 3, 4]).values
+        )
+
+        den = table([0, 2], [2, 4])
+        den.values.reshape(-1)[::3] = 0.0
+        out = blank([2, 0], [4, 2])
+        assert divide(sep, den, out=out) is out
+        assert np.array_equal(out.values, divide(sep, den).values)
+
+        expected = multiply(clique, sep).values
+        out = blank([0, 1, 2], [2, 3, 4])
+        assert multiply(clique, sep, out=out) is out
+        assert np.array_equal(out.values, expected)
+        assert multiply(clique, sep, out=clique) is clique  # a *= b
+        assert np.array_equal(clique.values, expected)
+
+    def test_out_of_the_wrong_scope_is_rejected(self):
+        clique = _random([0, 1], [2, 3])
+        with pytest.raises(ValueError, match="out="):
+            marginalize(clique, [0], out=PotentialTable.ones([1], [3]))
+        with pytest.raises(ValueError, match="out="):
+            extend(clique, [0, 1, 2], [2, 3, 2], out=PotentialTable.ones([0, 1], [2, 3]))
+        with pytest.raises(ValueError, match="out="):
+            multiply(clique, clique, out=PotentialTable.ones([1, 0], [3, 2]))
+        with pytest.raises(ValueError, match="out="):
+            divide(clique, clique, out=PotentialTable.ones([0, 1], [2, 3], batch=2))
+
+
 class TestPrimitiveFlops:
     def test_marginalize_counts_input(self):
         assert primitive_flops(PrimitiveKind.MARGINALIZE, 100, 10) == 100

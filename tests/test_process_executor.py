@@ -15,7 +15,9 @@ import os
 import numpy as np
 import pytest
 
+from repro.integrity import TornWriteError
 from repro.jt.generation import synthetic_tree
+from repro.sched.faults import FaultPlan
 from repro.sched.process import ProcessSharedMemoryExecutor
 from repro.sched.serial import SerialExecutor
 from repro.tasks.dag import build_task_graph
@@ -152,3 +154,51 @@ class TestExecution:
         summary = stats.per_worker_summary()
         assert len(summary) == 3  # 2 pool slots + trailing master slot
         assert sum(row["tasks"] for row in summary) == graph.num_tasks
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/dev/shm"), reason="no /dev/shm on this platform"
+)
+class TestArenaLifetime:
+    """The arena is created per run and must not outlive it — however the
+    run ends."""
+
+    @pytest.mark.parametrize(
+        "faults,error",
+        [
+            (None, None),
+            (dict(kill_before_dispatch={1: 0}), None),
+            (dict(torn_write={1: 4}), TornWriteError),
+        ],
+        ids=["clean", "injected-kill", "torn-write"],
+    )
+    def test_no_shared_memory_segment_survives_a_run(
+        self, faults, error, monkeypatch
+    ):
+        from repro.sched import process
+
+        created = []
+
+        class Recording(process.shared_memory.SharedMemory):
+            def __init__(self, name=None, create=False, size=0):
+                super().__init__(name=name, create=create, size=size)
+                if create:
+                    created.append(self.name)
+
+        monkeypatch.setattr(process.shared_memory, "SharedMemory", Recording)
+        tree, graph, reference = _workload(num_cliques=6, seed=71)
+        executor = ProcessSharedMemoryExecutor(
+            num_workers=2,
+            inline_threshold=0,
+            max_retries=2 if faults else 0,
+            fault_plan=FaultPlan(**faults) if faults else None,
+        )
+        state = PropagationState(tree)
+        if error is None:
+            executor.run(graph, state)
+            _assert_matches(tree, reference, state)
+        else:
+            with pytest.raises(error):
+                executor.run(graph, state)
+        assert len(created) == 1
+        assert not os.path.exists(os.path.join("/dev/shm", created[0]))

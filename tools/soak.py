@@ -207,19 +207,29 @@ def make_schedule(
     return schedule, pauses
 
 
-def leak_check(before: set, failures: List[str]) -> None:
+def live_resources():
+    """What a phase must hand back: live threads, shared-memory segments."""
+    threads = {t.name for t in threading.enumerate()}
+    segments = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+    return threads, segments
+
+
+def leak_check(before, failures: List[str]) -> None:
     import multiprocessing
 
-    lingering = [
-        t.name
-        for t in threading.enumerate()
-        if t.is_alive() and t.name not in before
-    ]
+    threads_before, segments_before = before
+    threads, segments = live_resources()
+    lingering = sorted(threads - threads_before)
     if lingering:
         failures.append(f"leaked threads after drain: {lingering}")
     children = multiprocessing.active_children()
     if children:
         failures.append(f"leaked worker processes: {children}")
+    # The process tier creates one arena per run and must unlink it however
+    # the run ends (clean, killed worker, torn write).
+    leaked = sorted(segments - segments_before)
+    if leaked:
+        failures.append(f"leaked shared-memory segments: {leaked}")
 
 
 def phase_a(seed: int, duration: float, clients: int, failures: List[str]):
@@ -232,7 +242,7 @@ def phase_a(seed: int, duration: float, clients: int, failures: List[str]):
     pool = EngineSessionPool.from_junction_tree(
         junction_tree_from_network(bn), sessions=4
     )
-    threads_before = {t.name for t in threading.enumerate()}
+    before = live_resources()
     service = InferenceService(
         pool,
         fallback=CollaborativeExecutor(num_threads=2),
@@ -256,7 +266,7 @@ def phase_a(seed: int, duration: float, clients: int, failures: List[str]):
     for request, response in results:
         verify_response(oracle, request, response, failures,
                         allow_failed=False)
-    leak_check(threads_before, failures)
+    leak_check(before, failures)
     if report.served == 0:
         failures.append("phase A served nothing — storm setup is broken")
     if len(results) != clients * per_client:
@@ -299,7 +309,7 @@ def phase_b(seed: int, duration: float, failures: List[str]):
     pool = EngineSessionPool.from_junction_tree(
         junction_tree_from_network(bn), sessions=2
     )
-    threads_before = {t.name for t in threading.enumerate()}
+    before = live_resources()
     # Seeded one-shot faults inside the real process tier: a worker kill
     # (pool restart), a delayed task racing a short per-task timeout
     # (redispatch), and a corrupted output table (the service's health
@@ -358,7 +368,7 @@ def phase_b(seed: int, duration: float, failures: List[str]):
     for request, response in responses:
         verify_response(oracle, request, response, failures,
                         allow_failed=False)
-    leak_check(threads_before, failures)
+    leak_check(before, failures)
     opens = sum(1 for t in breaker.transitions if t.to_state == "open")
     if opens == 0:
         failures.append("induced outage never opened the breaker")
@@ -384,7 +394,7 @@ def phase_c(seed: int, duration: float, failures: List[str]):
     pool = EngineSessionPool.from_junction_tree(
         junction_tree_from_network(bn), sessions=1
     )
-    threads_before = {t.name for t in threading.enumerate()}
+    before = live_resources()
     # Kill/delay/NaN as in phase B, plus a torn write: the worker stamps
     # a correct checksum and then scribbles finite garbage — only the
     # crc verification can catch it, and the session it poisoned must be
@@ -433,7 +443,7 @@ def phase_c(seed: int, duration: float, failures: List[str]):
         # A quarantined batch case is an explicit, legal failure.
         verify_response(oracle, request, response, failures,
                         allow_failed=True)
-    leak_check(threads_before, failures)
+    leak_check(before, failures)
     if report.batches == 0:
         failures.append(
             "phase C never micro-batched — burst setup is broken"
@@ -473,7 +483,7 @@ def phase_d(seed: int, duration: float, failures: List[str]):
     probe.close()
     budget = int(sum(costs.values()) * 0.6)
 
-    threads_before = {t.name for t in threading.enumerate()}
+    before = live_resources()
     registry = ModelRegistry(
         memory_budget=budget,
         sessions=2,
@@ -557,7 +567,7 @@ def phase_d(seed: int, duration: float, failures: List[str]):
             oracles[request.model_id], request, response, failures,
             allow_failed=False,
         )
-    leak_check(threads_before, failures)
+    leak_check(before, failures)
     expected = clients * per_client
     if len(results) != expected:
         failures.append(
@@ -626,7 +636,7 @@ def phase_e(seed: int, duration: float, failures: List[str]):
         emission=stochastic((states, observations)),
     )
 
-    threads_before = {t.name for t in threading.enumerate()}
+    before = live_resources()
     injected: List[_StreamChaosExecutor] = []
 
     def chaos_executor():
@@ -727,7 +737,7 @@ def phase_e(seed: int, duration: float, failures: List[str]):
                     f"{response.marginals[0].tolist()} expected "
                     f"{exact.tolist()}"
                 )
-    leak_check(threads_before, failures)
+    leak_check(before, failures)
     kills = sum(e.kills for e in injected)
     if kills == 0:
         failures.append("phase E injected no executor kills — chaos "
@@ -911,7 +921,7 @@ def main(argv=None) -> int:
             print(f"  - {failure}")
         return 1
     print("OK: every response was exact or an explicit refusal; "
-          "no leaked threads or processes")
+          "no leaked threads, processes or shared-memory segments")
     return 0
 
 
