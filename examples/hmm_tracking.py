@@ -3,8 +3,8 @@
 
 A two-state hidden Markov model (machine healthy/faulty, observed through
 a noisy sensor) is unrolled into an ordinary Bayesian network and tracked
-with junction-tree inference: filtering (current state), smoothing
-(revising the past with later evidence) and Viterbi decoding via MPE.
+with junction-tree inference: filtering (current state) and smoothing
+(revising the past with later evidence).
 
 Run:  python examples/hmm_tracking.py
 """
@@ -46,14 +46,6 @@ def main():
     print(
         "P(fault):" + "".join(f" {p:4.2f}" for p in smoothed)
         + "   (smoothed, given all 10 readings)"
-    )
-
-    assignment, prob = engine.mpe()
-    decoded = [assignment[dbn.variable_at(0, t)] for t in range(T)]
-    print(
-        "decoded: "
-        + "".join(f"    {'F' if s else '.'}" for s in decoded)
-        + "   (most probable state path)"
     )
 
     # Filtering: the fault probability *at the time*, without hindsight.

@@ -12,7 +12,8 @@ Run:  python examples/incremental_updates.py
 
 import numpy as np
 
-from repro import ShaferShenoyEngine, random_network
+from repro import random_network
+from repro.inference.shafershenoy import ShaferShenoyEngine
 from repro.jt.build import junction_tree_from_network
 
 

@@ -97,16 +97,6 @@ def main():
     assert np.allclose(engine.marginal(LUNG), expected)
     print("verified against brute-force enumeration.")
 
-    # Which finding drives the lung-cancer posterior? Leave-one-out
-    # sensitivity over the evidence set (see repro.inference.sensitivity).
-    from repro.inference.sensitivity import rank_findings
-
-    evidence = {SMOKE: 1, DYSP: 1, XRAY: 1, ASIA: 1}
-    ranked = rank_findings(engine.jt, LUNG, evidence)
-    print("\nevidence ranked by impact on P(lung):")
-    for var, impact in ranked:
-        print(f"  {NAMES[var]:5s}  leave-one-out KL = {impact:.4f}")
-
 
 if __name__ == "__main__":
     main()

@@ -12,7 +12,8 @@ Public API highlights
 * :mod:`repro.bn` — Bayesian networks, moralization, triangulation.
 * :mod:`repro.jt` — junction trees, synthetic generators, rerooting.
 * :mod:`repro.sched` — serial/collaborative/baseline executors (threads)
-  plus the shared-memory process executor (real multicore parallelism).
+  plus the shared-memory process executor (worker processes; slower than
+  serial on every benchmark-suite workload).
 * :mod:`repro.simcore` — the discrete-event multicore simulator and
   scheduling policies used for the speedup experiments.
 * :mod:`repro.obs` — span tracing for every executor, Chrome-trace/
@@ -32,7 +33,6 @@ from repro.bn.network import BayesianNetwork
 from repro.inference.cache import QueryCache
 from repro.inference.engine import InferenceEngine
 from repro.inference.evidence import Evidence
-from repro.inference.shafershenoy import ShaferShenoyEngine
 from repro.jt.build import junction_tree_from_network
 from repro.jt.generation import paper_tree, synthetic_tree, template_tree
 from repro.jt.junction_tree import Clique, JunctionTree
@@ -82,7 +82,6 @@ __all__ = [
     "Evidence",
     "QueryCache",
     "InferenceEngine",
-    "ShaferShenoyEngine",
     "SerialExecutor",
     "CollaborativeExecutor",
     "LevelParallelExecutor",

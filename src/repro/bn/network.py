@@ -106,8 +106,9 @@ class BayesianNetwork:
     def set_cpt(self, v: int, table: PotentialTable) -> None:
         """Attach ``P(v | parents(v))``.
 
-        The table's scope must be exactly ``parents(v) ∪ {v}`` and it must be
-        normalized over ``v`` for every parent configuration.
+        The table's scope must be exactly ``parents(v) ∪ {v}``, its entries
+        non-negative, and it must be normalized over ``v`` for every parent
+        configuration.
         """
         self._check_var(v)
         expected = set(self._parents[v]) | {v}
@@ -121,6 +122,8 @@ class BayesianNetwork:
                     f"CPT cardinality of variable {var} is "
                     f"{table.card_of(var)}, network says {self.cardinalities[var]}"
                 )
+        if np.any(table.values < 0):
+            raise ValueError(f"CPT for variable {v} has negative entries")
         axis = table.variables.index(v)
         sums = table.values.sum(axis=axis)
         if not np.allclose(sums, 1.0, atol=1e-6):

@@ -2,13 +2,17 @@
 
 Subcommands
 -----------
-* ``info`` — library version and module inventory.
 * ``demo`` — a short end-to-end inference demo on a random network.
+* ``query`` — build a random network, absorb evidence, print a marginal.
 * ``experiment {fig5,...,fig9,rerooting-cost,ablations,...,all}`` —
   regenerate the paper's evaluation tables and check the paper-shape
   claims on them (exit 1 when one fails).
-* ``query`` — build a random network, absorb evidence, print a marginal
-  or the most probable explanation.
+* ``trace {report,gantt,validate} FILE`` — inspect a trace ``demo
+  --trace`` recorded.
+* ``serve-demo`` / ``stream-demo`` — a seeded client burst through the
+  request service (or the model registry) / the streaming service, then
+  the drain report.
+* ``recover DIR`` — replay a durable root's journals and report.
 """
 
 from __future__ import annotations
@@ -18,20 +22,6 @@ import sys
 from typing import List, Optional
 
 import numpy as np
-
-
-def _cmd_info(args) -> int:
-    import repro
-
-    print(f"repro {repro.__version__}")
-    print(
-        "Reproduction of: Xia, Feng, Prasanna — "
-        "'Parallel Evidence Propagation on Multicore Processors' (PACT 2009)"
-    )
-    print("subsystems: bn, potential, jt, tasks, sched, simcore, inference,")
-    print("            experiments, io, obs, serve, streaming, registry,")
-    print("            integrity, durability")
-    return 0
 
 
 def _make_executor(
@@ -504,68 +494,11 @@ def _cmd_query(args) -> int:
         var, _, state = item.partition("=")
         evidence[int(var)] = int(state)
     engine.set_evidence(evidence)
-    if args.mpe:
-        assignment, prob = engine.mpe()
-        states = " ".join(
-            f"X{v}={assignment[v]}" for v in sorted(assignment)
-        )
-        print(f"MPE: {states}")
-        print(f"P = {prob:.6g}")
-    else:
-        engine.propagate()
-        print(
-            f"P(X{args.target} | evidence) = "
-            f"{np.round(engine.marginal(args.target), 6).tolist()}"
-        )
-    return 0
-
-
-def _cmd_model(args) -> int:
-    from repro import models
-    from repro.inference.engine import InferenceEngine
-    from repro.inference.sensitivity import rank_findings
-
-    builders = {
-        "asia": models.asia,
-        "sprinkler": models.sprinkler,
-        "cancer": models.cancer,
-        "student": models.student,
-        "car-start": models.car_start,
-    }
-    bn, names = builders[args.name]()
-    by_name = {label: var for var, label in names.items()}
-    engine = InferenceEngine.from_network(bn)
-    evidence = {}
-    for item in args.evidence or []:
-        label, _, state = item.partition("=")
-        if label not in by_name:
-            print(f"unknown variable {label!r}; variables: "
-                  f"{', '.join(sorted(by_name))}")
-            return 1
-        evidence[by_name[label]] = int(state)
-    engine.set_evidence(evidence)
     engine.propagate()
-    print(f"{args.name}: {bn.num_variables} variables, "
-          f"{engine.jt.num_cliques} cliques")
-    if evidence:
-        shown = ", ".join(
-            f"{names[v]}={s}" for v, s in evidence.items()
-        )
-        print(f"evidence: {shown}  (P = {engine.likelihood():.6f})")
-    for var in sorted(names):
-        if var in evidence:
-            continue
-        marginal = engine.marginal(var)
-        states = " ".join(f"{p:.4f}" for p in marginal)
-        print(f"  P({names[var]:<12}) = [{states}]")
-    if len(evidence) >= 2 and args.explain is not None:
-        target = by_name.get(args.explain)
-        if target is None or target in evidence:
-            print(f"cannot explain {args.explain!r}")
-            return 1
-        print(f"\nevidence ranked by impact on P({args.explain}):")
-        for var, impact in rank_findings(engine.jt, target, evidence):
-            print(f"  {names[var]:<12} leave-one-out KL = {impact:.4f}")
+    print(
+        f"P(X{args.target} | evidence) = "
+        f"{np.round(engine.marginal(args.target), 6).tolist()}"
+    )
     return 0
 
 
@@ -592,8 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("info", help="version and module inventory")
-
     demo = sub.add_parser("demo", help="end-to-end inference demo")
     demo.add_argument("--variables", type=int, default=20)
     demo.add_argument("--threads", type=int, default=4)
@@ -603,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=EXECUTOR_CHOICES,
         default="collaborative",
         help="which executor propagates the evidence (process = "
-        "shared-memory worker processes, the only one that escapes the GIL)",
+        "shared-memory worker processes)",
     )
     demo.add_argument(
         "--partition-threshold",
@@ -777,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_validate.add_argument("file", help="Chrome-trace JSON to check")
 
-    query = sub.add_parser("query", help="marginal or MPE query")
+    query = sub.add_parser("query", help="marginal query")
     query.add_argument("--variables", type=int, default=15)
     query.add_argument("--seed", type=int, default=0)
     query.add_argument("--target", type=int, default=1)
@@ -786,26 +717,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         metavar="VAR=STATE",
         help="evidence assignments, e.g. 0=1 3=0",
-    )
-    query.add_argument(
-        "--mpe", action="store_true", help="most probable explanation"
-    )
-
-    model = sub.add_parser("model", help="query a classic example network")
-    model.add_argument(
-        "name",
-        choices=["asia", "sprinkler", "cancer", "student", "car-start"],
-    )
-    model.add_argument(
-        "--evidence",
-        nargs="*",
-        metavar="NAME=STATE",
-        help="evidence by variable name, e.g. smoke=1 xray=1",
-    )
-    model.add_argument(
-        "--explain",
-        metavar="NAME",
-        help="rank the evidence by impact on this variable's posterior",
     )
 
     experiment = sub.add_parser(
@@ -822,14 +733,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {
-        "info": _cmd_info,
         "demo": _cmd_demo,
         "serve-demo": _cmd_serve_demo,
         "stream-demo": _cmd_stream_demo,
         "recover": _cmd_recover,
         "trace": _cmd_trace,
         "query": _cmd_query,
-        "model": _cmd_model,
         "experiment": _cmd_experiment,
     }
     return handlers[args.command](args)

@@ -13,15 +13,8 @@ from repro.inference.incremental import (
     plan_incremental,
 )
 from repro.inference.propagation import propagate_reference
-from repro.inference.mpe import max_propagate, mpe_bruteforce
 from repro.inference.engine import InferenceEngine
-from repro.inference.shafershenoy import ShaferShenoyEngine
 from repro.inference.variable_elimination import ve_marginal, ve_query
-from repro.inference.sensitivity import (
-    evidence_impact,
-    finding_strength,
-    rank_findings,
-)
 
 __all__ = [
     "Evidence",
@@ -31,13 +24,7 @@ __all__ = [
     "plan_incremental",
     "distribute_edges_for",
     "propagate_reference",
-    "max_propagate",
-    "mpe_bruteforce",
     "InferenceEngine",
-    "ShaferShenoyEngine",
     "ve_query",
     "ve_marginal",
-    "evidence_impact",
-    "finding_strength",
-    "rank_findings",
 ]

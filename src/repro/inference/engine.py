@@ -729,20 +729,6 @@ class InferenceEngine:
             self.cache.put_likelihood(signature, value)
             return value
 
-    def mpe(self):
-        """Most probable explanation under the current evidence.
-
-        Returns ``(assignment, probability)``; runs its own max-product
-        pass, independent of :meth:`propagate`.
-        """
-        from repro.inference.mpe import max_propagate
-
-        with self._lock:
-            cards = self._cardinalities()
-            assignments = self.evidence.checked_against(cards)
-            soft = self.evidence.soft_as_dict()
-        return max_propagate(self.jt, assignments, soft)
-
     def __repr__(self) -> str:
         return (
             f"InferenceEngine(cliques={self.jt.num_cliques}, "

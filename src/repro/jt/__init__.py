@@ -16,13 +16,10 @@ from repro.jt.rerooting import (
 )
 from repro.jt.validate import check_running_intersection, check_tree_structure
 from repro.jt.calibration import check_calibrated, separator_disagreements
-from repro.jt.stats import summarize_tree, treewidth
 
 __all__ = [
     "check_calibrated",
     "separator_disagreements",
-    "summarize_tree",
-    "treewidth",
     "Clique",
     "JunctionTree",
     "junction_tree_from_network",

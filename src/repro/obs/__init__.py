@@ -17,7 +17,6 @@ from repro.obs.export import (
     ascii_gantt,
     chrome_trace,
     load_chrome_trace,
-    sim_trace_to_chrome,
     validate_chrome_trace,
     write_chrome_trace,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "ascii_gantt",
     "chrome_trace",
     "load_chrome_trace",
-    "sim_trace_to_chrome",
     "validate_chrome_trace",
     "write_chrome_trace",
     "PrimitiveMetrics",

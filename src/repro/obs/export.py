@@ -344,61 +344,3 @@ def ascii_gantt(trace: PropagationTrace, width: int = 72) -> List[str]:
     )
     return rows
 
-
-# --------------------------------------------------------------------- #
-# Simulator traces (repro.simcore) in the same exchange format
-# --------------------------------------------------------------------- #
-
-
-def sim_trace_to_chrome(
-    sim_trace, path=None, name: str = "simcore"
-) -> dict:
-    """Export a :class:`repro.simcore.trace.Trace` as Chrome-trace JSON.
-
-    Simulated schedules use seconds on a virtual clock; they are exported
-    1 s -> 1 s so simulated and measured traces can be compared side by
-    side in Perfetto.
-    """
-    events: List[dict] = [
-        {
-            "ph": "M",
-            "ts": 0,
-            "pid": _CHROME_PID,
-            "tid": 0,
-            "name": "process_name",
-            "args": {"name": f"repro-sim:{name}"},
-        }
-    ]
-    for core in range(sim_trace.num_cores):
-        events.append(
-            {
-                "ph": "M",
-                "ts": 0,
-                "pid": _CHROME_PID,
-                "tid": core,
-                "name": "thread_name",
-                "args": {"name": f"core-{core}"},
-            }
-        )
-    for event in sim_trace.events:
-        events.append(
-            {
-                "ph": "X",
-                "cat": "execute",
-                "ts": event.start * 1e6,
-                "dur": event.duration * 1e6,
-                "pid": _CHROME_PID,
-                "tid": event.core,
-                "name": f"node#{event.node}",
-                "args": {"tid": event.node},
-            }
-        )
-    obj = {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "repro": {"version": 1, "executor": name, "simulated": True},
-    }
-    if path is not None:
-        with open(path, "w") as fh:
-            json.dump(obj, fh)
-    return obj

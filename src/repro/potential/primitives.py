@@ -49,45 +49,6 @@ def _merged_batch(a: PotentialTable, b: PotentialTable):
     return a.batch if a.batch is not None else b.batch
 
 
-def _reduce_onto(
-    reducer: np.ufunc,
-    what: str,
-    table: PotentialTable,
-    onto: Sequence[int],
-    out: Optional[PotentialTable],
-) -> PotentialTable:
-    """Fold ``table`` down to the scope ``onto`` with ``reducer``."""
-    onto = tuple(int(v) for v in onto)
-    missing = set(onto) - set(table.variables)
-    if missing:
-        raise ValueError(f"{what} target has unknown variables {missing}")
-    offset = 0 if table.batch is None else 1
-    drop_axes = tuple(
-        i + offset for i, v in enumerate(table.variables) if v not in onto
-    )
-    kept = tuple(v for v in table.variables if v in onto)
-    if out is not None:
-        out.require(
-            onto, tuple(table.card_of(v) for v in onto), table.batch
-        )
-        if drop_axes and kept == onto:
-            reducer.reduce(table.values, axis=drop_axes, out=out.values)
-            return out
-    folded = (
-        reducer.reduce(table.values, axis=drop_axes)
-        if drop_axes
-        else table.values
-    )
-    kept_cards = [table.card_of(v) for v in kept]
-    result = PotentialTable(
-        kept, kept_cards, folded, batch=table.batch
-    ).aligned_to(onto)
-    if out is None:
-        return result
-    out.values[...] = result.values
-    return out
-
-
 def marginalize(
     table: PotentialTable,
     onto: Sequence[int],
@@ -100,16 +61,35 @@ def marginalize(
     table over exactly that scope, receives the result in place and is
     returned.
     """
-    return _reduce_onto(np.add, "marginalize", table, onto, out)
-
-
-def max_marginalize(table: PotentialTable, onto: Sequence[int]) -> PotentialTable:
-    """Max (instead of sum) ``table`` down to the scope ``onto``.
-
-    The max-product analogue of :func:`marginalize`, used by MPE queries
-    (Viterbi-style most-probable-explanation propagation).
-    """
-    return _reduce_onto(np.maximum, "max-marginalize", table, onto, None)
+    onto = tuple(int(v) for v in onto)
+    missing = set(onto) - set(table.variables)
+    if missing:
+        raise ValueError(f"marginalize target has unknown variables {missing}")
+    offset = 0 if table.batch is None else 1
+    drop_axes = tuple(
+        i + offset for i, v in enumerate(table.variables) if v not in onto
+    )
+    kept = tuple(v for v in table.variables if v in onto)
+    if out is not None:
+        out.require(
+            onto, tuple(table.card_of(v) for v in onto), table.batch
+        )
+        if drop_axes and kept == onto:
+            np.add.reduce(table.values, axis=drop_axes, out=out.values)
+            return out
+    folded = (
+        np.add.reduce(table.values, axis=drop_axes)
+        if drop_axes
+        else table.values
+    )
+    kept_cards = [table.card_of(v) for v in kept]
+    result = PotentialTable(
+        kept, kept_cards, folded, batch=table.batch
+    ).aligned_to(onto)
+    if out is None:
+        return result
+    out.values[...] = result.values
+    return out
 
 
 def extend(

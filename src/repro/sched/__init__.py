@@ -11,12 +11,14 @@ tasks are ordered, interleaved, and mapped onto hardware:
   :class:`WorkStealingExecutor` (Section 8), the Section 7 baselines
   :class:`LevelParallelExecutor` and :class:`DataParallelExecutor`, and
   :func:`run_dag` (any DAG of callables) each pick a policy and call it.
-  GIL-bound: they show scheduling correctness and load balance, not
-  speedup — for timing see :mod:`repro.simcore`.
+  Threads are GIL-bound while per-task Python dominates; numpy releases
+  the GIL inside its loops, so only wide tables overlap.  The paper's
+  speedup figures come from :mod:`repro.simcore`.
 * :class:`ProcessSharedMemoryExecutor` — Algorithm 2 across worker
-  *processes* with all potential tables in shared memory, the one
-  executor that can show genuine multicore wall-clock speedup (the
-  benchmark suite times it as ``sched.process.run_ms``).
+  *processes* with all potential tables in shared memory.  It pays two
+  arena copies per run and a dispatch round-trip per task, and is slower
+  than serial on every benchmark-suite workload (``sched.process.run_ms``
+  beside ``sched.serial.run_ms``).
 
 Fault tolerance: :class:`ResilientExecutor` wraps any executor in a
 degradation cascade (processes → threads → serial) with numerical health

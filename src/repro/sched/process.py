@@ -1,8 +1,7 @@
-"""Shared-memory process executor: Algorithm 2 on real cores, past the GIL.
+"""Shared-memory process executor: Algorithm 2 across worker processes.
 
-The threaded executors in this package demonstrate the paper's scheduling
-*correctness* but are GIL-bound, so their wall clock cannot show multicore
-speedup.  :class:`ProcessSharedMemoryExecutor` runs the same task DAG across
+The threaded executors in this package are GIL-bound while per-task Python
+dominates.  :class:`ProcessSharedMemoryExecutor` runs the same task DAG across
 worker *processes* over the same :class:`~repro.tasks.state.PropagationState`
 every other executor runs — only its buffer lives in one
 ``multiprocessing.shared_memory`` arena:
@@ -32,10 +31,10 @@ stamped and verified) and which it mutates non-idempotently
 (:func:`_mutated_flat`, copied before dispatch, restored before a retry).
 
 Results match :class:`~repro.sched.serial.SerialExecutor` to floating-point
-round-off (identical when no marginalization is partitioned).  Speedup
-needs genuinely parallel hardware and tables large enough that numpy time
-dominates dispatch; the benchmark suite reads it as
-``sched.process.run_ms`` beside ``sched.serial.run_ms``.
+round-off (identical when no marginalization is partitioned).  A run pays
+the two arena copies and every task a dispatch round-trip: the benchmark
+suite reads ``sched.process.run_ms`` beside ``sched.serial.run_ms``, and
+on each of its workloads the process tier is the slower one.
 """
 
 from __future__ import annotations

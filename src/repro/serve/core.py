@@ -46,6 +46,11 @@ from repro.serve.request import (
 # once the real queue is empty.
 _SENTINEL_PRIORITY = 1 << 30
 
+# ``finish`` keeps one latency and one span per response, and a service
+# may run for its process's lifetime: each list holds only the most recent
+# RETAINED to 2 * RETAINED entries (counters are never trimmed).
+RETAINED = 1 << 16
+
 # Which ServiceReport counter a resolved response lands in.
 _STATUS_COUNTER = {
     STATUS_OK: "served_ok",
@@ -54,6 +59,12 @@ _STATUS_COUNTER = {
     STATUS_DEADLINE: "deadline_missed",
     STATUS_FAILED: "failed",
 }
+
+
+def _keep_recent(records: list) -> None:
+    """Drop the oldest ``RETAINED`` entries once ``records`` holds twice that."""
+    if len(records) >= 2 * RETAINED:
+        del records[:RETAINED]
 
 
 class Future:
@@ -291,12 +302,17 @@ class ServingCore:
                 bucket[status] = bucket.get(status, 0) + 1
             if response.ok:
                 self._served_latencies.append(response.latency)
-        self._tracer.current().span(
-            f"{self.span_prefix}:{status}{ticket.label}",
-            self.span_cat,
-            ticket.admitted_ns,
-            end_ns,
-        )
+                _keep_recent(self._served_latencies)
+            # Client threads share the control row's buffer, so its trim
+            # needs the lock too.
+            spans = self._tracer.current()
+            spans.span(
+                f"{self.span_prefix}:{status}{ticket.label}",
+                self.span_cat,
+                ticket.admitted_ns,
+                end_ns,
+            )
+            _keep_recent(spans.misc_records)
         self._resolved(ticket, response)
         return True
 

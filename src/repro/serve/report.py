@@ -57,7 +57,10 @@ class ServiceReport:
     ``served_ok`` counts every exact response (coalesced followers
     included; ``coalesced`` says how many of them rode another request's
     propagation).  ``latency`` holds nearest-rank percentiles (seconds)
-    over ``served_latencies``, the latency of every served response.
+    over ``served_latencies``: the latencies of the most recent N served
+    responses, N = :data:`repro.serve.core.RETAINED` (up to 2N are kept),
+    as are the response spans in ``trace``; the counters cover every
+    response.
     """
 
     submitted: int = 0
@@ -130,9 +133,9 @@ class ServiceReport:
     )
     wall_seconds: float = field(default=0.0, metadata=_MAX)
     queue_high_water: int = field(default=0, metadata=_MAX)
-    # Not emitted by to_dict: the latency of every served response (what
-    # ``latency`` is computed from, kept so merged reports can recompute
-    # it) and the PropagationTrace of the service's spans.
+    # Not emitted by to_dict: the latencies of the most recent served
+    # responses (what ``latency`` is computed from, kept so merged reports
+    # can recompute it) and the PropagationTrace of the service's spans.
     served_latencies: List[float] = field(
         default_factory=list, repr=False, metadata={"emit": False}
     )

@@ -1,6 +1,5 @@
-"""Shared utilities: validation helpers, deterministic RNG, small graph helpers."""
+"""Shared utilities: deterministic RNG."""
 
 from repro.util.rng import make_rng
-from repro.util.validation import check_positive, check_probability_vector
 
-__all__ = ["make_rng", "check_positive", "check_probability_vector"]
+__all__ = ["make_rng"]

@@ -91,6 +91,21 @@ class TestCpts:
         with pytest.raises(ValueError, match="not normalized"):
             bn.set_cpt(0, PotentialTable([0], [2], np.array([0.5, 0.6])))
 
+    def test_set_cpt_negative_entry_rejected(self):
+        # [1.5, -0.5] sums to 1, so the normalization check alone admits it.
+        bn = BayesianNetwork([2])
+        with pytest.raises(ValueError, match="negative"):
+            bn.set_cpt(0, PotentialTable([0], [2], np.array([1.5, -0.5])))
+
+    def test_network_from_dict_refuses_a_negative_entry(self):
+        from repro.io.json_io import network_from_dict, network_to_dict
+
+        doc = network_to_dict(_two_node_net())
+        assert doc["cpts"]["0"]["values"] == [0.3, 0.7]
+        doc["cpts"]["0"]["values"] = [1.5, -0.5]
+        with pytest.raises(ValueError, match="negative"):
+            network_from_dict(doc)
+
     def test_set_cpt_wrong_cardinality_rejected(self):
         bn = BayesianNetwork([2])
         with pytest.raises(ValueError, match="cardinality"):

@@ -10,10 +10,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_info_parses(self):
-        args = build_parser().parse_args(["info"])
-        assert args.command == "info"
-
     def test_demo_defaults(self):
         args = build_parser().parse_args(["demo"])
         assert args.variables == 20
@@ -31,11 +27,6 @@ class TestParser:
 
 
 class TestHandlers:
-    def test_info(self, capsys):
-        assert main(["info"]) == 0
-        out = capsys.readouterr().out
-        assert "PACT 2009" in out
-
     def test_demo(self, capsys):
         assert main(["demo", "--variables", "10", "--seed", "1"]) == 0
         out = capsys.readouterr().out
@@ -47,12 +38,6 @@ class TestHandlers:
         )
         assert code == 0
         assert "P(X3" in capsys.readouterr().out
-
-    def test_query_mpe(self, capsys):
-        code = main(["query", "--variables", "7", "--mpe"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "MPE:" in out
 
     def test_stream_demo(self, capsys):
         code = main(
@@ -68,37 +53,6 @@ class TestHandlers:
         assert main(["experiment", "rerooting-cost"]) == 0
         out = capsys.readouterr().out
         assert "Algorithm 1" in out
-
-    def test_model_prior(self, capsys):
-        assert main(["model", "sprinkler"]) == 0
-        out = capsys.readouterr().out
-        assert "P(rain" in out
-
-    def test_model_with_evidence_and_explanation(self, capsys):
-        code = main(
-            [
-                "model", "asia",
-                "--evidence", "smoke=1", "xray=1",
-                "--explain", "lung",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "evidence ranked by impact on P(lung)" in out
-
-    def test_model_unknown_variable(self, capsys):
-        assert main(["model", "asia", "--evidence", "ghost=1"]) == 1
-        assert "unknown variable" in capsys.readouterr().out
-
-    def test_model_bad_explain_target(self, capsys):
-        code = main(
-            [
-                "model", "asia",
-                "--evidence", "smoke=1", "xray=1",
-                "--explain", "smoke",
-            ]
-        )
-        assert code == 1
 
 
 class TestTraceCommands:

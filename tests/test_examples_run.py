@@ -36,17 +36,11 @@ class TestExamples:
         _load("medical_diagnosis").main()
         out = capsys.readouterr().out
         assert "verified against brute-force enumeration." in out
-        assert "ranked by impact" in out
 
     def test_rerooting_demo(self, capsys):
         _load("rerooting_demo").main()
         out = capsys.readouterr().out
         assert "matches the O(N^2) brute-force search." in out
-
-    def test_mpe_decoding(self, capsys):
-        _load("mpe_decoding").main()
-        out = capsys.readouterr().out
-        assert "decoding errors: 0" in out
 
     def test_generic_dag_scheduling(self, capsys):
         _load("generic_dag_scheduling").main()

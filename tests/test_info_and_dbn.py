@@ -70,24 +70,6 @@ class TestDbn:
         smoothed = engine.marginal(dbn.variable_at(0, 1))
         assert not np.allclose(filtered, smoothed)
 
-    def test_viterbi_decoding_via_mpe(self):
-        dbn = _toy_hmm()
-        T = 6
-        bn = dbn.unroll(T)
-        engine = InferenceEngine.from_network(bn)
-        observations = [0, 0, 1, 1, 1, 0]
-        engine.set_evidence(
-            {dbn.variable_at(1, t): observations[t] for t in range(T)}
-        )
-        assignment, prob = engine.mpe()
-        from repro.inference.mpe import mpe_bruteforce
-
-        joint = bn.joint_table().reduce(
-            {dbn.variable_at(1, t): observations[t] for t in range(T)}
-        )
-        _, expected = mpe_bruteforce(joint)
-        assert np.isclose(prob, expected)
-
     def test_single_slice_needs_no_transition(self):
         dbn = DynamicBayesianNetwork([2])
         dbn.set_prior_cpt(

@@ -24,7 +24,6 @@ from repro.obs import (
     ascii_gantt,
     chrome_trace,
     observed_critical_path,
-    sim_trace_to_chrome,
     validate_chrome_trace,
 )
 from repro.sched import CollaborativeExecutor, WorkStealingExecutor
@@ -381,18 +380,6 @@ class TestChromeExport:
         rows = ascii_gantt(trace, width=40)
         assert any("#" in row for row in rows)
         assert len(rows) >= len(trace.workers())
-
-    def test_sim_trace_export(self):
-        from repro.simcore.machine import Machine
-        from repro.simcore.policies import CollaborativePolicy
-        from repro.simcore.profiles import XEON
-
-        tree, graph = _workload(num_cliques=12)
-        result = Machine(XEON, 4).run(
-            CollaborativePolicy(), graph, record_trace=True
-        )
-        doc = sim_trace_to_chrome(result.trace)
-        validate_chrome_trace(doc)
 
 
 # --------------------------------------------------------------------- #

@@ -247,6 +247,32 @@ def test_finish_counts_only_the_response_that_won():
     assert len(spans) == rounds
 
 
+def test_finish_retains_only_the_most_recent_latencies_and_spans(monkeypatch):
+    """Per-response records are bounded; the counters are not."""
+    keep = 8
+    monkeypatch.setattr("repro.serve.core.RETAINED", keep)
+    rounds = 2 * keep + 10
+    core = ScriptedCore(workers=1)
+    tickets = []
+    for _ in range(rounds):
+        tickets.append(core.push("finish"))
+        assert tickets[-1].future.result(WAIT).ok  # one at a time: in order
+    report = core.drain(WAIT)
+
+    assert report.submitted == report.served_ok == rounds
+    assert report.per_tenant == {"t": {"ok": rounds}}
+    latencies = [t.future.result(0).latency for t in tickets]
+    kept = report.served_latencies
+    assert keep <= len(kept) < 2 * keep
+    assert kept == latencies[-len(kept):]
+    spans = [s for s in report.trace.spans if s.name.startswith("request:")]
+    assert keep <= len(spans) < 2 * keep
+    origin = core._tracer.origin_ns
+    assert [s.start_ns + origin for s in spans] == [
+        t.admitted_ns for t in tickets[-len(spans):]
+    ]
+
+
 # --------------------------------------------------------------------- #
 # ServiceReport.merge / to_dict
 # --------------------------------------------------------------------- #

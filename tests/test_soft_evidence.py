@@ -118,26 +118,6 @@ class TestSoftInference:
         want = _brute_posterior(bn, 4, {2: [0.4, 0.6]}, hard={0: 1})
         assert np.allclose(engine.marginal(4), want)
 
-    def test_mpe_with_soft_evidence(self):
-        from repro.inference.mpe import max_propagate, mpe_bruteforce
-
-        bn = random_network(6, max_parents=2, edge_probability=0.8, seed=13)
-        engine = InferenceEngine.from_network(bn)
-        w = np.array([0.05, 1.0])
-        engine.observe_soft(1, w)
-        assignment, prob = engine.mpe()
-        # Brute force over the likelihood-weighted joint.
-        joint = bn.joint_table()
-        shape = [1] * 6
-        shape[joint.variables.index(1)] = 2
-        weighted = PotentialTable(
-            joint.variables,
-            joint.cardinalities,
-            joint.values * w.reshape(shape),
-        )
-        _, expected = mpe_bruteforce(weighted)
-        assert np.isclose(prob, expected)
-
 
 class TestMarginalsAll:
     def test_marginals_all_covers_every_variable(self):

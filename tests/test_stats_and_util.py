@@ -1,11 +1,10 @@
-"""Tests for ExecutionStats metrics and small utility modules."""
+"""Tests for ExecutionStats metrics and the seeded RNG helpers."""
 
 import numpy as np
 import pytest
 
 from repro.sched.stats import ExecutionStats
 from repro.util.rng import make_rng, spawn_rngs
-from repro.util.validation import check_positive, check_probability_vector
 
 
 class TestExecutionStats:
@@ -125,24 +124,3 @@ class TestRng:
         with pytest.raises(ValueError):
             spawn_rngs(0, -1)
 
-
-class TestValidation:
-    def test_check_positive(self):
-        check_positive("x", 1.0)
-        with pytest.raises(ValueError, match="x must be positive"):
-            check_positive("x", 0.0)
-
-    def test_check_probability_vector_accepts_valid(self):
-        check_probability_vector([0.25, 0.75])
-
-    def test_check_probability_vector_rejects_bad_sum(self):
-        with pytest.raises(ValueError, match="sums to"):
-            check_probability_vector([0.4, 0.4])
-
-    def test_check_probability_vector_rejects_negative(self):
-        with pytest.raises(ValueError, match="negative"):
-            check_probability_vector([-0.5, 1.5])
-
-    def test_check_probability_vector_rejects_empty(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            check_probability_vector([])
