@@ -86,6 +86,12 @@ class InferenceEngine:
 
             self.critical_path_weight = critical_path_weight(junction_tree)
         self.jt = junction_tree
+        # Cardinality of every variable id up to the largest (0: no clique
+        # holds it), what Evidence.checked_against validates findings with.
+        self._cardinalities = [0] * (max(self.jt.variables(), default=-1) + 1)
+        for clique in self.jt.cliques:
+            for var, card in zip(clique.variables, clique.cardinalities):
+                self._cardinalities[var] = card
         self.task_graph: TaskGraph = build_task_graph(self.jt)
         # Batch-scaled task graphs keyed by batch size B (built lazily;
         # sizes scale by B so partition plans match the batched state).
@@ -232,7 +238,7 @@ class InferenceEngine:
         The new state replaces ``self._state`` only after the run
         succeeded.  ``incremental`` is :meth:`propagate`'s argument.
         """
-        assignments = self.evidence.checked_against(self._cardinalities())
+        assignments = self.evidence.checked_against(self._cardinalities)
         soft = self.evidence.soft_as_dict()
         plan = None
         if incremental and self._state is not None:
@@ -314,7 +320,7 @@ class InferenceEngine:
                     ev.observe(int(var), int(finding))
                 else:
                     ev.observe_soft(int(var), finding)
-        hard = ev.checked_against(self._cardinalities())
+        hard = ev.checked_against(self._cardinalities)
         return hard, ev.soft_as_dict(), ev.signature()
 
     def _batch_graph(self, batch: int) -> TaskGraph:
@@ -402,10 +408,7 @@ class InferenceEngine:
             if not cases:
                 return []
             if vars is None:
-                variables: Set[int] = set()
-                for clique in self.jt.cliques:
-                    variables.update(clique.variables)
-                requested = sorted(variables)
+                requested = self.jt.variables()
             else:
                 requested = [int(v) for v in vars]
 
@@ -542,10 +545,7 @@ class InferenceEngine:
                 self.evidence.observe_soft(var, finding)
 
         if vars is None:
-            variables: Set[int] = set()
-            for clique in self.jt.cliques:
-                variables.update(clique.variables)
-            requested = sorted(variables)
+            requested = self.jt.variables()
         else:
             requested = [int(v) for v in vars]
 
@@ -562,7 +562,7 @@ class InferenceEngine:
             else:
                 missing.append(var)
         if missing:
-            hosts = {self.jt.clique_containing([v]) for v in missing}
+            hosts = {self.jt.host(v)[0] for v in missing}
             state = self._sync(targets=hosts)
             for var in missing:
                 values = state.marginal(var)
@@ -573,17 +573,6 @@ class InferenceEngine:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-
-    def _cardinalities(self):
-        cards: Dict[int, int] = {}
-        for clique in self.jt.cliques:
-            for var, card in zip(clique.variables, clique.cardinalities):
-                cards[var] = card
-        size = max(cards) + 1 if cards else 0
-        vec = [0] * size
-        for var, card in cards.items():
-            vec[var] = card
-        return vec
 
     def _mark_synced(self) -> None:
         self._evidence_token = (id(self.evidence), self.evidence.version)
@@ -680,7 +669,7 @@ class InferenceEngine:
             cached = self.cache.get_marginal(signature, variable)
             if cached is not None and self._state is not None:
                 return cached
-            host = self.jt.clique_containing([variable])
+            host, _axis = self.jt.host(variable)
             values = self._sync(targets={host}).marginal(variable)
             self.cache.put_marginal(signature, variable, values)
             return values
@@ -689,10 +678,7 @@ class InferenceEngine:
         """Posterior of every variable in the tree, keyed by variable id."""
         with self._lock:
             state = self._sync()
-            variables = set()
-            for clique in self.jt.cliques:
-                variables.update(clique.variables)
-            return {v: state.marginal(v) for v in sorted(variables)}
+            return {v: state.marginal(v) for v in self.jt.variables()}
 
     def clique_marginal(self, clique: int):
         """Normalized joint over one clique's scope."""

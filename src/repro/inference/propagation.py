@@ -59,5 +59,5 @@ def marginal_from_potentials(
     jt: JunctionTree, potentials: Dict[int, PotentialTable], variable: int
 ):
     """Posterior over ``variable`` from calibrated potentials."""
-    host = jt.clique_containing([variable])
+    host, _axis = jt.host(variable)
     return marginalize(potentials[host], (variable,)).normalize().values

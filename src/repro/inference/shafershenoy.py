@@ -57,7 +57,7 @@ class ShaferShenoyEngine:
     # ------------------------------------------------------------------ #
 
     def _host(self, variable: int) -> int:
-        return self.jt.clique_containing([variable])
+        return self.jt.host(variable)[0]
 
     def _invalidate_from(self, clique: int) -> None:
         """Drop every cached message directed away from ``clique``.

@@ -88,6 +88,8 @@ class JunctionTree:
                 self.children[p].append(i)
         self._check_connected()
         self.potentials: Dict[int, PotentialTable] = {}
+        # variable -> (host clique, axis there); see :meth:`host`.
+        self._hosts: Optional[Dict[int, Tuple[int, int]]] = None
 
     # ------------------------------------------------------------------ #
     # Structure
@@ -235,6 +237,43 @@ class JunctionTree:
         if best is None:
             raise KeyError(f"no clique contains variables {sorted(wanted)}")
         return best.index
+
+    def _host_map(self) -> Dict[int, Tuple[int, int]]:
+        """variable -> (smallest clique holding it, its axis there), built
+        once per tree: clique scopes never change after construction."""
+        hosts = self._hosts
+        if hosts is None:
+            hosts = {}
+            sizes = {}
+            for clique in self.cliques:
+                size = clique.table_size
+                for axis, var in enumerate(clique.variables):
+                    # Same tie-break as clique_containing: smallest table,
+                    # then lowest index.
+                    if var not in hosts or size < sizes[var]:
+                        hosts[var] = (clique.index, axis)
+                        sizes[var] = size
+            self._hosts = hosts
+        return hosts
+
+    def host(self, variable: int) -> Tuple[int, int]:
+        """``(clique, axis)``: ``clique_containing([variable])`` and the
+        variable's axis in that clique's potential.
+
+        Every single-variable answer goes through this one lookup, so the
+        clique a query refreshes and the clique its answer is read from
+        cannot differ.  Raises ``KeyError`` for a variable no clique holds.
+        """
+        try:
+            return self._host_map()[variable]
+        except KeyError:
+            raise KeyError(
+                f"no clique contains variables [{variable}]"
+            ) from None
+
+    def variables(self) -> List[int]:
+        """Every variable some clique holds, ascending."""
+        return sorted(self._host_map())
 
     def __repr__(self) -> str:
         return (

@@ -229,5 +229,5 @@ def log_marginal(
     variable: int,
 ) -> np.ndarray:
     """Stable posterior ``P(variable | evidence)`` from log-potentials."""
-    host = jt.clique_containing([variable])
+    host, _axis = jt.host(variable)
     return potentials[host].marginalize((variable,)).normalized_linear()

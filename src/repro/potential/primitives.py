@@ -8,7 +8,18 @@ Propagating evidence from clique Y to clique X through separator S is
 
 (Eq. 1 of the paper).  Each primitive here is a function of potential
 tables that returns a new table or, given ``out=``, writes the same values
-into a table the caller already holds (the propagation state's hot path);
+into a table the caller already holds (the propagation state's hot path).
+
+What a call has to work out before it touches a number — which axes to
+sum, how to permute and reshape so numpy broadcasts, whether the scopes
+fit at all — depends on the operands' *scopes* only, and a junction tree
+fixes those once.  Each primitive therefore has a plan builder
+(:func:`plan_marginalize`, :func:`plan_extend`, :func:`plan_multiply`,
+:func:`plan_divide`) that does that work, validation included, and takes
+the result as ``plan=``: derived on the spot when absent, so there is one
+body per primitive either way.  :class:`~repro.tasks.layout.TableLayout`
+builds the plans of every message pipeline once per tree.
+
 :func:`primitive_flops` gives the operation-count estimate used both for
 task weights in the scheduler and for the multicore cost model.
 """
@@ -16,7 +27,9 @@ task weights in the scheduler and for the multicore cost model.
 from __future__ import annotations
 
 import enum
-from typing import Optional, Sequence
+import math
+import string
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +49,39 @@ class PrimitiveKind(enum.Enum):
     COMBINE = "combine"
 
 
+# Tables of at least this many entries (per case) marginalize through
+# ``np.einsum``, smaller ones through ``np.add.reduce``.  ``add.reduce``
+# wins on small tables (1.0 vs 1.6 us on 32 entries) and ties up to 2**10,
+# but crawls when a wide table drops or keeps a small *inner* axis: on
+# 2**16 entries it takes 430-690 us where einsum takes 85-125 us.
+WIDE_TABLE = 1 << 12
+
+# np.einsum has one subscript letter per axis and 52 letters.
+_LETTERS = string.ascii_letters
+
+
+def _scope(variables: Sequence[int]) -> Tuple[int, ...]:
+    return tuple(int(v) for v in variables)
+
+
+def _shifted(axes: Sequence[int], batched: bool) -> Tuple[int, ...]:
+    """Scope axes as array axes: a batched table's case axis is axis 0
+    (the one place plans shift axes for it)."""
+    return tuple(a + 1 for a in axes) if batched else tuple(axes)
+
+
+def _permutation(axes: Sequence[int], batched: bool) -> Tuple[int, ...]:
+    """A reordering of the scope axes as one of all array axes: the case
+    axis stays first."""
+    return ((0,) if batched else ()) + _shifted(axes, batched)
+
+
+def _result(variables, cardinalities, batch) -> PotentialTable:
+    """An uninitialised table for a primitive called without ``out=``."""
+    shape = cardinalities if batch is None else (batch,) + cardinalities
+    return PotentialTable.wrap(variables, cardinalities, np.empty(shape), batch)
+
+
 def _merged_batch(a: PotentialTable, b: PotentialTable):
     """The batch size of a two-table primitive's result.
 
@@ -49,46 +95,214 @@ def _merged_batch(a: PotentialTable, b: PotentialTable):
     return a.batch if a.batch is not None else b.batch
 
 
+# --------------------------------------------------------------------- #
+# Plans: what a primitive derives from its operands' scopes alone
+# --------------------------------------------------------------------- #
+#
+# Each ``plan_*`` builder does the validation and the axis / permutation /
+# broadcast-shape arithmetic of its primitive once; the primitive runs the
+# same body with a plan handed in (``plan=``) or derived on the spot.  A
+# plan handed in is checked against the operands it is used on, so a plan
+# for other scopes raises ``ValueError`` like a malformed call always did.
+
+
+class MarginalizePlan(NamedTuple):
+    variables: Tuple[int, ...]       # the table's scope ...
+    cardinalities: Tuple[int, ...]
+    batched: bool                    # ... and whether it has a case axis
+    onto: Tuple[int, ...]            # the result's scope
+    onto_cards: Tuple[int, ...]
+    drop_axes: Tuple[int, ...]       # array axes summed out
+    # The result's array axes in the order the table keeps them (its
+    # transpose is what add.reduce writes); None when that is the order
+    # ``onto`` asks for.
+    out_perm: Optional[Tuple[int, ...]]
+    subscripts: Optional[str]        # einsum form, wide tables only
+
+
+class ExtendPlan(NamedTuple):
+    variables: Tuple[int, ...]       # the table's scope ...
+    cardinalities: Tuple[int, ...]
+    batched: bool                    # ... and whether it has a case axis
+    target: Tuple[int, ...]          # the result's scope
+    target_cards: Tuple[int, ...]
+    # The table's array axes in target order (None when they already are),
+    # then its shape with a size-1 axis per added variable.
+    perm: Optional[Tuple[int, ...]]
+    shape: Tuple[int, ...]
+
+
+class MultiplyPlan(NamedTuple):
+    variables: Tuple[int, ...]       # a's scope, which the result keeps
+    other: Tuple[int, ...]           # b's scope
+    extend: Optional[ExtendPlan]     # b up to a's scope; None when it is
+
+
+class DividePlan(NamedTuple):
+    variables: Tuple[int, ...]       # the numerator's scope (the result's)
+    other: Tuple[int, ...]           # the denominator's scope ...
+    batched: bool                    # ... and whether it has a case axis
+    perm: Optional[Tuple[int, ...]]  # its array axes in numerator order
+
+
+def plan_marginalize(
+    variables: Sequence[int],
+    cardinalities: Sequence[int],
+    onto: Sequence[int],
+    batched: bool = False,
+) -> MarginalizePlan:
+    """Plan summing a table over ``variables`` down to the scope ``onto``."""
+    variables, cardinalities = _scope(variables), _scope(cardinalities)
+    onto = _scope(onto)
+    missing = set(onto) - set(variables)
+    if missing:
+        raise ValueError(f"marginalize target has unknown variables {missing}")
+    if len(set(onto)) != len(onto):
+        raise ValueError(f"duplicate variables in marginalize target {onto}")
+    # The table axis behind each result axis, and the result axes in the
+    # order the table keeps them.
+    source = [variables.index(v) for v in onto]
+    order = sorted(range(len(onto)), key=source.__getitem__)
+    dropped = [i for i in range(len(variables)) if i not in source]
+    subscripts = None
+    if (
+        math.prod(cardinalities) >= WIDE_TABLE
+        and len(variables) < len(_LETTERS)
+    ):
+        subscripts = "{}->{}".format(
+            "".join(
+                _LETTERS[a]
+                for a in _permutation(range(len(variables)), batched)
+            ),
+            "".join(_LETTERS[a] for a in _permutation(source, batched)),
+        )
+    return MarginalizePlan(
+        variables, cardinalities, bool(batched), onto,
+        tuple(cardinalities[i] for i in source),
+        _shifted(dropped, batched),
+        None if source == sorted(source) else _permutation(order, batched),
+        subscripts,
+    )
+
+
+def plan_extend(
+    variables: Sequence[int],
+    cardinalities: Sequence[int],
+    target: Sequence[int],
+    target_cards: Sequence[int],
+    batched: bool = False,
+) -> ExtendPlan:
+    """Plan broadcasting a table over ``variables`` up to ``target``."""
+    variables, cardinalities = _scope(variables), _scope(cardinalities)
+    target, target_cards = _scope(target), _scope(target_cards)
+    missing = set(variables) - set(target)
+    if missing:
+        raise ValueError(f"extension target is missing variables {missing}")
+    cards = dict(zip(variables, cardinalities))
+    for var, card in zip(target, target_cards):
+        if cards.get(var, card) != card:
+            raise ValueError(
+                f"variable {var} cardinality mismatch: "
+                f"{cards[var]} vs {card}"
+            )
+    # Source axes in their order within the target scope, then a size-1
+    # axis for every new variable: numpy broadcasts the rest.
+    perm = [variables.index(v) for v in target if v in cards]
+    shape = tuple(cards.get(var, 1) for var in target)
+    return ExtendPlan(
+        variables, cardinalities, bool(batched), target, target_cards,
+        None if perm == sorted(perm) else _permutation(perm, batched),
+        (-1,) + shape if batched else shape,
+    )
+
+
+def plan_multiply(
+    variables: Sequence[int],
+    cardinalities: Sequence[int],
+    other: Sequence[int],
+    other_cards: Sequence[int],
+    other_batched: bool = False,
+) -> MultiplyPlan:
+    """Plan ``a * b`` for ``a`` over ``variables`` and ``b`` over ``other``."""
+    variables, other = _scope(variables), _scope(other)
+    if not set(other) <= set(variables):
+        raise ValueError(
+            f"multiply: scope {other} is not a subset of {variables}"
+        )
+    return MultiplyPlan(
+        variables, other,
+        None if other == variables else plan_extend(
+            other, other_cards, variables, cardinalities, other_batched
+        ),
+    )
+
+
+def plan_divide(
+    variables: Sequence[int],
+    other: Sequence[int],
+    other_batched: bool = False,
+) -> DividePlan:
+    """Plan ``numerator / denominator`` over the scopes ``variables`` and
+    ``other`` (the same variable set, possibly in another order)."""
+    variables, other = _scope(variables), _scope(other)
+    if set(variables) != set(other) or len(variables) != len(other):
+        raise ValueError(
+            f"divide: scopes differ: {variables} vs {other}"
+        )
+    return DividePlan(
+        variables, other, bool(other_batched),
+        None if other == variables else _permutation(
+            [other.index(v) for v in variables], other_batched
+        ),
+    )
+
+
+def _plan_mismatch(name: str, plan) -> ValueError:
+    return ValueError(f"{name}: plan= was built for other operands ({plan})")
+
+
+# --------------------------------------------------------------------- #
+# The primitives
+# --------------------------------------------------------------------- #
+
+
 def marginalize(
     table: PotentialTable,
     onto: Sequence[int],
     out: Optional[PotentialTable] = None,
+    plan: Optional[MarginalizePlan] = None,
 ) -> PotentialTable:
     """Sum ``table`` down to the scope ``onto`` (a subset of its variables).
 
     The result's axes follow the order of ``onto``; a batched table yields
     a batched result (each case marginalized independently).  ``out``, a
     table over exactly that scope, receives the result in place and is
-    returned.
+    returned.  ``plan`` is :func:`plan_marginalize` of these scopes, for
+    callers that make the same call many times.
     """
-    onto = tuple(int(v) for v in onto)
-    missing = set(onto) - set(table.variables)
-    if missing:
-        raise ValueError(f"marginalize target has unknown variables {missing}")
-    offset = 0 if table.batch is None else 1
-    drop_axes = tuple(
-        i + offset for i, v in enumerate(table.variables) if v not in onto
-    )
-    kept = tuple(v for v in table.variables if v in onto)
-    if out is not None:
-        out.require(
-            onto, tuple(table.card_of(v) for v in onto), table.batch
+    batch = table.batch
+    if plan is None:
+        plan = plan_marginalize(
+            table.variables, table.cardinalities, onto, batch is not None
         )
-        if drop_axes and kept == onto:
-            np.add.reduce(table.values, axis=drop_axes, out=out.values)
-            return out
-    folded = (
-        np.add.reduce(table.values, axis=drop_axes)
-        if drop_axes
-        else table.values
-    )
-    kept_cards = [table.card_of(v) for v in kept]
-    result = PotentialTable(
-        kept, kept_cards, folded, batch=table.batch
-    ).aligned_to(onto)
+    elif (
+        plan.variables != table.variables
+        or plan.cardinalities != table.cardinalities
+        or plan.batched != (batch is not None)
+        or plan.onto != tuple(onto)
+    ):
+        raise _plan_mismatch("marginalize", plan)
     if out is None:
-        return result
-    out.values[...] = result.values
+        out = _result(plan.onto, plan.onto_cards, batch)
+    else:
+        out.require(plan.onto, plan.onto_cards, batch)
+    if plan.subscripts is not None:
+        np.einsum(plan.subscripts, table.values, out=out.values)
+        return out
+    target = out.values
+    if plan.out_perm is not None:
+        target = target.transpose(plan.out_perm)
+    np.add.reduce(table.values, axis=plan.drop_axes, out=target)
     return out
 
 
@@ -97,42 +311,37 @@ def extend(
     variables: Sequence[int],
     cardinalities: Sequence[int],
     out: Optional[PotentialTable] = None,
+    plan: Optional[ExtendPlan] = None,
 ) -> PotentialTable:
     """Broadcast ``table`` up to the superset scope ``variables``.
 
     New variables are replicated (each entry of ``table`` appears once per
     joint state of the added variables), matching the extension primitive.
     ``out``, a table over exactly the target scope, receives the result in
-    place and is returned.
+    place and is returned.  ``plan`` is :func:`plan_extend` of these scopes.
     """
-    variables = tuple(int(v) for v in variables)
-    cardinalities = tuple(int(c) for c in cardinalities)
-    missing = set(table.variables) - set(variables)
-    if missing:
-        raise ValueError(f"extension target is missing variables {missing}")
-    for var, card in zip(variables, cardinalities):
-        if var in table.variables and table.card_of(var) != card:
-            raise ValueError(
-                f"variable {var} cardinality mismatch: "
-                f"{table.card_of(var)} vs {card}"
-            )
-    # Align source axes to their order within the target scope, insert
-    # size-1 axes for the new variables, then broadcast.
-    src_order = [v for v in variables if v in table.variables]
-    aligned = table.aligned_to(src_order)
-    src_cards = dict(zip(aligned.variables, aligned.cardinalities))
-    shape = [src_cards.get(var, 1) for var in variables]
-    target_shape = cardinalities
-    if table.batch is not None:
-        shape = [table.batch] + shape
-        target_shape = (table.batch,) + cardinalities
-    values = np.broadcast_to(aligned.values.reshape(shape), target_shape)
-    if out is None:
-        return PotentialTable(
-            variables, cardinalities, values.copy(), batch=table.batch
+    batch = table.batch
+    if plan is None:
+        plan = plan_extend(
+            table.variables, table.cardinalities, variables, cardinalities,
+            batch is not None,
         )
-    out.require(variables, cardinalities, table.batch)
-    np.copyto(out.values, values)
+    elif (
+        plan.variables != table.variables
+        or plan.cardinalities != table.cardinalities
+        or plan.batched != (batch is not None)
+        or plan.target != tuple(variables)
+        or plan.target_cards != tuple(cardinalities)
+    ):
+        raise _plan_mismatch("extend", plan)
+    if out is None:
+        out = _result(plan.target, plan.target_cards, batch)
+    else:
+        out.require(plan.target, plan.target_cards, batch)
+    values = table.values
+    if plan.perm is not None:
+        values = values.transpose(plan.perm)
+    np.copyto(out.values, values.reshape(plan.shape))
     return out
 
 
@@ -140,27 +349,30 @@ def multiply(
     a: PotentialTable,
     b: PotentialTable,
     out: Optional[PotentialTable] = None,
+    plan: Optional[MultiplyPlan] = None,
 ) -> PotentialTable:
     """Pointwise product; ``b``'s scope must be a subset of ``a``'s.
 
     The result keeps ``a``'s scope and axis order (the common case is
     multiplying an extended separator ratio into a clique table).
     ``out`` receives the result in place and is returned; it may be ``a``
-    itself (``a *= b``).
+    itself (``a *= b``).  ``plan`` is :func:`plan_multiply` of these scopes.
     """
-    if not set(b.variables) <= set(a.variables):
-        raise ValueError(
-            f"multiply: scope {b.variables} is not a subset of {a.variables}"
+    if plan is None:
+        plan = plan_multiply(
+            a.variables, a.cardinalities, b.variables, b.cardinalities,
+            b.batch is not None,
         )
+    elif plan.variables != a.variables or plan.other != b.variables:
+        raise _plan_mismatch("multiply", plan)
     batch = _merged_batch(a, b)
-    if b.variables != a.variables:
-        b = extend(b, a.variables, a.cardinalities)
-    # An unbatched operand broadcasts across the other's batch axis.
+    if plan.extend is not None:
+        b = extend(b, a.variables, a.cardinalities, plan=plan.extend)
     if out is None:
-        return PotentialTable(
-            a.variables, a.cardinalities, a.values * b.values, batch=batch
-        )
-    out.require(a.variables, a.cardinalities, batch)
+        out = _result(a.variables, a.cardinalities, batch)
+    else:
+        out.require(a.variables, a.cardinalities, batch)
+    # An unbatched operand broadcasts across the other's batch axis.
     np.multiply(a.values, b.values, out=out.values)
     return out
 
@@ -169,6 +381,7 @@ def divide(
     numerator: PotentialTable,
     denominator: PotentialTable,
     out: Optional[PotentialTable] = None,
+    plan: Optional[DividePlan] = None,
 ) -> PotentialTable:
     """Pointwise ratio over identical scopes with the 0/0 = 0 convention.
 
@@ -176,30 +389,30 @@ def divide(
     zero mass, in which case the numerator is also zero and the standard
     junction-tree convention defines the ratio as zero.  ``out``, a table
     over the numerator's scope that is neither operand, receives the result
-    in place and is returned.
+    in place and is returned.  ``plan`` is :func:`plan_divide` of these
+    scopes.
     """
-    if set(numerator.variables) != set(denominator.variables):
-        raise ValueError(
-            f"divide: scopes differ: {numerator.variables} vs "
-            f"{denominator.variables}"
+    if plan is None:
+        plan = plan_divide(
+            numerator.variables, denominator.variables,
+            denominator.batch is not None,
         )
+    elif (
+        plan.variables != numerator.variables
+        or plan.other != denominator.variables
+        or plan.batched != (denominator.batch is not None)
+    ):
+        raise _plan_mismatch("divide", plan)
     batch = _merged_batch(numerator, denominator)
-    denom = denominator.aligned_to(numerator.variables)
+    denom = denominator.values
+    if plan.perm is not None:
+        denom = denom.transpose(plan.perm)
     if out is None:
-        shape = np.broadcast_shapes(numerator.values.shape, denom.values.shape)
-        out = PotentialTable(
-            numerator.variables,
-            numerator.cardinalities,
-            np.zeros(shape, dtype=np.float64),
-            batch=batch,
-        )
+        out = _result(numerator.variables, numerator.cardinalities, batch)
     else:
         out.require(numerator.variables, numerator.cardinalities, batch)
-        out.values[...] = 0.0
-    np.divide(
-        numerator.values, denom.values, out=out.values,
-        where=denom.values != 0,
-    )
+    out.values[...] = 0.0
+    np.divide(numerator.values, denom, out=out.values, where=denom != 0)
     return out
 
 

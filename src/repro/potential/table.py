@@ -78,6 +78,23 @@ class PotentialTable:
         self.values = values
         self.batch = batch
 
+    @classmethod
+    def wrap(
+        cls, variables, cardinalities, values: np.ndarray, batch: int = None
+    ) -> "PotentialTable":
+        """A table over ``values`` as given: no validation, no copy.
+
+        For callers that derived the scope tuples and the array's shape
+        from tables already validated (the layout's views, the primitives'
+        results); everything else goes through the constructor.
+        """
+        table = cls.__new__(cls)
+        table.variables = variables
+        table.cardinalities = cardinalities
+        table.values = values
+        table.batch = batch
+        return table
+
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
@@ -262,16 +279,16 @@ class PotentialTable:
             totals = self.values.reshape(self.batch, -1).sum(axis=1)
             scale = np.where(totals > 0, totals, 1.0)
             shape = (self.batch,) + (1,) * len(self.cardinalities)
-            return PotentialTable(
+            return PotentialTable.wrap(
                 self.variables,
                 self.cardinalities,
                 self.values / scale.reshape(shape),
-                batch=self.batch,
+                self.batch,
             )
         total = float(self.values.sum())
         if total <= 0:
             return self.copy()
-        return PotentialTable(
+        return PotentialTable.wrap(
             self.variables, self.cardinalities, self.values / total
         )
 

@@ -11,6 +11,14 @@ one vector and read tables out of it with :func:`table_view`.
 
 A batched state of ``B`` cases scales every slot by ``B``: slots keep
 their order, and each table is batch-major inside its slot.
+
+Because the slots fix the operand scopes of every task, the layout is also
+where Eq. 1 is *compiled*: :meth:`TableLayout.pipelines` holds, per
+(phase, edge), the plans of the four primitives
+(:mod:`repro.potential.primitives`) that ``PropagationState.execute``
+hands them, built once per tree when the first state over it is bound.
+Nothing about the slots, the buffer size or the checkpoint format depends
+on the plans.
 """
 
 from __future__ import annotations
@@ -20,11 +28,22 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.jt.junction_tree import JunctionTree
+from repro.potential.primitives import (
+    DividePlan,
+    ExtendPlan,
+    MarginalizePlan,
+    MultiplyPlan,
+    plan_divide,
+    plan_extend,
+    plan_marginalize,
+    plan_multiply,
+)
 from repro.potential.table import PotentialTable
 from repro.tasks.task import COLLECT, DISTRIBUTE
 
 Edge = Tuple[int, int]
 InterKey = Tuple[str, Edge, str]  # (phase, (parent, child), stage)
+PipeKey = Tuple[str, Edge]        # (phase, (parent, child))
 
 
 class Slot(NamedTuple):
@@ -36,6 +55,17 @@ class Slot(NamedTuple):
     cardinalities: Tuple[int, ...]
 
 
+class Pipeline(NamedTuple):
+    """Eq. 1 over one (phase, edge), compiled: the clique the message is
+    marginalized from and the plan of each of the four primitives."""
+
+    source: int
+    marginalize: MarginalizePlan
+    divide: DividePlan
+    extend: ExtendPlan
+    multiply: MultiplyPlan
+
+
 class TableLayout:
     """The slots of every table of a propagation over one junction tree.
 
@@ -45,12 +75,19 @@ class TableLayout:
     and ``ratio`` over the separator scope, ``extended`` over the scope of
     the clique the pipeline updates).  ``size`` is the per-case entry
     count of the whole buffer.
+
+    :meth:`pipelines` and :meth:`answer` are the primitives' plans over
+    these slots, each built once per tree, on first use.
     """
 
-    __slots__ = ("potentials", "separators", "inter", "size")
+    __slots__ = (
+        "potentials", "separators", "inter", "size", "_pipelines", "_answers",
+    )
 
     def __init__(self, jt: JunctionTree):
         self.size = 0
+        self._pipelines: Dict[bool, Dict[PipeKey, Pipeline]] = {}
+        self._answers: Dict[Tuple[int, int, bool], MarginalizePlan] = {}
 
         def slot(variables, cardinalities) -> Slot:
             size = 1
@@ -81,6 +118,51 @@ class TableLayout:
                     clique.variables, clique.cardinalities
                 )
 
+    def pipelines(self, batched: bool) -> Dict[PipeKey, Pipeline]:
+        """The compiled pipeline of every (phase, edge), for single-case
+        (``batched`` false) or batched states; built on first use."""
+        compiled = self._pipelines.get(batched)
+        if compiled is None:
+            compiled = {}
+            for (parent, child), sep in self.separators.items():
+                for phase, source, target in (
+                    (COLLECT, child, parent), (DISTRIBUTE, parent, child)
+                ):
+                    src = self.potentials[source]
+                    tgt = self.potentials[target]
+                    compiled[(phase, (parent, child))] = Pipeline(
+                        source,
+                        plan_marginalize(
+                            src.variables, src.cardinalities, sep.variables,
+                            batched,
+                        ),
+                        plan_divide(sep.variables, sep.variables, batched),
+                        plan_extend(
+                            sep.variables, sep.cardinalities,
+                            tgt.variables, tgt.cardinalities, batched,
+                        ),
+                        plan_multiply(
+                            tgt.variables, tgt.cardinalities,
+                            tgt.variables, tgt.cardinalities, batched,
+                        ),
+                    )
+            self._pipelines[batched] = compiled
+        return compiled
+
+    def answer(
+        self, clique: int, variable: int, batched: bool
+    ) -> MarginalizePlan:
+        """The plan of summing ``clique``'s potential down to ``variable``
+        alone (a posterior marginal read from its host clique)."""
+        key = (clique, variable, batched)
+        plan = self._answers.get(key)
+        if plan is None:
+            slot = self.potentials[clique]
+            plan = self._answers[key] = plan_marginalize(
+                slot.variables, slot.cardinalities, (variable,), batched
+            )
+        return plan
+
 
 def table_layout(jt: JunctionTree) -> TableLayout:
     """The layout of ``jt``, computed once per tree and kept on it.
@@ -104,14 +186,10 @@ def table_view(
     :class:`PotentialTable` constructor is bypassed.
     """
     start, size, variables, cardinalities = slot
-    table = PotentialTable.__new__(PotentialTable)
-    table.variables = variables
-    table.cardinalities = cardinalities
     if batch is None:
-        table.values = buffer[start:start + size].reshape(cardinalities)
+        values = buffer[start:start + size].reshape(cardinalities)
     else:
-        table.values = buffer[start * batch:(start + size) * batch].reshape(
+        values = buffer[start * batch:(start + size) * batch].reshape(
             (batch,) + cardinalities
         )
-    table.batch = batch
-    return table
+    return PotentialTable.wrap(variables, cardinalities, values, batch)

@@ -11,7 +11,10 @@ and every task writes its result in place into the slot the layout names.
 Executing the tasks of a :class:`~repro.tasks.task.TaskGraph` in any order
 consistent with its dependencies leaves every clique potential calibrated.
 
-There is one body per task kind: :meth:`execute` runs a whole task,
+There is one body per task kind, and the primitives it calls are the
+only arithmetic: :meth:`execute` passes each one the plan the layout
+compiled for its (phase, edge) — the same call a plan-free caller makes,
+minus the per-call scope arithmetic.  :meth:`execute` runs a whole task,
 :meth:`execute_chunk` one slice of it (the Partition module), and
 :meth:`combine_chunks` is the last subtask ``T̂_n`` — an addition for
 marginalization, nothing for the primitives whose chunks already wrote
@@ -106,7 +109,11 @@ class PropagationState:
         self.batch = batch
         self.case_evidence = None
         self.buffer = buffer
+        self._layout = layout
         self._slots = layout.inter
+        # Eq. 1 compiled per (phase, edge): the plans execute() hands the
+        # primitives.
+        self._pipelines = layout.pipelines(batch is not None)
         self.potentials: Dict[int, PotentialTable] = {
             i: table_view(buffer, slot, batch)
             for i, slot in enumerate(layout.potentials)
@@ -153,11 +160,10 @@ class PropagationState:
                 prior = prior.aligned_to(table.variables)
             prior.reduce(self.evidence, out=table)
         for var, weights in self.soft_evidence.items():
-            host = self.jt.clique_containing([var])
+            host, axis = self.jt.host(var)
             if host not in cliques:
                 continue
             table = self.potentials[host]
-            axis = table.variables.index(var)
             weights = np.asarray(weights, dtype=np.float64)
             if weights.size != table.cardinalities[axis]:
                 raise ValueError(
@@ -338,7 +344,10 @@ class PropagationState:
         stage = _STAGE.get(task.kind)
         if stage is None:
             return self.potentials[task.clique]
-        key = (task.phase, task.edge, stage)
+        return self._written((task.phase, task.edge, stage))
+
+    def _written(self, key: InterKey) -> PotentialTable:
+        """The intermediate ``key``, its view built when first written."""
         table = self._inter.get(key)
         if table is None:
             table = self._inter[key] = table_view(
@@ -357,24 +366,37 @@ class PropagationState:
     def execute(self, task: Task) -> None:
         """Run one task to completion against the state (Eq. 1, in place)."""
         kind = task.kind
+        phase = task.phase
         edge = task.edge
-        pipe = (task.phase, edge)
-        out = self.output_table(task)
+        pipe = self._pipelines[(phase, edge)]
         if kind is PrimitiveKind.MARGINALIZE:
             # The message flows from the other end of the edge into the
             # clique the pipeline updates.
-            source = edge[1] if task.phase == COLLECT else edge[0]
-            marginalize(self.potentials[source], out.variables, out=out)
+            out = self._written((phase, edge, "sep_new"))
+            marginalize(
+                self.potentials[pipe.source], out.variables, out=out,
+                plan=pipe.marginalize,
+            )
         elif kind is PrimitiveKind.DIVIDE:
-            sep_new = self._inter[pipe + ("sep_new",)]
+            sep_new = self._inter[(phase, edge, "sep_new")]
             sep = self.separators[edge]
-            divide(sep_new, sep, out=out)
+            divide(
+                sep_new, sep, out=self._written((phase, edge, "ratio")),
+                plan=pipe.divide,
+            )
             sep.values[...] = sep_new.values
         elif kind is PrimitiveKind.EXTEND:
-            ratio = self._inter[pipe + ("ratio",)]
-            extend(ratio, out.variables, out.cardinalities, out=out)
+            out = self._written((phase, edge, "extended"))
+            extend(
+                self._inter[(phase, edge, "ratio")], out.variables,
+                out.cardinalities, out=out, plan=pipe.extend,
+            )
         elif kind is PrimitiveKind.MULTIPLY:
-            multiply(out, self._inter[pipe + ("extended",)], out=out)
+            out = self.potentials[task.clique]
+            multiply(
+                out, self._inter[(phase, edge, "extended")], out=out,
+                plan=pipe.multiply,
+            )
         else:
             raise ValueError(f"task {task} has unexpected kind {kind}")
 
@@ -393,7 +415,7 @@ class PropagationState:
         edge = task.edge
         pipe = (task.phase, edge)
         if kind is PrimitiveKind.MARGINALIZE:
-            source = edge[1] if task.phase == COLLECT else edge[0]
+            source = self._pipelines[pipe].source
             onto = self._slots[pipe + ("sep_new",)].variables
             partial = chunked.marginalize_chunk(
                 self.potentials[source], onto, lo, hi
@@ -451,8 +473,9 @@ class PropagationState:
         For batched states the result has shape ``(B, card)``: row ``i``
         is the posterior of case ``i``.
         """
-        host = self.jt.clique_containing([variable])
-        table = marginalize(self.potentials[host], (variable,))
+        host, _axis = self.jt.host(variable)
+        plan = self._layout.answer(host, variable, self.batch is not None)
+        table = marginalize(self.potentials[host], (variable,), plan=plan)
         return table.normalize().values
 
     def clique_marginal(self, clique: int) -> PotentialTable:

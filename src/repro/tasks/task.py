@@ -82,6 +82,8 @@ class TaskGraph:
         self.tasks: List[Task] = []
         self.deps: List[List[int]] = []
         self.succs: List[List[int]] = []
+        # topological_order()'s result until the next add_task.
+        self._order: Optional[Tuple[int, ...]] = None
 
     def add_task(
         self,
@@ -109,6 +111,7 @@ class TaskGraph:
         self.succs.append([])
         for d in deps:
             self.succs[d].append(tid)
+        self._order = None
         return tid
 
     # ------------------------------------------------------------------ #
@@ -127,8 +130,15 @@ class TaskGraph:
         """Tasks with no dependencies (initially schedulable)."""
         return [t.tid for t in self.tasks if not self.deps[t.tid]]
 
-    def topological_order(self) -> List[int]:
-        """Kahn topological order; raises if a cycle slipped in."""
+    def topological_order(self) -> Tuple[int, ...]:
+        """Kahn topological order, computed once per graph (a tuple: every
+        run of the graph iterates the same one); raises if a cycle slipped
+        in."""
+        if self._order is None:
+            self._order = tuple(self._kahn())
+        return self._order
+
+    def _kahn(self) -> List[int]:
         indeg = self.indegrees()
         ready = [i for i, d in enumerate(indeg) if d == 0]
         order: List[int] = []
@@ -183,4 +193,6 @@ class TaskGraph:
             for d in deps:
                 if tid not in self.succs[d]:
                     raise ValueError(f"edge {d}->{tid} missing from succs")
-        self.topological_order()
+        # Checked afresh: a caller that edited the adjacency lists directly
+        # is exactly what validate() is for.
+        self._order = tuple(self._kahn())

@@ -43,7 +43,9 @@ PARALLEL_EXECUTORS = [
 
 # (seed, num_cliques, width, states, avg_children, num_evidence) — 14
 # synthetic-tree scenarios spanning chains, bushy trees, ternary variables,
-# and varying evidence set sizes.
+# and varying evidence set sizes, then one of w = 12 cliques whose whole-task
+# MARGINALIZE takes the wide-table reduction (``primitives.WIDE_TABLE``)
+# while its chunks take the chunk kernel.
 TREE_SCENARIOS = [
     (0, 2, 2, 2, 1, 0),
     (1, 4, 3, 2, 1, 1),
@@ -59,6 +61,7 @@ TREE_SCENARIOS = [
     (11, 24, 4, 2, 3, 2),
     (12, 9, 5, 2, 2, 1),
     (13, 7, 3, 4, 2, 1),
+    (14, 4, 12, 2, 2, 2),
 ]
 
 # (seed, num_variables, cardinality, num_evidence) — randomized Bayesian
@@ -128,6 +131,31 @@ def test_all_executors_agree_on_randomized_trees(
         stats = make().run(graph, state)
         assert stats.tasks_executed == graph.num_tasks, label
         _assert_states_close(tree, reference, state, f"{label} seed={seed}")
+
+
+def test_wide_table_reduction_runs_whole_under_every_executor():
+    """The w = 12 tree with partitioning off: every executor that runs
+    whole tasks reduces its wide tables through the same plan, and lands
+    on the chunked runs of the battery above."""
+    from repro.tasks.layout import table_layout
+
+    tree, graph, evidence = _tree_workload(*TREE_SCENARIOS[-1])
+    plans = table_layout(tree).pipelines(False).values()
+    assert any(p.marginalize.subscripts is not None for p in plans)
+    chunked = PropagationState(tree, evidence)
+    CollaborativeExecutor(num_threads=3, partition_threshold=16).run(
+        graph, chunked
+    )
+    for label, make in [
+        ("serial", SerialExecutor),
+        ("collaborative", lambda: CollaborativeExecutor(num_threads=3)),
+        ("level-parallel", lambda: LevelParallelExecutor(num_threads=3)),
+        ("work-stealing", lambda: WorkStealingExecutor(num_threads=3)),
+        ("process", lambda: ProcessSharedMemoryExecutor(num_workers=2)),
+    ]:
+        state = PropagationState(tree, evidence)
+        make().run(graph, state)
+        _assert_states_close(tree, chunked, state, f"{label} whole tasks")
 
 
 @pytest.mark.parametrize("seed,num_vars,card,num_evidence", NETWORK_SCENARIOS)

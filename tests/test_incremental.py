@@ -26,6 +26,7 @@ from repro.inference.incremental import (
     distribute_edges_for,
     plan_incremental,
 )
+from repro.inference.variable_elimination import ve_query
 from repro.jt.generation import synthetic_tree
 from repro.sched import CollaborativeExecutor, WorkStealingExecutor
 from repro.sched.resilient import ResilientExecutor
@@ -679,3 +680,36 @@ class TestEngineQuery:
                 bn.marginal_bruteforce(v, {0: 1}),
                 atol=1e-12,
             )
+
+    def test_targeted_query_reads_the_clique_it_refreshed(self):
+        # Variable 6 of the chain sits in two cliques of equal size,
+        # (5, 6) and (6, 7).  A targeted query refreshes one of them and
+        # leaves the other stale: the refreshed clique and the clique the
+        # answer is read from must be the same lookup (jt.host).
+        from repro.potential.primitives import marginalize
+
+        bn = chain_network(8, seed=31)
+        engine = InferenceEngine.from_network(bn)
+        jt = engine.jt
+        var = 6
+        hosts = [c.index for c in jt.cliques if var in c.variables]
+        assert len(hosts) == 2 and jt.root not in hosts
+        assert len({jt.cliques[h].table_size for h in hosts}) == 1
+        engine.propagate()
+        engine.observe(0, 1)
+        answer = engine.query(vars=[var])[var]
+        expected = ve_query(bn, [var], {0: 1}).values
+        np.testing.assert_allclose(answer, expected, rtol=1e-9, atol=1e-12)
+        read, _axis = jt.host(var)
+        (other,) = set(hosts) - {read}
+        assert read not in engine._stale and other in engine._stale
+        stale = marginalize(
+            engine._state.potentials[other], (var,)
+        ).normalize().values
+        assert not np.allclose(stale, expected, rtol=1e-9, atol=1e-12)
+        # marginal() goes through the same lookup.
+        engine.observe(1, 0)
+        np.testing.assert_allclose(
+            engine.marginal(var), ve_query(bn, [var], {0: 1, 1: 0}).values,
+            rtol=1e-9, atol=1e-12,
+        )

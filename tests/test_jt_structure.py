@@ -189,3 +189,32 @@ class TestPotentials:
         jt = _chain_tree()
         with pytest.raises(KeyError):
             jt.clique_containing([99])
+
+    def test_host_map_is_clique_containing_of_one_variable(self):
+        from repro import random_network, synthetic_tree
+        from repro.jt.build import junction_tree_from_network
+
+        # Jittered widths give hosts of different sizes; width_jitter=0
+        # gives ties, which must break towards the lowest index.
+        trees = [
+            synthetic_tree(
+                num_cliques=24, clique_width=4, avg_children=3,
+                width_jitter=seed % 2, seed=seed,
+            )
+            for seed in range(10)
+        ]
+        trees.append(junction_tree_from_network(random_network(30, seed=5)))
+        trees.append(_star_tree())
+        for jt in trees:
+            scope = {v for c in jt.cliques for v in c.variables}
+            assert jt.variables() == sorted(scope)
+            for var in scope:
+                host, axis = jt.host(var)
+                assert host == jt.clique_containing([var])
+                assert jt.cliques[host].variables[axis] == var
+
+    def test_host_of_unknown_variable_raises(self):
+        jt = _chain_tree()
+        with pytest.raises(KeyError, match="99"):
+            jt.host(99)
+        assert jt.host(0) == (0, 0)  # the failed lookup left the map intact

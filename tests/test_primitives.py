@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 
 from repro.potential.primitives import (
+    WIDE_TABLE,
     PrimitiveKind,
     divide,
     extend,
     marginalize,
     multiply,
+    plan_divide,
+    plan_extend,
+    plan_marginalize,
+    plan_multiply,
     primitive_flops,
 )
 from repro.potential.table import PotentialTable
@@ -237,6 +242,187 @@ class TestOutDestination:
             multiply(clique, clique, out=PotentialTable.ones([1, 0], [3, 2]))
         with pytest.raises(ValueError, match="out="):
             divide(clique, clique, out=PotentialTable.ones([0, 1], [2, 3], batch=2))
+
+
+class TestPlans:
+    """``plan=`` is the derivation done ahead, not a second body."""
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_each_primitive_is_bitwise_equal_with_and_without_plan(self, batch):
+        rng = np.random.default_rng(9)
+        batched = batch is not None
+
+        def table(variables, cards):
+            shape = tuple(cards) if batch is None else (batch,) + tuple(cards)
+            return PotentialTable(
+                variables, cards, rng.uniform(0.1, 2.0, shape), batch=batch
+            )
+
+        def blank(variables, cards):
+            filled = table(variables, cards)
+            filled.values[...] = np.nan
+            return filled
+
+        clique = table([4, 1, 7, 2], [2, 3, 4, 2])
+        # A separator in the clique's order; one in the *other* clique's
+        # order (the distribute direction: kept order != separator scope);
+        # an empty one; one equal to the clique (nothing dropped), in and
+        # out of the clique's order.
+        for onto in (
+            (4, 7), (7, 2, 4), (), (4, 1, 7, 2), (2, 7, 1, 4),
+        ):
+            cards = tuple(clique.card_of(v) for v in onto)
+            plan = plan_marginalize(
+                clique.variables, clique.cardinalities, onto, batched
+            )
+            derived = marginalize(clique, onto)
+            planned = marginalize(clique, onto, plan=plan)
+            assert planned.variables == onto
+            assert planned.cardinalities == cards
+            assert planned.batch == batch
+            assert np.array_equal(planned.values, derived.values)
+            assert not np.shares_memory(planned.values, clique.values)
+            out = blank(onto, cards)
+            assert marginalize(clique, onto, out=out, plan=plan) is out
+            assert np.array_equal(out.values, derived.values)
+
+            sep = table(onto, cards)
+            plan = plan_extend(
+                onto, cards, clique.variables, clique.cardinalities, batched
+            )
+            derived = extend(sep, clique.variables, clique.cardinalities)
+            out = blank(clique.variables, clique.cardinalities)
+            for planned in (
+                extend(
+                    sep, clique.variables, clique.cardinalities, plan=plan
+                ),
+                extend(
+                    sep, clique.variables, clique.cardinalities, out=out,
+                    plan=plan,
+                ),
+            ):
+                assert np.array_equal(planned.values, derived.values)
+
+            plan = plan_multiply(
+                clique.variables, clique.cardinalities, onto, cards, batched
+            )
+            derived = multiply(clique, sep)
+            assert np.array_equal(
+                multiply(clique, sep, plan=plan).values, derived.values
+            )
+            scratch = clique.copy()
+            assert multiply(scratch, sep, out=scratch, plan=plan) is scratch
+            assert np.array_equal(scratch.values, derived.values)
+
+            den = table(onto[::-1], cards[::-1])
+            den.values.reshape(-1)[::3] = 0.0
+            plan = plan_divide(onto, onto[::-1], batched)
+            derived = divide(sep, den)
+            out = blank(onto, cards)
+            for planned in (
+                divide(sep, den, plan=plan),
+                divide(sep, den, out=out, plan=plan),
+            ):
+                assert np.array_equal(planned.values, derived.values)
+
+    def test_unbatched_operand_broadcasts_under_a_plan(self):
+        rng = np.random.default_rng(10)
+        clique = PotentialTable(
+            [0, 1], [2, 3], rng.uniform(0.1, 2.0, (4, 2, 3)), batch=4
+        )
+        sep = PotentialTable([1], [3], rng.uniform(0.1, 2.0, 3))
+        plan = plan_multiply([0, 1], [2, 3], [1], [3], other_batched=False)
+        assert np.array_equal(
+            multiply(clique, sep, plan=plan).values,
+            multiply(clique, sep).values,
+        )
+        num = PotentialTable([1], [3], rng.uniform(0.1, 2.0, (4, 3)), batch=4)
+        plan = plan_divide([1], [1], other_batched=False)
+        assert np.array_equal(
+            divide(num, sep, plan=plan).values, divide(num, sep).values
+        )
+
+    def test_plan_for_other_operands_is_rejected(self):
+        clique = _random([0, 1, 2], [2, 3, 2])
+        sep = _random([0, 2], [2, 2])
+        other = plan_marginalize([0, 1, 3], [2, 3, 2], [0])
+        with pytest.raises(ValueError, match="plan="):
+            marginalize(clique, [0], plan=other)
+        fits = plan_marginalize([0, 1, 2], [2, 3, 2], [0])
+        with pytest.raises(ValueError, match="plan="):
+            marginalize(clique, [1], plan=fits)
+        with pytest.raises(ValueError, match="plan="):
+            marginalize(  # a single-case plan on a batched table
+                PotentialTable([0, 1, 2], [2, 3, 2], batch=2), [0], plan=fits
+            )
+        with pytest.raises(ValueError, match="out="):
+            marginalize(
+                clique, [0], out=PotentialTable.ones([1], [3]), plan=fits
+            )
+        with pytest.raises(ValueError, match="plan="):
+            extend(
+                sep, [0, 1, 2], [2, 3, 2],
+                plan=plan_extend([0, 1], [2, 3], [0, 1, 2], [2, 3, 2]),
+            )
+        with pytest.raises(ValueError, match="plan="):
+            multiply(
+                clique, sep,
+                plan=plan_multiply([0, 1, 2], [2, 3, 2], [0, 1], [2, 3]),
+            )
+        with pytest.raises(ValueError, match="plan="):
+            divide(sep, sep, plan=plan_divide([0, 1], [0, 1]))
+
+    def test_builders_validate_like_the_primitives(self):
+        with pytest.raises(ValueError, match="unknown variables"):
+            plan_marginalize([0], [2], [5])
+        with pytest.raises(ValueError, match="duplicate"):
+            plan_marginalize([0, 1], [2, 2], [0, 0])
+        with pytest.raises(ValueError, match="missing variables"):
+            plan_extend([0, 9], [2, 2], [0, 1], [2, 2])
+        with pytest.raises(ValueError, match="cardinality mismatch"):
+            plan_extend([0], [2], [0, 1], [3, 2])
+        with pytest.raises(ValueError, match="not a subset"):
+            plan_multiply([0], [2], [0, 1], [2, 2])
+        with pytest.raises(ValueError, match="scopes differ"):
+            plan_divide([0, 1], [0, 2])
+
+    @pytest.mark.parametrize("batch", [None, 2])
+    def test_wide_table_reduction_matches_add_reduce(self, batch):
+        rng = np.random.default_rng(11)
+        width = 12
+        assert 2 ** width >= WIDE_TABLE
+        variables = list(range(width))
+        cards = [2] * width
+        shape = tuple(cards) if batch is None else (batch,) + tuple(cards)
+        wide = PotentialTable(
+            variables, cards, rng.uniform(0.1, 2.0, shape), batch=batch
+        )
+        offset = 0 if batch is None else 1
+        # Drop an inner axis, keep an inner axis, an out-of-order target.
+        for onto in (
+            tuple(v for v in variables if v != 10), (10,), (7, 2, 11), (),
+        ):
+            plan = plan_marginalize(
+                variables, cards, onto, batch is not None
+            )
+            assert plan.subscripts is not None
+            drop = tuple(
+                v + offset for v in variables if v not in onto
+            )
+            kept = [v for v in variables if v in onto]
+            expected = PotentialTable(
+                kept, [2] * len(kept),
+                np.add.reduce(wide.values, axis=drop), batch=batch,
+            ).aligned_to(onto)
+            for result in (
+                marginalize(wide, onto), marginalize(wide, onto, plan=plan)
+            ):
+                assert result.variables == onto
+                assert np.allclose(
+                    result.values, expected.values, rtol=1e-12, atol=0.0
+                )
+        small = plan_marginalize(variables[:5], cards[:5], (1,))
+        assert small.subscripts is None
 
 
 class TestPrimitiveFlops:

@@ -87,6 +87,31 @@ class TestSerialExecution:
         assert stats.compute_time[0] > 0
 
 
+class TestCompiledPipelines:
+    def test_plans_are_built_once_per_tree_and_shared_by_states(self, tree):
+        from repro.tasks.layout import table_layout
+
+        first = PropagationState(tree)
+        second = PropagationState(tree, {tree.cliques[0].variables[0]: 1})
+        assert first._pipelines is second._pipelines
+        layout = table_layout(tree)
+        single = layout.pipelines(False)
+        assert first._pipelines is single
+        graph = build_task_graph(tree)
+        assert set(single) == {(t.phase, t.edge) for t in graph.tasks}
+        # Batched states compile their own (axes shifted by the case axis).
+        batched = PropagationState.batched(tree, [({}, {}), ({}, {})])
+        assert batched._pipelines is layout.pipelines(True)
+        assert batched._pipelines is not single
+        for key, pipe in single.items():
+            assert not pipe.marginalize.batched
+            assert batched._pipelines[key].marginalize.batched
+            assert pipe.source == batched._pipelines[key].source
+        var = tree.variables()[0]
+        host, _axis = tree.host(var)
+        assert layout.answer(host, var, False) is layout.answer(host, var, False)
+
+
 class TestChunkedExecution:
     def test_every_task_chunked_equals_whole(self, tree):
         """Run the whole graph, executing each task via chunks.

@@ -45,6 +45,21 @@ class TestTaskGraphBasics:
         order = g.topological_order()
         assert order.index(a) < order.index(b) < order.index(c)
 
+    def test_topological_order_is_computed_once_until_a_task_is_added(self):
+        g = TaskGraph()
+        a = g.add_task(PrimitiveKind.MARGINALIZE, COLLECT, (0, 1), 0, 4, 2)
+        order = g.topological_order()
+        assert isinstance(order, tuple)  # callers cannot edit the memo
+        assert g.topological_order() is order
+        b = g.add_task(PrimitiveKind.DIVIDE, COLLECT, (0, 1), 0, 2, 2, deps=[a])
+        assert g.topological_order() == (a, b)
+        # validate() does not trust the memo: a cycle edited in afterwards
+        # is still found.
+        g.deps[a].append(b)
+        g.succs[b].append(a)
+        with pytest.raises(RuntimeError, match="cycle"):
+            g.validate()
+
     def test_levels_group_by_longest_path(self):
         g = TaskGraph()
         a = g.add_task(PrimitiveKind.MARGINALIZE, COLLECT, (0, 1), 0, 4, 2)
