@@ -22,8 +22,16 @@ repropagation is *incremental*: only cliques whose evidence context
 changed (plus their root-ward closure) are recomputed, via a restricted
 task graph that every executor runs through the unchanged
 ``run(task_graph, state)`` contract (see
-:mod:`repro.inference.incremental`).  Repeated queries under identical
-findings are served from an evidence-keyed :class:`~repro.inference.cache.QueryCache`.
+:mod:`repro.inference.incremental`); restricted graphs are built once per
+tree structure and edge set (:class:`~repro.tasks.dag.GraphCache`).
+Repeated queries under identical findings are served from an
+evidence-keyed :class:`~repro.inference.cache.QueryCache`.
+
+Engines whose trees differ only in their numbers share the compiled
+structure: :meth:`InferenceEngine.sharing` builds an engine over a
+:meth:`~repro.jt.junction_tree.JunctionTree.with_priors` twin without
+rerooting or building a task graph, and :meth:`InferenceEngine.fork`
+starts from another engine's findings and propagation without touching it.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ from repro.sched.resilient import ResilientExecutor, run_executor
 from repro.sched.serial import SerialExecutor
 from repro.sched.stats import ExecutionStats
 from repro.tasks.dag import build_task_graph
+from repro.tasks.layout import table_layout
 from repro.tasks.state import PropagationState
 from repro.tasks.task import TaskGraph
 
@@ -93,6 +102,11 @@ class InferenceEngine:
             for var, card in zip(clique.variables, clique.cardinalities):
                 self._cardinalities[var] = card
         self.task_graph: TaskGraph = build_task_graph(self.jt)
+        self._init_runtime(cache_size)
+
+    def _init_runtime(self, cache_size: int) -> None:
+        """Everything of a fresh engine that is not compiled from its tree:
+        no findings, no propagation, an empty cache."""
         # Batch-scaled task graphs keyed by batch size B (built lazily;
         # sizes scale by B so partition plans match the batched state).
         self._batch_graphs: Dict[int, TaskGraph] = {}
@@ -131,6 +145,62 @@ class InferenceEngine:
     ) -> "InferenceEngine":
         """Build the junction tree from a Bayesian network, then the engine."""
         return cls(junction_tree_from_network(bn, heuristic), reroot=reroot)
+
+    def sharing(self, junction_tree: JunctionTree) -> "InferenceEngine":
+        """A fresh engine over ``junction_tree``, compiled by this one.
+
+        ``junction_tree`` must have this engine's tree structure: this
+        engine's tree itself, or one made from it by
+        :meth:`~repro.jt.junction_tree.JunctionTree.with_priors`.  The new
+        engine reuses this one's rerooting and full task graph (the tree
+        shares the table layout and the restricted-graph cache) instead of
+        recomputing them, and starts with no findings, no propagation and
+        an empty cache.  Nothing of this engine changes.
+        """
+        if (
+            junction_tree.cliques is not self.jt.cliques
+            or junction_tree.parent is not self.jt.parent
+        ):
+            raise ValueError(
+                "sharing() needs a tree with this engine's structure "
+                "(the engine's own tree or one from its with_priors())"
+            )
+        twin = type(self).__new__(type(self))
+        twin.original_root = self.original_root
+        twin.critical_path_weight = self.critical_path_weight
+        twin.jt = junction_tree
+        twin._cardinalities = self._cardinalities
+        twin.task_graph = self.task_graph
+        twin._init_runtime(self.cache.capacity)
+        return twin
+
+    def fork(self) -> "InferenceEngine":
+        """An engine that starts from this one's findings and propagation.
+
+        The fork shares the tree and the calibrated state; its own
+        repropagations build new states (an incremental one copies the
+        buffer first), so changing the fork's findings and querying it
+        leaves this engine, its state and its buffer bit-identical.  A
+        state with stale cliques would be topped up in place, so that one
+        is copied up front.
+        """
+        with self._lock:
+            twin = self.sharing(self.jt)
+            twin.set_evidence(self.evidence)
+            state = self._state
+            if state is not None and self._stale:
+                state = PropagationState.over(
+                    self.jt, state.buffer.copy(), state.evidence,
+                    state.soft_evidence, computed=state._inter,
+                )
+            twin._state = state
+            twin._stale = set(self._stale)
+            twin._resilience = self._resilience
+            if self._evidence_token == (
+                id(self.evidence), self.evidence.version
+            ):
+                twin._mark_synced()
+            return twin
 
     # ------------------------------------------------------------------ #
     # Evidence
@@ -235,8 +305,12 @@ class InferenceEngine:
         Brings the cached state up to the current findings with the
         distribute phase restricted to the root-to-``targets`` paths
         (``None``: every clique); cliques left out stay in ``_stale``.
-        The new state replaces ``self._state`` only after the run
-        succeeded.  ``incremental`` is :meth:`propagate`'s argument.
+        That holds for a from-scratch run too: when reuse is unsound and
+        only ``targets`` are asked for, the fresh state is collected in
+        full and distributed along those paths only.  Restricted graphs
+        come from the tree's graph cache.  The new state replaces
+        ``self._state`` only after the run succeeded.  ``incremental`` is
+        :meth:`propagate`'s argument.
         """
         assignments = self.evidence.checked_against(self._cardinalities)
         soft = self.evidence.soft_as_dict()
@@ -256,6 +330,11 @@ class InferenceEngine:
             graph = self.task_graph
             stale: Set[int] = set()
             meta = {"mode": "full"}
+            if targets is not None:
+                stale = set(range(self.jt.num_cliques)) - {self.jt.root}
+                edges = distribute_edges_for(self.jt, stale, targets)
+                graph = table_layout(self.jt).graphs.get(self.jt, None, edges)
+                stale -= {child for _, child in edges}
         else:
             if plan.changed_variables:
                 state = PropagationState.incremental(
@@ -271,10 +350,8 @@ class InferenceEngine:
                 # we have (zero tasks when the targets are calibrated).
                 state, stale = self._state, self._stale
             edges = distribute_edges_for(self.jt, stale, targets)
-            graph = build_task_graph(
-                self.jt,
-                collect_edges=plan.collect_edges,
-                distribute_edges=edges,
+            graph = table_layout(self.jt).graphs.get(
+                self.jt, plan.collect_edges, edges
             )
             stale = stale - {child for _, child in edges}
             meta = {
@@ -291,6 +368,10 @@ class InferenceEngine:
             if plan is not None:
                 stats.incremental = True
                 stats.tasks_skipped = meta["tasks_skipped"]
+            if stale and stats.log_likelihood is not None:
+                # A log-space rescue rewrote every clique calibrated and
+                # dropped the messages a distribute top-up would divide by.
+                stale = set()
             self.last_stats = stats
         self._state = state
         self._stale = stale

@@ -7,7 +7,8 @@ separator (the intersection of the adjacent cliques' scopes).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import copy
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -212,6 +213,26 @@ class JunctionTree:
                 f"scope {clique.variables}"
             )
         self.potentials[i] = table.aligned_to(clique.variables)
+
+    def with_priors(
+        self, priors: Mapping[int, PotentialTable]
+    ) -> "JunctionTree":
+        """A tree with this one's structure and new priors for some cliques.
+
+        ``priors`` maps clique index to its new potential, already in the
+        clique's axis order; every other clique keeps this tree's table.
+        The new tree shares, rather than copies, the cliques, the parent
+        vector and everything compiled from them that exists on this tree
+        at call time — the variable → host map, the table layout with its
+        pipeline plans and restricted task graphs — so a tree whose
+        numbers change but whose structure does not is compiled once.
+        Neither tree is modified by the other afterwards: clique priors
+        are never written in place.
+        """
+        self._host_map()
+        twin = copy.copy(self)
+        twin.potentials = {**self.potentials, **priors}
+        return twin
 
     def copy(self) -> "JunctionTree":
         """Deep copy: structure and potentials."""

@@ -27,6 +27,17 @@ Two structural tricks keep this on the stock junction-tree machinery:
   moralization forces the interface into one clique, so the roll can
   read the joint with one ``joint_marginal`` call.
 
+Every rolled window has the same structure; only the ghost prior
+differs.  So the first roll compiles a **window template** — the rolled
+window's junction tree, rerooting, task graph, table layout and
+restricted-graph cache, plus, per clique that hosts a ghost CPT, the
+CPT factors the tree build multiplied into it — and every later roll is
+a boundary-joint read (on a fork of the live engine, which stays
+untouched), a ghost re-seat (the host cliques' priors rebuilt in the
+build's multiplication order, so bitwise equal to a from-scratch build)
+and one full propagation over a new tree sharing the template's
+compiled state.
+
 Ticks are **transactional**: a tick that is refused (deadline) or fails
 (executor fault) leaves the session exactly as it was — its evidence is
 retracted, time does not advance — so the stream of *applied* ticks is
@@ -44,8 +55,11 @@ import numpy as np
 from repro.bn.dbn import DynamicBayesianNetwork
 from repro.bn.network import BayesianNetwork
 from repro.inference.engine import InferenceEngine
+from repro.jt.build import junction_tree_from_network
+from repro.potential.primitives import extend
 from repro.potential.table import PotentialTable
 from repro.sched.faults import TaskExecutionError, check_state_health
+from repro.tasks.layout import table_layout
 
 
 class TickError(RuntimeError):
@@ -107,6 +121,74 @@ def _chain_rule_cpds(
     return cpds
 
 
+def _compile(bn: BayesianNetwork) -> InferenceEngine:
+    """A window's engine built from scratch: junction tree, rerooting and
+    task graph."""
+    return InferenceEngine(junction_tree_from_network(bn))
+
+
+class _WindowTemplate:
+    """The compiled structure every rolled window of one session shares.
+
+    ``engine`` is a blank engine (never propagated) over the first rolled
+    window's tree; it holds the tree, its rerooting and full task graph,
+    and — compiled here, up front, so every window's tree shares them —
+    the table layout with its pipeline plans and restricted-graph cache.
+    ``recipes`` maps each clique that hosts a ghost CPT to the CPT factors
+    :func:`~repro.jt.build.junction_tree_from_network` multiplies into it,
+    in its order: an array is a fixed CPT already extended to the clique,
+    an int ``j`` stands for ghost ``j``'s chain-rule CPT.
+    """
+
+    def __init__(self, bn: BayesianNetwork, ghosts: range):
+        engine = _compile(bn)
+        jt = engine.jt
+        table_layout(jt).pipelines(False)
+        absorbed: Dict[int, List[int]] = {}
+        for v in range(bn.num_variables):
+            # The build's absorption: lowest variable first, each CPT into
+            # the smallest clique covering its scope.
+            host = jt.clique_containing(bn.cpt(v).variables)
+            absorbed.setdefault(host, []).append(v)
+        self.recipes: Dict[int, list] = {}
+        for host, variables in absorbed.items():
+            if not any(v in ghosts for v in variables):
+                continue
+            clique = jt.cliques[host]
+            self.recipes[host] = [
+                v - ghosts.start if v in ghosts
+                else extend(
+                    bn.cpt(v), clique.variables, clique.cardinalities
+                ).values
+                for v in variables
+            ]
+        self.engine = engine
+
+    def engine_for(
+        self, ghost_cpts: Sequence[PotentialTable]
+    ) -> InferenceEngine:
+        """A fresh engine over the rolled window whose ghost CPTs are
+        ``ghost_cpts``: the ghost-hosting cliques' priors are rebuilt with
+        the build's multiplications, every other prior and all compiled
+        state is the template's."""
+        jt = self.engine.jt
+        priors: Dict[int, PotentialTable] = {}
+        for host, factors in self.recipes.items():
+            clique = jt.cliques[host]
+            values = np.ones(clique.cardinalities)
+            for factor in factors:
+                if isinstance(factor, int):
+                    factor = extend(
+                        ghost_cpts[factor], clique.variables,
+                        clique.cardinalities,
+                    ).values
+                values = values * factor
+            priors[host] = PotentialTable(
+                clique.variables, clique.cardinalities, values
+            )
+        return self.engine.sharing(jt.with_priors(priors))
+
+
 class FilteringSession:
     """One online filtering stream over a DBN.
 
@@ -164,6 +246,8 @@ class FilteringSession:
         self.ticks = 0
         self.rolls = 0
         self.last_result: Optional[TickResult] = None
+        # Compiled at the first rolled window, kept for the session.
+        self._template: Optional[_WindowTemplate] = None
         self.engine = self._build_engine()
 
     # ------------------------------------------------------------------ #
@@ -187,10 +271,9 @@ class FilteringSession:
     def _build_window_network(self) -> BayesianNetwork:
         W, k = self.window, self.k
         interface = self._interface
-        m = len(interface) if self._ghost_joint is not None else 0
-        ghost_of = {
-            v: W * k + j for j, v in enumerate(interface[:m] if m else [])
-        }
+        ghost_ids = self._ghost_ids()
+        m = len(ghost_ids)
+        ghost_of = dict(zip(interface, ghost_ids))
         # The boundary pin: only needed when the next roll must read a
         # *joint* over >= 2 interface variables.
         dummy = W * k + m if len(interface) >= 2 else None
@@ -257,16 +340,8 @@ class FilteringSession:
                     PotentialTable(scope, cpt.cardinalities, cpt.values),
                 )
 
-        if m:
-            ghosts = [ghost_of[v] for v in interface]
-            gcards = [self.dbn.slice_cards[v] for v in interface]
-            joint = self._ghost_joint.aligned_to(interface)
-            for j, cpd in enumerate(_chain_rule_cpds(joint, gcards)):
-                scope = ghosts[: j + 1]
-                bn.set_cpt(
-                    ghosts[j],
-                    PotentialTable(scope, gcards[: j + 1], cpd),
-                )
+        for ghost, cpt in zip(ghost_ids, self._ghost_cpts()):
+            bn.set_cpt(ghost, cpt)
         if dummy is not None:
             boundary = [self._pos_id(v, self.retire - 1) for v in interface]
             bcards = [self.dbn.slice_cards[v] for v in interface]
@@ -280,9 +355,42 @@ class FilteringSession:
             )
         return bn
 
+    def _ghost_ids(self) -> range:
+        """Window ids of the ghost variables, one per interface variable;
+        none before the first roll and for an empty interface."""
+        first = self.window * self.k
+        m = len(self._interface) if self._ghost_joint is not None else 0
+        return range(first, first + m)
+
+    def _ghost_cpts(self) -> List[PotentialTable]:
+        """The rolled prior as the ghosts' chain-rule CPTs."""
+        if self._ghost_joint is None:
+            return []
+        interface = self._interface
+        ghosts = list(self._ghost_ids())
+        gcards = [self.dbn.slice_cards[v] for v in interface]
+        joint = self._ghost_joint.aligned_to(interface)
+        return [
+            PotentialTable(ghosts[: j + 1], gcards[: j + 1], cpd)
+            for j, cpd in enumerate(_chain_rule_cpds(joint, gcards))
+        ]
+
     def _build_engine(self) -> InferenceEngine:
-        """Fresh engine over the current window, evidence re-applied."""
-        engine = InferenceEngine.from_network(self._build_window_network())
+        """Fresh engine over the current window, evidence re-applied.
+
+        The first window is compiled from scratch; a rolled one comes from
+        the window template (compiled here on first need), so after the
+        first roll no rebuild moralizes, triangulates, reroots or builds a
+        task graph or table layout.
+        """
+        if self.base == 0:
+            engine = _compile(self._build_window_network())
+        else:
+            if self._template is None:
+                self._template = _WindowTemplate(
+                    self._build_window_network(), self._ghost_ids()
+                )
+            engine = self._template.engine_for(self._ghost_cpts())
         for t, delta in self._evidence.items():
             for v, finding in delta.items():
                 wid = self.wid(v, t)
@@ -299,7 +407,8 @@ class FilteringSession:
         ``engine`` is dropped before the rebuild: if the rebuild itself
         fails (the executor is still faulty), the session is left marked
         dirty (``engine is None``) and the next tick retries the resync
-        instead of propagating on a stale window.
+        instead of propagating on a stale window.  A rolled window is
+        rebuilt from the window template, like a roll.
         """
         self.engine = None
         self.engine = self._build_engine()
@@ -352,10 +461,17 @@ class FilteringSession:
 
         The session must have been constructed over the same DBN with
         the same window geometry (the snapshot stores neither); the
-        rebuild is a full :meth:`resync`, so on success the session is
-        calibrated and immediately answers posteriors for the restored
-        evidence.
+        rebuild is a full :meth:`resync` — from the window template when
+        the snapshot has rolled, compiling the template first if this
+        session has not — so on success the session is calibrated and
+        immediately answers posteriors for the restored evidence.
         """
+        carries_prior = int(doc["base"]) > 0 and bool(self._interface)
+        if (doc.get("ghost") is not None) != carries_prior:
+            raise ValueError(
+                "snapshot must carry a ghost prior exactly when it has "
+                "rolled over a nonempty forward interface"
+            )
         evidence: Dict[int, Dict[int, object]] = {}
         for t_key, encoded in doc["evidence"].items():
             delta: Dict[int, object] = {}
@@ -389,18 +505,19 @@ class FilteringSession:
 
     def _roll(self) -> None:
         """Retire the oldest ``retire`` slices into the rolled prior."""
-        r, k = self.retire, self.k
+        r = self.retire
         if self._interface:
             # The rolled prior conditions ONLY on retired evidence:
-            # retract everything at retained positions first (the engine
-            # absorbs the weakening delta; this engine is discarded).
-            engine = self.engine
+            # retract everything at retained positions first — on a fork,
+            # which absorbs the weakening delta into states of its own and
+            # leaves the live engine as it was.
+            reader = self.engine.fork()
             for t, delta in self._evidence.items():
                 if t - self.base >= r:
                     for v in delta:
-                        engine.retract(self.wid(v, t))
+                        reader.retract(self.wid(v, t))
             boundary = [self._pos_id(v, r - 1) for v in self._interface]
-            joint = engine.joint_marginal(boundary)
+            joint = reader.joint_marginal(boundary)
             # joint_marginal aligns to sorted window ids, which is the
             # sorted template-interface order; re-scope to template ids.
             self._ghost_joint = PotentialTable(

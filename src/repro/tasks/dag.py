@@ -20,16 +20,95 @@ Incremental repropagation (:mod:`repro.inference.incremental`) builds
 tables being reused from a previous run.  The restricted graph keeps the
 exact dependency structure of the full graph projected onto the surviving
 pipelines, so every executor runs it through the unchanged
-``run(task_graph, state)`` contract.
+``run(task_graph, state)`` contract.  A tree's restricted graphs come from
+its :class:`GraphCache` (kept with the tree's table layout): a stream
+repeats a handful of edge sets, so each is built twice, not every tick.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Dict, Optional, Tuple
+import threading
+from collections import OrderedDict
+from typing import Collection, Dict, FrozenSet, Optional, Tuple
 
 from repro.jt.junction_tree import JunctionTree
 from repro.potential.primitives import PrimitiveKind
 from repro.tasks.task import COLLECT, DISTRIBUTE, TaskGraph
+
+Edge = Tuple[int, int]
+
+# Restricted graphs one GraphCache keeps, and first-time keys it
+# remembers.  A filtering stream cycles through 6-9 distinct (collect,
+# distribute) edge sets; request traffic hardly repeats one, so a larger
+# bound would only hold dead graphs.
+GRAPH_CACHE_SIZE = 16
+
+
+class GraphCache:
+    """LRU of restricted task graphs over one compiled tree structure.
+
+    Keyed by ``(collect edges, distribute edges)`` (``None``: that phase
+    in full), bounded by :data:`GRAPH_CACHE_SIZE`.  Every engine over the
+    structure shares one cache: the sessions of a pool, and the rolled
+    windows of a filtering session.  A graph is kept from the second
+    request of its key on (a key requested once is remembered among the
+    last :data:`GRAPH_CACHE_SIZE` such keys): request traffic hardly ever
+    asks for a graph again, and holding its graphs anyway multiplied the
+    garbage collector's work (DESIGN.md section 3), while a stream's
+    handful of edge sets repeat within a few ticks.  A graph is published
+    only once it is fully built, and executors only read graphs, so a
+    cached graph can be run by any number of engines at once.
+    """
+
+    def __init__(self):
+        self._graphs: "OrderedDict[Tuple, TaskGraph]" = OrderedDict()
+        self._seen: "OrderedDict[Tuple, None]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __reduce__(self):
+        # A tree pickled to a worker process travels with an empty cache:
+        # graphs are rebuilt there on demand, the lock cannot travel.
+        return (GraphCache, ())
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._graphs)
+
+    def get(
+        self,
+        jt: JunctionTree,
+        collect_edges: Optional[Collection[Edge]],
+        distribute_edges: Collection[Edge],
+    ) -> TaskGraph:
+        """``build_task_graph(jt, collect_edges, distribute_edges)``:
+        built on a miss, shared from the key's second request on."""
+        key: Tuple[Optional[FrozenSet[Edge]], FrozenSet[Edge]] = (
+            None if collect_edges is None else frozenset(collect_edges),
+            frozenset(distribute_edges),
+        )
+        with self._lock:
+            graph = self._graphs.get(key)
+            if graph is not None:
+                self._graphs.move_to_end(key)
+                return graph
+            keep = key in self._seen
+            if not keep:
+                self._seen[key] = None
+                if len(self._seen) > GRAPH_CACHE_SIZE:
+                    self._seen.popitem(last=False)
+        graph = build_task_graph(
+            jt, collect_edges=key[0], distribute_edges=key[1]
+        )
+        if keep:
+            with self._lock:
+                # A racing thread may have published the same key
+                # meanwhile; both graphs are complete and equal, keep the
+                # first.
+                graph = self._graphs.setdefault(key, graph)
+                self._graphs.move_to_end(key)
+                if len(self._graphs) > GRAPH_CACHE_SIZE:
+                    self._graphs.popitem(last=False)
+        return graph
 
 
 def _sizes(jt: JunctionTree, parent: int, child: int) -> Tuple[int, int]:
@@ -43,8 +122,8 @@ def _sizes(jt: JunctionTree, parent: int, child: int) -> Tuple[int, int]:
 
 def build_task_graph(
     jt: JunctionTree,
-    collect_edges: Optional[Collection[Tuple[int, int]]] = None,
-    distribute_edges: Optional[Collection[Tuple[int, int]]] = None,
+    collect_edges: Optional[Collection[Edge]] = None,
+    distribute_edges: Optional[Collection[Edge]] = None,
     batch: int = 1,
 ) -> TaskGraph:
     """Construct the task dependency graph ``G`` for a junction tree.

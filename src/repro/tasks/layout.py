@@ -18,7 +18,11 @@ where Eq. 1 is *compiled*: :meth:`TableLayout.pipelines` holds, per
 (:mod:`repro.potential.primitives`) that ``PropagationState.execute``
 hands them, built once per tree when the first state over it is bound.
 Nothing about the slots, the buffer size or the checkpoint format depends
-on the plans.
+on the plans.  The layout also carries the tree's
+:class:`~repro.tasks.dag.GraphCache` of restricted task graphs, so
+everything compiled from a tree's structure travels as one object: trees
+that share it (:meth:`~repro.jt.junction_tree.JunctionTree.with_priors`)
+share all of it.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from repro.potential.primitives import (
     plan_multiply,
 )
 from repro.potential.table import PotentialTable
+from repro.tasks.dag import GraphCache
 from repro.tasks.task import COLLECT, DISTRIBUTE
 
 Edge = Tuple[int, int]
@@ -77,17 +82,20 @@ class TableLayout:
     count of the whole buffer.
 
     :meth:`pipelines` and :meth:`answer` are the primitives' plans over
-    these slots, each built once per tree, on first use.
+    these slots, each built once per tree, on first use; ``graphs`` holds
+    the tree's restricted task graphs, each built on first use.
     """
 
     __slots__ = (
         "potentials", "separators", "inter", "size", "_pipelines", "_answers",
+        "graphs",
     )
 
     def __init__(self, jt: JunctionTree):
         self.size = 0
         self._pipelines: Dict[bool, Dict[PipeKey, Pipeline]] = {}
         self._answers: Dict[Tuple[int, int, bool], MarginalizePlan] = {}
+        self.graphs = GraphCache()
 
         def slot(variables, cardinalities) -> Slot:
             size = 1

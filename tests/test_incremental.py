@@ -515,6 +515,38 @@ class TestWeakeningFallback:
             engine.marginal(6), bn.marginal_bruteforce(6, {1: 0}), atol=1e-12
         )
 
+    def test_targeted_fallback_distributes_only_to_the_targets(self):
+        """Reuse is unsound, but the query asks for one variable: the
+        fresh state is collected in full and distributed along the
+        root-to-host path only; everything else stays stale until a
+        later call needs it."""
+        bn, engine = self._engine_with_carried_zeroed_separator()
+        engine.retract(7)
+        got = engine.query(vars=[6])
+        assert not engine.last_stats.incremental
+        np.testing.assert_allclose(
+            got[6], ve_query(bn, [6], {1: 0}).values, atol=1e-9
+        )
+        on_path = set(engine.jt.path_to_root(engine.jt.host(6)[0]))
+        assert engine._stale
+        assert engine._stale == set(range(engine.jt.num_cliques)) - on_path
+        assert engine.last_stats.tasks_executed < engine.task_graph.num_tasks
+
+        everything = engine.marginals_all()
+        assert not engine._stale
+        fresh = InferenceEngine.from_network(bn)
+        fresh.set_evidence({1: 0})
+        fresh.propagate(incremental=False)
+        for v, values in fresh.marginals_all().items():
+            np.testing.assert_allclose(everything[v], values, atol=1e-12)
+
+    def test_untargeted_fallback_stays_a_full_run(self):
+        bn, engine = self._engine_with_carried_zeroed_separator()
+        engine.retract(7)
+        engine.propagate()
+        assert engine.last_stats.tasks_executed == engine.task_graph.num_tasks
+        assert not engine._stale
+
     def test_retracting_the_separator_variable_itself_is_sound(self):
         # Zeros caused by the retracted variable live in separators whose
         # child cliques are dirtied by that same retraction, so they are

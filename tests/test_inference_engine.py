@@ -7,7 +7,9 @@ from repro.bn.generation import chain_network, random_network
 from repro.inference.engine import InferenceEngine
 from repro.inference.evidence import Evidence
 from repro.jt.generation import synthetic_tree
+from repro.potential.table import PotentialTable
 from repro.sched import CollaborativeExecutor
+from repro.tasks.layout import table_layout
 
 
 class TestAgainstBruteForce:
@@ -184,3 +186,77 @@ class TestEngineApi:
         var = tree.cliques[2].variables[0]
         m = engine.marginal(var)
         assert np.isclose(m.sum(), 1.0)
+
+
+class TestSharedStructure:
+    def _engine(self):
+        bn = random_network(12, max_parents=2, seed=4)
+        return bn, InferenceEngine.from_network(bn)
+
+    def test_sharing_reuses_the_compiled_structure(self):
+        bn, engine = self._engine()
+        engine.propagate()
+        table = engine.jt.potentials[0]
+        doubled = PotentialTable(
+            table.variables, table.cardinalities, table.values * 2.0
+        )
+        twin = engine.sharing(engine.jt.with_priors({0: doubled}))
+        assert twin.task_graph is engine.task_graph
+        assert twin.jt.cliques is engine.jt.cliques
+        assert table_layout(twin.jt) is table_layout(engine.jt)
+        assert twin._state is None and not twin.evidence.as_dict()
+        # Scaling one prior is absorbed by normalization: same posteriors.
+        twin.observe(3, 1)
+        engine.observe(3, 1)
+        twin.propagate()
+        for v in range(bn.num_variables):
+            np.testing.assert_allclose(
+                twin.marginal(v), engine.marginal(v), atol=1e-12
+            )
+        assert engine.jt.potentials[0] is table  # the original kept its own
+
+    def test_sharing_refuses_another_structure(self):
+        _, engine = self._engine()
+        _, other = self._engine()
+        with pytest.raises(ValueError, match="structure"):
+            engine.sharing(other.jt)
+
+    def test_fork_answers_for_its_own_findings_and_leaves_the_original(self):
+        bn, engine = self._engine()
+        engine.set_evidence({0: 1, 5: 0})
+        engine.propagate()
+        state = engine._state
+        buffer = state.buffer.copy()
+        before = {v: engine.marginal(v) for v in range(bn.num_variables)}
+
+        fork = engine.fork()
+        fork.retract(5)
+        fork.observe(9, 1)
+        for v in (2, 7):
+            np.testing.assert_allclose(
+                fork.marginal(v),
+                bn.marginal_bruteforce(v, {0: 1, 9: 1}),
+                atol=1e-12,
+            )
+        assert engine._state is state
+        assert np.array_equal(state.buffer, buffer)
+        assert engine.evidence.as_dict() == {0: 1, 5: 0}
+        for v, values in before.items():
+            assert np.array_equal(engine.marginal(v), values)
+
+    def test_fork_of_a_partly_stale_engine_copies_the_state(self):
+        bn, engine = self._engine()
+        engine.propagate()
+        engine.observe(0, 1)
+        engine.marginal(0)  # a targeted refresh leaves cliques stale
+        assert engine._stale
+        state, buffer = engine._state, engine._state.buffer.copy()
+        fork = engine.fork()
+        assert fork._state is not state
+        fork.marginals_all()
+        assert np.array_equal(state.buffer, buffer)
+        for v in range(bn.num_variables):
+            np.testing.assert_allclose(
+                fork.marginal(v), bn.marginal_bruteforce(v, {0: 1}),
+                atol=1e-12,
+            )

@@ -10,6 +10,8 @@ or a stream is closed.
 
 from __future__ import annotations
 
+import importlib.util
+import pathlib
 import threading
 import time
 
@@ -302,6 +304,213 @@ class TestFilteringExactness:
 
 
 # --------------------------------------------------------------------- #
+# The rolled-window template
+# --------------------------------------------------------------------- #
+
+
+def _chain_dbn(k, interface, seed=5):
+    """k-variable 2-TBN: intra-slice chain, ``u@t -> u@t+1`` carry-overs
+    for ``u < interface`` (plus ``0 -> 1`` when ``interface >= 2``).
+
+    Returns the template and its CPTs as ``(scope, values)`` pairs — the
+    input of the benchmark suite's dense forward filter.
+    """
+    rng = np.random.default_rng(seed)
+    cards = [2 + (v % 2) for v in range(k)]
+    dbn = DynamicBayesianNetwork(cards)
+    for v in range(1, k):
+        dbn.add_intra_edge(v - 1, v)
+    inter = {v: [v] if v < interface else [] for v in range(k)}
+    for u in range(interface):
+        dbn.add_inter_edge(u, u)
+    if interface >= 2:
+        dbn.add_inter_edge(0, 1)
+        inter[1].append(0)
+    prior, transition = [], []
+    for v in range(k):
+        intra = [v - 1] if v else []
+        for pairs, scope, setter in (
+            (prior, intra + [v], dbn.set_prior_cpt),
+            (
+                transition,
+                [p + k for p in inter[v]] + intra + [v],
+                dbn.set_transition_cpt,
+            ),
+        ):
+            shape = tuple(cards[u % k] for u in scope)
+            values = rng.random(shape) + 0.05
+            values /= values.sum(axis=-1, keepdims=True)
+            pairs.append((scope, values))
+            setter(v, PotentialTable(scope, shape, values))
+    return dbn, prior, transition
+
+
+def _dense_filter(prior, transition, cards):
+    """The benchmark suite's forward filter on the flattened joint state
+    (shares no code with the junction-tree path)."""
+    path = (
+        pathlib.Path(__file__).resolve().parents[1]
+        / "benchmarks" / "suite" / "oracle.py"
+    )
+    spec = importlib.util.spec_from_file_location("suite_oracle", path)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    return oracle.DenseFilter(cards, prior, transition)
+
+
+def _ticks(k, soft, seed=9):
+    """Endless ticks observing the last two slice variables."""
+    rng = np.random.default_rng(seed)
+    cards = [2 + (v % 2) for v in range(k)]
+    while True:
+        if rng.random() < 0.15:
+            yield {}
+            continue
+        delta = {}
+        for v in (k - 2, k - 1):
+            if soft and rng.random() < 0.5:
+                delta[v] = list(rng.random(cards[v]) + 0.1)
+            else:
+                delta[v] = int(rng.integers(cards[v]))
+        yield delta
+
+
+def _same_tree(got, want):
+    assert [c.variables for c in got.cliques] == [
+        c.variables for c in want.cliques
+    ]
+    assert [c.cardinalities for c in got.cliques] == [
+        c.cardinalities for c in want.cliques
+    ]
+    assert got.parent == want.parent and got.root == want.root
+    for i in range(want.num_cliques):
+        assert np.array_equal(
+            got.potentials[i].values, want.potentials[i].values
+        ), f"clique {i} prior differs from a from-scratch build"
+
+
+class TestWindowTemplate:
+    @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
+    @pytest.mark.parametrize("retire", [1, 4])
+    @pytest.mark.parametrize("interface", [0, 1, 3])
+    def test_rolled_windows_equal_a_from_scratch_build(
+        self, interface, retire, soft
+    ):
+        k = 5 if interface == 3 else 3
+        dbn, _, _ = _chain_dbn(k, interface)
+        session = FilteringSession(dbn, window=retire + 2, retire=retire)
+        ticks = _ticks(k, soft)
+        while session.rolls < 10:
+            if not session.tick(next(ticks)).rolled:
+                continue
+            want = InferenceEngine.from_network(
+                session._build_window_network()
+            ).jt
+            _same_tree(session.engine.jt, want)
+        assert session._template is not None
+
+    def test_two_tree_builds_per_session(self, monkeypatch):
+        import repro.inference.engine as engine_module
+        import repro.streaming.session as session_module
+        import repro.tasks.layout as layout_module
+
+        calls = {"jt": 0, "reroot": 0, "layout": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            session_module, "junction_tree_from_network",
+            counting("jt", session_module.junction_tree_from_network),
+        )
+        monkeypatch.setattr(
+            engine_module, "reroot_optimally",
+            counting("reroot", engine_module.reroot_optimally),
+        )
+        monkeypatch.setattr(
+            layout_module, "TableLayout",
+            counting("layout", layout_module.TableLayout),
+        )
+        dbn, _, _ = _chain_dbn(5, 3)
+        session = FilteringSession(dbn, window=4, retire=1)
+        ticks = _ticks(5, soft=False)
+        while session.rolls < 20:
+            session.tick(next(ticks))
+        # The first window, then the template; every other roll re-seats.
+        assert calls == {"jt": 2, "reroot": 2, "layout": 2}
+
+    @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
+    def test_a_roll_leaves_the_previous_engine_and_state_untouched(
+        self, soft
+    ):
+        dbn, _, _ = _chain_dbn(5, 3)
+        session = FilteringSession(dbn, window=3, retire=1)
+        ticks = _ticks(5, soft)
+        checked = 0
+        while checked < 4:
+            if session.t - session.base < session.window:
+                session.tick(next(ticks))
+                continue
+            engine = session.engine
+            state = engine._state
+            buffer = state.buffer.copy()
+            version = engine.evidence.version
+            signature = engine.evidence.signature()
+            priors = {
+                i: table.values.copy()
+                for i, table in engine.jt.potentials.items()
+            }
+            assert session.tick(next(ticks)).rolled
+            assert session.engine is not engine
+            assert engine._state is state
+            assert np.array_equal(state.buffer, buffer)
+            assert engine.evidence.version == version
+            assert engine.evidence.signature() == signature
+            for i, values in priors.items():
+                assert np.array_equal(engine.jt.potentials[i].values, values)
+            checked += 1
+
+    def test_restore_compiles_the_template_on_demand(self):
+        k = 5
+        dbn, prior, transition = _chain_dbn(k, 3)
+        source = FilteringSession(dbn, window=4, retire=2)
+        dense = _dense_filter(prior, transition, dbn.slice_cards)
+        ticks = _ticks(k, soft=False)
+        for _ in range(9):
+            delta = next(ticks)
+            source.tick(delta)
+            dense.tick(delta)
+        assert source.rolls >= 2
+        restored = FilteringSession(dbn, window=4, retire=2)
+        assert restored._template is None
+        restored.restore_state(source.snapshot_state())
+        assert restored._template is not None
+        for _ in range(8):  # the restored stream keeps rolling exactly
+            want = dense.alpha
+            got = restored.posteriors()
+            for v in range(k):
+                marginal = want.sum(
+                    axis=tuple(a for a in range(k) if a != v)
+                )
+                np.testing.assert_allclose(got[v], marginal, atol=1e-9)
+            delta = next(ticks)
+            restored.tick(delta)
+            dense.tick(delta)
+
+    def test_restore_refuses_a_snapshot_without_its_prior(self):
+        dbn, _, _ = _chain_dbn(5, 3)
+        session = FilteringSession(dbn, window=3, retire=1)
+        for delta in [{3: 0}, {4: 1}, {}, {3: 1}]:
+            session.tick(delta)
+        doc = dict(session.snapshot_state(), ghost=None)
+        with pytest.raises(ValueError, match="ghost prior"):
+            FilteringSession(dbn, window=3, retire=1).restore_state(doc)
+
+
+# --------------------------------------------------------------------- #
 # Tick transactionality
 # --------------------------------------------------------------------- #
 
@@ -366,6 +575,21 @@ class TestTickTransactionality:
             session.tick({1: 0})
         assert session.t == 3  # refused tick never advanced time
         session.tick({1: 0})  # resync + apply
+        applied.append({1: 0})
+        want = unrolled_posteriors(dbn, applied, [0])
+        np.testing.assert_allclose(session.posterior(0), want[0], atol=1e-9)
+
+        # The same again on the third roll, rebuilt from the window
+        # template the first roll compiled.
+        session.tick({1: 1})
+        applied.append({1: 1})
+        assert session.rolls == 2 and session._template is not None
+        executor.failures = 2
+        with pytest.raises(TickFailed):
+            session.tick({1: 0})
+        assert session.engine is None  # dirty, not silently stale
+        assert session.t == 5
+        session.tick({1: 0})
         applied.append({1: 0})
         want = unrolled_posteriors(dbn, applied, [0])
         np.testing.assert_allclose(session.posterior(0), want[0], atol=1e-9)

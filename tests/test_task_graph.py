@@ -1,11 +1,25 @@
 """Tests for Task, TaskGraph and task-dependency-graph construction."""
 
+import threading
+
+import numpy as np
 import pytest
 
+import repro.tasks.dag as dag
+from repro.inference.incremental import distribute_edges_for
 from repro.jt.generation import synthetic_tree, template_tree
 from repro.potential.primitives import PrimitiveKind
+from repro.sched import (
+    CollaborativeExecutor,
+    ProcessSharedMemoryExecutor,
+    SerialExecutor,
+    WorkStealingExecutor,
+)
+from repro.serve import EngineSessionPool
 from repro.tasks.clique_graph import build_clique_updating_graph
-from repro.tasks.dag import build_task_graph
+from repro.tasks.dag import GRAPH_CACHE_SIZE, build_task_graph
+from repro.tasks.layout import table_layout
+from repro.tasks.state import PropagationState
 from repro.tasks.task import COLLECT, DISTRIBUTE, Task, TaskGraph
 
 
@@ -219,3 +233,169 @@ class TestCliqueUpdatingGraph:
         for node, deps in cug.deps.items():
             for d in deps:
                 assert pos[d] < pos[node]
+
+
+def _tree(seed, num_cliques=24, states=2):
+    tree = synthetic_tree(
+        num_cliques, clique_width=3, states=states, seed=seed
+    )
+    tree.initialize_potentials(np.random.default_rng(seed))
+    return tree
+
+
+def _path_edges(tree, target):
+    """Distribute edges of a root-to-``target`` refresh of a fresh state."""
+    stale = set(range(tree.num_cliques)) - {tree.root}
+    return distribute_edges_for(tree, stale, {target})
+
+
+def _shape(graph):
+    return (
+        [
+            (t.tid, t.kind, t.phase, t.edge, t.clique, t.input_size,
+             t.output_size)
+            for t in graph.tasks
+        ],
+        graph.deps,
+    )
+
+
+def _cached(cache, tree, collect, distribute):
+    """The graph of a key after the two requests that make it kept."""
+    cache.get(tree, collect, distribute)
+    return cache.get(tree, collect, distribute)
+
+
+class TestGraphCache:
+    def test_cached_graph_equals_a_fresh_build(self):
+        tree = _tree(0)
+        cache = table_layout(tree).graphs
+        leaf = tree.leaves()[-1]
+        edges = _path_edges(tree, leaf)
+        cached = _cached(cache, tree, None, edges)
+        assert _shape(cached) == _shape(
+            build_task_graph(tree, distribute_edges=edges)
+        )
+        collect = {(tree.parent[leaf], leaf)}
+        restricted = _cached(cache, tree, collect, edges)
+        assert _shape(restricted) == _shape(
+            build_task_graph(
+                tree, collect_edges=collect, distribute_edges=edges
+            )
+        )
+        # Same edge sets in any container: the same graph object.
+        assert cache.get(tree, None, sorted(edges)) is cached
+        assert cache.get(tree, list(collect), set(edges)) is restricted
+
+    def test_a_key_requested_once_is_not_kept(self):
+        tree = _tree(0)
+        cache = table_layout(tree).graphs
+        edges = _path_edges(tree, tree.leaves()[-1])
+        first = cache.get(tree, None, edges)
+        assert len(cache) == 0
+        second = cache.get(tree, None, edges)
+        assert second is not first and len(cache) == 1
+        assert _shape(second) == _shape(first)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            SerialExecutor,
+            lambda: CollaborativeExecutor(
+                num_threads=2, partition_threshold=4
+            ),
+            lambda: WorkStealingExecutor(
+                num_threads=2, partition_threshold=4
+            ),
+            lambda: ProcessSharedMemoryExecutor(
+                num_workers=2, inline_threshold=0
+            ),
+        ],
+        ids=["serial", "collaborative", "work-stealing", "process"],
+    )
+    def test_one_cached_graph_runs_twice_bit_identically(self, make):
+        tree = _tree(1, num_cliques=10)
+        cache = table_layout(tree).graphs
+        edges = _path_edges(tree, tree.leaves()[0])
+        graph = _cached(cache, tree, None, edges)
+        before = _shape(graph)
+        executor = make()
+        buffers = []
+        for _ in range(2):
+            state = PropagationState(tree, {0: 1})
+            executor.run(graph, state)
+            buffers.append(state.buffer.copy())
+        assert np.array_equal(buffers[0], buffers[1])
+        assert _shape(graph) == before  # executors only read the graph
+        assert cache.get(tree, None, edges) is graph
+
+    def test_lru_never_exceeds_its_bound(self):
+        tree = _tree(2, num_cliques=2 * GRAPH_CACHE_SIZE + 8)
+        cache = table_layout(tree).graphs
+        targets = [c for c in range(tree.num_cliques) if c != tree.root]
+        graphs = {}
+        for target in targets:
+            edges = _path_edges(tree, target)
+            graphs[target] = _cached(cache, tree, None, edges)
+            assert len(cache) <= GRAPH_CACHE_SIZE
+        assert len(cache) == GRAPH_CACHE_SIZE
+        # The most recent graphs survive; a hit refreshes its entry.
+        last = targets[-1]
+        assert cache.get(tree, None, _path_edges(tree, last)) is graphs[last]
+
+    def test_racing_threads_share_one_complete_graph(self, monkeypatch):
+        tree = _tree(3)
+        edges = _path_edges(tree, tree.leaves()[-1])
+        cache = table_layout(tree).graphs
+        cache.get(tree, None, edges)  # the next request keeps the graph
+        barrier = threading.Barrier(2, timeout=30)
+        real = dag.build_task_graph
+
+        def slow_build(*args, **kwargs):
+            barrier.wait()  # both threads have missed
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dag, "build_task_graph", slow_build)
+        got = [None, None]
+
+        def fetch(i):
+            got[i] = cache.get(tree, None, edges)
+
+        threads = [threading.Thread(target=fetch, args=(i,)) for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+            assert not thread.is_alive()
+        assert got[0] is got[1]
+        got[0].validate()
+        assert _shape(got[0]) == _shape(real(tree, distribute_edges=edges))
+        assert len(cache) == 1
+
+    def test_caches_are_per_structure(self):
+        small, wide = _tree(4, states=2), _tree(4, states=3)
+        assert small.parent == wide.parent  # same topology, other tables
+        edges = _path_edges(small, small.leaves()[-1])
+        caches = [table_layout(t).graphs for t in (small, wide)]
+        assert caches[0] is not caches[1]
+        for tree, cache in zip((small, wide), caches):
+            graph = _cached(cache, tree, None, edges)
+            assert _shape(graph) == _shape(
+                build_task_graph(tree, distribute_edges=edges)
+            )
+        assert _shape(caches[0].get(small, None, edges)) != _shape(
+            caches[1].get(wide, None, edges)
+        )
+
+    def test_engines_over_one_tree_share_one_cache(self):
+        pool = EngineSessionPool.from_junction_tree(_tree(5), sessions=2)
+        first, second = pool.engines
+        assert table_layout(first.jt).graphs is table_layout(second.jt).graphs
+        # The same delta in the two sessions asks one cache twice, so its
+        # graph is kept.
+        finding = {first.jt.cliques[first.jt.leaves()[-1]].variables[0]: 1}
+        for engine in (first, second):
+            engine.set_evidence(finding)
+            engine.propagate(incremental=True)
+            assert engine.last_stats.incremental
+        assert len(table_layout(first.jt).graphs) == 1
