@@ -189,10 +189,7 @@ class InferenceEngine:
             twin.set_evidence(self.evidence)
             state = self._state
             if state is not None and self._stale:
-                state = PropagationState.over(
-                    self.jt, state.buffer.copy(), state.evidence,
-                    state.soft_evidence, computed=state._inter,
-                )
+                state = state.copy()
             twin._state = state
             twin._stale = set(self._stale)
             twin._resilience = self._resilience

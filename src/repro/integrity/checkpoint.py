@@ -2,14 +2,18 @@
 
 Format: one ``.npz`` archive with exactly two entries — a
 ``__manifest__`` JSON document and a single ``__tables__`` float64
-vector: the state's table buffer as it stands, in
-:func:`repro.tasks.layout.table_layout` order.  One packed vector
-instead of one npz entry per table matters: a serving-scale tree holds
-thousands of small tables, and the per-entry zip + npy-header overhead
-of reading them individually costs more than the whole restore is
-allowed to (warm restart must beat recalibration by a wide margin).
-Because the vector *is* the buffer, saving packs nothing and restoring
-adopts the loaded vector through the same layout the live state uses.
+vector: the state's table buffer, in
+:func:`repro.tasks.layout.table_layout` order, with every intermediate
+no task wrote packed as zeros (a state may run on a reused buffer whose
+unwritten slots still hold another propagation's bytes; the archive
+never carries them, so its bytes do not depend on the buffer's history).
+One packed vector instead of one npz entry per table matters: a
+serving-scale tree holds thousands of small tables, and the per-entry
+zip + npy-header overhead of reading them individually costs more than
+the whole restore is allowed to (warm restart must beat recalibration
+by a wide margin).  A fully written state's vector *is* its buffer, so
+saving packs nothing, and restoring adopts the loaded vector through
+the same layout the live state uses.
 The manifest records:
 
 * the checkpoint format version (``2``: layout-ordered buffer; a
@@ -143,10 +147,19 @@ def save_state(state, path) -> Dict[str, object]:
             "single-case session state instead"
         )
     layout = table_layout(state.jt)
+    present = state._inter
     computed = [
-        index for index, key in enumerate(layout.inter) if key in state._inter
+        index for index, key in enumerate(layout.inter) if key in present
     ]
     packed = state.buffer
+    if len(computed) < len(layout.inter):
+        # An absent slot holds whatever its buffer last held (a reused
+        # buffer: another evidence case's intermediates), so it packs as
+        # zeros: the bytes never depend on the buffer's history.
+        packed = packed.copy()
+        for key, slot in layout.inter.items():
+            if key not in present:
+                packed[slot.start:slot.start + slot.size] = 0.0
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "tree_signature": tree_signature(state.jt),

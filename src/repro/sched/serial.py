@@ -1,4 +1,13 @@
-"""Reference serial executor: tasks in topological order, one thread."""
+"""Reference serial executor: a task graph as one straight-line run.
+
+The graph is compiled once into its step list (every task in topological
+order, with operand slot indices and its pipeline's plan:
+:meth:`repro.tasks.layout.TableLayout.step_list`), and the run walks that
+list against the state's slot-indexed table views
+(:meth:`repro.tasks.state.PropagationState.run_steps`): no dependency
+counters, no per-task lookups.  Tracing and the deadline check go through
+the same loop.
+"""
 
 from __future__ import annotations
 
@@ -32,23 +41,16 @@ class SerialExecutor:
         ``phase="deadline"``; no stats object outlives it."""
         buf = tracer.bind(0) if tracer is not None else None
         start_ns = time.perf_counter_ns()
-        compute_ns = 0
-        executed = 0
-        for tid in graph.topological_order():
-            if deadline is not None and time.monotonic() >= deadline:
-                raise TaskExecutionError(
-                    f"serial propagation exceeded its deadline with "
-                    f"{graph.num_tasks - executed} of {graph.num_tasks} "
-                    f"tasks unexecuted",
-                    phase="deadline",
-                )
-            t0 = time.perf_counter_ns()
-            state.execute(graph.tasks[tid])
-            t1 = time.perf_counter_ns()
-            compute_ns += t1 - t0
-            executed += 1
-            if buf is not None:
-                buf.task_span("task", tid, t0, t1)
+        executed, compute_ns = state.run_steps(
+            state.step_list(graph), buf, deadline
+        )
+        if executed < graph.num_tasks:
+            raise TaskExecutionError(
+                f"serial propagation exceeded its deadline with "
+                f"{graph.num_tasks - executed} of {graph.num_tasks} "
+                f"tasks unexecuted",
+                phase="deadline",
+            )
         wall = (time.perf_counter_ns() - start_ns) * 1e-9
         compute = compute_ns * 1e-9
         return ExecutionStats(

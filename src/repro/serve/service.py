@@ -53,6 +53,7 @@ from repro.serve.request import (
     QueryResponse,
     ServiceClosed,
 )
+from repro.tasks.layout import FREE_BUFFERS, table_layout
 
 @dataclass
 class _SessionHealth:
@@ -157,9 +158,11 @@ class EngineSessionPool:
 
         Counts the shared tree's prior potentials once, each session's
         propagation-state tables (clique potentials, separators and
-        message intermediates), and the baseline checkpoint blob.  This
-        is the per-model cost the registry charges against its global
-        memory budget.
+        message intermediates), the released state buffers the tree's
+        free list may keep (all :data:`~repro.tasks.layout.FREE_BUFFERS`
+        of them: the registry charges this cost once, and the list fills
+        later), and the baseline checkpoint blob.  This is the per-model
+        cost the registry charges against its global memory budget.
         """
         jt = self.engines[0].jt
         total = sum(t.nbytes for t in jt.potentials.values())
@@ -167,6 +170,7 @@ class EngineSessionPool:
             state = getattr(engine, "_state", None)
             if state is not None:
                 total += state.nbytes
+        total += FREE_BUFFERS * table_layout(jt).size * 8  # float64
         if self._baseline is not None:
             total += len(self._baseline)
         return total
@@ -324,14 +328,18 @@ class EngineSessionPool:
           blocking forever on an empty queue.
 
         The baseline checkpoint and the free queue are dropped so the
-        pool's table memory is reclaimable; the ``engines`` list survives
-        (emptied) only as a tombstone for accounting code.
+        pool's table memory is reclaimable, and so is the tree's free
+        list of released state buffers, now and as the sessions' states
+        die (a registry stub keeps the tree but is charged none of that
+        memory); the ``engines`` list survives (emptied) only as a
+        tombstone for accounting code.
         """
         with self._health_lock:
             if self._closed:
                 return
             self._closed = True
             self._baseline = None
+            table_layout(self.engines[0].jt).free.clear()
             # Drain whatever is checked in right now, under the same
             # lock the release path requeues under: a racing release
             # either requeues before this drain (and is drained) or

@@ -15,19 +15,28 @@ their order, and each table is batch-major inside its slot.
 Because the slots fix the operand scopes of every task, the layout is also
 where Eq. 1 is *compiled*: :meth:`TableLayout.pipelines` holds, per
 (phase, edge), the plans of the four primitives
-(:mod:`repro.potential.primitives`) that ``PropagationState.execute``
-hands them, built once per tree when the first state over it is bound.
-Nothing about the slots, the buffer size or the checkpoint format depends
-on the plans.  The layout also carries the tree's
-:class:`~repro.tasks.dag.GraphCache` of restricted task graphs, so
-everything compiled from a tree's structure travels as one object: trees
-that share it (:meth:`~repro.jt.junction_tree.JunctionTree.with_priors`)
-share all of it.
+(:mod:`repro.potential.primitives`), built once per tree when the first
+state over it is bound.  :meth:`TableLayout.steps` turns every task of the
+tree into a :class:`Step` — its primitive kind, the *slot index* of each
+operand and of the output, and the pipeline's plan — and
+:meth:`TableLayout.step_list` compiles a whole task graph into its steps in
+topological order, once per graph (kept on the graph, like its order).  A
+state runs a step against its list of table views, one per slot, so
+running a task costs no key building, no dictionary lookup and no view
+construction.  Nothing about the slots, the buffer size or the checkpoint
+format depends on the plans or the steps.
+
+The layout also carries the tree's :class:`~repro.tasks.dag.GraphCache` of
+restricted task graphs and its :class:`FreeList` of released state
+buffers, so everything compiled from a tree's structure travels as one
+object: trees that share it
+(:meth:`~repro.jt.junction_tree.JunctionTree.with_priors`) share all of it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from collections import deque
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -37,6 +46,7 @@ from repro.potential.primitives import (
     ExtendPlan,
     MarginalizePlan,
     MultiplyPlan,
+    PrimitiveKind,
     plan_divide,
     plan_extend,
     plan_marginalize,
@@ -44,11 +54,17 @@ from repro.potential.primitives import (
 )
 from repro.potential.table import PotentialTable
 from repro.tasks.dag import GraphCache
-from repro.tasks.task import COLLECT, DISTRIBUTE
+from repro.tasks.task import COLLECT, DISTRIBUTE, TaskGraph
 
 Edge = Tuple[int, int]
 InterKey = Tuple[str, Edge, str]  # (phase, (parent, child), stage)
 PipeKey = Tuple[str, Edge]        # (phase, (parent, child))
+StepKey = Tuple[str, Edge, PrimitiveKind]  # a task's (phase, edge, kind)
+
+# Released single-case buffers one layout keeps for reuse.  Two covers a
+# propagation loop (the state being replaced and its successor) and two
+# serving threads; every extra one is a whole buffer of resident memory.
+FREE_BUFFERS = 2
 
 
 class Slot(NamedTuple):
@@ -71,6 +87,80 @@ class Pipeline(NamedTuple):
     multiply: MultiplyPlan
 
 
+class Step(NamedTuple):
+    """One task compiled against the slot index.
+
+    ``code`` is the primitive the step runs.  ``source`` is the slot it
+    reads (the source clique for MARGINALIZE, ``sep_new`` for DIVIDE,
+    ``ratio`` for EXTEND, ``extended`` for MULTIPLY), ``other`` the
+    separator DIVIDE divides by and then overwrites (``-1`` for the other
+    kinds), ``out`` the slot written.  ``written`` is the intermediate's
+    key, or ``None`` when the step updates a clique potential.
+    """
+
+    code: PrimitiveKind
+    source: int
+    other: int
+    out: int
+    plan: Union[MarginalizePlan, DividePlan, ExtendPlan, MultiplyPlan]
+    written: Optional[InterKey]
+
+
+class StepList(NamedTuple):
+    """A task graph compiled for one layout: ``steps[i]`` runs task
+    ``tids[i]``, in topological order."""
+
+    tids: Tuple[int, ...]
+    steps: Tuple[Step, ...]
+
+
+class FreeList:
+    """Released buffers of one layout, at most :data:`FREE_BUFFERS`.
+
+    ``put`` and ``take`` are single deque operations, atomic under the
+    GIL, so two threads never take the same item; a ``put`` past the
+    bound drops the oldest item.  :meth:`clear` lets go of every buffer
+    for good: a ``put`` names the ``epoch`` its item was taken in, and an
+    item taken before the last ``clear`` is dropped, not kept.  A layout
+    pickled to a worker process travels with an empty list.
+    """
+
+    __slots__ = ("_items", "epoch")
+
+    def __init__(self):
+        self._items: deque = deque(maxlen=FREE_BUFFERS)
+        self.epoch = 0
+
+    def __reduce__(self):
+        return (FreeList, ())
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __iter__(self):
+        return iter(tuple(self._items))
+
+    def put(self, item, epoch: int) -> None:
+        """Keep ``item``, taken in ``epoch``, unless the list was cleared
+        since."""
+        if epoch == self.epoch:
+            self._items.append(item)
+
+    def take(self):
+        """The most recently released item, or ``None``."""
+        try:
+            return self._items.pop()
+        except IndexError:
+            return None
+
+    def clear(self) -> None:
+        """Drop every kept item, and every item taken before now when it
+        is put back (the owner of the tree's states let go of them).
+        Meant for when no state over the tree is running."""
+        self.epoch += 1
+        self._items.clear()
+
+
 class TableLayout:
     """The slots of every table of a propagation over one junction tree.
 
@@ -79,23 +169,29 @@ class TableLayout:
     ``inter[(phase, edge, stage)]`` one pipeline intermediate (``sep_new``
     and ``ratio`` over the separator scope, ``extended`` over the scope of
     the clique the pipeline updates).  ``size`` is the per-case entry
-    count of the whole buffer.
+    count of the whole buffer.  ``slots`` lists every slot in buffer order:
+    a table's position there is its *slot index* (clique ``i``'s potential
+    is slot ``i``; ``separator_at`` and ``inter_at`` give the others).
 
-    :meth:`pipelines` and :meth:`answer` are the primitives' plans over
-    these slots, each built once per tree, on first use; ``graphs`` holds
-    the tree's restricted task graphs, each built on first use.
+    :meth:`pipelines`, :meth:`steps` and :meth:`answer` are the
+    primitives' plans over these slots, each built once per tree, on first
+    use; ``graphs`` holds the tree's restricted task graphs, each built on
+    first use, and ``free`` the released state buffers.
     """
 
     __slots__ = (
-        "potentials", "separators", "inter", "size", "_pipelines", "_answers",
-        "graphs",
+        "potentials", "separators", "inter", "size", "slots", "separator_at",
+        "inter_at", "_pipelines", "_steps", "_answers", "graphs", "free",
     )
 
     def __init__(self, jt: JunctionTree):
         self.size = 0
+        self.slots: List[Slot] = []
         self._pipelines: Dict[bool, Dict[PipeKey, Pipeline]] = {}
+        self._steps: Dict[bool, Dict[StepKey, Step]] = {}
         self._answers: Dict[Tuple[int, int, bool], MarginalizePlan] = {}
         self.graphs = GraphCache()
+        self.free = FreeList()
 
         def slot(variables, cardinalities) -> Slot:
             size = 1
@@ -103,6 +199,7 @@ class TableLayout:
                 size *= c
             placed = Slot(self.size, size, variables, cardinalities)
             self.size += size
+            self.slots.append(placed)
             return placed
 
         self.potentials: List[Slot] = [
@@ -110,21 +207,27 @@ class TableLayout:
         ]
         self.separators: Dict[Edge, Slot] = {}
         self.inter: Dict[InterKey, Slot] = {}
+        self.separator_at: Dict[Edge, int] = {}
+        self.inter_at: Dict[InterKey, int] = {}
         for child, parent in enumerate(jt.parent):
             if parent is None:
                 continue
             edge = (parent, child)
             sep = jt.separator(child, parent)
             cards = jt.separator_cards(child, parent)
+            self.separator_at[edge] = len(self.slots)
             self.separators[edge] = slot(sep, cards)
             # Collect updates the parent, distribute the child.
             for phase, target in ((COLLECT, parent), (DISTRIBUTE, child)):
                 clique = jt.cliques[target]
-                self.inter[(phase, edge, "sep_new")] = slot(sep, cards)
-                self.inter[(phase, edge, "ratio")] = slot(sep, cards)
-                self.inter[(phase, edge, "extended")] = slot(
-                    clique.variables, clique.cardinalities
-                )
+                for stage, variables, cardinalities in (
+                    ("sep_new", sep, cards),
+                    ("ratio", sep, cards),
+                    ("extended", clique.variables, clique.cardinalities),
+                ):
+                    key = (phase, edge, stage)
+                    self.inter_at[key] = len(self.slots)
+                    self.inter[key] = slot(variables, cardinalities)
 
     def pipelines(self, batched: bool) -> Dict[PipeKey, Pipeline]:
         """The compiled pipeline of every (phase, edge), for single-case
@@ -156,6 +259,69 @@ class TableLayout:
                     )
             self._pipelines[batched] = compiled
         return compiled
+
+    def steps(self, batched: bool) -> Dict[StepKey, Step]:
+        """The :class:`Step` of every task of the tree, keyed by the task's
+        ``(phase, edge, kind)``; built on first use, per ``batched``."""
+        compiled = self._steps.get(batched)
+        if compiled is None:
+            compiled = {}
+            at = self.inter_at
+            sep_at = self.separator_at
+            marg, div, ext, mult = (
+                PrimitiveKind.MARGINALIZE, PrimitiveKind.DIVIDE,
+                PrimitiveKind.EXTEND, PrimitiveKind.MULTIPLY,
+            )
+            for pipe_key, pipe in self.pipelines(batched).items():
+                phase, edge = pipe_key
+                sep_new = pipe_key + ("sep_new",)
+                ratio = pipe_key + ("ratio",)
+                extended = pipe_key + ("extended",)
+                target = edge[0] if phase == COLLECT else edge[1]
+                compiled[pipe_key + (marg,)] = Step(
+                    marg, pipe.source, -1, at[sep_new], pipe.marginalize,
+                    sep_new,
+                )
+                compiled[pipe_key + (div,)] = Step(
+                    div, at[sep_new], sep_at[edge], at[ratio], pipe.divide,
+                    ratio,
+                )
+                compiled[pipe_key + (ext,)] = Step(
+                    ext, at[ratio], -1, at[extended], pipe.extend, extended,
+                )
+                compiled[pipe_key + (mult,)] = Step(
+                    mult, at[extended], -1, target, pipe.multiply, None,
+                )
+            self._steps[batched] = compiled
+        return compiled
+
+    def step_list(self, graph: TaskGraph, batched: bool) -> StepList:
+        """``graph`` compiled into its steps, in topological order.
+
+        Compiled on the graph's first run over this layout and kept on the
+        graph (until its next ``add_task``), so the full graph and every
+        cached restricted graph compile once.
+        """
+        steps = self.steps(batched)
+        memo = graph._steps.get(batched)
+        # The step table identifies the layout without the graph holding
+        # the layout (whose graph cache holds the graph).
+        if memo is not None and memo[0] is steps:
+            return memo[1]
+        tids = graph.topological_order()
+        tasks = graph.tasks
+        try:
+            compiled = tuple(
+                steps[(task.phase, task.edge, task.kind)]
+                for task in map(tasks.__getitem__, tids)
+            )
+        except KeyError:
+            raise ValueError(
+                "task graph has tasks that are not tasks of this layout's tree"
+            ) from None
+        listed = StepList(tids, compiled)
+        graph._steps[batched] = (steps, listed)
+        return listed
 
     def answer(
         self, clique: int, variable: int, batched: bool

@@ -5,28 +5,46 @@ table of a propagation — the working clique potentials (evidence absorbed),
 the per-edge separators and the ``sep_new`` / ``ratio`` / ``extended``
 intermediates of each message pipeline — at the offsets
 :func:`repro.tasks.layout.table_layout` fixes once per junction tree.
-``potentials``, ``separators`` and the intermediates are
-:class:`~repro.potential.table.PotentialTable` *views* into that buffer,
-and every task writes its result in place into the slot the layout names.
-Executing the tasks of a :class:`~repro.tasks.task.TaskGraph` in any order
-consistent with its dependencies leaves every clique potential calibrated.
+Every table is a :class:`~repro.potential.table.PotentialTable` *view*
+into that buffer, bound once per buffer into a list indexed by the
+layout's slot index; ``potentials``, ``separators`` and the intermediates
+are those same views, and every task writes its result in place into the
+slot the layout names.  Executing the tasks of a
+:class:`~repro.tasks.task.TaskGraph` in any order consistent with its
+dependencies leaves every clique potential calibrated.
 
-There is one body per task kind, and the primitives it calls are the
-only arithmetic: :meth:`execute` passes each one the plan the layout
-compiled for its (phase, edge) — the same call a plan-free caller makes,
-minus the per-call scope arithmetic.  :meth:`execute` runs a whole task,
-:meth:`execute_chunk` one slice of it (the Partition module), and
-:meth:`combine_chunks` is the last subtask ``T̂_n`` — an addition for
-marginalization, nothing for the primitives whose chunks already wrote
-their disjoint output slices.  Who allocated the buffer is the only
-difference between executors: :meth:`over` adopts any float64 vector, so
-the process executor runs this same class over a shared-memory arena and
-a checkpoint restores by adopting the vector it loaded.
+There is one body per step kind, :func:`_apply`, and the primitives it
+calls — by their module-level names, which a tracer may rebind — are the
+only arithmetic.  :meth:`run_steps` is the straight-line run: it walks a
+graph's compiled step list (:meth:`repro.tasks.layout.TableLayout.step_list`)
+in order, with the deadline check and the optional per-step trace span in
+the same loop.  :meth:`execute` runs one task through the same body (the
+threaded executors' unit of work), :meth:`execute_chunk` one slice of it
+(the Partition module), and :meth:`combine_chunks` is the last subtask
+``T̂_n`` — an addition for marginalization, nothing for the primitives
+whose chunks already wrote their disjoint output slices.
+
+**Buffer reuse.**  A single-case state built here — by the constructor,
+:meth:`incremental` or :meth:`copy` — takes its buffer, views already
+bound, from the layout's :class:`~repro.tasks.layout.FreeList`, and hands
+it back when the state becomes unreachable (its finalizer), unless a
+table, a view or the buffer of the dead state is still referenced from
+outside, or the list was cleared since the take (a closed session pool):
+then the buffer is simply left to the garbage collector.  A
+reused buffer still holds another propagation's bytes in every slot no
+task of this state has written; such a slot is *absent* (not in
+``_inter``), is never read, and the checkpoint packs it as zeros.  A
+state made by :meth:`over` adopts a vector someone else allocated (the
+process executor's shared-memory arena, a loaded checkpoint) and never
+gives it to the list.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+import sys
+from operator import attrgetter
+from time import monotonic, perf_counter_ns
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,16 +58,89 @@ from repro.potential.primitives import (
     multiply,
 )
 from repro.potential.table import PotentialTable
-from repro.tasks.layout import InterKey, table_layout, table_view
-from repro.tasks.task import COLLECT, Task
+from repro.tasks.layout import (
+    InterKey,
+    Step,
+    StepList,
+    TableLayout,
+    table_layout,
+    table_view,
+)
+from repro.tasks.task import COLLECT, Task, TaskGraph
 
-# The pipeline intermediate each primitive writes (MULTIPLY updates the
-# target clique potential instead).
-_STAGE = {
-    PrimitiveKind.MARGINALIZE: "sep_new",
-    PrimitiveKind.DIVIDE: "ratio",
-    PrimitiveKind.EXTEND: "extended",
-}
+_values = attrgetter("values")
+MARGINALIZE = PrimitiveKind.MARGINALIZE
+DIVIDE = PrimitiveKind.DIVIDE
+EXTEND = PrimitiveKind.EXTEND
+
+
+def _apply(tables: List[PotentialTable], step: Step) -> None:
+    """Run one step (Eq. 1, in place) against a state's slot-indexed
+    tables: the one body of every task kind."""
+    code, source, other, out, plan, _written = step
+    if code is MARGINALIZE:
+        # The message flows from the other end of the edge into the
+        # clique the pipeline updates.
+        marginalize(tables[source], plan.onto, out=tables[out], plan=plan)
+    elif code is DIVIDE:
+        sep_new = tables[source]
+        sep = tables[other]
+        divide(sep_new, sep, out=tables[out], plan=plan)
+        sep.values[...] = sep_new.values
+    elif code is EXTEND:
+        extend(
+            tables[source], plan.target, plan.target_cards, out=tables[out],
+            plan=plan,
+        )
+    else:
+        target = tables[out]
+        multiply(target, tables[source], out=target, plan=plan)
+
+
+class _Views:
+    """A flat buffer with a table view bound to every slot of its layout.
+
+    ``tables`` is slot-indexed; ``potentials``, ``separators`` and
+    ``inter`` hold the same views keyed as a state exposes them (each
+    state copies the dicts, never shares them).  ``clean`` is
+    :meth:`refcounts` as taken when nothing but this object referred to
+    the views: a buffer whose counts exceed it has a reader outside.
+    """
+
+    __slots__ = ("buffer", "tables", "potentials", "separators", "inter",
+                 "clean")
+
+    def __init__(
+        self, layout: TableLayout, buffer: np.ndarray, batch: Optional[int]
+    ):
+        self.buffer = buffer
+        tables = [table_view(buffer, slot, batch) for slot in layout.slots]
+        self.tables = tables
+        self.potentials = dict(enumerate(tables[:len(layout.potentials)]))
+        self.separators = {
+            edge: tables[at] for edge, at in layout.separator_at.items()
+        }
+        self.inter = {key: tables[at] for key, at in layout.inter_at.items()}
+        self.clean = None
+
+    @classmethod
+    def recyclable(cls, layout: TableLayout) -> "_Views":
+        """Views over a new single-case buffer, ``clean`` recorded."""
+        views = cls(layout, np.zeros(layout.size), None)
+        views.clean = views.refcounts()
+        return views
+
+    def refcounts(self) -> Tuple[int, int, int, int]:
+        """References to the buffer and the table list, and the most to
+        any one table and any one view: every view refers to the buffer,
+        so anything that can still reach its bytes shows in one of them."""
+        tables = self.tables
+        return (
+            sys.getrefcount(self.buffer),
+            sys.getrefcount(tables),
+            max(map(sys.getrefcount, tables), default=0),
+            max(map(sys.getrefcount, map(_values, tables)), default=0),
+        )
 
 
 class PropagationState:
@@ -65,8 +156,7 @@ class PropagationState:
             raise ValueError(
                 "junction tree has no potentials; call initialize_potentials()"
             )
-        buffer = np.zeros(table_layout(jt).size)
-        self._bind(jt, buffer, evidence, soft_evidence, None, ())
+        self._bind_recycled(jt, evidence, soft_evidence, ())
         # Evidence is absorbed up front (instantiating the observed
         # variables zeroes inconsistent entries; soft findings multiply
         # their likelihood vector into one host clique), leaving the
@@ -80,13 +170,13 @@ class PropagationState:
     def _bind(
         self,
         jt: JunctionTree,
-        buffer: np.ndarray,
+        views: _Views,
         evidence,
         soft_evidence,
         batch: Optional[int],
         computed: Optional[Iterable[InterKey]],
     ) -> None:
-        """Make ``buffer`` this state's storage and build the table views.
+        """Make ``views`` (a buffer and its bound tables) this state's.
 
         ``computed`` names the pipeline intermediates that count as
         present (``None``: all).  A slot no task has written stays *absent*
@@ -94,39 +184,59 @@ class PropagationState:
         message was computed" to the incremental planner and the checkpoint.
         """
         layout = table_layout(jt)
-        size = layout.size * (1 if batch is None else batch)
-        if (buffer.dtype, buffer.shape, buffer.flags.c_contiguous) != (
-            np.float64, (size,), True
-        ):
-            raise ValueError(
-                f"state buffer must be a flat float64 vector of {size} "
-                f"entries, got {buffer.dtype} {buffer.shape}"
-            )
         self.jt = jt
         self.evidence = dict(evidence or {})
         self.soft_evidence = dict(soft_evidence or {})
         # Single-case unless built via batched()/from_cases().
         self.batch = batch
         self.case_evidence = None
-        self.buffer = buffer
+        self.buffer = views.buffer
         self._layout = layout
-        self._slots = layout.inter
-        # Eq. 1 compiled per (phase, edge): the plans execute() hands the
-        # primitives.
-        self._pipelines = layout.pipelines(batch is not None)
-        self.potentials: Dict[int, PotentialTable] = {
-            i: table_view(buffer, slot, batch)
-            for i, slot in enumerate(layout.potentials)
-        }
-        self.separators: Dict[Tuple[int, int], PotentialTable] = {
-            edge: table_view(buffer, slot, batch)
-            for edge, slot in layout.separators.items()
-        }
+        self._views = views
+        # Set by _bind_recycled: the free list this state's buffer goes
+        # back to when the state dies, and the list's epoch at the take.
+        self._free = None
+        self._epoch = 0
+        self._tables = views.tables
+        # Eq. 1 compiled per task.
+        self._steps = layout.steps(batch is not None)
+        self.potentials: Dict[int, PotentialTable] = dict(views.potentials)
+        self.separators: Dict[Tuple[int, int], PotentialTable] = dict(
+            views.separators
+        )
         # Message-pipeline intermediates keyed by (phase, edge, stage).
-        self._inter: Dict[InterKey, PotentialTable] = {
-            key: table_view(buffer, self._slots[key], batch)
-            for key in (self._slots if computed is None else computed)
-        }
+        inter = views.inter
+        self._inter: Dict[InterKey, PotentialTable] = (
+            dict(inter) if computed is None
+            else {key: inter[key] for key in computed}
+        )
+
+    def _bind_recycled(
+        self, jt: JunctionTree, evidence, soft_evidence, computed
+    ) -> None:
+        """Bind a single-case buffer from the layout's free list (a new
+        one when the list is empty), to be handed back by ``__del__``."""
+        layout = table_layout(jt)
+        free = layout.free
+        epoch = free.epoch
+        views = free.take()
+        if views is None:
+            views = _Views.recyclable(layout)
+        self._bind(jt, views, evidence, soft_evidence, None, computed)
+        self._free = free
+        self._epoch = epoch
+
+    def __del__(self):
+        free = self.__dict__.get("_free")
+        if free is None:
+            return
+        views = self._views
+        epoch = self._epoch
+        # Drop this state's own references to its tables first: what is
+        # left above the clean counts is a reader outside the dead state.
+        self.__dict__.clear()
+        if views.refcounts() == views.clean:
+            free.put(views, epoch)
 
     @classmethod
     def over(
@@ -145,9 +255,22 @@ class PropagationState:
         checkpoint packed.  ``computed`` lists the intermediates that were
         written (default: every one, which a worker attached to a running
         propagation must assume — the task graph orders the accesses).
+        The buffer stays the caller's: it never enters the free list.
         """
+        layout = table_layout(jt)
+        size = layout.size * (1 if batch is None else batch)
+        if (buffer.dtype, buffer.shape, buffer.flags.c_contiguous) != (
+            np.float64, (size,), True
+        ):
+            raise ValueError(
+                f"state buffer must be a flat float64 vector of {size} "
+                f"entries, got {buffer.dtype} {buffer.shape}"
+            )
         state = cls.__new__(cls)
-        state._bind(jt, buffer, evidence, soft_evidence, batch, computed)
+        state._bind(
+            jt, _Views(layout, buffer, batch), evidence, soft_evidence, batch,
+            computed,
+        )
         return state
 
     def _load_priors(self, cliques) -> None:
@@ -238,6 +361,25 @@ class PropagationState:
     # Incremental construction (reuse a previous run's tables)
     # ------------------------------------------------------------------ #
 
+    def _copied(self, evidence, soft_evidence) -> "PropagationState":
+        """A new single-case state holding a copy of this one's bytes and
+        written intermediates, under the given findings."""
+        if self.batch is not None:
+            raise ValueError(
+                "incremental repropagation needs a single-case previous "
+                "state; batched runs must repropagate from scratch"
+            )
+        state = type(self).__new__(type(self))
+        state._bind_recycled(self.jt, evidence, soft_evidence, self._inter)
+        np.copyto(state.buffer, self.buffer)
+        return state
+
+    def copy(self) -> "PropagationState":
+        """An independent state with this one's findings, tables and
+        written intermediates (single-case states only): writing either
+        never changes the other."""
+        return self._copied(self.evidence, self.soft_evidence)
+
     @classmethod
     def incremental(
         cls,
@@ -266,16 +408,8 @@ class PropagationState:
         a rebuilt clique needs (it never completed a collect phase over
         that edge); callers treat that as "fall back to full propagation".
         """
-        if prev.batch is not None:
-            raise ValueError(
-                "incremental repropagation needs a single-case previous "
-                "state; batched runs must repropagate from scratch"
-            )
+        state = prev._copied(evidence, soft_evidence)
         jt = prev.jt
-        state = cls.over(
-            jt, prev.buffer.copy(), evidence, soft_evidence,
-            computed=prev._inter,
-        )
         rebuild_set = set(rebuild)
         state._load_priors(rebuild_set)
         for i in rebuild_set:
@@ -331,8 +465,58 @@ class PropagationState:
         return load_state(jt, path)
 
     # ------------------------------------------------------------------ #
-    # Task execution: one in-place body per task kind
+    # Task execution: one in-place body per step kind
     # ------------------------------------------------------------------ #
+
+    def step_list(self, graph: TaskGraph) -> StepList:
+        """``graph`` compiled for this state's layout (once per graph)."""
+        return self._layout.step_list(graph, self.batch is not None)
+
+    def run_steps(
+        self, steps: StepList, trace=None, deadline: Optional[float] = None
+    ) -> Tuple[int, int]:
+        """The straight-line run: every step of ``steps``, in order.
+
+        ``trace`` is a span buffer that receives one ``task`` span per
+        step (steps are then timed one by one; untraced, the loop is timed
+        as a whole).  ``deadline``, an absolute :func:`time.monotonic`
+        instant, is checked before every step; past it the run stops.
+        Returns ``(steps run, nanoseconds inside the steps)``.  The
+        intermediates of the steps that completed count as written, even
+        when a later step raised.
+        """
+        tables = self._tables
+        tids = steps.tids
+        done = 0
+        start = perf_counter_ns()
+        compute_ns = 0
+        try:
+            for step in steps.steps:
+                if deadline is not None and monotonic() >= deadline:
+                    break
+                if trace is None:
+                    _apply(tables, step)
+                else:
+                    t0 = perf_counter_ns()
+                    _apply(tables, step)
+                    t1 = perf_counter_ns()
+                    compute_ns += t1 - t0
+                    trace.task_span("task", tids[done], t0, t1)
+                done += 1
+        finally:
+            self._mark_written(steps, done)
+        if trace is None:
+            compute_ns = perf_counter_ns() - start
+        return done, compute_ns
+
+    def _mark_written(self, steps: StepList, done: int) -> None:
+        """Count the intermediates the first ``done`` steps wrote as
+        present."""
+        inter = self._inter
+        tables = self._tables
+        for step in steps.steps[:done]:
+            if step.written is not None:
+                inter[step.written] = tables[step.out]
 
     def output_table(self, task: Task) -> PotentialTable:
         """The table ``task`` writes, counted present from now on.
@@ -341,19 +525,19 @@ class PropagationState:
         ``extended`` intermediate of their pipeline; MULTIPLY updates the
         potential of the clique the pipeline targets.
         """
-        stage = _STAGE.get(task.kind)
-        if stage is None:
-            return self.potentials[task.clique]
-        return self._written((task.phase, task.edge, stage))
-
-    def _written(self, key: InterKey) -> PotentialTable:
-        """The intermediate ``key``, its view built when first written."""
-        table = self._inter.get(key)
-        if table is None:
-            table = self._inter[key] = table_view(
-                self.buffer, self._slots[key], self.batch
-            )
+        step = self._step(task)
+        table = self._tables[step.out]
+        if step.written is not None:
+            self._inter[step.written] = table
         return table
+
+    def _step(self, task: Task) -> Step:
+        try:
+            return self._steps[(task.phase, task.edge, task.kind)]
+        except KeyError:
+            raise ValueError(
+                f"task {task} is not a task of this state's tree"
+            ) from None
 
     def mark_computed(self, tasks: Iterable[Task]) -> None:
         """Count the tables ``tasks`` write as present: the bookkeeping of
@@ -364,41 +548,12 @@ class PropagationState:
             self.output_table(task)
 
     def execute(self, task: Task) -> None:
-        """Run one task to completion against the state (Eq. 1, in place)."""
-        kind = task.kind
-        phase = task.phase
-        edge = task.edge
-        pipe = self._pipelines[(phase, edge)]
-        if kind is PrimitiveKind.MARGINALIZE:
-            # The message flows from the other end of the edge into the
-            # clique the pipeline updates.
-            out = self._written((phase, edge, "sep_new"))
-            marginalize(
-                self.potentials[pipe.source], out.variables, out=out,
-                plan=pipe.marginalize,
-            )
-        elif kind is PrimitiveKind.DIVIDE:
-            sep_new = self._inter[(phase, edge, "sep_new")]
-            sep = self.separators[edge]
-            divide(
-                sep_new, sep, out=self._written((phase, edge, "ratio")),
-                plan=pipe.divide,
-            )
-            sep.values[...] = sep_new.values
-        elif kind is PrimitiveKind.EXTEND:
-            out = self._written((phase, edge, "extended"))
-            extend(
-                self._inter[(phase, edge, "ratio")], out.variables,
-                out.cardinalities, out=out, plan=pipe.extend,
-            )
-        elif kind is PrimitiveKind.MULTIPLY:
-            out = self.potentials[task.clique]
-            multiply(
-                out, self._inter[(phase, edge, "extended")], out=out,
-                plan=pipe.multiply,
-            )
-        else:
-            raise ValueError(f"task {task} has unexpected kind {kind}")
+        """Run one task to completion against the state (Eq. 1, in place):
+        the step :meth:`run_steps` would run for it."""
+        step = self._step(task)
+        _apply(self._tables, step)
+        if step.written is not None:
+            self._inter[step.written] = self._tables[step.out]
 
     def execute_chunk(
         self, task: Task, lo: int, hi: int
@@ -411,34 +566,29 @@ class PropagationState:
         is over the *output* flat index space and is written in place —
         chunks own disjoint slices, so nothing is returned.
         """
-        kind = task.kind
-        edge = task.edge
-        pipe = (task.phase, edge)
-        if kind is PrimitiveKind.MARGINALIZE:
-            source = self._pipelines[pipe].source
-            onto = self._slots[pipe + ("sep_new",)].variables
+        code, source, other, _out, plan, _written = self._step(task)
+        tables = self._tables
+        if code is MARGINALIZE:
             partial = chunked.marginalize_chunk(
-                self.potentials[source], onto, lo, hi
+                tables[source], plan.onto, lo, hi
             )
             return partial.values.reshape(-1)
         out = self.output_table(task)
         out_flat = out.values.reshape(-1)
-        if kind is PrimitiveKind.DIVIDE:
-            sep_new = self._inter[pipe + ("sep_new",)].values.reshape(-1)
-            sep = self.separators[edge].values.reshape(-1)
+        if code is DIVIDE:
+            sep_new = tables[source].values.reshape(-1)
+            sep = tables[other].values.reshape(-1)
             chunked.divide_chunk_into(out_flat, sep_new, sep, lo, hi)
             # The old separator slice is consumed above; promote the new one.
             sep[lo:hi] = sep_new[lo:hi]
-        elif kind is PrimitiveKind.EXTEND:
-            ratio = self._inter[pipe + ("ratio",)]
+        elif code is EXTEND:
             chunked.extend_chunk_into(
-                out_flat, ratio, out.variables, out.cardinalities, lo, hi
+                out_flat, tables[source], out.variables, out.cardinalities,
+                lo, hi,
             )
-        elif kind is PrimitiveKind.MULTIPLY:
-            extended = self._inter[pipe + ("extended",)].values.reshape(-1)
-            chunked.multiply_chunk_into(out_flat, extended, lo, hi)
         else:
-            raise ValueError(f"task {task} has unexpected kind {kind}")
+            extended = tables[source].values.reshape(-1)
+            chunked.multiply_chunk_into(out_flat, extended, lo, hi)
         return None
 
     def combine_chunks(
@@ -458,7 +608,7 @@ class PropagationState:
         """
         if len(parts) != len(ranges):
             raise ValueError("parts and ranges must have equal length")
-        if task.kind is PrimitiveKind.MARGINALIZE:
+        if self._step(task).code is MARGINALIZE:
             chunked.add_partials_into(
                 self.output_table(task).values.reshape(-1), parts
             )

@@ -9,7 +9,7 @@ the scheduler balances on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.potential.primitives import PrimitiveKind, primitive_flops
 
@@ -84,6 +84,9 @@ class TaskGraph:
         self.succs: List[List[int]] = []
         # topological_order()'s result until the next add_task.
         self._order: Optional[Tuple[int, ...]] = None
+        # The graph compiled into steps (TableLayout.step_list), per
+        # batched flag, until the next add_task.
+        self._steps: Dict[bool, Tuple[object, object]] = {}
 
     def add_task(
         self,
@@ -112,6 +115,7 @@ class TaskGraph:
         for d in deps:
             self.succs[d].append(tid)
         self._order = None
+        self._steps = {}
         return tid
 
     # ------------------------------------------------------------------ #
@@ -196,3 +200,4 @@ class TaskGraph:
         # Checked afresh: a caller that edited the adjacency lists directly
         # is exactly what validate() is for.
         self._order = tuple(self._kahn())
+        self._steps = {}

@@ -274,6 +274,57 @@ class TestCheckpointRoundTrip:
             assert set(resumed._inter) == set(full._inter)
             assert np.array_equal(resumed.buffer, full.buffer)
 
+    def test_checkpoint_bytes_do_not_depend_on_buffer_history(self):
+        """A partly computed state — here the one a targeted fallback
+        leaves, distributed to one clique — saves the same bytes whether
+        its buffer is new or reused: the unwritten slots of a reused
+        buffer still hold another evidence case's messages, and those
+        must not reach the archive."""
+        from repro.inference.incremental import distribute_edges_for
+
+        def targeted(tree):
+            target = max(range(tree.num_cliques), key=tree.depth_of)
+            everyone = set(range(tree.num_cliques)) - {tree.root}
+            reached = distribute_edges_for(tree, everyone, {target})
+            state = PropagationState(tree, {0: 1})
+            SerialExecutor().run(
+                build_task_graph(tree, distribute_edges=reached), state
+            )
+            return state
+
+        def archive(state):
+            buf = io.BytesIO()
+            state.save(buf)
+            buf.seek(0)
+            with np.load(buf) as data:
+                return (
+                    json.loads(str(data["__manifest__"][()])),
+                    data["__tables__"].tobytes(),
+                )
+
+        fresh_tree, used_tree = _tree(seed=9), _tree(seed=9)
+        fresh = targeted(fresh_tree)
+        for other in ({1: 0}, {2: 1}):
+            previous = PropagationState(used_tree, other)
+            SerialExecutor().run(build_task_graph(used_tree), previous)
+            del previous
+        assert len(table_layout(used_tree).free) == 1
+        reused = targeted(used_tree)
+        assert len(table_layout(used_tree).free) == 0
+        absent = [
+            slot for key, slot in table_layout(used_tree).inter.items()
+            if key not in reused._inter
+        ]
+        assert absent
+        assert any(
+            reused.buffer[s.start:s.start + s.size].any() for s in absent
+        )
+        manifest, tables = archive(fresh)
+        reused_manifest, reused_tables = archive(reused)
+        assert reused_tables == tables
+        assert reused_manifest["state_checksum"] == manifest["state_checksum"]
+        assert reused_manifest == manifest
+
     def test_checkpoint_before_propagation_raises(self):
         tree = _tree(seed=9)
         engine = InferenceEngine(tree)

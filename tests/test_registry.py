@@ -10,6 +10,7 @@ serial oracle, or an explicitly *typed* refusal.
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
 
@@ -33,6 +34,7 @@ from repro.serve import (
     QueryRequest,
     ServiceClosed,
 )
+from repro.tasks.layout import FREE_BUFFERS, table_layout
 
 RTOL = 1e-9
 
@@ -387,6 +389,51 @@ class TestModelRegistry:
         with pytest.raises(ModelNotFound):
             registry.evict("missing")
         registry.close()
+
+    def test_charge_covers_released_buffers_and_eviction_drops_them(self):
+        networks = make_networks(1)
+        registry = make_registry(networks)
+        service = RegistryService(registry)
+        for i in range(6):  # distinct findings: every one propagates
+            service.submit(QueryRequest(
+                delta={0: i % 2, 1: i // 2 % 2, 2: i // 4}, vars=[5],
+                model_id="m0",
+            )).result()
+        entry = registry._entries["m0"]
+        pool, jt = entry.pool, entry.junction_tree
+        layout = table_layout(jt)
+        assert len(layout.free) >= 1  # replaced states parked buffers
+        # The pool's charge covers the list at its bound, whatever the
+        # list held when the charge was taken.
+        buffer_bytes = layout.size * 8
+        assert pool.resident_bytes() == (
+            sum(t.nbytes for t in jt.potentials.values())
+            + sum(e._state.nbytes for e in pool.engines)
+            + FREE_BUFFERS * buffer_bytes
+            + len(pool.baseline_checkpoint)
+        )
+        assert len(layout.free) <= FREE_BUFFERS
+        assert entry.cost_bytes == pool.resident_bytes()
+        late = pool.engines[0]  # outlives the pool, like a late flight
+        registry.evict("m0")
+        # The stub keeps the tree but is charged no state buffer: its
+        # free list is empty, and a state of the closed pool that dies
+        # afterwards (one that would hand its buffer back) does not
+        # refill it.
+        assert entry.junction_tree is jt
+        assert len(layout.free) == 0
+        assert late._state._free is layout.free
+        del late
+        gc.collect()
+        assert len(layout.free) == 0
+        # A rehydrated pool over the same tree reuses buffers again.
+        for i in range(3):
+            service.submit(QueryRequest(
+                delta={3: i % 2, 4: i // 2}, vars=[6], model_id="m0",
+            )).result()
+        assert registry.rehydrations == 1
+        assert len(layout.free) >= 1
+        service.drain()
 
     def test_compile_deadline_estimate_refuses_upfront(self):
         networks = make_networks(1)

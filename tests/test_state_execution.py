@@ -91,22 +91,30 @@ class TestCompiledPipelines:
     def test_plans_are_built_once_per_tree_and_shared_by_states(self, tree):
         from repro.tasks.layout import table_layout
 
+        from repro.potential.primitives import PrimitiveKind
+
         first = PropagationState(tree)
         second = PropagationState(tree, {tree.cliques[0].variables[0]: 1})
-        assert first._pipelines is second._pipelines
+        assert first._steps is second._steps
         layout = table_layout(tree)
         single = layout.pipelines(False)
-        assert first._pipelines is single
+        assert first._steps is layout.steps(False)
         graph = build_task_graph(tree)
         assert set(single) == {(t.phase, t.edge) for t in graph.tasks}
+        for key, pipe in single.items():
+            step = first._steps[key + (PrimitiveKind.MARGINALIZE,)]
+            assert step.plan is pipe.marginalize
+            assert step.source == pipe.source
         # Batched states compile their own (axes shifted by the case axis).
         batched = PropagationState.batched(tree, [({}, {}), ({}, {})])
-        assert batched._pipelines is layout.pipelines(True)
-        assert batched._pipelines is not single
+        assert batched._steps is layout.steps(True)
+        assert batched._steps is not first._steps
         for key, pipe in single.items():
+            stacked = batched._steps[key + (PrimitiveKind.MARGINALIZE,)]
             assert not pipe.marginalize.batched
-            assert batched._pipelines[key].marginalize.batched
-            assert pipe.source == batched._pipelines[key].source
+            assert stacked.plan.batched
+            assert stacked.plan is layout.pipelines(True)[key].marginalize
+            assert pipe.source == stacked.source
         var = tree.variables()[0]
         host, _axis = tree.host(var)
         assert layout.answer(host, var, False) is layout.answer(host, var, False)
