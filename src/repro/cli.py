@@ -546,8 +546,8 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument(
         "--resilience",
         action="store_true",
-        help="wrap the executor in the degradation cascade "
-        "(process -> threads -> serial) with numerical health guards",
+        help="run the executor as the first tier of the recovery ladder "
+        "(roll back, step down to serial) with numerical health guards",
     )
     demo.add_argument(
         "--inject-kill",

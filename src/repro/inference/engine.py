@@ -51,7 +51,7 @@ from repro.inference.incremental import (
 from repro.jt.build import junction_tree_from_network
 from repro.jt.junction_tree import JunctionTree
 from repro.jt.rerooting import reroot_optimally
-from repro.sched.resilient import ResilientExecutor, run_executor
+from repro.sched.resilient import ResilientExecutor
 from repro.sched.serial import SerialExecutor
 from repro.sched.stats import ExecutionStats
 from repro.tasks.dag import build_task_graph
@@ -246,22 +246,21 @@ class InferenceEngine:
     ) -> PropagationState:
         """Run two-phase evidence propagation; returns the calibrated state.
 
-        ``executor`` is any object with ``run(task_graph, state)``; defaults
+        ``executor`` is any object with
+        ``run(task_graph, state, tracer=None, deadline=None)``; defaults
         to :class:`~repro.sched.serial.SerialExecutor`.
 
-        ``resilience`` wraps the executor in a
-        :class:`~repro.sched.resilient.ResilientExecutor` (degradation
-        cascade + NaN/Inf health guard + log-space underflow rescue):
-        pass ``True`` for the defaults, or a dict of ``ResilientExecutor``
-        keyword arguments (e.g. ``{"logspace_fallback": False}``).  The
-        steps taken, if any, land in ``self.last_stats.degradations``.
+        ``resilience=True`` runs the executor as the first tier of a
+        :class:`~repro.sched.resilient.ResilientExecutor` ladder (rollback
+        and step down to serial, NaN/Inf health guard, log-space underflow
+        rescue).  The steps taken, if any, land in
+        ``self.last_stats.degradations``.
 
         ``trace`` enables the span tracer (:mod:`repro.obs`): pass ``True``
         to record a :class:`~repro.obs.trace.PropagationTrace` into
         ``self.last_trace``, a path to additionally save it as
         Chrome-trace JSON (open in Perfetto), or a prepared
         :class:`~repro.obs.tracer.Tracer` to control its settings.
-        Executors that predate tracing still run, just untraced.
 
         ``incremental`` controls reuse of the previous propagation:
 
@@ -417,18 +416,24 @@ class InferenceEngine:
 
         Executors that refuse batched states (the process tier sets
         ``supports_batched_state = False``) run each case separately and
-        the results are stacked, preserving the return-type contract.
+        the results are stacked, preserving the return-type contract;
+        ``last_stats`` is then the last case's, carrying every case's
+        degradations.
         """
         executor = executor or SerialExecutor()
         if not getattr(executor, "supports_batched_state", True):
             singles = []
+            degradations = []
             for hard, soft, _sig in cases:
                 state = PropagationState(self.jt, hard, soft)
-                self.last_stats = self._run_graph(
+                stats = self._run_graph(
                     self.task_graph, state, executor=executor,
                     meta={"mode": "batch-fallback"}, deadline=deadline,
                 )
+                degradations.extend(stats.degradations)
                 singles.append(state)
+            stats.degradations = degradations
+            self.last_stats = stats
             return PropagationState.from_cases(singles)
         graph = self._batch_graph(len(cases))
         state = PropagationState.batched(
@@ -662,10 +667,8 @@ class InferenceEngine:
         """Run ``graph`` against ``state``, handling resilience and tracing."""
         executor = executor or SerialExecutor()
         base_executor = executor
-        if resilience:
-            if not isinstance(executor, ResilientExecutor):
-                kwargs = resilience if isinstance(resilience, dict) else {}
-                executor = ResilientExecutor(executor, **kwargs)
+        if resilience and not isinstance(executor, ResilientExecutor):
+            executor = ResilientExecutor(executor)
 
         tracer = None
         if trace is not None and trace is not False:
@@ -678,10 +681,10 @@ class InferenceEngine:
             for key, value in (meta or {}).items():
                 tracer.meta[key] = value
 
-        stats = run_executor(executor, graph, state, tracer, deadline)
+        stats = executor.run(graph, state, tracer=tracer, deadline=deadline)
         if tracer is not None:
             # Label the trace with the executor that actually completed
-            # the run: after a ResilientExecutor degradation cascade the
+            # the run: after a ResilientExecutor ladder stepped down, the
             # requested executor's name and partition threshold would
             # mislabel it (stats.completed_executor records the survivor).
             executor_name = type(base_executor).__name__

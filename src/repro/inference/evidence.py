@@ -58,18 +58,21 @@ class Evidence:
     def observe_soft(self, variable: int, weights: Sequence[float]) -> None:
         """Attach a likelihood vector to ``variable`` (virtual evidence).
 
-        ``weights`` must be non-negative with at least one positive entry;
-        it need not be normalized.  Re-observing overwrites; a previous
-        *hard* finding on the variable is replaced by the soft one.
+        ``weights`` must be finite and non-negative with at least one
+        positive entry; it need not be normalized.  Re-observing
+        overwrites; a previous *hard* finding on the variable is replaced
+        by the soft one.
         """
         if variable < 0:
             raise ValueError(f"variable id must be non-negative, got {variable}")
         arr = np.asarray(weights, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("soft evidence needs a 1-D vector of >= 2 weights")
-        if np.any(arr < 0) or not np.any(arr > 0):
+        finite = np.all(np.isfinite(arr))
+        if not finite or np.any(arr < 0) or not np.any(arr > 0):
             raise ValueError(
-                "soft-evidence weights must be non-negative with a positive entry"
+                "soft-evidence weights must be finite and non-negative with "
+                "a positive entry"
             )
         self._soft[variable] = arr
         self._assignments.pop(variable, None)

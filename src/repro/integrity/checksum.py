@@ -34,8 +34,9 @@ class TornWriteError(TaskExecutionError):
     a 200-clique run is pinned to its exact write range.  Deliberately
     *not* retryable: once the arena disagrees with what a worker
     computed, every table downstream of the tear is suspect, so the run
-    fails fast and the serving layer recycles the session from a
-    checkpoint instead.
+    fails fast and the recovery ladder
+    (:class:`~repro.sched.resilient.ResilientExecutor`) rolls the state
+    back and re-runs it on the next tier instead.
     """
 
 

@@ -20,11 +20,11 @@ tasks are ordered, interleaved, and mapped onto hardware:
   than serial on every benchmark-suite workload (``sched.process.run_ms``
   beside ``sched.serial.run_ms``).
 
-Fault tolerance: :class:`ResilientExecutor` wraps any executor in a
-degradation cascade (processes → threads → serial) with numerical health
-guards and a log-space underflow rescue; :class:`FaultPlan` injects
-deterministic faults for testing the recovery paths.  :func:`run_executor`
-forwards ``tracer`` / ``deadline`` only to a ``run`` that accepts them.
+Every executor's ``run(graph, state, tracer=None, deadline=None)`` takes
+the same arguments.  Fault tolerance: :class:`ResilientExecutor` is the
+one recovery ladder — roll back, step down to the next tier, end at
+serial — with numerical health guards and a log-space underflow rescue;
+:class:`FaultPlan` injects deterministic faults for testing it.
 """
 
 from repro.sched.stats import ExecutionStats
@@ -45,11 +45,7 @@ from repro.sched.faults import (
     check_state_health,
     scan_tables,
 )
-from repro.sched.resilient import (
-    DegradationRecord,
-    ResilientExecutor,
-    run_executor,
-)
+from repro.sched.resilient import DegradationRecord, ResilientExecutor
 
 __all__ = [
     "ExecutionStats",
@@ -60,7 +56,6 @@ __all__ = [
     "WorkStealingExecutor",
     "ProcessSharedMemoryExecutor",
     "run_dag",
-    "run_executor",
     "FaultPlan",
     "FaultRecord",
     "HealthReport",

@@ -321,8 +321,8 @@ class ProcessSharedMemoryExecutor:
         no checksum cost; ``True``/``False`` force it.  Detection is
         deliberately non-retryable: after a stamped checksum disagrees
         with the arena, every downstream table is suspect, so the run
-        fails fast and the serving layer recycles the session from a
-        checkpoint.
+        fails fast and the recovery ladder rolls the state back and
+        re-runs it on the next tier.
 
     Resilience features (a deadline, a retry budget, or a fault plan)
     switch the pool to eager worker spawn so worker pids are known up
@@ -877,7 +877,7 @@ class ProcessSharedMemoryExecutor:
                             # Non-retryable by design: the arena disagrees
                             # with what the worker computed, so every table
                             # downstream of the tear is suspect.  Fail the
-                            # run; the serving layer recycles the session.
+                            # run; the recovery ladder rolls it back.
                             stats.torn_writes_detected += 1
                             stats.fault_events.append(FaultRecord(
                                 "torn-write", disp.tid,

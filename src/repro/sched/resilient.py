@@ -1,24 +1,29 @@
-"""Degradation-cascade executor wrapper: finish the run, record why.
+"""The recovery ladder: finish the run on ever-simpler executors, record why.
 
-:class:`ResilientExecutor` wraps any executor with three layers of
-last-resort robustness that the executor itself cannot provide:
+Every schedule of the task DAG leaves the same potentials as the serial
+run, so the one sound recovery from a failed or poisoned run is: roll the
+state back, re-run on a simpler executor, and end at serial.
+:class:`ResilientExecutor` is that ladder — behind
+``engine.propagate(resilience=True)`` and behind every propagation
+:class:`~repro.serve.service.InferenceService` serves:
 
-* **Degradation cascade** — if a tier raises (crashed pool past its
-  restart budget, exhausted retries, anything), the propagation state is
-  rolled back to its pre-run snapshot and the next tier runs instead.
-  The default cascade mirrors the deployment ladder: shared-memory
-  processes → collaborative threads → serial, each strictly simpler and
-  more reliable than the one before.
-* **Numerical health guard** — after every successful tier the clique
+* **Rollback and step down** — if a tier raises (crashed pool past its
+  restart budget, exhausted retries, a torn write, anything), the state's
+  buffer and its set of written intermediates are restored to their
+  pre-run snapshot and the next tier runs.  The ladder is
+  ``[executor, *fallbacks, SerialExecutor()]`` (no second serial tier
+  when the last one already is serial).
+* **Numerical health guard** — after every completed tier the clique
   tables are scanned for NaN/Inf (:func:`repro.sched.faults.scan_tables`).
-  Poisoned results degrade to the next tier exactly like a crash, so a
-  corrupted shared buffer cannot leak into posteriors.
+  A poisoned result is rolled back and steps down exactly like a crash,
+  so a corrupted shared buffer cannot leak into posteriors.
 * **Log-space rescue** — a run whose tables fully underflowed (every
   entry exactly zero) is re-run in the log domain via
   :mod:`repro.potential.logspace`; clique potentials are replaced by
   their stably-normalized linear forms and the true log-likelihood is
   recorded in ``stats.log_likelihood`` (the linear ``state.likelihood()``
-  is meaningless after underflow).
+  is meaningless after underflow).  Evidence of probability zero has no
+  posterior to rescue: its zero tables stay, and a degradation says so.
 
 Every step taken is recorded as a :class:`DegradationRecord` in
 ``stats.degradations``, so an operator can see that a run *finished* but
@@ -28,11 +33,12 @@ also exactly what it cost to finish.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.sched.faults import HealthReport, check_state_health
+from repro.sched.faults import TaskExecutionError, check_state_health
+from repro.sched.serial import SerialExecutor
 from repro.sched.stats import ExecutionStats
 from repro.tasks.state import PropagationState
 from repro.tasks.task import TaskGraph
@@ -40,7 +46,7 @@ from repro.tasks.task import TaskGraph
 
 @dataclass
 class DegradationRecord:
-    """One step down the cascade (or a log-space rescue) and its cause."""
+    """One step down the ladder (or a log-space rescue) and its cause."""
 
     from_executor: str
     to_executor: str
@@ -54,112 +60,90 @@ def _executor_name(executor) -> str:
     return type(executor).__name__
 
 
-def run_executor(executor, graph, state, tracer=None, deadline=None):
-    """``executor.run(graph, state)``, forwarding ``tracer`` / ``deadline``
-    only if that ``run`` accepts them.
-
-    Third-party executors with a bare ``run(self, graph, state)`` keep
-    working inside a traced, deadline-bounded engine call or cascade —
-    just untraced and unbounded.
-    """
-    if tracer is None and deadline is None:
-        return executor.run(graph, state)
-    import inspect
-
-    try:
-        params = inspect.signature(executor.run).parameters
-    except (TypeError, ValueError):
-        params = {}
-    kwargs = {}
-    if tracer is not None and "tracer" in params:
-        kwargs["tracer"] = tracer
-    if deadline is not None and "deadline" in params:
-        kwargs["deadline"] = deadline
-    return executor.run(graph, state, **kwargs)
-
-
-def default_cascade(primary) -> List[object]:
-    """Fallback tiers below ``primary``: processes → threads → serial.
-
-    The thread tier reuses the primary's worker count and partition
-    threshold where it exposes them, so a degraded run still balances
-    load the same way — it only gives up on escaping the GIL.
-    """
-    from repro.sched import CollaborativeExecutor
-    from repro.sched.process import ProcessSharedMemoryExecutor
-    from repro.sched.serial import SerialExecutor
-
-    if isinstance(primary, SerialExecutor):
-        return []
-    if isinstance(primary, ProcessSharedMemoryExecutor):
-        threads = CollaborativeExecutor(
-            num_threads=primary.num_workers,
-            partition_threshold=primary.partition_threshold,
-            max_chunks=primary.max_chunks,
-        )
-        return [threads, SerialExecutor()]
-    return [SerialExecutor()]
-
-
 class ResilientExecutor:
-    """Run a task graph through a cascade of ever-simpler executors.
+    """Run a task graph down a ladder of ever-simpler executors.
 
     Parameters
     ----------
     executor:
-        The primary (fastest, least reliable) tier; defaults to a
-        :class:`~repro.sched.serial.SerialExecutor` — wrap your real
-        executor to get the safety layers.
+        The first (fastest, least reliable) tier; defaults to a
+        :class:`~repro.sched.serial.SerialExecutor`.
     fallbacks:
-        Tiers tried in order after the primary; defaults to
-        :func:`default_cascade` of the primary.
-    health_check:
-        Scan clique tables for NaN/Inf after each tier and treat a
-        poisoned result as that tier's failure.
-    logspace_fallback:
-        Re-run a fully-underflowed propagation in the log domain
-        (hard-evidence runs only; soft evidence is recorded and skipped).
+        Tiers tried in order after the first; a serial tier always ends
+        the ladder.
+
+    Every tier's ``run`` takes ``tracer=`` and ``deadline=``.
     """
 
-    def __init__(
-        self,
-        executor=None,
-        fallbacks: Optional[Sequence] = None,
-        health_check: bool = True,
-        logspace_fallback: bool = True,
-    ):
-        from repro.sched.serial import SerialExecutor
+    def __init__(self, executor=None, fallbacks: Sequence = ()):
+        tiers = [executor if executor is not None else SerialExecutor()]
+        tiers.extend(fallbacks)
+        if not isinstance(tiers[-1], SerialExecutor):
+            tiers.append(SerialExecutor())
+        self.tiers = tiers
 
-        self.executor = executor if executor is not None else SerialExecutor()
-        self.fallbacks = (
-            list(fallbacks) if fallbacks is not None
-            else default_cascade(self.executor)
+    @property
+    def supports_batched_state(self) -> bool:
+        """False when any tier refuses batched states (the engine then
+        runs a batch case by case, each case down the whole ladder)."""
+        return all(
+            getattr(tier, "supports_batched_state", True)
+            for tier in self.tiers
         )
-        self.health_check = health_check
-        self.logspace_fallback = logspace_fallback
 
     def run(
         self,
         graph: TaskGraph,
         state: PropagationState,
         tracer=None,
-        deadline: Optional[float] = None,
+        deadline=None,
     ) -> ExecutionStats:
-        """Run the cascade; ``deadline`` (absolute ``time.monotonic()``)
-        is forwarded to every tier that supports cooperative checks.  A
-        deadline overrun is *not* a degradation trigger: a slower tier
-        cannot beat the clock the faster one already missed, so the
-        ``phase="deadline"`` error re-raises immediately."""
-        tiers = [self.executor] + self.fallbacks
-        # Tiers mutate the state in place; every tier runs the same graph,
-        # so rolling back is restoring the bytes of its one table buffer.
+        """Run the ladder; ``deadline`` (absolute ``time.monotonic()``)
+        goes to every tier.  A deadline overrun is *not* a reason to step
+        down — a slower tier cannot beat the clock the faster one already
+        missed — so the ``phase="deadline"`` error re-raises at once.
+        Whatever escapes (that error, or the ``RuntimeError`` raised when
+        every tier failed) leaves the state as it was before the run and
+        carries the steps taken so far as its ``degradations``."""
+        tiers = self.tiers
+        # Every tier runs the same graph, so rolling back is restoring the
+        # bytes of the state's one buffer and which intermediates count
+        # as written.
         snapshot = state.buffer.copy()
+        written = dict(state._inter)
         records: List[DegradationRecord] = []
-        last_exc: Optional[BaseException] = None
-        stats: Optional[ExecutionStats] = None
-        report: Optional[HealthReport] = None
+        last_exc = None
 
-        def mark_degradation(record: DegradationRecord) -> None:
+        def roll_back() -> None:
+            np.copyto(state.buffer, snapshot)
+            state._inter.clear()
+            state._inter.update(written)
+
+        for i, tier in enumerate(tiers):
+            try:
+                stats = tier.run(
+                    graph, state, tracer=tracer, deadline=deadline
+                )
+            except Exception as exc:
+                roll_back()
+                if (
+                    isinstance(exc, TaskExecutionError)
+                    and exc.phase == "deadline"
+                ):
+                    exc.degradations = records
+                    raise
+                last_exc = exc
+                reason = f"{type(exc).__name__}: {exc}"
+            else:
+                report = check_state_health(state)
+                if report.healthy:
+                    break
+                roll_back()
+                reason = f"unhealthy result: {report.summary()}"
+            following = (
+                _executor_name(tiers[i + 1]) if i + 1 < len(tiers) else "none"
+            )
+            record = DegradationRecord(_executor_name(tier), following, reason)
             records.append(record)
             if tracer is not None:
                 from repro.obs.span import CONTROL_ROW
@@ -169,44 +153,11 @@ class ResilientExecutor:
                     f"degrade:{record.from_executor}->{record.to_executor}",
                     "fault",
                 )
-
-        for i, tier in enumerate(tiers):
-            name = _executor_name(tier)
-            next_name = (
-                _executor_name(tiers[i + 1]) if i + 1 < len(tiers) else "none"
-            )
-            if i > 0:
-                np.copyto(state.buffer, snapshot)
-            try:
-                stats = run_executor(tier, graph, state, tracer, deadline)
-            except Exception as exc:
-                from repro.sched.faults import TaskExecutionError
-
-                if (
-                    isinstance(exc, TaskExecutionError)
-                    and exc.phase == "deadline"
-                ):
-                    raise
-                last_exc = exc
-                mark_degradation(DegradationRecord(
-                    name, next_name, f"{type(exc).__name__}: {exc}"))
-                stats = None
-                continue
-            if self.health_check:
-                report = check_state_health(state)
-                if not report.healthy:
-                    mark_degradation(DegradationRecord(
-                        name, next_name, f"unhealthy result: {report.summary()}"
-                    ))
-                    stats = None
-                    continue
-            break
-
-        if stats is None:
+        else:
             detail = "; ".join(str(r) for r in records)
-            raise RuntimeError(
-                f"every executor tier failed: {detail}"
-            ) from last_exc
+            error = RuntimeError(f"every executor tier failed: {detail}")
+            error.degradations = records
+            raise error from last_exc
 
         # Record which tier actually finished: after a degradation the
         # requested executor's name/threshold would mislabel the run.
@@ -214,13 +165,9 @@ class ResilientExecutor:
         stats.completed_partition_threshold = getattr(
             tier, "partition_threshold", None
         )
-
-        if report is not None:
-            stats.health = report.summary()
-            if report.underflowed and self.logspace_fallback:
-                rescued = self._rescue_logspace(state, stats, records)
-                if rescued:
-                    stats.health = check_state_health(state).summary()
+        stats.health = report.summary()
+        if report.underflowed and self._rescue_logspace(state, stats, records):
+            stats.health = check_state_health(state).summary()
         stats.degradations.extend(records)
         return stats
 
@@ -237,7 +184,9 @@ class ResilientExecutor:
         Overwrites each clique potential with its stably-normalized linear
         form (so per-clique and per-variable marginals read off exactly
         as usual) and records the evidence log-likelihood in
-        ``stats.log_likelihood``.  Returns True when the rescue ran.
+        ``stats.log_likelihood``.  Returns True when the rescue ran; an
+        infinite log-likelihood (evidence of probability zero) keeps the
+        zero tables.
         """
         from repro.potential.logspace import propagate_reference_log
         from repro.potential.table import PotentialTable
@@ -257,6 +206,14 @@ class ResilientExecutor:
             ))
             return False
         log_pots = propagate_reference_log(state.jt, state.evidence)
+        log_likelihood = log_pots[state.jt.root].log_total()
+        if not np.isfinite(log_likelihood):
+            records.append(DegradationRecord(
+                "logspace", "none",
+                "evidence has probability zero (log-likelihood "
+                f"{log_likelihood}): kept the zero tables",
+            ))
+            return False
         for i, log_table in log_pots.items():
             table = state.potentials[i]
             table.values[...] = PotentialTable(
@@ -268,7 +225,7 @@ class ResilientExecutor:
         # zeros; they do not belong to the rescued potentials, so they must
         # not seed an incremental repropagation.
         state._inter.clear()
-        stats.log_likelihood = log_pots[state.jt.root].log_total()
+        stats.log_likelihood = log_likelihood
         records.append(DegradationRecord(
             "linear", "logspace",
             "clique tables underflowed; re-ran propagation in log domain",

@@ -60,7 +60,7 @@ class ExecutionStats:
     health: str = ""
     log_likelihood: Optional[float] = None
     # The executor that actually completed the run.  Set by
-    # ResilientExecutor to the surviving cascade tier — after a
+    # ResilientExecutor to the ladder tier that finished — after a
     # degradation this differs from the *requested* executor, and trace
     # labels must reflect reality, not the request.
     completed_executor: str = ""

@@ -95,8 +95,9 @@ class ServiceReport:
     recoveries: int = 0
     # Micro-batching accounting: how many batched propagations ran, how
     # many flights they carried, how many flights went through the
-    # single-flight path, and how many batch cases were quarantined for
-    # non-finite posteriors (their requests got explicit failures).
+    # single-flight path, and how many cases (single or batched) were
+    # quarantined for a likelihood that is not > 0 (their requests got
+    # explicit failures).
     batches: int = 0
     batched_flights: int = 0
     single_flights: int = 0

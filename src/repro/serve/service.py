@@ -1,4 +1,4 @@
-"""The concurrent inference service: sessions, admission, tiers, drain.
+"""The concurrent inference service: sessions, admission, the ladder, drain.
 
 Two classes:
 
@@ -11,9 +11,10 @@ Two classes:
   session pool.  Requests are admitted into a bounded priority queue
   (full queue → stale answer if the caller allows one, else explicit
   shed), coalesced single-flight on their canonical evidence signature,
-  executed through a breaker-guarded tier cascade (process → threads →
-  serial) with cooperative end-to-end deadlines, and always answered —
-  exactly, stalely, or with an explicit refusal.  ``drain()`` stops
+  run down one :class:`~repro.sched.resilient.ResilientExecutor` ladder
+  (the breaker-allowed primary → the fallback → serial) with cooperative
+  end-to-end deadlines, and always answered — exactly, stalely, or with
+  an explicit refusal.  ``drain()`` stops
   admissions, finishes in-flight work and returns a
   :class:`~repro.serve.report.ServiceReport`.
 
@@ -36,10 +37,9 @@ import numpy as np
 
 from repro.inference.cache import QueryCache
 from repro.inference.engine import InferenceEngine
-from repro.integrity.checksum import TornWriteError
 from repro.obs.span import CAT_SERVE
-from repro.sched.faults import TaskExecutionError, check_state_health
-from repro.sched.serial import SerialExecutor
+from repro.sched.faults import TaskExecutionError
+from repro.sched.resilient import ResilientExecutor
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.core import Future, ServingCore, Ticket
 from repro.serve.report import ServiceReport
@@ -61,7 +61,6 @@ class _SessionHealth:
 
     consecutive_failures: int = 0
     flagged: bool = False
-    reason: str = ""
 
 
 class EngineSessionPool:
@@ -76,12 +75,13 @@ class EngineSessionPool:
 
     The pool is *self-healing*: callers report per-session outcomes via
     :meth:`note_success` / :meth:`note_failure` / :meth:`flag_recycle`,
-    and a session that is flagged (poisoned state, torn write, watchdog
-    intervention) or accumulates ``recycle_threshold`` consecutive
-    failures is **recycled on release** — restored from the in-memory
-    baseline checkpoint captured by :meth:`capture_checkpoint` (or fully
+    and a session that is flagged (a watchdog intervention) or
+    accumulates ``recycle_threshold`` consecutive failed flights is
+    **recycled on release** — restored from the in-memory baseline
+    checkpoint captured by :meth:`capture_checkpoint` (or fully
     recalibrated when no baseline exists) instead of re-entering LIFO
-    rotation with a suspect state.
+    rotation with a suspect state.  A failed tier never needs one: the
+    recovery ladder rolls its writes back.
     """
 
     def __init__(
@@ -115,7 +115,6 @@ class EngineSessionPool:
         self._baseline: Optional[bytes] = None
         self.recycles = 0
         self.recycles_from_checkpoint = 0
-        self.recycle_events: List[str] = []
         # Lifecycle: a closed pool hands out no sessions and discards
         # (rather than requeues) sessions released after the close —
         # needed by the registry's eviction path, which may close a pool
@@ -191,48 +190,36 @@ class EngineSessionPool:
             record = self._record(engine)
             record.consecutive_failures = 0
 
-    def note_failure(
-        self, engine: InferenceEngine, reason: str, poisoned: bool = False
-    ) -> None:
-        """A failed flight on this session.
-
-        ``poisoned=True`` (health scan failed, torn write detected) flags
-        the session for immediate recycling — its state cannot be
-        trusted, and the next flight's incremental plan would build on
-        it.  Plain failures only count toward ``recycle_threshold``.
-        """
+    def note_failure(self, engine: InferenceEngine) -> None:
+        """A failed flight on this session: one strike toward
+        ``recycle_threshold``."""
         with self._health_lock:
             record = self._record(engine)
             record.consecutive_failures += 1
-            if poisoned or record.consecutive_failures >= self.recycle_threshold:
+            if record.consecutive_failures >= self.recycle_threshold:
                 record.flagged = True
-                record.reason = reason
 
-    def flag_recycle(self, engine: InferenceEngine, reason: str) -> None:
+    def flag_recycle(self, engine: InferenceEngine) -> None:
         """Unconditionally mark the session for recycling on release."""
         with self._health_lock:
-            record = self._record(engine)
-            record.flagged = True
-            record.reason = reason
+            self._record(engine).flagged = True
 
     def _maybe_recycle(self, engine: InferenceEngine) -> None:
         with self._health_lock:
             record = self._record(engine)
             if not record.flagged:
                 return
-            reason = record.reason
             record.consecutive_failures = 0
             record.flagged = False
-            record.reason = ""
-        self._recycle(engine, reason)
+        self._recycle(engine)
 
-    def _recycle(self, engine: InferenceEngine, reason: str) -> None:
+    def _recycle(self, engine: InferenceEngine) -> None:
         """Restore a suspect session from the baseline (or recalibrate).
 
         Never raises: a session that cannot even recalibrate still
         returns to rotation (dropping it would shrink the pool and
         eventually deadlock checkout) — the next flight on it will fail
-        loudly through the normal tier cascade rather than silently.
+        loudly down the recovery ladder rather than silently.
         """
         restored = False
         if self._baseline is not None:
@@ -251,7 +238,6 @@ class EngineSessionPool:
             self.recycles += 1
             if restored:
                 self.recycles_from_checkpoint += 1
-            self.recycle_events.append(reason)
 
     @classmethod
     def from_junction_tree(
@@ -401,15 +387,6 @@ class _Flight:
     open: bool = True
 
 
-class _UnusableResult(RuntimeError):
-    """A tier's propagation finished but nothing in it may be served."""
-
-    def __init__(self, message: str, poisoned: bool):
-        super().__init__(message)
-        # Whether the session's own cached state is the suspect one.
-        self.poisoned = poisoned
-
-
 class InferenceService(ServingCore):
     """Thread-safe concurrent inference over a pool of engine sessions.
 
@@ -417,7 +394,8 @@ class InferenceService(ServingCore):
     :class:`~repro.serve.core.ServingCore`'s; this class supplies the
     request service's decisions: the unit of work is a single-flight
     group keyed by evidence signature, a full queue means stale-or-shed,
-    and serving is a breaker-guarded tier cascade.
+    and serving is one run down a recovery ladder whose first tier the
+    breaker guards.
 
     Parameters
     ----------
@@ -427,12 +405,12 @@ class InferenceService(ServingCore):
         Optional breaker-guarded fast tier (typically a
         :class:`~repro.sched.process.ProcessSharedMemoryExecutor`).
     fallback:
-        Thread-tier executor used when the primary is absent, skipped by
-        an open breaker, or failing; defaults to a fresh
+        The ladder's tier after the primary (its first when the primary
+        is absent or skipped by an open breaker); defaults to a fresh
         :class:`~repro.sched.core.CollaborativeExecutor` — pass
         a :class:`~repro.sched.serial.SerialExecutor` to keep the
-        service single-tier.  A serial last resort always backstops the
-        cascade.  :meth:`drain` closes both executors.
+        service single-tier.  A serial last resort always ends the
+        ladder.  :meth:`drain` closes both executors.
     workers:
         Service worker threads; defaults to ``pool.num_sessions`` (more
         would only contend on session checkout).
@@ -447,10 +425,9 @@ class InferenceService(ServingCore):
         to this many *compatible* queued flights (same model, not yet
         fully expired) and serves them through one batched propagation,
         splitting responses per case.  Requests keep their individual
-        deadlines and priorities; a case whose posteriors come back
-        non-finite is quarantined with an explicit failure while the
-        rest of the batch is answered exactly.  ``1`` (default) disables
-        micro-batching.
+        deadlines and priorities; a case whose likelihood is not > 0 is
+        quarantined with an explicit failure while the rest of the batch
+        is answered exactly.  ``1`` (default) disables micro-batching.
     watchdog_grace:
         When set, a service-owned watchdog thread force-resolves any
         flight still unresolved ``watchdog_grace`` seconds past its
@@ -774,9 +751,7 @@ class InferenceService(ServingCore):
                     continue
                 self._bump("watchdog_interventions")
                 buf.instant(f"watchdog:stuck-flight#{token}", CAT_SERVE)
-                self.pool.flag_recycle(
-                    engine, "watchdog: flight stuck past deadline+grace"
-                )
+                self.pool.flag_recycle(engine)
                 self.refuse(
                     pending,
                     STATUS_DEADLINE,
@@ -840,134 +815,126 @@ class InferenceService(ServingCore):
         elif live:
             self._serve_batch(live)
 
-    def _tiers(self) -> List[Tuple[str, object, bool]]:
-        """(name, executor, breaker_guarded) cascade for one flight."""
-        tiers: List[Tuple[str, object, bool]] = []
-        if self.primary is not None:
-            if self.breaker.allow():
-                tiers.append(
-                    (type(self.primary).__name__, self.primary, True)
-                )
-            else:
-                self._bump("breaker_short_circuits")
-        if self.fallback is not None:
-            tiers.append((type(self.fallback).__name__, self.fallback, False))
-        if not tiers or not isinstance(tiers[-1][1], SerialExecutor):
-            tiers.append(("SerialExecutor", SerialExecutor(), False))
-        return tiers
+    def _ladder(self) -> Tuple[Optional[object], ResilientExecutor]:
+        """This flight's primary (None when absent or skipped by an open
+        breaker) and its ladder: that primary, the fallback, serial."""
+        primary = self.primary
+        if primary is not None and not self.breaker.allow():
+            self._bump("breaker_short_circuits")
+            primary = None
+        if primary is None:
+            return None, ResilientExecutor(self.fallback)
+        return primary, ResilientExecutor(primary, fallbacks=[self.fallback])
 
-    def _cascade(
+    def _judge(self, primary, degradations, completed: bool) -> None:
+        """Feed the breaker one run's verdict on the primary: a failure
+        for each degradation that started at it, else a success when the
+        run completed, else — no verdict — its probe slot back."""
+        if primary is None:
+            return
+        name = type(primary).__name__
+        failures = [r.reason for r in degradations if r.from_executor == name]
+        for reason in failures:
+            self.breaker.record_failure(reason)
+        if failures:
+            return
+        if completed:
+            self.breaker.record_success()
+        else:
+            self.breaker.release_probe()
+
+    def _propagate(
         self,
         members: List[Ticket],
         deadline_at: Optional[float],
         propagate,
-        accept,
+        answer,
     ) -> None:
-        """Answer ``members`` from the first tier whose result is usable.
+        """Answer ``members`` from one run down the recovery ladder.
 
-        ``propagate(engine, executor, incremental)`` runs one tier and
-        returns its state; ``accept(engine, state, name, guarded)``
-        either raises :class:`_UnusableResult` or calls
-        :meth:`_tier_served` and resolves the members.  Members are
-        always answered: exactly, by their deadline, or — when every
-        tier failed (serial included: pathological evidence or a
-        corrupted tree) — with an explicit failure, never a silent wrong
-        answer.
+        ``propagate(engine, ladder)`` runs the flight's propagation with
+        the ladder as its executor and returns the state;
+        ``answer(engine, state, tier)`` resolves the members from it.
+        The ladder rolls the state back before every step down, so a
+        failed tier never writes the session's cached state.  Members are
+        always answered: exactly, by their deadline, or — when every tier
+        failed (serial included: pathological evidence or a corrupted
+        tree) — with an explicit failure, never a silent wrong answer.
         """
-        tiers = self._tiers()
-        # A half-open breaker reserved a probe slot in _tiers(); if a
-        # deadline aborts the flight before the guarded tier is even
-        # attempted, hand the slot back so probing is not starved.
-        probe_reserved = tiers[0][2]
-
-        def overdue() -> bool:
-            return deadline_at is not None and time.monotonic() >= deadline_at
-
         with self.pool.session() as engine, self._watched(
             members, deadline_at, engine
         ):
-            incremental = True
-            for name, executor, guarded in tiers:
-                if overdue():
-                    if probe_reserved:
-                        self.breaker.release_probe()
+            if deadline_at is not None and time.monotonic() >= deadline_at:
+                self._miss_deadline(members)
+                return
+            primary, ladder = self._ladder()
+            before = engine.last_stats
+            try:
+                state = propagate(engine, ladder)
+            except Exception as exc:
+                self._judge(primary, getattr(exc, "degradations", ()), False)
+                if (
+                    isinstance(exc, TaskExecutionError)
+                    and exc.phase == "deadline"
+                ):
                     self._miss_deadline(members)
-                    return
-                if guarded:
-                    probe_reserved = False
-                try:
-                    state = propagate(engine, executor, incremental)
-                except TaskExecutionError as exc:
-                    if exc.phase == "deadline":
-                        self._miss_deadline(members)
-                        return
-                    # A torn write means the shared arena (and any state
-                    # built from it) cannot be trusted: recycle the
-                    # session before its next checkout.
-                    error, poisoned = exc, isinstance(exc, TornWriteError)
-                except Exception as exc:
-                    if overdue():
-                        self._miss_deadline(members)
-                        return
-                    error, poisoned = exc, False
                 else:
-                    try:
-                        accept(engine, state, name, guarded)
-                        return
-                    except _UnusableResult as exc:
-                        error, poisoned = exc, exc.poisoned
-                self.pool.note_failure(engine, str(error), poisoned=poisoned)
-                if guarded:
-                    self.breaker.record_failure(str(error))
-                # A failed tier may have mutated tables the previous
-                # state shared with the incremental plan: rebuild.
-                incremental = False
-        self.refuse(members, STATUS_FAILED, f"{type(error).__name__}: {error}")
-
-    def _tier_served(
-        self, engine: InferenceEngine, guarded: bool, strike: Optional[str] = None
-    ) -> None:
-        """A tier's result was accepted (before any client sees it)."""
-        if guarded:
-            self.breaker.record_success()
-        if strike is None:
+                    self.pool.note_failure(engine)
+                    self.refuse(
+                        members, STATUS_FAILED, f"{type(exc).__name__}: {exc}"
+                    )
+                return
+            # A flight whose state was already calibrated runs no graph
+            # and leaves last_stats alone: no verdict on the primary.
+            stats = engine.last_stats
+            ran = stats is not before
+            self._judge(primary, stats.degradations if ran else (), ran)
             self.pool.note_success(engine)
-        else:
-            self.pool.note_failure(engine, strike)
+            tier = (
+                stats.completed_executor if ran
+                else type(ladder.tiers[0]).__name__
+            )
+            answer(engine, state, tier)
+
+    def _quarantine(self, members: Sequence[Ticket], likelihood) -> None:
+        """Refuse a case with no posterior: its likelihood is not > 0
+        (impossible evidence, or a non-finite root)."""
+        self._bump("quarantined")
+        self.refuse(
+            members,
+            STATUS_FAILED,
+            f"case quarantined: P(evidence) = {float(likelihood)!r} is not "
+            "> 0, no posterior to serve",
+        )
 
     def _serve_single(self, flight: _Flight, members: List[Ticket]) -> None:
         deadline_at = self._flight_deadline(members)
 
-        def propagate(engine, executor, incremental):
+        def propagate(engine, ladder):
             engine.set_evidence(flight.evidence)
             return engine.propagate(
-                executor=executor, incremental=incremental, deadline=deadline_at
+                executor=ladder, incremental=True, deadline=deadline_at
             )
 
-        def accept(engine, state, name, guarded):
-            health = check_state_health(state)
-            if not health.healthy:
-                # The engine's cached state *is* the poisoned one — the
-                # next flight's incremental plan would build on it.
-                raise _UnusableResult(
-                    f"unhealthy result from {name}: {health.summary()}",
-                    poisoned=True,
-                )
-            self._tier_served(engine, guarded)
+        def answer(engine, state, tier):
+            likelihood = state.likelihood()
+            if not likelihood > 0:
+                self._quarantine(members, likelihood)
+                return
             results = engine.query(vars=self._union_vars(members))
             self._record_stale(flight.signature, results)
             self._bump("single_flights")
-            self._resolve_ok(members, results, name)
+            self._resolve_ok(members, results, tier)
 
-        self._cascade(members, deadline_at, propagate, accept)
+        self._propagate(members, deadline_at, propagate, answer)
 
     def _serve_batch(self, live: List[Tuple[_Flight, List[Ticket]]]) -> None:
         """One batched propagation answering several flights at once.
 
         Each member's response is split out of its own batch case.  A
-        case whose posteriors come back non-finite is quarantined — its
-        members get an explicit failure, nothing poisoned is cached or
-        served — while the rest of the batch is answered exactly.
+        case whose likelihood is not > 0 is quarantined — its members get
+        an explicit failure, nothing of it is cached or served — while the
+        rest of the batch is answered exactly.
         """
         everyone = [m for _flight, members in live for m in members]
         # The batch's propagation budget must accommodate every flight;
@@ -977,49 +944,19 @@ class InferenceService(ServingCore):
         union = self._union_vars(everyone)
         needed = union if union is not None else self.pool.variables
 
-        def propagate(engine, executor, _incremental):
+        def propagate(engine, ladder):
             return engine.propagate_batch(
                 [flight.evidence for flight, _members in live],
-                executor=executor,
+                executor=ladder,
                 deadline=deadline_at,
             )
 
-        def accept(engine, state, name, guarded):
-            # One batch-aware health scan attributes non-finite or
-            # underflowed tables to their batch columns — no per-case,
-            # per-variable re-scanning.
-            poisoned = check_state_health(state).poisoned_columns()
+        def answer(engine, state, tier):
             likelihoods = np.asarray(state.likelihood()).reshape(-1)
-            finite = np.isfinite(likelihoods)
-            quarantined = [
-                i
-                for i in range(len(live))
-                if i in poisoned or not finite[i]
-            ]
-            if len(quarantined) == len(live):
-                raise _UnusableResult(
-                    f"every batch case from {name} was non-finite",
-                    poisoned=False,
-                )
             rows = {var: state.marginal(var) for var in needed}
-            # propagate_batch leaves the session's cached single-case
-            # state untouched, so a partially quarantined batch is a
-            # strike, not a poisoning.
-            self._tier_served(
-                engine,
-                guarded,
-                f"batch columns quarantined: {quarantined}"
-                if quarantined
-                else None,
-            )
             for i, (flight, members) in enumerate(live):
-                if i in quarantined:
-                    self._bump("quarantined")
-                    self.refuse(
-                        members,
-                        STATUS_FAILED,
-                        "batch case quarantined: non-finite posterior",
-                    )
+                if not likelihoods[i] > 0:
+                    self._quarantine(members, likelihoods[i])
                     continue
                 results = {var: rows[var][i] for var in needed}
                 for var, values in results.items():
@@ -1029,10 +966,10 @@ class InferenceService(ServingCore):
                 )
                 self._record_stale(flight.signature, results)
                 self._bump("batched_flights")
-                self._resolve_ok(members, results, name, batched=True)
+                self._resolve_ok(members, results, tier, batched=True)
             self._bump("batches")
 
-        self._cascade(everyone, deadline_at, propagate, accept)
+        self._propagate(everyone, deadline_at, propagate, answer)
 
     @staticmethod
     def _flight_deadline(members: Sequence[Ticket]) -> Optional[float]:

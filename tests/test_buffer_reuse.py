@@ -180,7 +180,7 @@ class TestNothingReadableIsReused:
                 real.copyto(dst, src)
 
         class Dies:
-            def run(self, graph, state):
+            def run(self, graph, state, **kw):
                 state.buffer[:] = np.nan
                 raise RuntimeError("tier died")
 

@@ -336,7 +336,7 @@ class TestProcessRecovery:
 
 
 # --------------------------------------------------------------------- #
-# ResilientExecutor: cascade, quarantine, log-space rescue
+# ResilientExecutor: the ladder, quarantine, log-space rescue
 # --------------------------------------------------------------------- #
 
 
@@ -346,7 +346,7 @@ class _AlwaysRaises:
     def __init__(self, message="synthetic tier failure"):
         self.message = message
 
-    def run(self, graph, state):
+    def run(self, graph, state, tracer=None, deadline=None):
         raise RuntimeError(self.message)
 
 
@@ -390,11 +390,69 @@ class TestResilientExecutor:
 
     def test_every_tier_failing_raises(self):
         tree, graph, _ = _workload(num_cliques=4, seed=19)
+        # A NaN prior poisons every tier's result, the serial last one too.
+        tree.potentials[0].values[...] = np.nan
         resilient = ResilientExecutor(
             _AlwaysRaises("a"), fallbacks=[_AlwaysRaises("b")]
         )
-        with pytest.raises(RuntimeError, match="every executor tier failed"):
-            resilient.run(graph, PropagationState(tree))
+        state = PropagationState(tree)
+        before = state.buffer.copy()
+        with pytest.raises(RuntimeError, match="every executor tier") as info:
+            resilient.run(graph, state)
+        steps = [
+            (r.from_executor, r.to_executor) for r in info.value.degradations
+        ]
+        assert steps == [
+            ("_AlwaysRaises", "_AlwaysRaises"),
+            ("_AlwaysRaises", "SerialExecutor"),
+            ("SerialExecutor", "none"),
+        ]
+        # The failed run leaves the state as it found it.
+        assert np.array_equal(state.buffer, before, equal_nan=True)
+
+    def test_ladder_always_ends_at_serial(self):
+        ladder = ResilientExecutor(
+            _AlwaysRaises(), fallbacks=[_AlwaysRaises()]
+        )
+        assert [type(t).__name__ for t in ladder.tiers] == [
+            "_AlwaysRaises", "_AlwaysRaises", "SerialExecutor",
+        ]
+        assert len(ResilientExecutor().tiers) == 1
+        assert len(ResilientExecutor(fallbacks=[SerialExecutor()]).tiers) == 2
+        assert ResilientExecutor(_AlwaysRaises()).supports_batched_state
+        assert not ResilientExecutor(
+            ProcessSharedMemoryExecutor(num_workers=1)
+        ).supports_batched_state
+
+    def test_step_down_restores_buffer_and_written_set(self):
+        """A tier that wrote intermediates before dying leaves neither its
+        bytes nor its written-slot marks for the next tier to build on."""
+        tree, graph, reference = _workload(num_cliques=6, seed=29)
+
+        class DiesHalfway:
+            def run(self, graph, state, tracer=None, deadline=None):
+                order = graph.topological_order()
+                for tid in order[: len(order) // 2]:
+                    state.execute(graph.tasks[tid])
+                raise RuntimeError("died halfway")
+
+        state = PropagationState(tree)
+        seen = []
+
+        class Recorder(SerialExecutor):
+            def run(self, graph, state, **kw):
+                seen.append((state.buffer.copy(), set(state._inter)))
+                return super().run(graph, state, **kw)
+
+        initial, initial_written = state.buffer.copy(), set(state._inter)
+        stats = ResilientExecutor(
+            DiesHalfway(), fallbacks=[Recorder()]
+        ).run(graph, state)
+        ((buffer, written),) = seen
+        assert np.array_equal(buffer, initial)
+        assert written == initial_written
+        assert len(stats.degradations) == 1
+        _assert_matches(tree, reference, state)
 
     def test_underflow_triggers_logspace_rescue(self):
         tree, graph, reference = _workload(num_cliques=6, seed=23)
@@ -448,28 +506,24 @@ class TestResilientExecutor:
             r.to_executor == "logspace" for r in engine.last_stats.degradations
         )
 
-    def test_logspace_rescue_can_be_disabled(self):
-        tree, graph, _ = _workload(num_cliques=4, seed=23)
-        for i, table in tree.potentials.items():
-            tree.potentials[i] = PotentialTable(
-                table.variables, table.cardinalities, table.values * 1e-300
-            )
-        state = PropagationState(tree)
-        stats = ResilientExecutor(
-            SerialExecutor(), logspace_fallback=False
-        ).run(graph, state)
+    def test_impossible_evidence_is_not_rescued(self):
+        """P(e) = 0 underflows every table too, but there is no posterior
+        to rescue: the zeros stay and a degradation says why, instead of
+        a uniform "posterior" normalized out of -inf."""
+        from repro.models import asia
+
+        bn, _ = asia()
+        engine = InferenceEngine.from_network(bn)
+        engine.set_evidence({3: 1, 5: 0})  # lung = yes, either = no
+        engine.propagate(resilience=True)
+        stats = engine.last_stats
         assert stats.log_likelihood is None
         assert "underflow" in stats.health
-
-    def test_default_cascade_for_process_primary(self):
-        from repro.sched.resilient import default_cascade
-
-        primary = ProcessSharedMemoryExecutor(
-            num_workers=3, partition_threshold=16
+        assert any(
+            "probability zero" in r.reason for r in stats.degradations
         )
-        tiers = [type(t).__name__ for t in default_cascade(primary)]
-        assert tiers == ["CollaborativeExecutor", "SerialExecutor"]
-        assert default_cascade(SerialExecutor()) == []
+        assert engine.likelihood() == 0.0
+        assert not np.any(engine.marginal(7))  # dysp: no mass, not [.5, .5]
 
     def test_degradation_record_str(self):
         record = DegradationRecord("A", "B", "because")
@@ -533,14 +587,6 @@ class TestEngineResilience:
         np.testing.assert_allclose(
             engine.marginal(5), baseline.marginal(5), rtol=1e-9
         )
-
-    def test_resilience_kwargs_dict(self):
-        from repro import InferenceEngine, random_network
-
-        bn = random_network(10, seed=4)
-        engine = InferenceEngine.from_network(bn)
-        engine.propagate(resilience={"logspace_fallback": False})
-        assert engine.last_stats.degradations == []
 
     def test_trace_labels_executor_that_completed_the_run(self):
         # A degradation cascade must not leave the trace labeled with the

@@ -4,8 +4,10 @@ The contract under test: a worker write torn between checksum stamp and
 master read is *detected and refused* (never served — the entries are
 finite, so only the crc catches it), a checkpoint round-trips
 bit-identically, a checkpoint from a foreign tree or with tampered bytes
-is refused with a typed error, and the serving layer recycles a poisoned
-session from its baseline checkpoint so the next query is exact again.
+is refused with a typed error, a failed, poisoned or torn serving tier
+leaves the session's cached state bit-identical (the recovery ladder
+rolls it back) so the next query is exact, and a flagged session
+recycles from its baseline checkpoint.
 """
 
 from __future__ import annotations
@@ -495,7 +497,7 @@ class TestSessionPoolRecycling:
             engine.propagate()
             for table in engine._state.potentials.values():
                 table.values[...] = np.nan
-            pool.note_failure(engine, "unhealthy result", poisoned=True)
+            pool.flag_recycle(engine)
         assert pool.recycles == 1
         assert pool.recycles_from_checkpoint == 1
         with pool.session() as engine:
@@ -514,10 +516,10 @@ class TestSessionPoolRecycling:
         pool = EngineSessionPool.from_junction_tree(tree, sessions=1)
         pool.recycle_threshold = 2
         with pool.session() as engine:
-            pool.note_failure(engine, "tier failed")
+            pool.note_failure(engine)
         assert pool.recycles == 0  # one strike: below threshold
         with pool.session() as engine:
-            pool.note_failure(engine, "tier failed again")
+            pool.note_failure(engine)
         assert pool.recycles == 1
 
     def test_success_resets_the_strike_count(self):
@@ -525,9 +527,9 @@ class TestSessionPoolRecycling:
         pool = EngineSessionPool.from_junction_tree(tree, sessions=1)
         pool.recycle_threshold = 2
         with pool.session() as engine:
-            pool.note_failure(engine, "one-off")
+            pool.note_failure(engine)
             pool.note_success(engine)
-            pool.note_failure(engine, "another one-off")
+            pool.note_failure(engine)
         assert pool.recycles == 0
 
     def test_recycle_without_baseline_recalibrates(self):
@@ -536,7 +538,7 @@ class TestSessionPoolRecycling:
         assert pool._baseline is None
         with pool.session() as engine:
             engine.propagate()
-            pool.note_failure(engine, "poisoned", poisoned=True)
+            pool.flag_recycle(engine)
         assert pool.recycles == 1
         assert pool.recycles_from_checkpoint == 0
         with pool.session() as engine:
@@ -544,7 +546,7 @@ class TestSessionPoolRecycling:
 
 
 # --------------------------------------------------------------------- #
-# Acceptance: torn write -> detect -> recycle -> exact again
+# Acceptance: a failed tier is rolled back, never served, never kept
 # --------------------------------------------------------------------- #
 
 
@@ -561,14 +563,79 @@ class _HangExecutor(SerialExecutor):
         return super().run(graph, state, **kw)
 
 
-class TestServiceRecovery:
-    def test_torn_write_is_never_served_and_session_recycles(self):
+class _ScribbleThenRaise:
+    """A primary that writes garbage over the whole state, then dies."""
+
+    def run(self, graph, state, tracer=None, deadline=None):
+        state.buffer[:] = 1e6
+        raise RuntimeError("died after scribbling")
+
+
+class _NaNResult:
+    """A primary that completes the run, then poisons a table."""
+
+    def run(self, graph, state, tracer=None, deadline=None):
+        stats = SerialExecutor().run(graph, state, deadline=deadline)
+        state.potentials[0].values[...] = np.nan
+        return stats
+
+
+def _torn_primary():
+    return ProcessSharedMemoryExecutor(
+        num_workers=2, inline_threshold=0,
+        fault_plan=FaultPlan(torn_write={1: 4}),
+    )
+
+
+class TestLadderLeavesSessionUntouched:
+    @pytest.mark.parametrize(
+        "make_primary", [_ScribbleThenRaise, _NaNResult, _torn_primary],
+        ids=["raises", "nan", "torn-write"],
+    )
+    def test_failed_primary_never_writes_the_session_state(self, make_primary):
         tree = _tree(num_cliques=16, seed=11)
         pool = EngineSessionPool.from_junction_tree(tree, sessions=1)
+        engine = pool.engines[0]
+        before = engine._state
+        buffer, written = before.buffer.copy(), set(before._inter)
+        primary = make_primary()
+        service = InferenceService(
+            pool, primary=primary, fallback=SerialExecutor(), workers=1
+        )
+        variables = _variables(tree, count=4)
+        oracle = InferenceEngine(tree)
+
+        for delta in ({0: 1}, {0: 0, 2: 1}):
+            response = service.query(delta=delta, vars=variables)
+            assert response.status == "ok", response.error
+            if delta == {0: 1}:
+                # The failed primary never served, and the state the
+                # flight started from is bit-identical.
+                assert response.executor == "SerialExecutor"
+                assert np.array_equal(before.buffer, buffer)
+                assert set(before._inter) == written
+            oracle.set_evidence(delta)
+            oracle.propagate(incremental=False)
+            for v in variables:
+                np.testing.assert_allclose(
+                    response.marginals[v], oracle.marginal(v),
+                    rtol=1e-9, atol=1e-12,
+                )
+        report = service.drain()
+        assert report.failed == 0
+        if isinstance(primary, ProcessSharedMemoryExecutor):
+            assert primary.fault_plan._taken_torn  # the torn write fired
+
+
+class TestServiceRecovery:
+    def test_torn_write_is_never_served_and_next_flight_is_exact(self):
+        tree = _tree(num_cliques=16, seed=11)
+        pool = EngineSessionPool.from_junction_tree(tree, sessions=1)
+        plan = FaultPlan(torn_write={1: 4})
         primary = ProcessSharedMemoryExecutor(
             num_workers=2,
             inline_threshold=0,
-            fault_plan=FaultPlan(torn_write={1: 4}),
+            fault_plan=plan,
         )
         service = InferenceService(pool, primary=primary, workers=1)
         variables = _variables(tree, count=4)
@@ -578,12 +645,12 @@ class TestServiceRecovery:
         # The torn primary never served: the fallback tier answered.
         assert "Process" not in first.executor
 
-        # Next query runs on the recycled session and is exact.
+        # The next query builds on the session's state and is exact.
         second = service.query(delta={0: 0}, vars=variables)
         assert second.status == "ok"
         report = service.drain()
-        assert report.session_recycles >= 1
-        assert report.session_recycles_from_checkpoint >= 1
+        assert plan._taken_torn  # the torn write fired
+        assert report.failed == 0
 
         oracle = InferenceEngine(tree)
         oracle.set_evidence({0: 1})

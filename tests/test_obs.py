@@ -485,18 +485,6 @@ class TestEngineTracing:
         engine.propagate(trace=tracer)
         assert engine.last_trace.num_spans > 0
 
-    def test_legacy_executor_without_tracer_param_still_runs(self):
-        class LegacyExecutor:
-            def run(self, graph, state):
-                return SerialExecutor().run(graph, state)
-
-        tree, _ = _workload(num_cliques=12)
-        engine = InferenceEngine(tree, reroot=False)
-        engine.propagate(LegacyExecutor(), trace=True)
-        # Untraced executor -> empty but well-formed trace.
-        assert engine.last_trace is not None
-        assert engine.last_trace.spans == []
-
     def test_untraced_propagate_leaves_no_trace(self):
         tree, _ = _workload(num_cliques=12)
         engine = InferenceEngine(tree, reroot=False)

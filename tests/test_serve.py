@@ -220,7 +220,7 @@ def test_resilient_deadline_does_not_cascade(serve_tree):
 
 def test_resilient_forwards_deadline_to_surviving_tier(serve_tree):
     class Broken:
-        def run(self, graph, state):
+        def run(self, graph, state, **kw):
             raise RuntimeError("always down")
 
     engine = InferenceEngine(serve_tree)
@@ -1046,3 +1046,116 @@ class TestAbandonedProbeRelease:
         assert breaker.allow()
         breaker.release_probe()
         service.drain()
+
+
+class TestProbeAccounting:
+    def test_deadline_inside_the_probe_hands_the_slot_back(self, serve_tree):
+        """A half-open probe whose flight hits its deadline inside the
+        primary gave no verdict: its slot must come back, or the breaker
+        stays half-open and every later flight skips the primary."""
+
+        class DownThenDeadline:
+            def __init__(self):
+                self.calls = 0
+
+            def run(self, graph, state, tracer=None, deadline=None):
+                self.calls += 1
+                if self.calls == 1:
+                    raise RuntimeError("pool down")
+                if self.calls == 2:
+                    raise TaskExecutionError("timed out", phase="deadline")
+                return SerialExecutor().run(graph, state, deadline=deadline)
+
+        clockbox = [0.0]
+        breaker = CircuitBreaker(
+            failure_threshold=1, reset_timeout=0.05, clock=lambda: clockbox[0]
+        )
+        primary = DownThenDeadline()
+        service = make_service(
+            serve_tree, primary=primary, breaker=breaker, workers=1,
+            sessions=1,
+        )
+        first = service.query(delta={0: 1}, vars=[4], deadline=30.0)
+        assert first.status == "ok"
+        assert breaker.state == "open"
+        clockbox[0] = 1.0
+        probe = service.query(delta={1: 1}, vars=[4], deadline=30.0)
+        assert probe.status == "deadline"
+        assert breaker._probes_in_flight == 0
+        after = service.query(delta={2: 1}, vars=[4], deadline=30.0)
+        service.drain()
+        assert after.status == "ok"
+        assert primary.calls == 3  # the next flight probed the primary
+        assert breaker.state == "closed"
+
+
+# --------------------------------------------------------------------- #
+# Evidence with no posterior
+# --------------------------------------------------------------------- #
+
+
+@pytest.fixture
+def asia_pool():
+    from repro.models import asia
+
+    bn, _ = asia()
+    return EngineSessionPool.from_network(bn, sessions=1)
+
+
+IMPOSSIBLE = {3: 1, 5: 0}  # asia: lung = yes but either = no, P(e) = 0
+
+
+class TestImpossibleEvidence:
+    def _assert_refused(self, response):
+        assert response.status == "failed"
+        assert response.marginals == {}
+        assert "P(evidence) = 0.0 is not > 0" in response.error
+
+    def test_single_flight_refuses_and_never_caches(self, asia_pool):
+        service = InferenceService(
+            asia_pool, fallback=SerialExecutor(), workers=1
+        )
+        for _ in range(2):  # a repeat is refused again, not cache-served
+            self._assert_refused(
+                service.query(delta=dict(IMPOSSIBLE), vars=[7], deadline=30.0)
+            )
+        signature = QueryRequest(delta=dict(IMPOSSIBLE)).signature()
+        assert asia_pool.cache.get_marginal(signature, 7) is None
+        # The session still serves possible evidence exactly.
+        fine = service.query(delta={3: 1}, vars=[7], deadline=30.0)
+        report = service.drain()
+        assert fine.status == "ok"
+        assert report.quarantined == 2
+        assert "cache" not in report.tier_counts
+        assert not service._stale_store or all(
+            sig != signature for _v, _ts, sig in service._stale_store.values()
+        )
+
+    def test_micro_batch_refuses_the_case_and_serves_the_rest(self, asia_pool):
+        gate = _GateExecutor()
+        service = InferenceService(
+            asia_pool, fallback=gate, workers=1, max_batch=8
+        )
+        blocker = service.submit(QueryRequest(delta={0: 1}, vars=[7]))
+        assert gate.started.wait(timeout=30.0)
+        victim = service.submit(QueryRequest(delta=dict(IMPOSSIBLE), vars=[7]))
+        healthy = service.submit(QueryRequest(delta={2: 1}, vars=[7]))
+        gate.release.set()
+        assert blocker.result(timeout=30).status == "ok"
+        self._assert_refused(victim.result(timeout=30))
+        response = healthy.result(timeout=30)
+        assert response.status == "ok" and response.batched
+        # The repeat is refused again on the single-flight path.
+        self._assert_refused(
+            service.query(delta=dict(IMPOSSIBLE), vars=[7], deadline=30.0)
+        )
+        report = service.drain()
+        assert report.quarantined == 2
+        assert report.batches == 1
+
+
+def test_non_finite_soft_evidence_is_refused_at_the_request():
+    for bad in (float("nan"), float("inf")):
+        request = QueryRequest(delta={0: [bad, 1.0]}, vars=[3])
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            request.evidence()

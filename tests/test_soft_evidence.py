@@ -44,6 +44,17 @@ class TestEvidenceApi:
         with pytest.raises(ValueError):
             e.observe_soft(-1, [0.5, 0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            Evidence().observe_soft(0, [bad, 1.0])
+        # Through the engine: refused up front, nothing computed or cached.
+        engine = InferenceEngine.from_network(random_network(6, seed=1))
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            engine.query({0: [bad, 1.0]}, vars=[3])
+        assert len(engine.cache) == 0
+        assert engine.evidence.soft_as_dict() == {}
+
     def test_checked_against_validates_length(self):
         e = Evidence()
         e.observe_soft(0, [0.2, 0.3, 0.5])

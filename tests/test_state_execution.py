@@ -177,7 +177,7 @@ class TestNoAlias:
             def __init__(self, k):
                 self.k = k
 
-            def run(self, graph, state):
+            def run(self, graph, state, **kw):
                 for n, tid in enumerate(graph.topological_order()):
                     if n == self.k:
                         raise RuntimeError("executor died mid-run")
