@@ -29,9 +29,9 @@ def _make_executor(
 ):
     """Instantiate one of the registered executors by CLI name.
 
-    ``fault_kwargs`` (task_timeout / max_retries / fault_plan) configure
-    the process executor's fault-tolerance layer; the thread and serial
-    executors have no crash surface, so the kwargs are rejected there.
+    ``fault_kwargs`` (fault_plan / inline_threshold) configure the
+    process executor's fault injection; the thread and serial executors
+    have no crash surface, so the kwargs are rejected there.
     """
     from repro.sched import (
         CollaborativeExecutor,
@@ -43,9 +43,7 @@ def _make_executor(
     if name != "process" and any(
         v is not None for v in fault_kwargs.values()
     ):
-        raise ValueError(
-            "fault-injection / deadline options need --executor process"
-        )
+        raise ValueError("fault-injection options need --executor process")
     if name == "serial":
         return SerialExecutor()
     if name == "collaborative":
@@ -86,13 +84,16 @@ def _cmd_demo(args) -> int:
     if args.inject_kill is not None:
         from repro.sched import FaultPlan
 
+        if not args.resilience:
+            raise ValueError(
+                "--inject-kill needs --resilience: the process executor "
+                "does not recover on its own, the recovery ladder does"
+            )
         fault_plan = FaultPlan(kill_before_dispatch={args.inject_kill: 0})
     executor = _make_executor(
         args.executor,
         args.threads,
         args.partition_threshold,
-        task_timeout=args.deadline,
-        max_retries=args.retries if args.retries else None,
         fault_plan=fault_plan,
         # A demo network's tables sit under the inline threshold; force
         # real dispatches so the injected fault has a worker to hit.
@@ -141,19 +142,11 @@ def _cmd_demo(args) -> int:
             f"(hit rate {engine.cache.hit_rate() * 100:.1f}%)"
         )
     stats = engine.last_stats
-    if (
-        stats.retries_total or stats.pool_restarts
-        or stats.workers_restarted or stats.deadline_misses
-        or stats.fault_events or stats.degradations
-    ):
+    if stats.degradations:
         print(
-            f"recovery: {stats.retries_total} retries, "
-            f"{stats.deadline_misses} deadline misses, "
-            f"{stats.pool_restarts} pool restarts, "
-            f"{stats.workers_restarted} workers restarted"
+            f"recovery: {len(stats.degradations)} step(s) down the ladder, "
+            f"completed on {stats.completed_executor}"
         )
-        for event in stats.fault_events:
-            print(f"  fault injected: {event}")
         for record in stats.degradations:
             print(f"  degraded: {record}")
     if stats.health:
@@ -555,23 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="fault injection: SIGKILL one worker before the Nth task "
-        "dispatch (process executor only)",
-    )
-    demo.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-task deadline; overdue tasks are retried on a fresh "
-        "pool (process executor only)",
-    )
-    demo.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        metavar="N",
-        help="retry budget per task for crashes/deadline misses "
-        "(process executor only)",
+        "dispatch (process executor with --resilience only)",
     )
     demo.add_argument(
         "--delta",

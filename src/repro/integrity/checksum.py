@@ -31,10 +31,9 @@ class TornWriteError(TaskExecutionError):
 
     Carries full task attribution (tid, kind, phase, edge, chunk) via
     :class:`~repro.sched.faults.TaskExecutionError`, so a torn chunk in
-    a 200-clique run is pinned to its exact write range.  Deliberately
-    *not* retryable: once the arena disagrees with what a worker
-    computed, every table downstream of the tear is suspect, so the run
-    fails fast and the recovery ladder
+    a 200-clique run is pinned to its exact write range.  Once the arena
+    disagrees with what a worker computed, every table downstream of the
+    tear is suspect, so the run fails at once and the recovery ladder
     (:class:`~repro.sched.resilient.ResilientExecutor`) rolls the state
     back and re-runs it on the next tier instead.
     """

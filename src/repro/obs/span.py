@@ -21,7 +21,7 @@ CAT_EXECUTE = "execute"  # primitive / chunk / combine work
 CAT_SCHED = "sched"  # fetch, allocate, dispatch-wait, steal
 CAT_LOCK = "lock"  # slow GL/LL lock acquisitions
 CAT_IPC = "ipc"  # process-executor dispatch round-trips
-CAT_FAULT = "fault"  # retries, injected faults, degradations
+CAT_FAULT = "fault"  # injected faults, torn writes, degradations
 CAT_SERVE = "serve"  # inference-service request lifecycles
 CAT_STREAM = "stream"  # streaming-session tick lifecycles / window rolls
 CAT_RECOVERY = "recovery"  # journal replay / checkpoint adoption on restart

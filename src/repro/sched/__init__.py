@@ -23,8 +23,10 @@ tasks are ordered, interleaved, and mapped onto hardware:
 Every executor's ``run(graph, state, tracer=None, deadline=None)`` takes
 the same arguments.  Fault tolerance: :class:`ResilientExecutor` is the
 one recovery ladder — roll back, step down to the next tier, end at
-serial — with numerical health guards and a log-space underflow rescue;
-:class:`FaultPlan` injects deterministic faults for testing it.
+serial — with numerical health guards and a log-space underflow rescue.
+No executor recovers on its own: a fault ends its run with an exception,
+and the ladder steps down.  :class:`FaultPlan` injects deterministic
+faults for testing it.
 """
 
 from repro.sched.stats import ExecutionStats
@@ -39,7 +41,6 @@ from repro.sched.core import (
 from repro.sched.process import ProcessSharedMemoryExecutor
 from repro.sched.faults import (
     FaultPlan,
-    FaultRecord,
     HealthReport,
     TaskExecutionError,
     check_state_health,
@@ -57,7 +58,6 @@ __all__ = [
     "ProcessSharedMemoryExecutor",
     "run_dag",
     "FaultPlan",
-    "FaultRecord",
     "HealthReport",
     "TaskExecutionError",
     "check_state_health",

@@ -11,8 +11,8 @@ module provides:
   before dispatch #N, delay task T by S seconds, corrupt task T's
   output) consumed by :class:`~repro.sched.process.ProcessSharedMemoryExecutor`
   and by the simulator policies (:mod:`repro.simcore.policies`).  Every
-  fault fires exactly once, so a retried task runs clean and recovery
-  can be asserted against the serial oracle.
+  fault fires exactly once, so the run a recovery ladder re-tries runs
+  clean and recovery can be asserted against the serial oracle.
 * :class:`TaskExecutionError` — the worker-side exception wrapper that
   pins a failure to its task id, primitive kind, phase, tree edge and
   (for partitioned work) chunk range, so a crash deep in a 200-clique
@@ -101,22 +101,16 @@ class TaskExecutionError(RuntimeError):
 
 
 @dataclass
-class FaultRecord:
-    """One fault the executor actually observed/injected (for stats)."""
-
-    kind: str  # "kill" | "delay" | "corrupt" | "deadline" | "pool-broken"
-    tid: Optional[int] = None
-    detail: str = ""
-
-
-@dataclass
 class FaultPlan:
     """A deterministic schedule of injectable faults.
 
     All faults are *one-shot*: once taken they never fire again, so a
-    recovered/retried task executes cleanly and the run can be asserted
-    to converge.  The plan object itself tracks consumption, making it
-    single-use — build a fresh plan per run.
+    re-run of the same plan's executor executes cleanly and the run can
+    be asserted to converge.  The plan object itself tracks consumption,
+    making it single-use — build a fresh plan per run.  In the process
+    executor every fault but a delay ends the run (a corrupted table
+    ends it at the recovery ladder's health scan); the ladder then rolls
+    the state back and steps down.
 
     Parameters
     ----------
@@ -124,11 +118,14 @@ class FaultPlan:
         ``{dispatch_index: worker_offset}`` — before the Nth pool
         dispatch (0-based, counted across tasks, chunks and combines),
         SIGKILL the pool worker at ``worker_offset`` (modulo the live
-        worker count).  Exercises the ``BrokenProcessPool`` restart path.
+        worker count); the run fails with ``BrokenProcessPool``.  The
+        index counts per run, so a plan shared by several runs fires
+        at the first run that reaches it.
     delay_task:
         ``{tid: seconds}`` — the worker sleeps before executing the
-        task, on its first dispatch only.  Combined with a per-task
-        deadline this exercises the timeout/redispatch path.
+        task, on its first dispatch only.  A slow task finishes late and
+        the answer stays exact; with a whole-run deadline shorter than
+        the delay, the run is refused with ``phase="deadline"``.
     corrupt_task:
         ``{tid: mode}`` with mode in :data:`CORRUPTION_MODES` — after
         the task's first execution its output table is overwritten with
@@ -138,9 +135,9 @@ class FaultPlan:
         how the per-case quarantine path is exercised.
     fail_task:
         ``{tid: times}`` — the worker raises an injected exception on
-        the task's first ``times`` dispatches (then runs clean),
-        exercising the bounded retry-with-backoff path without killing
-        any process.
+        the task's first ``times`` dispatches (then runs clean): the run
+        fails with an attributed :class:`TaskExecutionError` without
+        killing any process.
     torn_write:
         ``{tid: entries}`` — after the task's first pool execution the
         worker stamps its checksum over the *correct* output, then

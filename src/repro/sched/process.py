@@ -25,10 +25,14 @@ every other executor runs — only its buffer lives in one
   run inline in the master over the same arena, keeping the tiny
   separator-sized divides off the IPC path.
 
-This module's own part is dispatch, retry, pool restart and the integrity
-protocol: which arena regions a task writes (:func:`_written_flat`, crc32
-stamped and verified) and which it mutates non-idempotently
-(:func:`_mutated_flat`, copied before dispatch, restored before a retry).
+This module's own part is dispatch and the integrity protocol: which
+arena regions a task writes (:func:`_written_flat`, crc32 stamped by the
+worker and verified by the master).  It does not recover on its own.  A
+killed worker, a task that raises, a torn write or a whole-run deadline
+ends the run with an exception, and the caller's state is untouched: the
+arena is copied back only after a clean run.  Recovery belongs to the one
+ladder, :class:`~repro.sched.resilient.ResilientExecutor`: roll back,
+step down, end at serial.
 
 Results match :class:`~repro.sched.serial.SerialExecutor` to floating-point
 round-off (identical when no marginalization is partitioned).  A run pays
@@ -54,12 +58,7 @@ import numpy as np
 
 from repro.integrity.checksum import TornWriteError, crc32_regions
 from repro.potential.primitives import PrimitiveKind
-from repro.sched.faults import (
-    FaultPlan,
-    FaultRecord,
-    TaskExecutionError,
-    corrupt_array,
-)
+from repro.sched.faults import FaultPlan, TaskExecutionError, corrupt_array
 from repro.sched.stats import ExecutionStats
 from repro.tasks.layout import table_layout
 from repro.tasks.partition_plan import plan_partition
@@ -91,23 +90,6 @@ def _written_flat(
     if task.kind is PrimitiveKind.DIVIDE:
         regions.append(state.separators[task.edge].values.reshape(-1))
     return regions
-
-
-def _mutated_flat(state: PropagationState, task: Task) -> Optional[np.ndarray]:
-    """Flat view of the buffer a task mutates *non-idempotently*.
-
-    MARGINALIZE and EXTEND fully overwrite their output, so a retry
-    after a mid-task crash recomputes the same values.  DIVIDE
-    promotes the separator (``sep <- sep_new``) and MULTIPLY updates
-    the target in place (``tgt *= extended``); re-running either over
-    a partially-updated buffer is wrong, so recovery must restore
-    this region from a pre-dispatch snapshot first.
-    """
-    if task.kind is PrimitiveKind.DIVIDE:
-        return state.separators[task.edge].values.reshape(-1)
-    if task.kind is PrimitiveKind.MULTIPLY:
-        return state.potentials[task.clique].values.reshape(-1)
-    return None
 
 
 # --------------------------------------------------------------------- #
@@ -233,18 +215,11 @@ class _ChunkProgress:
 
 
 class _Dispatch:
-    """One pool submission and its recovery bookkeeping.
+    """One pool submission: ``kind`` is ``"task"``, ``"chunk"`` or
+    ``"combine"``, and ``submit_ns`` the submission timestamp used for
+    tracing the dispatch round-trip."""
 
-    ``kind`` is ``"task"``, ``"chunk"`` or ``"combine"``; ``snapshot``
-    holds the pre-dispatch copy of the non-idempotently mutated region
-    (DIVIDE's separator, MULTIPLY's target slice) restored before any
-    retry, ``deadline`` the monotonic-clock instant after which the
-    dispatch counts as hung, and ``submit_ns`` the submission timestamp
-    used for tracing the dispatch round-trip.
-    """
-
-    __slots__ = ("kind", "tid", "idx", "lo", "hi",
-                 "attempts", "deadline", "snapshot", "submit_ns")
+    __slots__ = ("kind", "tid", "idx", "lo", "hi", "submit_ns")
 
     def __init__(self, kind: str, tid: int, idx: int = 0,
                  lo: int = 0, hi: int = 0):
@@ -253,10 +228,33 @@ class _Dispatch:
         self.idx = idx
         self.lo = lo
         self.hi = hi
-        self.attempts = 0
-        self.deadline: Optional[float] = None
-        self.snapshot: Optional[np.ndarray] = None
         self.submit_ns: int = 0
+
+
+def _torn_write(
+    shared: PropagationState, task: Task, disp: "_Dispatch", crc: int
+) -> Optional[TornWriteError]:
+    """The error to raise when the arena disagrees with the checksum a
+    worker stamped over what it wrote, or ``None`` when they agree."""
+    chunked = disp.kind == "chunk"
+    actual = crc32_regions(
+        _written_flat(shared, task, chunk=chunked),
+        disp.lo if chunked else None,
+        disp.hi if chunked else None,
+    )
+    if actual == crc:
+        return None
+    where = f", chunk [{disp.lo}, {disp.hi})" if chunked else ""
+    return TornWriteError(
+        f"torn write detected: task {disp.tid} ({task.kind.value}, "
+        f"{task.phase}, edge {task.edge}{where}) stamped checksum "
+        f"{crc:#010x} but the arena reads {actual:#010x}",
+        tid=disp.tid,
+        kind=task.kind.value,
+        phase=task.phase,
+        edge=tuple(task.edge),
+        chunk=(disp.lo, disp.hi) if chunked else None,
+    )
 
 
 def _kill_pids(pids) -> None:
@@ -288,46 +286,29 @@ class ProcessSharedMemoryExecutor:
     start_method:
         ``multiprocessing`` start method; defaults to ``fork`` where
         available (cheapest) and ``spawn`` elsewhere.
-    task_timeout:
-        Per-dispatch deadline in seconds.  A pooled task/chunk that does
-        not complete in time is treated as hung: the pool's workers are
-        killed, the pool is restarted over the same shared arena, and
-        every in-flight dispatch is re-issued (the overdue one counts
-        against its retry budget).  ``None`` (default) disables deadlines.
-    max_retries:
-        How many times one dispatch may be retried after a worker-side
-        exception or a missed deadline before the run fails.  ``0``
-        (default) fails fast, exactly like the pre-fault-tolerance
-        executor.
-    retry_backoff:
-        Base of the exponential backoff slept before the n-th retry of a
-        failed dispatch (``retry_backoff * 2**(n-1)`` seconds).
-    max_pool_restarts:
-        Hard cap on arena-preserving pool restarts (crash recovery and
-        deadline recovery combined) before the run gives up.
     fault_plan:
         A :class:`~repro.sched.faults.FaultPlan` of injected faults for
-        deterministic recovery testing.  Plans are single-use; pass a
-        fresh one per ``run()``.  Faults apply to pool-dispatched work
-        (inline master-side tasks are never faulted).
+        deterministic testing of the recovery ladder.  Each fault fires
+        once, in whichever ``run()`` reaches it first.  Faults apply to
+        pool-dispatched work (inline master-side tasks are never
+        faulted).  A plan switches the pool to eager worker spawn, so a
+        planned kill has a worker pid to signal (:meth:`worker_pids`).
     verify_writes:
         Torn-write detection: workers stamp a crc32 over exactly the
         arena regions each pooled task/chunk wrote, and the master
         re-verifies those bytes when the result arrives, raising
         :class:`~repro.integrity.checksum.TornWriteError` (attributed to
         the tid and chunk range) on mismatch instead of absorbing a torn
-        table.  ``None`` (default) enables verification exactly when
-        resilience features are active — the fault-free fast path pays
-        no checksum cost; ``True``/``False`` force it.  Detection is
-        deliberately non-retryable: after a stamped checksum disagrees
-        with the arena, every downstream table is suspect, so the run
-        fails fast and the recovery ladder rolls the state back and
-        re-runs it on the next tier.
+        table.  ``None`` (default) enables verification exactly when a
+        fault plan is set — the fault-free fast path pays no checksum
+        cost; ``True``/``False`` force it.
 
-    Resilience features (a deadline, a retry budget, or a fault plan)
-    switch the pool to eager worker spawn so worker pids are known up
-    front; ``stats.worker_pids`` then lists every worker that was ever
-    alive, with replacement workers appended after the master's slot.
+    Every fault ends the run with an exception: a task that raises
+    (:class:`~repro.sched.faults.TaskExecutionError`, attributed), a
+    killed worker (``BrokenProcessPool``), a torn write, or the whole-run
+    ``deadline``.  The caller's state is left as it was; run the executor
+    as a tier of :class:`~repro.sched.resilient.ResilientExecutor` to
+    finish the run on a simpler tier instead.
     """
 
     # The shared arena lays tables out per single case; batched states are
@@ -341,10 +322,6 @@ class ProcessSharedMemoryExecutor:
         max_chunks: int = 32,
         inline_threshold: int = 2048,
         start_method: Optional[str] = None,
-        task_timeout: Optional[float] = None,
-        max_retries: int = 0,
-        retry_backoff: float = 0.05,
-        max_pool_restarts: int = 3,
         fault_plan: Optional[FaultPlan] = None,
         verify_writes: Optional[bool] = None,
     ):
@@ -356,14 +333,6 @@ class ProcessSharedMemoryExecutor:
             raise ValueError("max_chunks must be >= 2")
         if inline_threshold < 0:
             raise ValueError("inline_threshold must be >= 0")
-        if task_timeout is not None and task_timeout <= 0:
-            raise ValueError("task_timeout must be > 0 or None")
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if retry_backoff < 0:
-            raise ValueError("retry_backoff must be >= 0")
-        if max_pool_restarts < 0:
-            raise ValueError("max_pool_restarts must be >= 0")
         methods = mp.get_all_start_methods()
         if start_method is not None and start_method not in methods:
             raise ValueError(
@@ -376,27 +345,15 @@ class ProcessSharedMemoryExecutor:
         self.start_method = start_method or (
             "fork" if "fork" in methods else methods[0]
         )
-        self.task_timeout = task_timeout
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
-        self.max_pool_restarts = max_pool_restarts
         self.fault_plan = fault_plan
         self.verify_writes = verify_writes
-        # Live pool-worker pids (refreshed at every pool (re)start when
-        # resilience features are active); lets tests and monitors target
-        # a worker externally, e.g. ``os.kill(executor.worker_pids()[0], 9)``.
+        # Live pool-worker pids (set at pool start when a fault plan is
+        # set); lets tests target a worker externally, e.g.
+        # ``os.kill(executor.worker_pids()[0], 9)``.
         self._pool_pids: List[int] = []
 
-    @property
-    def _resilient(self) -> bool:
-        return (
-            self.task_timeout is not None
-            or self.max_retries > 0
-            or self.fault_plan is not None
-        )
-
     def worker_pids(self) -> List[int]:
-        """Pids of the current pool's workers (resilient mode only)."""
+        """Pids of the current pool's workers (with a fault plan only)."""
         return list(self._pool_pids)
 
     # ------------------------------------------------------------------ #
@@ -409,11 +366,11 @@ class ProcessSharedMemoryExecutor:
         deadline: Optional[float] = None,
     ) -> ExecutionStats:
         """Run the graph; ``deadline`` is an absolute ``time.monotonic()``
-        instant for the *whole run* (distinct from ``task_timeout``, the
-        per-dispatch budget).  The master checks it at every dispatch and
-        wait boundary; an overrun raises
+        instant for the whole run.  The master checks it at every
+        dispatch and wait boundary; an overrun raises
         :class:`~repro.sched.faults.TaskExecutionError` with
-        ``phase="deadline"`` after quiescing the pool."""
+        ``phase="deadline"`` after killing the pool's workers, so a hung
+        task cannot hold the caller past it."""
         p = self.num_workers
         master_slot = p  # trailing per-worker stats slot for inline work
         stats = ExecutionStats(
@@ -443,18 +400,14 @@ class ProcessSharedMemoryExecutor:
         try:
             shared = _arena_state(shm, state.jt)
             np.copyto(shared.buffer, state.buffer)
-            ctx = mp.get_context(self.start_method)
-
-            def make_pool() -> ProcessPoolExecutor:
-                return ProcessPoolExecutor(
-                    max_workers=p,
-                    mp_context=ctx,
-                    initializer=_worker_init,
-                    initargs=(shm.name, state.jt, graph.tasks),
-                )
-
+            pool = ProcessPoolExecutor(
+                max_workers=p,
+                mp_context=mp.get_context(self.start_method),
+                initializer=_worker_init,
+                initargs=(shm.name, state.jt, graph.tasks),
+            )
             self._schedule(
-                graph, shared, make_pool, stats, master_slot, tracer,
+                graph, shared, pool, stats, master_slot, tracer,
                 deadline=deadline,
             )
             stats.wall_time = time.perf_counter() - start
@@ -482,37 +435,30 @@ class ProcessSharedMemoryExecutor:
     # ------------------------------------------------------------------ #
 
     def _schedule(
-        self, graph, shared, make_pool, stats, master_slot, tracer=None,
+        self, graph, shared, pool, stats, master_slot, tracer=None,
         deadline=None,
     ):
-        """The master's Allocate loop: dispatch ready tasks, resolve deps.
+        """The master's Allocate loop over ``pool``: dispatch ready tasks,
+        resolve deps, and shut the pool down however the loop ends.
 
-        In resilient mode (a deadline, a retry budget, or a fault plan)
-        the loop additionally: snapshots the non-idempotently mutated
-        region of each DIVIDE/MULTIPLY dispatch so it can be restored
-        before any retry; retries worker-side failures with exponential
-        backoff; detects ``BrokenProcessPool`` and missed deadlines,
-        kills the (possibly hung) workers, restarts the pool over the
-        same shared arena, and re-issues every in-flight dispatch.
+        The first fault ends the loop — a worker-side exception, a dead
+        worker, a torn write or the whole-run deadline — after the pool
+        is quiesced; nothing is retried here.
         """
-        p = self.num_workers
-        resilient = self._resilient
+        plan = self.fault_plan
         verify = (
             self.verify_writes
             if self.verify_writes is not None
-            else resilient
+            else plan is not None
         )
-        plan = self.fault_plan
         tasks = graph.tasks
         dep_count = graph.indegrees()
         ready = deque(graph.roots())
         pending: Dict[object, _Dispatch] = {}
-        requeue: List[_Dispatch] = []
         progress: Dict[int, _ChunkProgress] = {}
         completed = 0
+        dispatches = 0
         pid_slots: Dict[int, int] = {}
-        counters = {"dispatch": 0}
-        broken = [False]
 
         if tracer is not None:
             # The master thread is the only writer of every buffer here:
@@ -528,21 +474,11 @@ class ProcessSharedMemoryExecutor:
             mbuf = ipc_buf = None
 
         def slot_of(pid: int) -> int:
+            # A pool never replaces a worker (a dead one breaks the run),
+            # so at most num_workers pids ever arrive.
             slot = pid_slots.get(pid)
             if slot is None:
-                if len(pid_slots) < p:
-                    slot = len(pid_slots)
-                else:
-                    # Replacement worker after a crash/restart: its own
-                    # stats row, appended after the master's slot, instead
-                    # of silently merging into slot p-1.
-                    slot = len(stats.compute_time)
-                    stats.compute_time.append(0.0)
-                    stats.sched_time.append(0.0)
-                    stats.tasks_per_thread.append(0)
-                    stats.worker_pids.append(0)
-                    stats.workers_restarted += 1
-                pid_slots[pid] = slot
+                slot = pid_slots[pid] = len(pid_slots)
                 stats.worker_pids[slot] = pid
                 if tracer is not None:
                     tracer.name_row(slot, f"worker-{slot} (pid {pid})")
@@ -558,212 +494,70 @@ class ProcessSharedMemoryExecutor:
                 if dep_count[succ] == 0:
                     ready.append(succ)
 
-        def start_pool():
-            new = make_pool()
-            if resilient:
-                # Eager spawn: one ping fills the pool, so worker pids are
-                # known before any real dispatch (kill faults and hung-pool
-                # recovery need someone to signal).
-                try:
-                    new.submit(_worker_ping).result(timeout=60.0)
-                except Exception:
-                    new.shutdown(wait=False, cancel_futures=True)
-                    raise
-                self._pool_pids = sorted(getattr(new, "_processes", None) or {})
-                for wpid in self._pool_pids:
-                    slot_of(wpid)
-            else:
-                self._pool_pids = []
-            return new
-
-        pool = start_pool()
-
-        def take_snapshot(disp: "_Dispatch"):
-            if not resilient or disp.kind == "combine":
-                return None
-            flat = _mutated_flat(shared, tasks[disp.tid])
-            if flat is None:
-                return None
-            if disp.kind == "chunk":
-                return flat[disp.lo:disp.hi].copy()
-            return flat.copy()
-
-        def restore_snapshot(disp: "_Dispatch") -> None:
-            if disp.kind == "combine":
-                # Re-zero a possibly partially-summed MARGINALIZE output so
-                # the additive combiner restarts from a clean slate.
-                shared.output_table(tasks[disp.tid]).values[...] = 0.0
-                return
-            if disp.snapshot is None:
-                return
-            flat = _mutated_flat(shared, tasks[disp.tid])
-            if disp.kind == "chunk":
-                flat[disp.lo:disp.hi] = disp.snapshot
-            else:
-                flat[:] = disp.snapshot
-
         def dispatch(disp: "_Dispatch") -> None:
-            if broken[0]:
-                requeue.append(disp)
-                return
-            if plan is not None and self._pool_pids:
-                offset = plan.take_kill(counters["dispatch"])
+            nonlocal dispatches
+            delay, corrupt, fail, torn = 0.0, None, False, None
+            if plan is not None:
+                offset = plan.take_kill(dispatches)
                 if offset is not None:
                     victim = self._pool_pids[offset % len(self._pool_pids)]
                     _kill_pids([victim])
-                    stats.fault_events.append(FaultRecord(
-                        "kill", disp.tid,
-                        f"SIGKILL worker {victim} before dispatch "
-                        f"{counters['dispatch']}",
-                    ))
                     if mbuf is not None:
                         mbuf.instant(f"fault:kill pid {victim}", CAT_FAULT)
                     # The pool reports a dead worker only once its manager
                     # thread finds no result and no wakeup pending, and a
                     # survivor streaming small results can starve that for
-                    # an unbounded stretch of the run.  A planned kill is
-                    # acted on now, so what a plan exercises never depends
-                    # on that timing (an external kill still does).
-                    broken[0] = True
-                    requeue.append(disp)
-                    return
-            delay = plan.take_delay(disp.tid) if plan is not None else 0.0
-            corrupt = plan.take_corruption(disp.tid) if plan is not None else None
-            fail = plan.take_failure(disp.tid) if plan is not None else False
-            torn = None
-            if plan is not None and not (
-                disp.kind == "chunk"
-                and tasks[disp.tid].kind is PrimitiveKind.MARGINALIZE
-            ):
-                # MARGINALIZE chunks write nothing shared (partials travel
-                # by pickle), so a torn write there cannot exist; leave the
-                # fault armed for a dispatch that actually writes the arena.
-                torn = plan.take_torn(disp.tid)
-            if delay:
-                stats.fault_events.append(
-                    FaultRecord("delay", disp.tid, f"{delay:g}s"))
-            if corrupt is not None:
-                stats.fault_events.append(
-                    FaultRecord("corrupt", disp.tid, str(corrupt)))
-            if fail:
-                stats.fault_events.append(
-                    FaultRecord("fail", disp.tid, "injected exception"))
-            if torn is not None:
-                stats.fault_events.append(FaultRecord(
-                    "torn", disp.tid,
-                    f"{torn} entries scribbled after checksum stamp"))
-            if mbuf is not None and (
-                delay or corrupt is not None or fail or torn is not None
-            ):
-                mbuf.instant(f"fault:inject#{disp.tid}", CAT_FAULT)
+                    # an unbounded stretch of the run.  A planned kill
+                    # fails the run now, so what a plan exercises never
+                    # depends on that timing (an external kill still does).
+                    raise BrokenProcessPool(
+                        f"worker {victim} was SIGKILLed before dispatch "
+                        f"{dispatches}"
+                    )
+                delay = plan.take_delay(disp.tid)
+                corrupt = plan.take_corruption(disp.tid)
+                fail = plan.take_failure(disp.tid)
+                if not (
+                    disp.kind == "chunk"
+                    and tasks[disp.tid].kind is PrimitiveKind.MARGINALIZE
+                ):
+                    # MARGINALIZE chunks write nothing shared (partials
+                    # travel by pickle), so a torn write there cannot
+                    # exist; leave the fault armed for a dispatch that
+                    # actually writes the arena.
+                    torn = plan.take_torn(disp.tid)
+                if mbuf is not None and (
+                    delay or corrupt is not None or fail or torn is not None
+                ):
+                    mbuf.instant(f"fault:inject#{disp.tid}", CAT_FAULT)
             disp.submit_ns = time.perf_counter_ns()
             parts = ranges = None
             if disp.kind == "combine":
                 prog = progress[disp.tid]
                 parts, ranges = prog.parts, prog.ranges
-            try:
-                fut = pool.submit(
-                    _exec, disp.kind, disp.tid, disp.lo, disp.hi,
-                    parts, ranges, delay, corrupt, fail, torn, verify)
-            except BrokenProcessPool:
-                if not resilient:
-                    raise
-                broken[0] = True
-                requeue.append(disp)
-                return
-            counters["dispatch"] += 1
-            if self.task_timeout is not None:
-                disp.deadline = time.monotonic() + self.task_timeout
+            fut = pool.submit(
+                _exec, disp.kind, disp.tid, disp.lo, disp.hi,
+                parts, ranges, delay, corrupt, fail, torn, verify)
+            dispatches += 1
             pending[fut] = disp
 
-        def recover(reason: str) -> None:
-            """Arena-preserving pool restart + re-dispatch of in-flight work."""
-            nonlocal pool
-            if not resilient:
-                raise RuntimeError(
-                    f"process pool broke ({reason}) with resilience disabled"
-                )
-            if mbuf is not None:
-                mbuf.instant(f"fault:pool-restart ({reason})", CAT_FAULT)
-            requeue.extend(pending.values())
-            pending.clear()
-            while True:
-                stats.pool_restarts += 1
-                if stats.pool_restarts > self.max_pool_restarts:
-                    raise RuntimeError(
-                        f"process executor giving up after "
-                        f"{stats.pool_restarts - 1} pool restarts ({reason})"
-                    )
-                # Hung workers never drain the call queue; kill them so
-                # shutdown() returns instead of joining a sleeping child.
-                _kill_pids(self._pool_pids)
-                try:
-                    pool.shutdown(wait=True, cancel_futures=True)
-                except Exception:
-                    pass
-                pool = start_pool()
-                broken[0] = False
-                batch, requeue[:] = list(requeue), []
-                for disp in batch:
-                    restore_snapshot(disp)
-                for disp in batch:
-                    dispatch(disp)
-                if not broken[0]:
-                    return
-                requeue.extend(pending.values())
-                pending.clear()
-
-        def handle_deadlines() -> None:
-            if self.task_timeout is None or not pending:
-                return
-            now = time.monotonic()
-            overdue = [
-                d for d in pending.values()
-                if d.deadline is not None and d.deadline <= now
-            ]
-            if not overdue:
-                return
-            stats.deadline_misses += len(overdue)
-            for disp in overdue:
-                disp.attempts += 1
-                task = tasks[disp.tid]
-                stats.fault_events.append(FaultRecord(
-                    "deadline", disp.tid,
-                    f"attempt {disp.attempts} exceeded "
-                    f"{self.task_timeout:g}s",
-                ))
-                if mbuf is not None:
-                    mbuf.instant(f"fault:deadline#{disp.tid}", CAT_FAULT)
-                if disp.attempts > self.max_retries:
-                    raise TaskExecutionError(
-                        f"task {disp.tid} ({task.kind.value}, {task.phase}, "
-                        f"edge {task.edge}) missed its "
-                        f"{self.task_timeout:g}s deadline "
-                        f"{disp.attempts} time(s)",
-                        tid=disp.tid,
-                        kind=task.kind.value,
-                        phase=task.phase,
-                        edge=tuple(task.edge),
-                        chunk=(disp.lo, disp.hi)
-                        if disp.kind == "chunk" else None,
-                    )
-                stats.retries_total += 1
-            recover("deadline miss")
-
-        def check_run_deadline() -> None:
-            """Whole-run deadline (distinct from the per-dispatch timeout)."""
-            if deadline is not None and time.monotonic() >= deadline:
-                stats.deadline_misses += 1
-                raise TaskExecutionError(
-                    f"process propagation exceeded its deadline with "
-                    f"{graph.num_tasks - completed} of {graph.num_tasks} "
-                    f"tasks unexecuted",
-                    phase="deadline",
-                )
-
+        self._pool_pids = []
         try:
+            if plan is not None:
+                # Eager spawn: one ping fills the pool, so a planned kill
+                # has a worker pid to signal before any real dispatch.
+                pool.submit(_worker_ping).result(timeout=60.0)
+                self._pool_pids = sorted(pool._processes)
+                for wpid in self._pool_pids:
+                    slot_of(wpid)
             while completed < graph.num_tasks:
-                check_run_deadline()
+                if deadline is not None and time.monotonic() >= deadline:
+                    raise TaskExecutionError(
+                        f"process propagation exceeded its deadline with "
+                        f"{graph.num_tasks - completed} of {graph.num_tasks} "
+                        f"tasks unexecuted",
+                        phase="deadline",
+                    )
                 while ready:
                     tid = ready.popleft()
                     task = tasks[tid]
@@ -774,9 +568,7 @@ class ProcessSharedMemoryExecutor:
                         stats.tasks_partitioned += 1
                         progress[tid] = _ChunkProgress(ranges)
                         for idx, (lo, hi) in enumerate(ranges):
-                            disp = _Dispatch("chunk", tid, idx, lo, hi)
-                            disp.snapshot = take_snapshot(disp)
-                            dispatch(disp)
+                            dispatch(_Dispatch("chunk", tid, idx, lo, hi))
                     elif task.partition_size <= self.inline_threshold:
                         t0 = time.perf_counter_ns()
                         shared.execute(task)
@@ -789,14 +581,7 @@ class ProcessSharedMemoryExecutor:
                         stats.tasks_inline += 1
                         finish(tid, master_slot)
                     else:
-                        disp = _Dispatch("task", tid)
-                        disp.snapshot = take_snapshot(disp)
-                        dispatch(disp)
-                if broken[0]:
-                    stats.fault_events.append(FaultRecord(
-                        "pool-broken", None, "pool broke during dispatch"))
-                    recover("broken pool during dispatch")
-                    continue
+                        dispatch(_Dispatch("task", tid))
                 if completed == graph.num_tasks:
                     break
                 if not pending:
@@ -804,21 +589,11 @@ class ProcessSharedMemoryExecutor:
                         f"process executor stalled with "
                         f"{graph.num_tasks - completed} tasks unexecuted"
                     )
-                timeout = None
-                if self.task_timeout is not None:
-                    deadlines = [
-                        d.deadline for d in pending.values()
-                        if d.deadline is not None
-                    ]
-                    if deadlines:
-                        timeout = max(min(deadlines) - time.monotonic(), 0.0)
-                if deadline is not None:
-                    # Wake in time to notice a whole-run deadline overrun.
-                    remaining_s = max(deadline - time.monotonic(), 0.0)
-                    timeout = (
-                        remaining_s if timeout is None
-                        else min(timeout, remaining_s)
-                    )
+                # Wake in time to notice a whole-run deadline overrun.
+                timeout = (
+                    None if deadline is None
+                    else max(deadline - time.monotonic(), 0.0)
+                )
                 if mbuf is not None:
                     mbuf.sample_queue(len(pending))
                 t0 = time.perf_counter_ns()
@@ -831,79 +606,20 @@ class ProcessSharedMemoryExecutor:
                     mbuf.span("wait", CAT_SCHED, t0, t1)
                 stats.sched_time[master_slot] += (t1 - t0) * 1e-9
                 for fut in done:
-                    disp = pending.pop(fut, None)
-                    if disp is None:
-                        # A recover() this batch already re-dispatched it.
-                        continue
-                    try:
-                        pid, elapsed, payload, t0_ns, t1_ns, crc = fut.result()
-                    except BrokenProcessPool as exc:
-                        if not resilient:
-                            raise
-                        stats.fault_events.append(FaultRecord(
-                            "pool-broken", disp.tid,
-                            str(exc) or "worker died"))
-                        requeue.append(disp)
-                        recover("BrokenProcessPool")
-                        continue
-                    except Exception:
-                        disp.attempts += 1
-                        if disp.attempts > self.max_retries:
-                            raise
-                        stats.retries_total += 1
+                    disp = pending.pop(fut)
+                    pid, elapsed, payload, t0_ns, t1_ns, crc = fut.result()
+                    error = (
+                        _torn_write(shared, tasks[disp.tid], disp, crc)
+                        if verify and crc is not None else None
+                    )
+                    if error is not None:
+                        # Every table downstream of a tear is suspect, so
+                        # the run fails; the recovery ladder rolls it back.
                         if mbuf is not None:
                             mbuf.instant(
-                                f"fault:retry#{disp.tid} "
-                                f"(attempt {disp.attempts})",
-                                CAT_FAULT,
+                                f"fault:torn-write#{disp.tid}", CAT_FAULT
                             )
-                        if self.retry_backoff:
-                            time.sleep(
-                                self.retry_backoff
-                                * (2 ** (disp.attempts - 1))
-                            )
-                        restore_snapshot(disp)
-                        dispatch(disp)
-                        continue
-                    if verify and crc is not None:
-                        task = tasks[disp.tid]
-                        chunked_disp = disp.kind == "chunk"
-                        actual = crc32_regions(
-                            _written_flat(shared, task, chunk=chunked_disp),
-                            disp.lo if chunked_disp else None,
-                            disp.hi if chunked_disp else None,
-                        )
-                        if actual != crc:
-                            # Non-retryable by design: the arena disagrees
-                            # with what the worker computed, so every table
-                            # downstream of the tear is suspect.  Fail the
-                            # run; the recovery ladder rolls it back.
-                            stats.torn_writes_detected += 1
-                            stats.fault_events.append(FaultRecord(
-                                "torn-write", disp.tid,
-                                f"stamped {crc:#010x}, arena {actual:#010x}",
-                            ))
-                            if mbuf is not None:
-                                mbuf.instant(
-                                    f"fault:torn-write#{disp.tid}", CAT_FAULT
-                                )
-                            where = (
-                                f", chunk [{disp.lo}, {disp.hi})"
-                                if chunked_disp else ""
-                            )
-                            raise TornWriteError(
-                                f"torn write detected: task {disp.tid} "
-                                f"({task.kind.value}, {task.phase}, edge "
-                                f"{task.edge}{where}) stamped checksum "
-                                f"{crc:#010x} but the arena reads "
-                                f"{actual:#010x}",
-                                tid=disp.tid,
-                                kind=task.kind.value,
-                                phase=task.phase,
-                                edge=tuple(task.edge),
-                                chunk=(disp.lo, disp.hi)
-                                if chunked_disp else None,
-                            )
+                        raise error
                     slot = slot_of(pid)
                     if tracer is not None:
                         tracer.buffer(slot).task_span(
@@ -941,17 +657,14 @@ class ProcessSharedMemoryExecutor:
                                 # place; the combiner is pure bookkeeping.
                                 progress.pop(disp.tid)
                                 finish(disp.tid, slot)
-                if broken[0]:
-                    recover("broken pool during retry dispatch")
-                handle_deadlines()
         except BaseException:
             # Quiesce before the arena teardown in run(): drop queued work,
-            # kill possibly-hung workers, and wait the pool down so no live
-            # worker races the shared-memory unlink.
-            for fut in list(pending):
+            # kill the workers (a hung or still-running one would hold
+            # shutdown() until its task ended), and wait the pool down so
+            # no live worker races the shared-memory unlink.
+            for fut in pending:
                 fut.cancel()
-            if resilient:
-                _kill_pids(self._pool_pids)
+            _kill_pids(list(getattr(pool, "_processes", None) or {}))
             try:
                 pool.shutdown(wait=True, cancel_futures=True)
             except Exception:

@@ -7,10 +7,11 @@ state back, re-run on a simpler executor, and end at serial.
 ``engine.propagate(resilience=True)`` and behind every propagation
 :class:`~repro.serve.service.InferenceService` serves:
 
-* **Rollback and step down** — if a tier raises (crashed pool past its
-  restart budget, exhausted retries, a torn write, anything), the state's
-  buffer and its set of written intermediates are restored to their
-  pre-run snapshot and the next tier runs.  The ladder is
+* **Rollback and step down** — if a tier raises (a killed worker, a task
+  that raised, a torn write, anything), the state's buffer and its set
+  of written intermediates are restored to their pre-run snapshot and
+  the next tier runs.  No tier retries or restarts anything itself: this
+  is the only place a failed run is re-run.  The ladder is
   ``[executor, *fallbacks, SerialExecutor()]`` (no second serial tier
   when the last one already is serial).
 * **Numerical health guard** — after every completed tier the clique

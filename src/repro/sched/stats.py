@@ -32,27 +32,16 @@ class ExecutionStats:
     # Process-executor extras: tasks the master ran inline instead of
     # dispatching, bytes of the shared-memory arena, and the worker
     # process pids in per-slot order (for correlating with OS tooling).
-    # After a crash recovery, replacement workers get their own trailing
-    # slots (after the master's), so pids are never merged across lives.
     tasks_inline: int = 0
     shared_bytes: int = 0
     worker_pids: List[int] = field(default_factory=list)
     # Index of the master's inline-work slot in the per-slot lists, or
     # None when every slot is a real worker (thread executors).
     master_slot: Optional[int] = None
-    # Fault-tolerance accounting: dispatch retries (worker exceptions and
-    # missed deadlines), per-dispatch deadline misses, arena-preserving
-    # pool restarts, replacement workers observed, injected/observed
-    # fault records (repro.sched.faults.FaultRecord), and the degradation
-    # steps a ResilientExecutor took to finish the run.
-    retries_total: int = 0
-    deadline_misses: int = 0
-    pool_restarts: int = 0
-    workers_restarted: int = 0
-    # Torn writes the arena checksum verification caught (each one raised
-    # a TornWriteError; a nonzero count can only appear on a failed run).
-    torn_writes_detected: int = 0
-    fault_events: List[object] = field(default_factory=list)
+    # The steps a ResilientExecutor took to finish the run (one
+    # DegradationRecord per rollback, step down or log-space rescue).
+    # An executor records no faults of its own: a fault ends its run
+    # with an exception, and the ladder turns that into a step down.
     degradations: List[object] = field(default_factory=list)
     # Post-run numerical health summary (set by ResilientExecutor) and,
     # when the log-space fallback ran, the log-likelihood of the evidence
@@ -104,9 +93,8 @@ class ExecutionStats:
     def per_worker_summary(self) -> List[dict]:
         """One dict per slot: role, pid (if known), compute time, tasks.
 
-        Rows cover every slot — real workers, replacement workers after a
-        pool restart, and (process executor) the master's inline-execution
-        share, marked by ``role == "master"``.
+        Rows cover every slot — real workers and (process executor) the
+        master's inline-execution share, marked by ``role == "master"``.
         """
         rows = []
         for slot, compute in enumerate(self.compute_time):

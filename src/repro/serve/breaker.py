@@ -1,9 +1,10 @@
 """Thread-safe circuit breaker guarding the process-executor tier.
 
 The process tier is the fastest way to answer a query and the most
-expensive way to fail one: a crashed worker pool costs a pool restart,
-and a pool that keeps crashing (OOM killer, cgroup limits, a poisoned
-shared segment) costs a restart *per request* while delivering nothing.
+expensive way to fail one: a crashed worker pool costs a failed run
+that the recovery ladder repeats on the next tier, and a pool that keeps
+crashing (OOM killer, cgroup limits, a poisoned shared segment) costs a
+failed run *per request* while delivering nothing.
 The breaker converts that repeated-failure pattern into a cheap local
 decision — after ``failure_threshold`` consecutive failures the breaker
 *opens* and requests route straight to the thread tier; after

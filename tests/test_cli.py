@@ -32,6 +32,23 @@ class TestHandlers:
         out = capsys.readouterr().out
         assert "P(evidence)" in out
 
+    def test_injected_kill_is_finished_by_the_ladder(self, capsys):
+        code = main([
+            "demo", "--variables", "12", "--seed", "1", "--threads", "2",
+            "--executor", "process", "--inject-kill", "1", "--resilience",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "degraded: ProcessSharedMemoryExecutor -> SerialExecutor" in out
+        assert "health: healthy" in out
+
+    def test_injected_kill_needs_the_ladder(self):
+        with pytest.raises(ValueError, match="--resilience"):
+            main([
+                "demo", "--variables", "12", "--executor", "process",
+                "--inject-kill", "1",
+            ])
+
     def test_query_marginal(self, capsys):
         code = main(
             ["query", "--variables", "8", "--evidence", "0=1", "--target", "3"]

@@ -6,9 +6,11 @@ Covers the fault-tolerant execution layer end to end:
 * :class:`~repro.sched.faults.TaskExecutionError` attribution + pickling
   (``concurrent.futures`` round-trips worker exceptions through pickle).
 * The numerical health guard (:func:`~repro.sched.faults.scan_tables`).
-* :class:`~repro.sched.process.ProcessSharedMemoryExecutor` recovery:
-  SIGKILLed workers (injected and external), per-task deadlines, bounded
-  retries, with results asserted against the serial oracle to 1e-9.
+* :class:`~repro.sched.process.ProcessSharedMemoryExecutor` faults:
+  SIGKILLed workers (injected and external), failing tasks, slow and
+  hung tasks under a whole-run deadline.  The executor only fails; the
+  recovery ladder finishes each run, asserted against the serial oracle
+  to 1e-9.
 * :class:`~repro.sched.resilient.ResilientExecutor`: the degradation
   cascade, NaN quarantine, and the log-space underflow rescue.
 * The simulator's fault hooks (``sim_kill_core`` / ``sim_delay_task``).
@@ -17,11 +19,13 @@ Pool creation is expensive; the number of process-executor ``run()``
 calls is kept deliberately small.
 """
 
+import multiprocessing as mp
 import os
 import pickle
 import signal
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -29,6 +33,7 @@ import pytest
 from repro.inference.engine import InferenceEngine
 from repro.jt.generation import synthetic_tree
 from repro.potential.table import PotentialTable
+from repro.sched.core import CollaborativeExecutor
 from repro.sched.faults import (
     FaultPlan,
     HealthReport,
@@ -195,40 +200,58 @@ class TestHealthScan:
 
 
 class TestProcessRecovery:
+    """The process executor does not recover on its own: every fault ends
+    its run with an error and leaves the caller's state as it was, and
+    the recovery ladder finishes the run exactly on the next tier."""
+
     def test_injected_worker_kill_recovers_and_matches_serial(self):
         tree, graph, reference = _workload(seed=17)
+        plan = FaultPlan(kill_before_dispatch={2: 0})
+        primary = ProcessSharedMemoryExecutor(
+            num_workers=2, inline_threshold=0, fault_plan=plan
+        )
+        state = PropagationState(tree)
+        stats = ResilientExecutor(primary).run(graph, state)
+        _assert_matches(tree, reference, state)
+        assert plan._taken_kills == {2}
+        (record,) = stats.degradations
+        assert record.from_executor == "ProcessSharedMemoryExecutor"
+        assert record.to_executor == "SerialExecutor"
+        assert "BrokenProcessPool" in record.reason
+        assert stats.completed_executor == "SerialExecutor"
+
+    def test_injected_kill_fails_the_run_and_leaves_the_state(self):
+        tree, graph, _ = _workload(seed=17)
         executor = ProcessSharedMemoryExecutor(
             num_workers=2,
             inline_threshold=0,
-            max_retries=2,
             fault_plan=FaultPlan(kill_before_dispatch={2: 0}),
         )
         state = PropagationState(tree)
-        stats = executor.run(graph, state)
-        _assert_matches(tree, reference, state)
-        assert stats.pool_restarts >= 1
-        assert stats.workers_restarted >= 1
-        kinds = {event.kind for event in stats.fault_events}
-        assert "kill" in kinds
-        # Replacement workers get their own stats rows past the master's.
-        assert len(stats.worker_pids) > executor.num_workers + 1
+        before, written = state.buffer.copy(), set(state._inter)
+        with pytest.raises(BrokenProcessPool, match="SIGKILL"):
+            executor.run(graph, state)
+        # The arena is copied back only after a clean run.
+        assert np.array_equal(state.buffer, before, equal_nan=True)
+        assert set(state._inter) == written
+        assert not mp.active_children()
 
     def test_external_sigkill_mid_run_recovers(self):
         tree, graph, reference = _workload(seed=29)
         # The delay stretches the run so the external kill lands mid-flight
-        # (and switches the executor into resilient eager-spawn mode).
+        # (and the plan switches the executor into eager-spawn mode, so
+        # worker pids are known).
         delayed_tid = graph.tasks[0].tid
         executor = ProcessSharedMemoryExecutor(
             num_workers=2,
             inline_threshold=0,
-            max_retries=2,
             fault_plan=FaultPlan(delay_task={delayed_tid: 1.5}),
         )
         state = PropagationState(tree)
         result = {}
 
         def target():
-            result["stats"] = executor.run(graph, state)
+            result["stats"] = ResilientExecutor(executor).run(graph, state)
 
         thread = threading.Thread(target=target)
         thread.start()
@@ -246,49 +269,55 @@ class TestProcessRecovery:
         assert not thread.is_alive()
         stats = result["stats"]
         _assert_matches(tree, reference, state)
-        assert stats.pool_restarts >= 1
+        (record,) = stats.degradations
+        assert record.from_executor == "ProcessSharedMemoryExecutor"
+        assert not mp.active_children()
 
-    def test_deadline_miss_retries_and_matches_serial(self):
+    def test_slow_task_finishes_late_and_matches_serial(self):
+        """A delayed task is not a fault to recover from: the run waits
+        for it, and the answer is exact."""
         tree, graph, reference = _workload(seed=41)
-        delayed_tid = graph.tasks[1].tid
         executor = ProcessSharedMemoryExecutor(
             num_workers=2,
             inline_threshold=0,
-            task_timeout=0.4,
-            max_retries=2,
-            fault_plan=FaultPlan(delay_task={delayed_tid: 2.0}),
+            fault_plan=FaultPlan(delay_task={graph.tasks[1].tid: 0.3}),
         )
         state = PropagationState(tree)
         stats = executor.run(graph, state)
         _assert_matches(tree, reference, state)
-        assert stats.deadline_misses >= 1
-        assert stats.retries_total >= 1
-        assert stats.pool_restarts >= 1
+        assert stats.wall_time >= 0.3
 
-    def test_injected_failures_consume_retry_budget(self):
-        tree, graph, reference = _workload(seed=53)
-        failing_tid = graph.tasks[0].tid
+    def test_whole_run_deadline_kills_a_hung_task(self):
+        """The whole-run deadline bounds a hang: the run is refused on
+        time, its workers are killed rather than waited for, and the
+        ladder neither steps down nor leaves the state changed."""
+        tree, graph, _ = _workload(seed=43)
         executor = ProcessSharedMemoryExecutor(
             num_workers=2,
             inline_threshold=0,
-            max_retries=2,
-            retry_backoff=0.0,
-            fault_plan=FaultPlan(fail_task={failing_tid: 2}),
+            fault_plan=FaultPlan(delay_task={graph.tasks[0].tid: 30.0}),
         )
         state = PropagationState(tree)
-        stats = executor.run(graph, state)
-        _assert_matches(tree, reference, state)
-        assert stats.retries_total == 2
-        assert stats.pool_restarts == 0
+        before = state.buffer.copy()
+        started = time.monotonic()
+        with pytest.raises(TaskExecutionError) as info:
+            ResilientExecutor(executor).run(
+                graph, state, deadline=started + 0.5
+            )
+        assert time.monotonic() - started < 10.0
+        assert info.value.phase == "deadline"
+        assert info.value.degradations == []
+        assert np.array_equal(state.buffer, before, equal_nan=True)
+        assert not mp.active_children()
 
     def test_exhausted_retries_raise_with_attribution(self):
+        """The executor keeps no retry budget: a task that keeps failing
+        ends the run at its first failure, attributed to that task."""
         tree, graph, _ = _workload(num_cliques=5, seed=67)
         failing = graph.tasks[0]
         executor = ProcessSharedMemoryExecutor(
             num_workers=2,
             inline_threshold=0,
-            max_retries=1,
-            retry_backoff=0.0,
             fault_plan=FaultPlan(fail_task={failing.tid: 5}),
         )
         with pytest.raises(TaskExecutionError) as excinfo:
@@ -296,6 +325,7 @@ class TestProcessRecovery:
         assert excinfo.value.tid == failing.tid
         assert f"task {failing.tid}" in str(excinfo.value)
         assert excinfo.value.phase == failing.phase
+        assert not mp.active_children()
 
     def test_fail_fast_without_retry_budget(self):
         tree, graph, _ = _workload(num_cliques=5, seed=71)
@@ -307,32 +337,36 @@ class TestProcessRecovery:
         with pytest.raises(TaskExecutionError):
             executor.run(graph, PropagationState(tree))
 
+    def test_injected_failure_steps_down_and_matches_serial(self):
+        tree, graph, reference = _workload(seed=53)
+        primary = ProcessSharedMemoryExecutor(
+            num_workers=2,
+            inline_threshold=0,
+            fault_plan=FaultPlan(fail_task={graph.tasks[0].tid: 1}),
+        )
+        state = PropagationState(tree)
+        stats = ResilientExecutor(primary).run(graph, state)
+        _assert_matches(tree, reference, state)
+        (record,) = stats.degradations
+        assert "injected task failure" in record.reason
+
     def test_partitioned_kill_recovers_and_matches_serial(self):
         evidence = {0: 1}
         tree, graph, reference = _workload(
             num_cliques=8, width=4, seed=83, evidence=evidence
         )
-        executor = ProcessSharedMemoryExecutor(
+        plan = FaultPlan(kill_before_dispatch={10: 1})
+        primary = ProcessSharedMemoryExecutor(
             num_workers=2,
             partition_threshold=8,
             inline_threshold=0,
-            max_retries=2,
-            fault_plan=FaultPlan(kill_before_dispatch={10: 1}),
+            fault_plan=plan,
         )
         state = PropagationState(tree, evidence)
-        stats = executor.run(graph, state)
+        stats = ResilientExecutor(primary).run(graph, state)
         _assert_matches(tree, reference, state)
-        assert stats.pool_restarts >= 1
-
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError, match="task_timeout"):
-            ProcessSharedMemoryExecutor(task_timeout=0.0)
-        with pytest.raises(ValueError, match="max_retries"):
-            ProcessSharedMemoryExecutor(max_retries=-1)
-        with pytest.raises(ValueError, match="retry_backoff"):
-            ProcessSharedMemoryExecutor(retry_backoff=-0.1)
-        with pytest.raises(ValueError, match="max_pool_restarts"):
-            ProcessSharedMemoryExecutor(max_pool_restarts=-1)
+        assert plan._taken_kills == {10}
+        assert stats.degraded()
 
 
 # --------------------------------------------------------------------- #
@@ -531,7 +565,7 @@ class TestResilientExecutor:
 
 
 # --------------------------------------------------------------------- #
-# Acceptance: kill + deadline miss, full recovery within 1e-9 of serial
+# Acceptance: kill + slow task under a deadline, finished by the ladder
 # --------------------------------------------------------------------- #
 
 
@@ -542,20 +576,22 @@ class TestAcceptance:
         primary = ProcessSharedMemoryExecutor(
             num_workers=2,
             inline_threshold=0,
-            task_timeout=0.5,
-            max_retries=2,
             fault_plan=FaultPlan(
                 kill_before_dispatch={1: 0},
-                delay_task={delayed_tid: 2.0},
+                delay_task={delayed_tid: 0.2},
             ),
         )
         state = PropagationState(tree)
-        stats = ResilientExecutor(primary).run(graph, state)
+        stats = ResilientExecutor(
+            primary, fallbacks=[CollaborativeExecutor(num_threads=2)]
+        ).run(graph, state, deadline=time.monotonic() + 60.0)
         _assert_matches(tree, reference, state)
-        assert stats.pool_restarts >= 1
-        assert stats.retries_total >= 1
-        # Fully recovered in-tier: the cascade never had to step down.
-        assert stats.degradations == []
+        # The killed tier never served: the next tier finished the run
+        # inside the deadline.
+        assert [r.from_executor for r in stats.degradations] == [
+            "ProcessSharedMemoryExecutor"
+        ]
+        assert stats.completed_executor == "CollaborativeExecutor"
 
     def test_forced_degradation_is_reported(self):
         tree, graph, reference = _workload(num_cliques=5, seed=101)
@@ -783,8 +819,8 @@ class TestBatchedFaultDifferential:
 
     The process tier refuses batched states and falls back to per-case
     runs, so injected kills and delays land inside individual cases; the
-    batch as a whole must still match a fresh serial oracle per case at
-    1e-9.
+    ladder finishes a killed case on the next tier, and the batch as a
+    whole must still match a fresh serial oracle per case at 1e-9.
     """
 
     CASES = [{0: 1}, {1: 0}, {}]
@@ -808,16 +844,17 @@ class TestBatchedFaultDifferential:
         variables = sorted(
             {v for clique in tree.cliques for v in clique.variables}
         )[:6]
-        executor = ProcessSharedMemoryExecutor(
+        executor = ResilientExecutor(ProcessSharedMemoryExecutor(
             num_workers=2,
             inline_threshold=0,
-            max_retries=2,
             fault_plan=FaultPlan(
                 kill_before_dispatch={2: 0}, delay_task={1: 0.2}
             ),
-        )
+        ))
         state = engine.propagate_batch(self.CASES, executor=executor)
         assert state.batch == len(self.CASES)
+        # The kill ended one case's process run; the ladder finished it.
+        assert len(engine.last_stats.degradations) == 1
         for i, expected in enumerate(self._oracle_rows(tree, variables)):
             for v in variables:
                 np.testing.assert_allclose(

@@ -11,6 +11,7 @@ the spawn start method.  Pool creation is expensive, so the number of
 
 import multiprocessing as mp
 import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -167,7 +168,7 @@ class TestArenaLifetime:
         "faults,error",
         [
             (None, None),
-            (dict(kill_before_dispatch={1: 0}), None),
+            (dict(kill_before_dispatch={1: 0}), BrokenProcessPool),
             (dict(torn_write={1: 4}), TornWriteError),
         ],
         ids=["clean", "injected-kill", "torn-write"],
@@ -190,7 +191,6 @@ class TestArenaLifetime:
         executor = ProcessSharedMemoryExecutor(
             num_workers=2,
             inline_threshold=0,
-            max_retries=2 if faults else 0,
             fault_plan=FaultPlan(**faults) if faults else None,
         )
         state = PropagationState(tree)

@@ -76,9 +76,9 @@ class TestExecutionStats:
         assert [r["pid"] for r in rows] == [101, 102, 100]
 
     def test_per_worker_summary_tolerates_short_lists(self):
-        # After a pool restart the per-slot lists can disagree in length
-        # (replacement workers get trailing compute slots before their
-        # pid/sched/task entries exist).  Summary rows must not IndexError.
+        # The per-slot lists can disagree in length (thread executors
+        # leave worker_pids empty, and a hand-built stats object may fill
+        # only some lists).  Summary rows must not IndexError.
         stats = ExecutionStats(
             num_threads=2,
             compute_time=[1.0, 2.0, 0.5, 0.7],

@@ -17,10 +17,12 @@ Six phases:
   so zero ``failed`` responses are tolerated.
 * **Phase B — process chaos.**  A breaker-guarded process-executor
   primary suffers a seeded :class:`~repro.sched.faults.FaultPlan`
-  (worker kill, task delay + timeout, table corruption) plus an induced
-  outage window that must open the circuit breaker; after the outage the
-  half-open probe must recover it.  Every exact answer served *during*
-  the chaos is still checked against the oracle.
+  (worker kill, task delay, table corruption) plus an induced outage
+  window that must open the circuit breaker; after the outage the
+  half-open probe must recover it.  The process tier does not recover
+  on its own: each fault ends its run and the recovery ladder answers
+  from the next tier.  Every exact answer served *during* the chaos is
+  still checked against the oracle.
 * **Phase C — micro-batch chaos.**  One worker with ``max_batch=4`` and
   a burst-submitting client swarm, so queued flights ride batched
   propagations, under a fault plan that adds a *torn write* on top of
@@ -310,9 +312,9 @@ def phase_b(seed: int, duration: float, failures: List[str]):
     )
     before = live_resources()
     # Seeded one-shot faults inside the real process tier: a worker kill
-    # (pool restart), a delayed task racing a short per-task timeout
-    # (redispatch), and a corrupted output table (the ladder's health
-    # guard must catch it and step down — exactly, not approximately).
+    # and a corrupted output table each end the primary's run, and the
+    # ladder must roll back and answer from the next tier (exactly, not
+    # approximately); a delayed task only makes its run slow.
     plan = FaultPlan(
         kill_before_dispatch={2: 0},
         delay_task={0: 0.4},
@@ -322,8 +324,6 @@ def phase_b(seed: int, duration: float, failures: List[str]):
         ProcessSharedMemoryExecutor(
             num_workers=2,
             inline_threshold=0,
-            task_timeout=0.2,
-            max_retries=2,
             fault_plan=plan,
         ),
         fail_calls=2,
@@ -367,6 +367,8 @@ def phase_b(seed: int, duration: float, failures: List[str]):
     for request, response in responses:
         verify_response(oracle, request, response, failures)
     leak_check(before, failures)
+    if not plan._taken_kills:
+        failures.append("the worker kill never fired — fault setup is broken")
     opens = sum(1 for t in breaker.transitions if t.to_state == "open")
     if opens == 0:
         failures.append("induced outage never opened the breaker")
@@ -406,8 +408,6 @@ def phase_c(seed: int, duration: float, failures: List[str]):
     primary = ProcessSharedMemoryExecutor(
         num_workers=2,
         inline_threshold=0,
-        task_timeout=5.0,
-        max_retries=2,
         fault_plan=plan,
     )
     service = InferenceService(
