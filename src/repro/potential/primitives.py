@@ -56,6 +56,14 @@ class PrimitiveKind(enum.Enum):
 # 2**16 entries it takes 430-690 us where einsum takes 85-125 us.
 WIDE_TABLE = 1 << 12
 
+# A wide table whose changed run of axes has at most SPLIT_POST entries
+# after it runs the slice kernels (:class:`Split`) instead: einsum and
+# copyto then loop over an inner axis that short, 115-290 us per call on
+# 2**16 entries where one strided pass per slice takes 20-70 us.  Past
+# SPLIT_SLICES passes (k * post) the slices stop winning.
+SPLIT_POST = 4
+SPLIT_SLICES = 12
+
 # np.einsum has one subscript letter per axis and 52 letters.
 _LETTERS = string.ascii_letters
 
@@ -106,6 +114,43 @@ def _merged_batch(a: PotentialTable, b: PotentialTable):
 # for other scopes raises ``ValueError`` like a malformed call always did.
 
 
+class Split(NamedTuple):
+    """A wide table as ``(pre, k, post)`` per case: ``k`` joint states of
+    the one run of adjacent axes a primitive changes, ``pre`` entries
+    before the run and ``post`` after it.  A batched table's case axis
+    folds into ``pre`` (the kernels reshape with ``-1``).
+
+    The run is what MARGINALIZE drops or, with ``kept`` set, the only
+    axes it keeps (a posterior read); for EXTEND it is what it adds.
+    """
+
+    pre: int
+    k: int
+    post: int
+    kept: bool = False
+
+
+def _run(axes: Sequence[int]) -> Optional[Tuple[int, int]]:
+    """``(start, end)`` when the ascending ``axes`` are one non-empty run
+    of adjacent axes, else None."""
+    if axes and axes[-1] - axes[0] == len(axes) - 1:
+        return axes[0], axes[-1] + 1
+    return None
+
+
+def _split(cardinalities, run, kept: bool = False) -> Optional[Split]:
+    """The :class:`Split` of a wide table around the axis run ``run``, or
+    None when the slice kernels would not beat einsum / copyto there."""
+    if run is None:
+        return None
+    start, end = run
+    k = math.prod(cardinalities[start:end])
+    post = math.prod(cardinalities[end:])
+    if k < 2 or post > SPLIT_POST or k * post > SPLIT_SLICES:
+        return None
+    return Split(math.prod(cardinalities[:start]), k, post, kept)
+
+
 class MarginalizePlan(NamedTuple):
     variables: Tuple[int, ...]       # the table's scope ...
     cardinalities: Tuple[int, ...]
@@ -118,6 +163,7 @@ class MarginalizePlan(NamedTuple):
     # ``onto`` asks for.
     out_perm: Optional[Tuple[int, ...]]
     subscripts: Optional[str]        # einsum form, wide tables only
+    split: Optional[Split]           # the slice kernel's, when it wins
 
 
 class ExtendPlan(NamedTuple):
@@ -130,6 +176,7 @@ class ExtendPlan(NamedTuple):
     # then its shape with a size-1 axis per added variable.
     perm: Optional[Tuple[int, ...]]
     shape: Tuple[int, ...]
+    split: Optional[Split]           # the slice kernel's, when it wins
 
 
 class MultiplyPlan(NamedTuple):
@@ -164,7 +211,8 @@ def plan_marginalize(
     source = [variables.index(v) for v in onto]
     order = sorted(range(len(onto)), key=source.__getitem__)
     dropped = [i for i in range(len(variables)) if i not in source]
-    subscripts = None
+    in_order = source == sorted(source)
+    subscripts = split = None
     if (
         math.prod(cardinalities) >= WIDE_TABLE
         and len(variables) < len(_LETTERS)
@@ -176,12 +224,16 @@ def plan_marginalize(
             ),
             "".join(_LETTERS[a] for a in _permutation(source, batched)),
         )
+        if in_order:
+            split = _split(cardinalities, _run(dropped)) or _split(
+                cardinalities, _run(source), kept=True
+            )
     return MarginalizePlan(
         variables, cardinalities, bool(batched), onto,
         tuple(cardinalities[i] for i in source),
         _shifted(dropped, batched),
-        None if source == sorted(source) else _permutation(order, batched),
-        subscripts,
+        None if in_order else _permutation(order, batched),
+        subscripts, split,
     )
 
 
@@ -209,10 +261,17 @@ def plan_extend(
     # axis for every new variable: numpy broadcasts the rest.
     perm = [variables.index(v) for v in target if v in cards]
     shape = tuple(cards.get(var, 1) for var in target)
+    in_order = perm == sorted(perm)
+    split = None
+    if in_order and math.prod(target_cards) >= WIDE_TABLE:
+        split = _split(target_cards, _run(
+            [i for i, var in enumerate(target) if var not in cards]
+        ))
     return ExtendPlan(
         variables, cardinalities, bool(batched), target, target_cards,
-        None if perm == sorted(perm) else _permutation(perm, batched),
+        None if in_order else _permutation(perm, batched),
         (-1,) + shape if batched else shape,
+        split,
     )
 
 
@@ -262,6 +321,49 @@ def _plan_mismatch(name: str, plan) -> ValueError:
 
 
 # --------------------------------------------------------------------- #
+# Slice kernels: a wide table as (pre, k, post), one strided pass per
+# slice.  They need C-contiguous arrays (their reshapes must be views);
+# the primitives run them only then, and einsum / copyto otherwise.
+# --------------------------------------------------------------------- #
+
+
+def _sum_run(values: np.ndarray, out: np.ndarray, split: Split) -> None:
+    """``out[p, s] = sum_r values[p, r, s]``: drop the run."""
+    k, post = split.k, split.post
+    src = values.reshape(-1, k, post)
+    dst = out.reshape(-1, post)
+    for s in range(post):
+        lane = dst[:, s]
+        np.add(src[:, 0, s], src[:, 1, s], out=lane)
+        for r in range(2, k):
+            np.add(lane, src[:, r, s], out=lane)
+
+
+def _sum_around(values: np.ndarray, out: np.ndarray, split: Split) -> None:
+    """``out[c, r] = sum_{p, s} values[c, p, r, s]``: keep only the run
+    (and a batched table's case axis ``c``)."""
+    k, post = split.k, split.post
+    dst = out.reshape(-1, k)
+    src = values.reshape(dst.shape[0], -1, k, post)
+    for r in range(k):
+        lane = dst[:, r]
+        np.add.reduce(src[:, :, r, 0], axis=1, out=lane)
+        for s in range(1, post):
+            lane += np.add.reduce(src[:, :, r, s], axis=1)
+
+
+def _copy_run(values: np.ndarray, out: np.ndarray, split: Split) -> None:
+    """``out[p, r, s] = values[p, s]``: add the run."""
+    k, post = split.k, split.post
+    src = values.reshape(-1, post)
+    dst = out.reshape(-1, k, post)
+    for s in range(post):
+        lane = src[:, s]
+        for r in range(k):
+            np.copyto(dst[:, r, s], lane)
+
+
+# --------------------------------------------------------------------- #
 # The primitives
 # --------------------------------------------------------------------- #
 
@@ -278,7 +380,10 @@ def marginalize(
     a batched result (each case marginalized independently).  ``out``, a
     table over exactly that scope, receives the result in place and is
     returned.  ``plan`` is :func:`plan_marginalize` of these scopes, for
-    callers that make the same call many times.
+    callers that make the same call many times.  Its size and split decide
+    the kernel: ``add.reduce`` on small tables, the slice kernel on a wide
+    table with a :class:`Split` (and C-contiguous arrays), einsum on the
+    other wide ones.
     """
     batch = table.batch
     if plan is None:
@@ -297,7 +402,18 @@ def marginalize(
     else:
         out.require(plan.onto, plan.onto_cards, batch)
     if plan.subscripts is not None:
-        np.einsum(plan.subscripts, table.values, out=out.values)
+        split = plan.split
+        values, target = table.values, out.values
+        if (
+            split is None
+            or not values.flags.c_contiguous
+            or not target.flags.c_contiguous
+        ):
+            np.einsum(plan.subscripts, values, out=target)
+        elif split.kept:
+            _sum_around(values, target, split)
+        else:
+            _sum_run(values, target, split)
         return out
     target = out.values
     if plan.out_perm is not None:
@@ -318,7 +434,9 @@ def extend(
     New variables are replicated (each entry of ``table`` appears once per
     joint state of the added variables), matching the extension primitive.
     ``out``, a table over exactly the target scope, receives the result in
-    place and is returned.  ``plan`` is :func:`plan_extend` of these scopes.
+    place and is returned.  ``plan`` is :func:`plan_extend` of these scopes;
+    with a :class:`Split` (and C-contiguous arrays) it copies one slice
+    per added state instead of broadcasting.
     """
     batch = table.batch
     if plan is None:
@@ -339,6 +457,13 @@ def extend(
     else:
         out.require(plan.target, plan.target_cards, batch)
     values = table.values
+    if (
+        plan.split is not None
+        and values.flags.c_contiguous
+        and out.values.flags.c_contiguous
+    ):
+        _copy_run(values, out.values, plan.split)
+        return out
     if plan.perm is not None:
         values = values.transpose(plan.perm)
     np.copyto(out.values, values.reshape(plan.shape))
@@ -389,9 +514,12 @@ def divide(
     zero mass, in which case the numerator is also zero and the standard
     junction-tree convention defines the ratio as zero.  ``out``, a table
     over the numerator's scope that is neither operand, receives the result
-    in place and is returned.  ``plan`` is :func:`plan_divide` of these
-    scopes.
+    in place and is returned (an operand as ``out`` raises
+    ``ValueError``: the body clears ``out`` before it reads them).
+    ``plan`` is :func:`plan_divide` of these scopes.
     """
+    if out is numerator or out is denominator:
+        raise ValueError("divide: out= must be neither operand")
     if plan is None:
         plan = plan_divide(
             numerator.variables, denominator.variables,

@@ -368,26 +368,12 @@ def corrupt_array(flat: np.ndarray, mode, column: Optional[int] = None) -> None:
 
 @dataclass
 class HealthReport:
-    """Outcome of a NaN/Inf/underflow scan over a set of tables.
-
-    For *batched* tables (leading batch axis) the scan additionally
-    attributes each finding to the batch columns it lives in:
-    ``nan_columns[key]`` lists the columns of table ``key`` containing a
-    NaN, and :meth:`poisoned_columns` unions every attribution into the
-    set of cases that must not be served — the single scan
-    ``_serve_batch`` quarantines from, instead of re-scanning each
-    case's marginals per variable.
-    """
+    """Outcome of a NaN/Inf/underflow scan over a set of tables."""
 
     nan_tables: List[object] = field(default_factory=list)
     inf_tables: List[object] = field(default_factory=list)
     underflowed_tables: List[object] = field(default_factory=list)
     tables_scanned: int = 0
-    # Batch-column attribution, {table_key: [column, ...]}; populated
-    # only for batched tables, and only for non-empty findings.
-    nan_columns: Dict[object, List[int]] = field(default_factory=dict)
-    inf_columns: Dict[object, List[int]] = field(default_factory=dict)
-    underflow_columns: Dict[object, List[int]] = field(default_factory=dict)
 
     @property
     def healthy(self) -> bool:
@@ -396,18 +382,6 @@ class HealthReport:
     @property
     def underflowed(self) -> bool:
         return bool(self.underflowed_tables)
-
-    def poisoned_columns(self) -> set:
-        """Batch columns that must not be served: non-finite anywhere, or
-        fully underflowed (their posteriors would normalize to 0/0)."""
-        poisoned: set = set()
-        for columns in self.nan_columns.values():
-            poisoned.update(columns)
-        for columns in self.inf_columns.values():
-            poisoned.update(columns)
-        for columns in self.underflow_columns.values():
-            poisoned.update(columns)
-        return poisoned
 
     def summary(self) -> str:
         if self.healthy and not self.underflowed:
@@ -419,9 +393,6 @@ class HealthReport:
             bits.append(f"Inf in {self.inf_tables}")
         if self.underflowed_tables:
             bits.append(f"underflow in {self.underflowed_tables}")
-        poisoned = self.poisoned_columns()
-        if poisoned:
-            bits.append(f"batch columns {sorted(poisoned)}")
         return "; ".join(bits)
 
 
@@ -430,39 +401,21 @@ def scan_tables(tables: Mapping[object, object]) -> HealthReport:
 
     A table *underflows* when every entry is exactly zero — the signature
     of joint mass shrinking below ``float64``'s reach, which the
-    log-space engine (:mod:`repro.potential.logspace`) avoids.  Batched
-    tables are scanned per batch column (one vectorized reduction over
-    the case axis, not a Python loop per case): a column underflows when
-    *its* entries are all zero, and every finding is recorded in the
-    report's ``*_columns`` attribution maps.
+    log-space engine (:mod:`repro.potential.logspace`) avoids.  A batched
+    table underflows when any one case's entries are all zero (one
+    vectorized reduction over the case axis).  Each table lands in at
+    most one list: NaN before Inf before underflow.
     """
     report = HealthReport()
     for key, table in tables.items():
         values = np.asarray(table.values)
         report.tables_scanned += 1
-        batch = getattr(table, "batch", None)
-        if batch is not None:
-            cases = values.reshape(batch, -1)
-            nan_cols = np.flatnonzero(np.isnan(cases).any(axis=1))
-            inf_cols = np.flatnonzero(np.isinf(cases).any(axis=1))
-            under_cols = np.flatnonzero(~(cases != 0).any(axis=1))
-            if nan_cols.size:
-                report.nan_tables.append(key)
-                report.nan_columns[key] = [int(c) for c in nan_cols]
-            elif inf_cols.size:
-                report.inf_tables.append(key)
-            elif under_cols.size:
-                report.underflowed_tables.append(key)
-            if inf_cols.size:
-                report.inf_columns[key] = [int(c) for c in inf_cols]
-            if under_cols.size:
-                report.underflow_columns[key] = [int(c) for c in under_cols]
-            continue
+        cases = getattr(table, "batch", None) or 1
         if np.isnan(values).any():
             report.nan_tables.append(key)
         elif np.isinf(values).any():
             report.inf_tables.append(key)
-        elif values.size and not values.any():
+        elif values.size and not values.reshape(cases, -1).any(axis=1).all():
             report.underflowed_tables.append(key)
     return report
 

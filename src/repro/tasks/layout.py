@@ -327,7 +327,11 @@ class TableLayout:
         self, clique: int, variable: int, batched: bool
     ) -> MarginalizePlan:
         """The plan of summing ``clique``'s potential down to ``variable``
-        alone (a posterior marginal read from its host clique)."""
+        alone (a posterior marginal read from its host clique).  On a
+        wide clique with at most ``SPLIT_POST`` entries after the
+        variable's axis, the plan keeps that axis as a
+        :class:`~repro.potential.primitives.Split`: the read is one
+        strided sum per state, not an einsum."""
         key = (clique, variable, batched)
         plan = self._answers.get(key)
         if plan is None:

@@ -785,33 +785,37 @@ class TestBatchAxisCorruption:
 
 class TestBatchAwareHealthScan:
     def test_columns_are_attributed(self):
+        """A defect in one batch column classifies its whole table; a
+        batched table with one all-zero column counts as underflowed."""
         clean = [0.2, 0.8]
         report = scan_tables({
             "a": _batched_table([clean, [np.nan, 1.0], clean]),
             "b": _batched_table([[np.inf, 1.0], clean, clean]),
             "c": _batched_table([clean, clean, [0.0, 0.0]]),
+            "d": _batched_table([clean, clean]),
         })
         assert not report.healthy
-        assert report.nan_columns["a"] == [1]
-        assert report.inf_columns["b"] == [0]
-        assert report.underflow_columns["c"] == [2]
-        assert report.poisoned_columns() == {0, 1, 2}
-        assert "batch columns" in report.summary()
+        assert report.nan_tables == ["a"]
+        assert report.inf_tables == ["b"]
+        assert report.underflowed_tables == ["c"]
+        assert report.tables_scanned == 4
+        assert "underflow in ['c']" in report.summary()
 
     def test_clean_batched_tables_have_no_poisoned_columns(self):
         report = scan_tables({
             "a": _batched_table([[0.2, 0.8], [0.5, 0.5]]),
+            "b": _batched_table([[0.0, 0.8], [0.5, 0.0]]),
         })
         assert report.healthy
-        assert report.poisoned_columns() == set()
+        assert not report.underflowed
+        assert report.summary() == "healthy (2 tables)"
 
     def test_nan_column_is_not_double_counted_as_underflow(self):
         report = scan_tables({
-            "a": _batched_table([[np.nan, np.nan], [0.3, 0.7]]),
+            "a": _batched_table([[np.nan, np.nan], [0.0, 0.0]]),
         })
-        assert report.nan_columns["a"] == [0]
-        assert "a" not in report.underflow_columns
-        assert report.poisoned_columns() == {0}
+        assert report.nan_tables == ["a"]
+        assert report.underflowed_tables == []
 
 
 class TestBatchedFaultDifferential:

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.jt.junction_tree import Clique, JunctionTree
+from repro.potential import primitives
 from repro.potential.primitives import (
     WIDE_TABLE,
     PrimitiveKind,
+    Split,
     divide,
     extend,
     marginalize,
@@ -17,6 +20,8 @@ from repro.potential.primitives import (
     primitive_flops,
 )
 from repro.potential.table import PotentialTable
+from repro.tasks.layout import table_layout
+from repro.tasks.state import PropagationState
 
 
 def _random(variables, cards, seed=0):
@@ -155,6 +160,17 @@ class TestDivide:
         b = _random([1, 0], [3, 2], seed=5)
         d = divide(a, b)
         assert np.allclose(d.values, a.values / b.values.T)
+
+    @pytest.mark.parametrize("alias", ["numerator", "denominator"])
+    def test_out_aliasing_an_operand_is_refused(self, alias):
+        # The body clears ``out`` before it reads the operands, so an
+        # aliased ``out`` would silently come back all zeros.
+        a = PotentialTable([0], [2], np.array([6.0, 8.0]))
+        b = PotentialTable([0], [2], np.array([2.0, 4.0]))
+        with pytest.raises(ValueError, match="neither operand"):
+            divide(a, b, out=a if alias == "numerator" else b)
+        assert np.array_equal(a.values, [6.0, 8.0])
+        assert np.array_equal(b.values, [2.0, 4.0])
 
     def test_divide_multiply_roundtrip(self):
         a = _random([0, 1], [2, 3], seed=6)
@@ -423,6 +439,193 @@ class TestPlans:
                 )
         small = plan_marginalize(variables[:5], cards[:5], (1,))
         assert small.subscripts is None
+
+
+# Wide tables (>= WIDE_TABLE entries per case) for the slice-kernel
+# matrix: the changed run is one axis of cardinality k at the first,
+# a middle, the second-to-last or the last position.  Only the last two
+# leave at most primitives.SPLIT_POST entries after the run, so only they
+# take the slice kernels; the others must keep einsum / copyto.
+_WIDE_BASE = (16, 3, 16, 5, 3, 4)
+_POSITIONS = {"first": 0, "middle": 2, "second-to-last": 4, "last": 5}
+
+
+def _wide_cards(position, k):
+    cards = list(_WIDE_BASE)
+    cards[_POSITIONS[position]] = k
+    assert np.prod(cards) >= WIDE_TABLE
+    return tuple(cards)
+
+
+def _out(variables, cards, batch, contiguous):
+    """An ``out=`` table; the non-contiguous one is every other entry of
+    a larger array."""
+    shape = cards if batch is None else (batch,) + cards
+    if contiguous:
+        values = np.full(shape, np.nan)
+    else:
+        values = np.full(shape + (2,), np.nan)[..., 0]
+    return PotentialTable.wrap(tuple(variables), tuple(cards), values, batch)
+
+
+_MATRIX = pytest.mark.parametrize("contiguous", [True, False])
+_CASES = pytest.mark.parametrize("batch", [None, 3])
+_RUNS = pytest.mark.parametrize("k", [2, 3])
+_AT = pytest.mark.parametrize("position", list(_POSITIONS))
+
+
+class TestSliceKernels:
+    """The wide-table kernels against the small-table references:
+    ``add.reduce`` (to 1e-12 relative) and a broadcasting ``copyto``
+    (bitwise)."""
+
+    def _table(self, position, k, batch, seed=5):
+        cards = _wide_cards(position, k)
+        shape = cards if batch is None else (batch,) + cards
+        values = np.random.default_rng(seed).uniform(0.1, 2.0, shape)
+        return PotentialTable(range(len(cards)), cards, values, batch=batch)
+
+    @_MATRIX
+    @_CASES
+    @_RUNS
+    @_AT
+    def test_marginalize_drop_run(self, position, k, batch, contiguous):
+        table = self._table(position, k, batch)
+        axis = _POSITIONS[position]
+        onto = tuple(v for v in table.variables if v != axis)
+        plan = plan_marginalize(
+            table.variables, table.cardinalities, onto, batch is not None
+        )
+        assert (plan.split is not None) == (axis >= 4)
+        offset = 0 if batch is None else 1
+        expected = np.add.reduce(table.values, axis=axis + offset)
+        out = _out(onto, plan.onto_cards, batch, contiguous)
+        result = marginalize(table, onto, out=out, plan=plan)
+        assert result is out
+        assert np.allclose(out.values, expected, rtol=1e-12, atol=0.0)
+
+    @_MATRIX
+    @_CASES
+    @_RUNS
+    @_AT
+    def test_marginalize_kept_run(self, position, k, batch, contiguous):
+        table = self._table(position, k, batch)
+        axis = _POSITIONS[position]
+        plan = plan_marginalize(
+            table.variables, table.cardinalities, (axis,), batch is not None
+        )
+        assert (plan.split is not None) == (axis >= 4)
+        offset = 0 if batch is None else 1
+        expected = np.add.reduce(
+            table.values,
+            axis=tuple(
+                v + offset for v in table.variables if v != axis
+            ),
+        )
+        out = _out((axis,), (k,), batch, contiguous)
+        marginalize(table, (axis,), out=out, plan=plan)
+        assert np.allclose(out.values, expected, rtol=1e-12, atol=0.0)
+
+    @_MATRIX
+    @_CASES
+    @_RUNS
+    @_AT
+    def test_extend_adds_run_bitwise(self, position, k, batch, contiguous):
+        wide = self._table(position, k, batch)
+        axis = _POSITIONS[position]
+        keep = tuple(v for v in wide.variables if v != axis)
+        source = marginalize(wide, keep)
+        plan = plan_extend(
+            keep, source.cardinalities, wide.variables, wide.cardinalities,
+            batch is not None,
+        )
+        assert (plan.split is not None) == (axis >= 4)
+        offset = 0 if batch is None else 1
+        expected = np.empty_like(wide.values)
+        np.copyto(expected, np.expand_dims(source.values, axis + offset))
+        out = _out(wide.variables, wide.cardinalities, batch, contiguous)
+        extend(
+            source, wide.variables, wide.cardinalities, out=out, plan=plan
+        )
+        assert np.array_equal(out.values, expected)
+        assert np.array_equal(
+            extend(source, wide.variables, wide.cardinalities).values,
+            expected,
+        )
+
+    @_CASES
+    @_RUNS
+    def test_state_marginal(self, k, batch):
+        cards = _wide_cards("last", k)
+        tree = JunctionTree([Clique(0, range(len(cards)), cards)], [None])
+        tree.initialize_potentials(np.random.default_rng(k))
+        if batch is None:
+            state = PropagationState(tree)
+        else:
+            state = PropagationState.batched(tree, [({}, {})] * batch)
+        values = state.potentials[0].values
+        offset = 0 if batch is None else 1
+        for position, axis in _POSITIONS.items():
+            assert (
+                table_layout(tree).answer(0, axis, batch is not None).split
+                is not None
+            ) == (axis >= 4), position
+            joint = np.add.reduce(
+                values,
+                axis=tuple(a + offset for a in range(len(cards)) if a != axis),
+            )
+            expected = joint / joint.sum(axis=-1, keepdims=True)
+            assert np.allclose(
+                state.marginal(axis), expected, rtol=1e-12, atol=0.0
+            ), position
+
+    def test_wide_last_axis_plans_carry_the_split(self, monkeypatch):
+        """A wide last-axis drop, keep and add carry their (pre, k, post)
+        split and run without einsum or a broadcasting copyto."""
+        width = 12
+        variables, cards = tuple(range(width)), (2,) * width
+        head = variables[:-1]
+        drop = plan_marginalize(variables, cards, head)
+        keep = plan_marginalize(variables, cards, variables[-1:])
+        add = plan_extend(head, cards[:-1], variables, cards)
+        assert drop.split == Split(2 ** 11, 2, 1, False)
+        assert keep.split == Split(2 ** 11, 2, 1, True)
+        assert add.split == Split(2 ** 11, 2, 1, False)
+        table = _random(variables, cards, seed=3)
+        expected = (
+            np.add.reduce(table.values, axis=-1),
+            np.add.reduce(table.values, axis=tuple(range(width - 1))),
+        )
+
+        def fallback(*args, **kwargs):
+            raise AssertionError("a split plan fell back to numpy's kernel")
+
+        monkeypatch.setattr(primitives.np, "einsum", fallback)
+        dropped = marginalize(table, head, plan=drop)
+        kept = marginalize(table, variables[-1:], plan=keep)
+        assert np.allclose(dropped.values, expected[0], rtol=1e-12, atol=0)
+        assert np.allclose(kept.values, expected[1], rtol=1e-12, atol=0)
+        monkeypatch.undo()
+        # One strided copy per added state, not one broadcast.
+        copies = _counting(np.copyto)
+        monkeypatch.setattr(primitives.np, "copyto", copies)
+        added = extend(dropped, variables, cards, plan=add)
+        assert copies.shapes == [(2 ** 11,)] * 2
+        assert np.array_equal(
+            added.values,
+            np.broadcast_to(dropped.values[..., None], table.values.shape),
+        )
+
+
+def _counting(copyto):
+    """``np.copyto`` that records the shape of every destination."""
+
+    def counted(dst, src, *args, **kwargs):
+        counted.shapes.append(dst.shape)
+        return copyto(dst, src, *args, **kwargs)
+
+    counted.shapes = []
+    return counted
 
 
 class TestPrimitiveFlops:
