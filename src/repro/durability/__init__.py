@@ -1,8 +1,8 @@
 """Durable serving: write-ahead tick journals and whole-process recovery.
 
 The layers above this package keep a serving process *internally*
-robust — torn-write detection, checkpoint/restore, self-healing
-sessions.  This package makes the process *externally* robust: a
+robust — torn-write detection, checkpoint/restore, the recovery
+ladder.  This package makes the process *externally* robust: a
 ``SIGKILL`` at any instant loses no acknowledged tick, and a restarted
 process rebuilds its streams and models from the durable root instead
 of from scratch.

@@ -4,7 +4,7 @@ Compiling a Bayesian network into a servable model is the full pipeline
 the rest of the repo treats as one-shot setup: moralize, triangulate,
 extract cliques, root a spanning tree, reroot it optimally (Algorithm 1),
 calibrate one warm session per pool slot, and capture the baseline
-integrity checkpoint recycling restores from.  Jensen & Jensen's optimal
+integrity checkpoint an eviction retains.  Jensen & Jensen's optimal
 junction trees make the case that this artifact is worth caching and
 managing explicitly — :func:`compile_model` is the cacheable unit, and
 :func:`rehydrate_model` is the cheap path back from an eviction: it
@@ -51,7 +51,7 @@ class CompiledModel:
     model_id: str
     pool: EngineSessionPool
     junction_tree: JunctionTree  # the rerooted tree the pool shares
-    baseline: Optional[bytes]
+    baseline: bytes
     cost_bytes: int
     stub_cost_bytes: int
     compile_seconds: float
@@ -97,9 +97,10 @@ def _stage_guard(
     return on_stage, marks
 
 
-def model_cost_bytes(pool: EngineSessionPool) -> int:
-    """Resident cost of one compiled model (the budget charge)."""
-    return pool.resident_bytes()
+def model_cost_bytes(pool: EngineSessionPool, baseline: bytes) -> int:
+    """Resident cost of one compiled model (the budget charge): the
+    pool's tables and buffers plus the retained baseline checkpoint."""
+    return pool.resident_bytes() + len(baseline)
 
 
 def stub_cost_bytes(jt: JunctionTree, baseline: Optional[bytes]) -> int:
@@ -142,16 +143,17 @@ def compile_model(
         on_stage(f"calibrate-session-{i}")
         engine.propagate()
     on_stage("checkpoint")
-    pool.capture_checkpoint()
+    buf = io.BytesIO()
+    pool.engines[0].checkpoint(buf)
+    baseline = buf.getvalue()
     on_stage.finish()  # type: ignore[attr-defined]
     rerooted = pool.engines[0].jt
-    baseline = pool.baseline_checkpoint
     return CompiledModel(
         model_id=model_id,
         pool=pool,
         junction_tree=rerooted,
         baseline=baseline,
-        cost_bytes=model_cost_bytes(pool),
+        cost_bytes=model_cost_bytes(pool, baseline),
         stub_cost_bytes=stub_cost_bytes(rerooted, baseline),
         compile_seconds=time.monotonic() - started,
         stages=marks,
@@ -196,14 +198,13 @@ def rehydrate_model(
         on_stage(f"restore-session-{i}")
         engine.restore(io.BytesIO(baseline))
     pool = EngineSessionPool(engines)
-    pool.adopt_checkpoint(baseline)
     on_stage.finish()  # type: ignore[attr-defined]
     return CompiledModel(
         model_id=model_id,
         pool=pool,
         junction_tree=junction_tree,
         baseline=baseline,
-        cost_bytes=model_cost_bytes(pool),
+        cost_bytes=model_cost_bytes(pool, baseline),
         stub_cost_bytes=stub_cost_bytes(junction_tree, baseline),
         compile_seconds=time.monotonic() - started,
         stages=marks,

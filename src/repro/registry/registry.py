@@ -8,10 +8,11 @@ Two classes turn the single-model service into a multi-model platform:
   calibrate pipeline, warm :class:`~repro.serve.EngineSessionPool`, and
   a per-model :class:`~repro.serve.InferenceService` in front of it.
   Residency is governed by a **global memory budget** (per-model cost
-  from :attr:`PotentialTable.nbytes` totals across the pool, via
-  :meth:`EngineSessionPool.resident_bytes`): compiling a model past the
-  budget evicts least-recently-used cold models, draining their services
-  (in-flight work finishes; nothing is lost) and closing their pools,
+  from :attr:`PotentialTable.nbytes` totals across the pool plus the
+  baseline checkpoint, via :func:`~repro.registry.model_cost_bytes`):
+  compiling a model past the budget evicts least-recently-used cold
+  models, draining their services (in-flight work finishes; nothing is
+  lost) and closing their pools,
   while retaining a cheap *stub* — the rerooted tree plus the baseline
   integrity checkpoint — so the next miss **rehydrates** (restore per
   session) instead of recompiling.  Compilation is **single-flight** (N

@@ -81,8 +81,10 @@ class Future:
     def __init__(self):
         self._event = threading.Event()
         self._response = None
-        # resolve() must be atomic: the watchdog races the worker that a
-        # stuck flight eventually un-sticks, and exactly one may win.
+        # resolve() must be atomic: a ticket can meet a second
+        # resolution (a worker's catch-all refuses every member of a
+        # group it failed to finish, answered or not), and exactly one
+        # may win.
         self._lock = threading.Lock()
         self._callbacks: List = []
 
@@ -283,9 +285,10 @@ class ServingCore:
     def finish(self, ticket: Ticket, response) -> bool:
         """Resolve ``ticket`` with ``response``; True if this call won.
 
-        Several threads may try (a worker, the watchdog that gave up on
-        it); the future picks one winner, and only the winner's response
-        is counted, traced and seen by the client.
+        A ticket can meet more than one resolution (a worker's catch-all
+        refuses a whole group, some members already answered); the
+        future picks one winner, and only the winner's response is
+        counted, traced and seen by the client.
         """
         end_ns = time.perf_counter_ns()
         response.latency = (end_ns - ticket.admitted_ns) * 1e-9

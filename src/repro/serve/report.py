@@ -102,13 +102,6 @@ class ServiceReport:
     batched_flights: int = 0
     single_flights: int = 0
     quarantined: int = 0
-    # Self-healing accounting: sessions recycled by the pool instead of
-    # re-entering rotation with a suspect state (and how many of those
-    # warm-restarted from the baseline checkpoint rather than paying a
-    # full recalibration), plus stuck flights the watchdog force-resolved.
-    session_recycles: int = 0
-    session_recycles_from_checkpoint: int = 0
-    watchdog_interventions: int = 0
     # Per-tenant / per-model response-status breakdowns, e.g.
     # {"tenant-a": {"ok": 10, "shed": 2}}.  Filled by the service from
     # request stamps; the registry aggregates them across every
@@ -228,12 +221,6 @@ class ServiceReport:
                 f"   flights in {self.batches} batches"
                 f" ({self.single_flights} single,"
                 f" {self.quarantined} quarantined)"
-            )
-        if self.session_recycles or self.watchdog_interventions:
-            lines.append(
-                f"sessions recycled  {self.session_recycles:8d}"
-                f"   ({self.session_recycles_from_checkpoint} from checkpoint,"
-                f" {self.watchdog_interventions} watchdog interventions)"
             )
         if self.model_misses or self.model_hits or self.evictions:
             lines.append(

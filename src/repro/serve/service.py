@@ -25,7 +25,6 @@ to 1e-9, no matter which tier served it or what faults were injected.
 
 from __future__ import annotations
 
-import io
 import queue
 import threading
 import time
@@ -37,7 +36,6 @@ import numpy as np
 
 from repro.inference.cache import QueryCache
 from repro.inference.engine import InferenceEngine
-from repro.obs.span import CAT_SERVE
 from repro.sched.faults import TaskExecutionError
 from repro.sched.resilient import ResilientExecutor
 from repro.serve.breaker import CircuitBreaker
@@ -55,13 +53,6 @@ from repro.serve.request import (
 )
 from repro.tasks.layout import FREE_BUFFERS, table_layout
 
-@dataclass
-class _SessionHealth:
-    """Per-session strike record (keyed by ``id(engine)`` in the pool)."""
-
-    consecutive_failures: int = 0
-    flagged: bool = False
-
 
 class EngineSessionPool:
     """A fixed pool of calibrated engine sessions over one junction tree.
@@ -73,26 +64,15 @@ class EngineSessionPool:
     and one thread-safe :class:`~repro.inference.cache.QueryCache`, so a
     marginal computed by any session answers repeats on every session.
 
-    The pool is *self-healing*: callers report per-session outcomes via
-    :meth:`note_success` / :meth:`note_failure` / :meth:`flag_recycle`,
-    and a session that is flagged (a watchdog intervention) or
-    accumulates ``recycle_threshold`` consecutive failed flights is
-    **recycled on release** — restored from the in-memory baseline
-    checkpoint captured by :meth:`capture_checkpoint` (or fully
-    recalibrated when no baseline exists) instead of re-entering LIFO
-    rotation with a suspect state.  A failed tier never needs one: the
-    recovery ladder rolls its writes back.
+    A released session re-enters rotation as it is: a failed flight
+    never leaves it suspect, because the recovery ladder rolls a failed
+    tier's writes back and the engine adopts a new state only after a
+    run succeeded.
     """
 
-    def __init__(
-        self,
-        engines: Sequence[InferenceEngine],
-        recycle_threshold: int = 2,
-    ):
+    def __init__(self, engines: Sequence[InferenceEngine]):
         if not engines:
             raise ValueError("session pool needs at least one engine")
-        if recycle_threshold < 1:
-            raise ValueError("recycle_threshold must be >= 1")
         self.engines = list(engines)
         self.cache = self.engines[0].cache
         variables = set()
@@ -104,64 +84,23 @@ class EngineSessionPool:
         self._free: "queue.LifoQueue[InferenceEngine]" = queue.LifoQueue()
         for engine in self.engines:
             self._free.put(engine)
-        # Self-healing machinery: per-session strike records, the
-        # in-memory baseline checkpoint recycling restores from, and
-        # recycle accounting (surfaced in ServiceReport).
-        self.recycle_threshold = recycle_threshold
-        self._health: Dict[int, _SessionHealth] = {
-            id(engine): _SessionHealth() for engine in self.engines
-        }
-        self._health_lock = threading.Lock()
-        self._baseline: Optional[bytes] = None
-        self.recycles = 0
-        self.recycles_from_checkpoint = 0
         # Lifecycle: a closed pool hands out no sessions and discards
         # (rather than requeues) sessions released after the close —
         # needed by the registry's eviction path, which may close a pool
         # while a late flight is still resolving.
+        self._lock = threading.Lock()
         self._closed = False
-
-    def capture_checkpoint(self) -> bool:
-        """Snapshot the first session's calibrated state as the baseline.
-
-        Recycled sessions warm-restart from this in-memory checkpoint
-        (bit-identical to the captured calibration) instead of paying a
-        full recalibration.  Returns False — and leaves recycling on the
-        recalibrate fallback — if no session has propagated yet.
-        """
-        buf = io.BytesIO()
-        try:
-            self.engines[0].checkpoint(buf)
-        except RuntimeError:
-            return False
-        self._baseline = buf.getvalue()
-        return True
-
-    def adopt_checkpoint(self, data: bytes) -> None:
-        """Install an externally captured baseline checkpoint.
-
-        The registry's rehydration path restores every session from an
-        evicted model's retained checkpoint and then hands the same bytes
-        back to the pool, so recycling keeps working without paying a
-        fresh :meth:`capture_checkpoint`.
-        """
-        self._baseline = bytes(data)
-
-    @property
-    def baseline_checkpoint(self) -> Optional[bytes]:
-        """The in-memory baseline recycles restore from (None if unset)."""
-        return self._baseline
 
     def resident_bytes(self) -> int:
         """Approximate resident cost of this pool in bytes.
 
         Counts the shared tree's prior potentials once, each session's
         propagation-state tables (clique potentials, separators and
-        message intermediates), the released state buffers the tree's
+        message intermediates), and the released state buffers the tree's
         free list may keep (all :data:`~repro.tasks.layout.FREE_BUFFERS`
         of them: the registry charges this cost once, and the list fills
-        later), and the baseline checkpoint blob.  This is the per-model
-        cost the registry charges against its global memory budget.
+        later).  The registry adds its retained baseline checkpoint to
+        get the per-model charge against its global memory budget.
         """
         jt = self.engines[0].jt
         total = sum(t.nbytes for t in jt.potentials.values())
@@ -170,74 +109,7 @@ class EngineSessionPool:
             if state is not None:
                 total += state.nbytes
         total += FREE_BUFFERS * table_layout(jt).size * 8  # float64
-        if self._baseline is not None:
-            total += len(self._baseline)
         return total
-
-    # -------------------------------------------------------------- #
-    # Session health (reported by the service, acted on at release)
-    # -------------------------------------------------------------- #
-
-    def _record(self, engine: InferenceEngine) -> _SessionHealth:
-        record = self._health.get(id(engine))
-        if record is None:
-            record = self._health[id(engine)] = _SessionHealth()
-        return record
-
-    def note_success(self, engine: InferenceEngine) -> None:
-        """A served flight: clears the session's consecutive-failure run."""
-        with self._health_lock:
-            record = self._record(engine)
-            record.consecutive_failures = 0
-
-    def note_failure(self, engine: InferenceEngine) -> None:
-        """A failed flight on this session: one strike toward
-        ``recycle_threshold``."""
-        with self._health_lock:
-            record = self._record(engine)
-            record.consecutive_failures += 1
-            if record.consecutive_failures >= self.recycle_threshold:
-                record.flagged = True
-
-    def flag_recycle(self, engine: InferenceEngine) -> None:
-        """Unconditionally mark the session for recycling on release."""
-        with self._health_lock:
-            self._record(engine).flagged = True
-
-    def _maybe_recycle(self, engine: InferenceEngine) -> None:
-        with self._health_lock:
-            record = self._record(engine)
-            if not record.flagged:
-                return
-            record.consecutive_failures = 0
-            record.flagged = False
-        self._recycle(engine)
-
-    def _recycle(self, engine: InferenceEngine) -> None:
-        """Restore a suspect session from the baseline (or recalibrate).
-
-        Never raises: a session that cannot even recalibrate still
-        returns to rotation (dropping it would shrink the pool and
-        eventually deadlock checkout) — the next flight on it will fail
-        loudly down the recovery ladder rather than silently.
-        """
-        restored = False
-        if self._baseline is not None:
-            try:
-                engine.restore(io.BytesIO(self._baseline))
-                restored = True
-            except Exception:
-                restored = False
-        if not restored:
-            try:
-                engine.set_evidence({})
-                engine.propagate(incremental=False)
-            except Exception:
-                pass
-        with self._health_lock:
-            self.recycles += 1
-            if restored:
-                self.recycles_from_checkpoint += 1
 
     @classmethod
     def from_junction_tree(
@@ -266,12 +138,7 @@ class EngineSessionPool:
             # first client request pays incremental cost, not a cold run.
             for engine in engines:
                 engine.propagate()
-        pool = cls(engines)
-        if warm:
-            # The warm prior is the recycling baseline: poisoned sessions
-            # warm-restart from this checkpoint instead of recalibrating.
-            pool.capture_checkpoint()
-        return pool
+        return cls(engines)
 
     @classmethod
     def from_network(
@@ -313,18 +180,17 @@ class EngineSessionPool:
           :class:`~repro.serve.request.ServiceClosed` instead of
           blocking forever on an empty queue.
 
-        The baseline checkpoint and the free queue are dropped so the
-        pool's table memory is reclaimable, and so is the tree's free
-        list of released state buffers, now and as the sessions' states
-        die (a registry stub keeps the tree but is charged none of that
-        memory); the ``engines`` list survives (emptied) only as a
-        tombstone for accounting code.
+        The free queue is dropped so the pool's table memory is
+        reclaimable, and so is the tree's free list of released state
+        buffers, now and as the sessions' states die (a registry stub
+        keeps the tree but is charged none of that memory); the
+        ``engines`` list survives (emptied) only as a tombstone for
+        accounting code.
         """
-        with self._health_lock:
+        with self._lock:
             if self._closed:
                 return
             self._closed = True
-            self._baseline = None
             table_layout(self.engines[0].jt).free.clear()
             # Drain whatever is checked in right now, under the same
             # lock the release path requeues under: a racing release
@@ -340,27 +206,15 @@ class EngineSessionPool:
 
     def _release(self, engine: InferenceEngine) -> None:
         """Return one session to rotation — or drop it if the pool closed."""
-        with self._health_lock:
-            if self._closed:
-                return
-        self._maybe_recycle(engine)
-        with self._health_lock:
-            # close() may have landed while the recycle ran; a closed
-            # pool must not resurrect the session into the (drained)
-            # free queue.
-            if self._closed:
-                return
-            self._free.put(engine)
+        with self._lock:
+            # A closed pool must not resurrect the session into the
+            # (drained) free queue.
+            if not self._closed:
+                self._free.put(engine)
 
     @contextmanager
     def session(self, timeout: Optional[float] = None):
-        """Check a session out (blocking), return it on exit.
-
-        A session flagged as suspect while checked out is recycled
-        (baseline restore, else recalibration) *before* it re-enters the
-        LIFO rotation — a poisoned state is never handed to the next
-        flight.
-        """
+        """Check a session out (blocking), return it on exit."""
         if self._closed:
             raise ServiceClosed("session pool is closed")
         engine = self._free.get(timeout=timeout)
@@ -428,15 +282,6 @@ class InferenceService(ServingCore):
         deadlines and priorities; a case whose likelihood is not > 0 is
         quarantined with an explicit failure while the rest of the batch
         is answered exactly.  ``1`` (default) disables micro-batching.
-    watchdog_grace:
-        When set, a service-owned watchdog thread force-resolves any
-        flight still unresolved ``watchdog_grace`` seconds past its
-        propagation deadline (the worker is stuck — a wedged executor, a
-        hung worker process) as DeadlineExceeded, and flags the flight's
-        session for recycling.  ``None`` (default) disables the
-        watchdog.  Deadline-free flights are never force-resolved.
-    watchdog_interval:
-        Poll period of the watchdog thread, seconds.
     """
 
     def __init__(
@@ -448,15 +293,11 @@ class InferenceService(ServingCore):
         max_queue: int = 32,
         breaker: Optional[CircuitBreaker] = None,
         max_batch: int = 1,
-        watchdog_grace: Optional[float] = None,
-        watchdog_interval: float = 0.05,
     ):
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if watchdog_grace is not None and watchdog_grace < 0:
-            raise ValueError("watchdog_grace must be >= 0")
         self.max_batch = max_batch
         self.pool = pool
         self.primary = primary
@@ -480,28 +321,8 @@ class InferenceService(ServingCore):
         self._stale_store: Dict[int, Tuple[np.ndarray, float, Tuple]] = {}
         self._stale_lock = threading.Lock()
 
-        # In-flight registry for the watchdog: token -> (members,
-        # deadline_at, engine).  Entries exist only while a worker holds
-        # a session for the flight.
-        self._inflight: Dict[int, Tuple[List[Ticket], Optional[float], InferenceEngine]] = {}
-        self._inflight_lock = threading.Lock()
-        self._inflight_seq = 0
-
         n_workers = workers if workers is not None else pool.num_sessions
         super().__init__(max(n_workers, 1))
-
-        self.watchdog_grace = watchdog_grace
-        self.watchdog_interval = watchdog_interval
-        self._watchdog_stop = threading.Event()
-        self._watchdog: Optional[threading.Thread] = None
-        if watchdog_grace is not None:
-            self._watchdog = threading.Thread(
-                target=self._watchdog_loop,
-                args=(len(self._workers),),
-                name="serve-watchdog",
-                daemon=True,
-            )
-            self._watchdog.start()
 
     # ------------------------------------------------------------------ #
     # Admission
@@ -699,67 +520,6 @@ class InferenceService(ServingCore):
             return list(flight.members)
 
     # ------------------------------------------------------------------ #
-    # Watchdog (stuck-flight detection)
-    # ------------------------------------------------------------------ #
-
-    @contextmanager
-    def _watched(
-        self,
-        members: List[Ticket],
-        deadline_at: Optional[float],
-        engine: InferenceEngine,
-    ):
-        """Expose the flight to the watchdog while its session is held."""
-        with self._inflight_lock:
-            self._inflight_seq += 1
-            token = self._inflight_seq
-            self._inflight[token] = (members, deadline_at, engine)
-        try:
-            yield
-        finally:
-            with self._inflight_lock:
-                self._inflight.pop(token, None)
-
-    def _watchdog_loop(self, row: int) -> None:
-        """Force-resolve flights stuck past deadline + grace.
-
-        A worker wedged inside a tier (hung worker process, livelocked
-        executor) holds its members' futures hostage; clients blocked in
-        ``future.result()`` would wait forever.  The watchdog resolves
-        overdue members as DeadlineExceeded (if the worker un-sticks
-        later, its resolution loses and is not counted) and flags the
-        session for recycling, since a flight that had to be torn loose
-        may leave the session state half-written.
-        """
-        buf = self._tracer.bind(row)
-        self._tracer.name_row(row, "serve-watchdog")
-        while not self._watchdog_stop.wait(self.watchdog_interval):
-            now = time.monotonic()
-            overdue = []
-            with self._inflight_lock:
-                for token, (members, deadline_at, engine) in list(
-                    self._inflight.items()
-                ):
-                    if deadline_at is None:
-                        continue
-                    if now >= deadline_at + self.watchdog_grace:
-                        overdue.append((token, members, engine))
-                        del self._inflight[token]
-            for token, members, engine in overdue:
-                pending = [m for m in members if not m.future.done()]
-                if not pending:
-                    continue
-                self._bump("watchdog_interventions")
-                buf.instant(f"watchdog:stuck-flight#{token}", CAT_SERVE)
-                self.pool.flag_recycle(engine)
-                self.refuse(
-                    pending,
-                    STATUS_DEADLINE,
-                    "watchdog: flight stuck past deadline "
-                    f"(+{self.watchdog_grace:.3f}s grace)",
-                )
-
-    # ------------------------------------------------------------------ #
     # Serving a group of flights (one, or a micro-batch)
     # ------------------------------------------------------------------ #
 
@@ -861,9 +621,7 @@ class InferenceService(ServingCore):
         failed (serial included: pathological evidence or a corrupted
         tree) — with an explicit failure, never a silent wrong answer.
         """
-        with self.pool.session() as engine, self._watched(
-            members, deadline_at, engine
-        ):
+        with self.pool.session() as engine:
             if deadline_at is not None and time.monotonic() >= deadline_at:
                 self._miss_deadline(members)
                 return
@@ -879,7 +637,6 @@ class InferenceService(ServingCore):
                 ):
                     self._miss_deadline(members)
                 else:
-                    self.pool.note_failure(engine)
                     self.refuse(
                         members, STATUS_FAILED, f"{type(exc).__name__}: {exc}"
                     )
@@ -889,7 +646,6 @@ class InferenceService(ServingCore):
             stats = engine.last_stats
             ran = stats is not before
             self._judge(primary, stats.degradations if ran else (), ran)
-            self.pool.note_success(engine)
             tier = (
                 stats.completed_executor if ran
                 else type(ladder.tiers[0]).__name__
@@ -1034,9 +790,6 @@ class InferenceService(ServingCore):
     # ------------------------------------------------------------------ #
 
     def _stopped(self, timeout: Optional[float]) -> None:
-        self._watchdog_stop.set()
-        if self._watchdog is not None:
-            self._watchdog.join(timeout)
         for executor in (self.primary, self.fallback):
             close = getattr(executor, "close", None)
             if callable(close):
@@ -1044,10 +797,6 @@ class InferenceService(ServingCore):
 
     def _build_report(self) -> ServiceReport:
         report = super()._build_report()
-        report.session_recycles = self.pool.recycles
-        report.session_recycles_from_checkpoint = (
-            self.pool.recycles_from_checkpoint
-        )
         report.tier_counts = dict(self._tier_counts)
         report.breaker_transitions = list(self.breaker.transitions)
         report.queue_high_water = self._queue_high_water

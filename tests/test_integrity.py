@@ -4,10 +4,10 @@ The contract under test: a worker write torn between checksum stamp and
 master read is *detected and refused* (never served — the entries are
 finite, so only the crc catches it), a checkpoint round-trips
 bit-identically, a checkpoint from a foreign tree or with tampered bytes
-is refused with a typed error, a failed, poisoned or torn serving tier
+is refused with a typed error, and a failed, poisoned or torn serving
+tier — or a flight every tier failed, or one that missed its deadline —
 leaves the session's cached state bit-identical (the recovery ladder
-rolls it back) so the next query is exact, and a flagged session
-recycles from its baseline checkpoint.
+rolls it back) so the next query is incremental and exact.
 """
 
 from __future__ import annotations
@@ -482,84 +482,30 @@ class TestCheckpointRefusals:
 
 
 # --------------------------------------------------------------------- #
-# Self-healing session pool
-# --------------------------------------------------------------------- #
-
-
-class TestSessionPoolRecycling:
-    def test_poisoned_session_recycles_from_checkpoint(self):
-        tree = _tree(seed=13)
-        pool = EngineSessionPool.from_junction_tree(tree, sessions=1)
-        assert pool._baseline is not None
-        with pool.session() as engine:
-            # Simulate a poisoned propagation state left by a bad tier.
-            engine.observe(0, 1)
-            engine.propagate()
-            for table in engine._state.potentials.values():
-                table.values[...] = np.nan
-            pool.flag_recycle(engine)
-        assert pool.recycles == 1
-        assert pool.recycles_from_checkpoint == 1
-        with pool.session() as engine:
-            # Restored to the warm no-evidence baseline: exact again.
-            assert engine.evidence.as_dict() == {}
-            oracle = InferenceEngine(tree)
-            oracle.propagate()
-            for v in _variables(tree):
-                np.testing.assert_allclose(
-                    engine.marginal(v), oracle.marginal(v),
-                    rtol=1e-9, atol=1e-12,
-                )
-
-    def test_consecutive_failures_hit_the_threshold(self):
-        tree = _tree(seed=13)
-        pool = EngineSessionPool.from_junction_tree(tree, sessions=1)
-        pool.recycle_threshold = 2
-        with pool.session() as engine:
-            pool.note_failure(engine)
-        assert pool.recycles == 0  # one strike: below threshold
-        with pool.session() as engine:
-            pool.note_failure(engine)
-        assert pool.recycles == 1
-
-    def test_success_resets_the_strike_count(self):
-        tree = _tree(seed=13)
-        pool = EngineSessionPool.from_junction_tree(tree, sessions=1)
-        pool.recycle_threshold = 2
-        with pool.session() as engine:
-            pool.note_failure(engine)
-            pool.note_success(engine)
-            pool.note_failure(engine)
-        assert pool.recycles == 0
-
-    def test_recycle_without_baseline_recalibrates(self):
-        tree = _tree(seed=13)
-        pool = EngineSessionPool.from_junction_tree(tree, sessions=1, warm=False)
-        assert pool._baseline is None
-        with pool.session() as engine:
-            engine.propagate()
-            pool.flag_recycle(engine)
-        assert pool.recycles == 1
-        assert pool.recycles_from_checkpoint == 0
-        with pool.session() as engine:
-            assert engine._state is not None  # recalibrated, usable
-
-
-# --------------------------------------------------------------------- #
 # Acceptance: a failed tier is rolled back, never served, never kept
 # --------------------------------------------------------------------- #
 
 
-class _HangExecutor(SerialExecutor):
-    """Ignores the cooperative deadline and sleeps: a wedged tier."""
+class _ScribblingSerial(SerialExecutor):
+    """A last tier that scribbles over the state, then dies: every tier
+    of the ladder fails."""
+
+    def run(self, graph, state, **kw):
+        state.buffer[:] = 1e6
+        raise RuntimeError("serial died after scribbling")
+
+
+class _LateSerial(SerialExecutor):
+    """A last tier that scribbles over the state and stalls past the
+    deadline; serial's own between-task check then refuses the run."""
 
     def __init__(self, seconds: float):
         super().__init__()
         self.seconds = seconds
 
     def run(self, graph, state, **kw):
+        state.buffer[:] = 1e6
         time.sleep(self.seconds)
-        kw.pop("deadline", None)
         return super().run(graph, state, **kw)
 
 
@@ -626,6 +572,54 @@ class TestLadderLeavesSessionUntouched:
         if isinstance(primary, ProcessSharedMemoryExecutor):
             assert primary.fault_plan._taken_torn  # the torn write fired
 
+    @pytest.mark.parametrize(
+        "fallback, deadline, status",
+        [
+            (_ScribblingSerial, None, "failed"),
+            (lambda: _LateSerial(0.3), 0.15, "deadline"),
+        ],
+        ids=["every-tier-failed", "deadline-missed"],
+    )
+    def test_unanswered_flight_leaves_the_session_as_it_found_it(
+        self, fallback, deadline, status
+    ):
+        tree = _tree(num_cliques=16, seed=11)
+        pool = EngineSessionPool.from_junction_tree(tree, sessions=1)
+        engine = pool.engines[0]
+        before = engine._state
+        buffer, written = before.buffer.copy(), set(before._inter)
+        variables = _variables(tree, count=4)
+
+        service = InferenceService(
+            pool, primary=_ScribbleThenRaise(), fallback=fallback(), workers=1
+        )
+        response = service.query(
+            delta={0: 1}, vars=variables, deadline=deadline
+        )
+        assert response.status == status, response.error
+        service.drain()
+        # No tier's writes reached the session: it kept its state, and
+        # that state's bytes and written set are the pre-flight ones.
+        assert engine._state is before
+        assert np.array_equal(before.buffer, buffer)
+        assert set(before._inter) == written
+
+        # The next flight on the one session builds on that state.
+        service = InferenceService(pool, fallback=SerialExecutor(), workers=1)
+        delta = {0: 0, 2: 1}
+        response = service.query(delta=delta, vars=variables)
+        assert response.status == "ok", response.error
+        assert engine.last_stats.incremental
+        oracle = InferenceEngine(tree)
+        oracle.set_evidence(delta)
+        oracle.propagate(incremental=False)
+        for v in variables:
+            np.testing.assert_allclose(
+                response.marginals[v], oracle.marginal(v),
+                rtol=1e-9, atol=1e-12,
+            )
+        assert service.drain().failed == 0
+
 
 class TestServiceRecovery:
     def test_torn_write_is_never_served_and_next_flight_is_exact(self):
@@ -667,39 +661,3 @@ class TestServiceRecovery:
                 second.marginals[v], oracle.marginal(v),
                 rtol=1e-9, atol=1e-12,
             )
-
-    def test_watchdog_force_resolves_a_stuck_flight(self):
-        tree = _tree(seed=17)
-        pool = EngineSessionPool.from_junction_tree(tree, sessions=1)
-        service = InferenceService(
-            pool,
-            fallback=_HangExecutor(2.5),
-            workers=1,
-            watchdog_grace=0.2,
-            watchdog_interval=0.02,
-        )
-        started = time.monotonic()
-        response = service.query(
-            delta={0: 1}, vars=[1], deadline=0.4, timeout=10.0
-        )
-        waited = time.monotonic() - started
-        assert response.status == "deadline"
-        assert "watchdog" in (response.error or "")
-        # Resolved by the watchdog near deadline+grace, not after the
-        # full 2.5 s hang.
-        assert waited < 2.0
-        report = service.drain()
-        assert report.watchdog_interventions >= 1
-        assert report.session_recycles >= 1
-
-    def test_watchdog_leaves_healthy_flights_alone(self):
-        tree = _tree(seed=17)
-        pool = EngineSessionPool.from_junction_tree(tree, sessions=1)
-        service = InferenceService(
-            pool, workers=1, watchdog_grace=0.5, watchdog_interval=0.02
-        )
-        response = service.query(delta={0: 1}, vars=[1], deadline=10.0)
-        assert response.status == "ok"
-        report = service.drain()
-        assert report.watchdog_interventions == 0
-        assert report.session_recycles == 0

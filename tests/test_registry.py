@@ -390,6 +390,17 @@ class TestModelRegistry:
             registry.evict("missing")
         registry.close()
 
+    @staticmethod
+    def _full_charge(pool, jt, baseline):
+        """Tree priors, every session's state, the free list at its bound
+        and the retained baseline checkpoint, summed table by table."""
+        return (
+            sum(t.nbytes for t in jt.potentials.values())
+            + sum(e._state.nbytes for e in pool.engines)
+            + FREE_BUFFERS * table_layout(jt).size * 8
+            + len(baseline)
+        )
+
     def test_charge_covers_released_buffers_and_eviction_drops_them(self):
         networks = make_networks(1)
         registry = make_registry(networks)
@@ -403,17 +414,11 @@ class TestModelRegistry:
         pool, jt = entry.pool, entry.junction_tree
         layout = table_layout(jt)
         assert len(layout.free) >= 1  # replaced states parked buffers
-        # The pool's charge covers the list at its bound, whatever the
-        # list held when the charge was taken.
-        buffer_bytes = layout.size * 8
-        assert pool.resident_bytes() == (
-            sum(t.nbytes for t in jt.potentials.values())
-            + sum(e._state.nbytes for e in pool.engines)
-            + FREE_BUFFERS * buffer_bytes
-            + len(pool.baseline_checkpoint)
-        )
+        # The charge covers the list at its bound, whatever the list held
+        # when the charge was taken, plus the retained baseline.
+        assert entry.cost_bytes == pool.resident_bytes() + len(entry.baseline)
+        assert entry.cost_bytes == self._full_charge(pool, jt, entry.baseline)
         assert len(layout.free) <= FREE_BUFFERS
-        assert entry.cost_bytes == pool.resident_bytes()
         late = pool.engines[0]  # outlives the pool, like a late flight
         registry.evict("m0")
         # The stub keeps the tree but is charged no state buffer: its
@@ -433,6 +438,10 @@ class TestModelRegistry:
             )).result()
         assert registry.rehydrations == 1
         assert len(layout.free) >= 1
+        # The rehydrated pool is charged by the same formula.
+        assert entry.cost_bytes == self._full_charge(
+            entry.pool, jt, entry.baseline
+        )
         service.drain()
 
     def test_compile_deadline_estimate_refuses_upfront(self):

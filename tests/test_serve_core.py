@@ -143,7 +143,7 @@ class ServingLifecycle(RuleBasedStateMachine):
 
     @precondition(lambda self: self.report is None and self.tickets)
     @rule(data=st.data())
-    def force_resolve_like_a_watchdog(self, data):
+    def force_resolve_from_outside_the_worker(self, data):
         ticket = data.draw(st.sampled_from(self.tickets))
         self.core.refuse([ticket], "deadline", "forced")
         assert ticket.future.done()
@@ -284,11 +284,10 @@ TO_DICT_KEYS = {
     "latency", "memory_budget", "model_hits", "model_misses",
     "peak_resident_bytes", "per_model", "per_stream", "per_tenant",
     "quarantined", "queue_high_water", "recoveries", "rehydrations",
-    "replayed_ticks", "served_ok", "served_stale", "session_recycles",
-    "session_recycles_from_checkpoint", "shed", "shed_by_quota", "shed_rate",
-    "single_flights", "stale_signature_miss", "streams", "submitted",
-    "ticks_deadline", "ticks_failed", "ticks_ok", "ticks_overflowed",
-    "tier_counts", "wall_seconds", "watchdog_interventions", "window_rolls",
+    "replayed_ticks", "served_ok", "served_stale", "shed", "shed_by_quota",
+    "shed_rate", "single_flights", "stale_signature_miss", "streams",
+    "submitted", "ticks_deadline", "ticks_failed", "ticks_ok",
+    "ticks_overflowed", "tier_counts", "wall_seconds", "window_rolls",
 }
 
 INT_FIELDS = [f.name for f in fields(ServiceReport) if f.type == "int"]
@@ -296,7 +295,7 @@ MAX_FIELDS = {"queue_high_water", "peak_resident_bytes"}
 
 
 def test_merge_covers_every_int_field():
-    assert len(INT_FIELDS) >= 34 and "stale_signature_miss" in INT_FIELDS
+    assert len(INT_FIELDS) >= 31 and "stale_signature_miss" in INT_FIELDS
     ours = ServiceReport(**{n: i + 1 for i, n in enumerate(INT_FIELDS)})
     theirs = ServiceReport(
         **{n: 1000 * (i + 1) for i, n in enumerate(INT_FIELDS)}
