@@ -179,7 +179,6 @@ def _serve_demo_registry(args) -> int:
         memory_budget=budget,
         sessions=args.sessions,
         max_queue=args.max_queue,
-        max_batch=args.max_batch,
         durable_root=args.durable_root,
     )
     model_ids = [f"model-{i}" for i in range(args.models)]
@@ -275,12 +274,10 @@ def _cmd_serve_demo(args) -> int:
         primary=primary,
         fallback=fallback,
         max_queue=args.max_queue,
-        max_batch=args.max_batch,
     )
     print(
         f"{bn.num_variables}-variable network, "
-        f"{pool.num_sessions} sessions, tier: {args.executor}, "
-        f"max batch: {args.max_batch}"
+        f"{pool.num_sessions} sessions, tier: {args.executor}"
     )
 
     def client(cid: int) -> None:
@@ -582,11 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="workers inside the serving executor tier")
     serve.add_argument("--max-queue", type=int, default=16,
                        help="admission bound (queued flights)")
-    serve.add_argument(
-        "--max-batch", type=int, default=1,
-        help="micro-batch width: compatible queued flights served "
-        "through one batched propagation (1 disables)",
-    )
     serve.add_argument("--deadline", type=float, default=None,
                        metavar="SECONDS", help="per-request deadline")
     serve.add_argument(

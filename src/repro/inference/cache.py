@@ -1,7 +1,7 @@
 """Evidence-keyed LRU cache for query results.
 
 Serving workloads repeat queries: the same findings arrive again (dashboard
-refreshes, retried requests) or a batch asks for many marginals under one
+refreshes, retried requests) or a client asks for many marginals under one
 evidence set.  The :class:`QueryCache` memoizes per-variable marginals and
 the evidence likelihood under a *canonical evidence signature*
 (:meth:`repro.inference.evidence.Evidence.signature`), so a repeated query

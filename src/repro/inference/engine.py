@@ -37,7 +37,7 @@ starts from another engine's findings and propagation without touching it.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Union
+from typing import Dict, Iterable, Mapping, Optional, Set, Union
 
 import numpy as np
 
@@ -107,9 +107,6 @@ class InferenceEngine:
     def _init_runtime(self, cache_size: int) -> None:
         """Everything of a fresh engine that is not compiled from its tree:
         no findings, no propagation, an empty cache."""
-        # Batch-scaled task graphs keyed by batch size B (built lazily;
-        # sizes scale by B so partition plans match the batched state).
-        self._batch_graphs: Dict[int, TaskGraph] = {}
         self.evidence = Evidence()
         self.cache = QueryCache(cache_size)
         self._state: Optional[PropagationState] = None
@@ -373,161 +370,6 @@ class InferenceEngine:
         self._stale = stale
         self._mark_synced()
         return state
-
-    # ------------------------------------------------------------------ #
-    # Batched propagation (B evidence cases through one DAG traversal)
-    # ------------------------------------------------------------------ #
-
-    def _case_findings(self, case):
-        """Normalize one batch case to ``(hard, soft, signature)``.
-
-        ``case`` is an :class:`Evidence` or a mapping of findings in the
-        :meth:`query` delta style (``int`` observes hard, a weight
-        sequence attaches soft evidence; ``None`` entries are ignored —
-        a standalone case has nothing to retract from).
-        """
-        if isinstance(case, Evidence):
-            ev = case
-        else:
-            ev = Evidence()
-            for var, finding in (case or {}).items():
-                if finding is None:
-                    continue
-                if isinstance(finding, (int, np.integer)):
-                    ev.observe(int(var), int(finding))
-                else:
-                    ev.observe_soft(int(var), finding)
-        hard = ev.checked_against(self._cardinalities)
-        return hard, ev.soft_as_dict(), ev.signature()
-
-    def _batch_graph(self, batch: int) -> TaskGraph:
-        if batch == 1:
-            return self.task_graph
-        graph = self._batch_graphs.get(batch)
-        if graph is None:
-            graph = build_task_graph(self.jt, batch=batch)
-            self._batch_graphs[batch] = graph
-        return graph
-
-    def _propagate_cases(
-        self, cases, executor=None, deadline=None
-    ) -> PropagationState:
-        """Propagate normalized cases; always returns a *batched* state.
-
-        Executors that refuse batched states (the process tier sets
-        ``supports_batched_state = False``) run each case separately and
-        the results are stacked, preserving the return-type contract;
-        ``last_stats`` is then the last case's, carrying every case's
-        degradations.
-        """
-        executor = executor or SerialExecutor()
-        if not getattr(executor, "supports_batched_state", True):
-            singles = []
-            degradations = []
-            for hard, soft, _sig in cases:
-                state = PropagationState(self.jt, hard, soft)
-                stats = self._run_graph(
-                    self.task_graph, state, executor=executor,
-                    meta={"mode": "batch-fallback"}, deadline=deadline,
-                )
-                degradations.extend(stats.degradations)
-                singles.append(state)
-            stats.degradations = degradations
-            self.last_stats = stats
-            return PropagationState.from_cases(singles)
-        graph = self._batch_graph(len(cases))
-        state = PropagationState.batched(
-            self.jt, [(hard, soft) for hard, soft, _sig in cases]
-        )
-        self.last_stats = self._run_graph(
-            graph, state, executor=executor,
-            meta={"mode": "batch", "batch": len(cases)}, deadline=deadline,
-        )
-        return state
-
-    def propagate_batch(
-        self, evidences, executor=None, deadline=None
-    ) -> PropagationState:
-        """Propagate ``B`` independent evidence cases in one DAG traversal.
-
-        ``evidences`` is a sequence of cases (each an :class:`Evidence`
-        or a ``{variable: finding}`` mapping — ``int`` for hard evidence,
-        a weight sequence for soft).  Returns the *batched*
-        :class:`~repro.tasks.state.PropagationState`: ``marginal(v)`` has
-        shape ``(B, card)`` and ``likelihood()`` shape ``(B,)``, row ``i``
-        matching a fresh single-case run of case ``i`` exactly.
-
-        Independent of the engine's single-case evidence machinery:
-        ``engine.evidence`` and the incremental-repropagation state are
-        untouched.  Executors without batched-state support run per case
-        and the results are stacked.
-        """
-        with self._lock:
-            cases = [self._case_findings(e) for e in evidences]
-            if not cases:
-                raise ValueError("propagate_batch needs at least one case")
-            return self._propagate_cases(
-                cases, executor=executor, deadline=deadline
-            )
-
-    def query_batch(
-        self,
-        evidences,
-        vars: Optional[Iterable[int]] = None,
-        executor=None,
-        deadline=None,
-    ) -> List[Dict[int, np.ndarray]]:
-        """Marginals for ``B`` evidence cases via one batched propagation.
-
-        Returns one ``{variable: posterior}`` dict per case, in input
-        order.  Results are memoized in :attr:`cache` under each case's
-        *own* evidence signature — a batch warm-up therefore populates
-        exactly the entries later single-case :meth:`query`/:meth:`marginal`
-        calls hit — and cases fully answerable from the cache are not
-        re-propagated at all.
-        """
-        with self._lock:
-            cases = [self._case_findings(e) for e in evidences]
-            if not cases:
-                return []
-            if vars is None:
-                requested = self.jt.variables()
-            else:
-                requested = [int(v) for v in vars]
-
-            results: List[Optional[Dict[int, np.ndarray]]] = [None] * len(cases)
-            missing: List[int] = []
-            for i, (_hard, _soft, sig) in enumerate(cases):
-                answer: Dict[int, np.ndarray] = {}
-                for var in requested:
-                    cached = self.cache.get_marginal(sig, var)
-                    if cached is None:
-                        answer = None
-                        break
-                    answer[var] = cached
-                if answer is None:
-                    missing.append(i)
-                else:
-                    results[i] = answer
-            if missing:
-                state = self._propagate_cases(
-                    [cases[i] for i in missing], executor=executor,
-                    deadline=deadline,
-                )
-                likelihoods = state.likelihood()
-                for var in requested:
-                    rows = state.marginal(var)
-                    for row, i in enumerate(missing):
-                        sig = cases[i][2]
-                        self.cache.put_marginal(sig, var, rows[row])
-                        if results[i] is None:
-                            results[i] = {}
-                        results[i][var] = self.cache.get_marginal(sig, var)
-                for row, i in enumerate(missing):
-                    self.cache.put_likelihood(
-                        cases[i][2], float(likelihoods[row])
-                    )
-            return results
 
     # ------------------------------------------------------------------ #
     # Checkpoint / restore

@@ -132,20 +132,13 @@ def save_state(state, path) -> Dict[str, object]:
 
     ``path`` may be a filesystem path or a binary file-like object (the
     session pool checkpoints into a ``BytesIO`` baseline).  Returns the
-    manifest that was embedded.  Batched states are refused — a
-    checkpoint captures one session's calibration, not a transient
-    micro-batch.
+    manifest that was embedded.
 
     Filesystem writes are **crash-atomic**: the archive is written to a
     temp file, fsync'd, then ``os.replace``'d over the target, so a
     process killed mid-save leaves either the previous checkpoint or
     the new one — never a torn archive at the target path.
     """
-    if getattr(state, "batch", None) is not None:
-        raise CheckpointError(
-            "checkpointing batched states is not supported; checkpoint the "
-            "single-case session state instead"
-        )
     layout = table_layout(state.jt)
     present = state._inter
     computed = [

@@ -50,27 +50,14 @@ def chunk_ranges(total: int, max_chunk: int) -> List[Tuple[int, int]]:
 
 
 def _flat_to_sub(table: PotentialTable, flat: np.ndarray, keep: Sequence[int]):
-    """Map flat indices of ``table`` to flat indices of the ``keep`` sub-scope.
-
-    For batched tables the flat index space is batch-major
-    (``(B,) + cardinalities`` in C order) and the sub-scope keeps the
-    batch axis, so chunk boundaries may fall anywhere — including inside
-    a case — and the partial sums still land in the right case's row.
-    """
-    full_shape = table.values.shape if table.values.ndim else (1,)
-    if table.batch is None:
-        batch_axes: Tuple[int, ...] = ()
-        offset = 0
-    else:
-        batch_axes = (0,)
-        offset = 1
-    if not keep and table.batch is None:
+    """Map flat indices of ``table`` to flat indices of the ``keep``
+    sub-scope."""
+    if not keep:
         # Empty separator: everything folds into the single scalar entry.
         return np.zeros(flat.size, dtype=np.intp), ()
+    full_shape = table.values.shape
     coords = np.unravel_index(flat, full_shape)
-    keep_axes = list(batch_axes) + [
-        table.variables.index(v) + offset for v in keep
-    ]
+    keep_axes = [table.variables.index(v) for v in keep]
     keep_cards = tuple(full_shape[a] for a in keep_axes)
     keep_coords = tuple(coords[a] for a in keep_axes)
     return np.ravel_multi_index(keep_coords, keep_cards), keep_cards
@@ -93,7 +80,7 @@ def marginalize_chunk(
     out = np.zeros(int(np.prod(sub_cards)) if sub_cards else 1)
     np.add.at(out, sub_flat, table.values.reshape(-1)[lo:hi])
     cards = [table.card_of(v) for v in onto]
-    return PotentialTable(onto, cards, out, batch=table.batch)
+    return PotentialTable(onto, cards, out)
 
 
 def extend_chunk_into(
@@ -114,20 +101,11 @@ def extend_chunk_into(
     total = int(np.prod(cardinalities)) if cardinalities else 1
     out_shape = cardinalities if cardinalities else (1,)
     src_shape = table.cardinalities if table.cardinalities else (1,)
-    offset = 0
-    if table.batch is not None:
-        # Both index spaces are batch-major over the batched tables.
-        total *= table.batch
-        out_shape = (table.batch,) + out_shape
-        src_shape = (table.batch,) + src_shape
-        offset = 1
     if not 0 <= lo <= hi <= total:
         raise ValueError(f"chunk [{lo}, {hi}) out of range for size {total}")
     flat = np.arange(lo, hi)
     coords = np.unravel_index(flat, out_shape)
-    src_axes = list(range(offset)) + [
-        variables.index(v) + offset for v in table.variables
-    ]
+    src_axes = [variables.index(v) for v in table.variables]
     src_coords = tuple(coords[a] for a in src_axes)
     if src_coords:
         src_flat = np.ravel_multi_index(

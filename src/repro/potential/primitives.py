@@ -49,7 +49,7 @@ class PrimitiveKind(enum.Enum):
     COMBINE = "combine"
 
 
-# Tables of at least this many entries (per case) marginalize through
+# Tables of at least this many entries marginalize through
 # ``np.einsum``, smaller ones through ``np.add.reduce``.  ``add.reduce``
 # wins on small tables (1.0 vs 1.6 us on 32 entries) and ties up to 2**10,
 # but crawls when a wide table drops or keeps a small *inner* axis: on
@@ -72,35 +72,11 @@ def _scope(variables: Sequence[int]) -> Tuple[int, ...]:
     return tuple(int(v) for v in variables)
 
 
-def _shifted(axes: Sequence[int], batched: bool) -> Tuple[int, ...]:
-    """Scope axes as array axes: a batched table's case axis is axis 0
-    (the one place plans shift axes for it)."""
-    return tuple(a + 1 for a in axes) if batched else tuple(axes)
-
-
-def _permutation(axes: Sequence[int], batched: bool) -> Tuple[int, ...]:
-    """A reordering of the scope axes as one of all array axes: the case
-    axis stays first."""
-    return ((0,) if batched else ()) + _shifted(axes, batched)
-
-
-def _result(variables, cardinalities, batch) -> PotentialTable:
+def _result(variables, cardinalities) -> PotentialTable:
     """An uninitialised table for a primitive called without ``out=``."""
-    shape = cardinalities if batch is None else (batch,) + cardinalities
-    return PotentialTable.wrap(variables, cardinalities, np.empty(shape), batch)
-
-
-def _merged_batch(a: PotentialTable, b: PotentialTable):
-    """The batch size of a two-table primitive's result.
-
-    One operand may be unbatched (it broadcasts across the batch axis);
-    two *different* batch sizes are a caller bug.
-    """
-    if a.batch is not None and b.batch is not None and a.batch != b.batch:
-        raise ValueError(
-            f"mismatched batch sizes {a.batch} vs {b.batch}"
-        )
-    return a.batch if a.batch is not None else b.batch
+    return PotentialTable.wrap(
+        variables, cardinalities, np.empty(cardinalities)
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -115,10 +91,9 @@ def _merged_batch(a: PotentialTable, b: PotentialTable):
 
 
 class Split(NamedTuple):
-    """A wide table as ``(pre, k, post)`` per case: ``k`` joint states of
-    the one run of adjacent axes a primitive changes, ``pre`` entries
-    before the run and ``post`` after it.  A batched table's case axis
-    folds into ``pre`` (the kernels reshape with ``-1``).
+    """A wide table as ``(pre, k, post)``: ``k`` joint states of the one
+    run of adjacent axes a primitive changes, ``pre`` entries before the
+    run and ``post`` after it.
 
     The run is what MARGINALIZE drops or, with ``kept`` set, the only
     axes it keeps (a posterior read); for EXTEND it is what it adds.
@@ -152,9 +127,8 @@ def _split(cardinalities, run, kept: bool = False) -> Optional[Split]:
 
 
 class MarginalizePlan(NamedTuple):
-    variables: Tuple[int, ...]       # the table's scope ...
+    variables: Tuple[int, ...]       # the table's scope
     cardinalities: Tuple[int, ...]
-    batched: bool                    # ... and whether it has a case axis
     onto: Tuple[int, ...]            # the result's scope
     onto_cards: Tuple[int, ...]
     drop_axes: Tuple[int, ...]       # array axes summed out
@@ -167,9 +141,8 @@ class MarginalizePlan(NamedTuple):
 
 
 class ExtendPlan(NamedTuple):
-    variables: Tuple[int, ...]       # the table's scope ...
+    variables: Tuple[int, ...]       # the table's scope
     cardinalities: Tuple[int, ...]
-    batched: bool                    # ... and whether it has a case axis
     target: Tuple[int, ...]          # the result's scope
     target_cards: Tuple[int, ...]
     # The table's array axes in target order (None when they already are),
@@ -187,16 +160,14 @@ class MultiplyPlan(NamedTuple):
 
 class DividePlan(NamedTuple):
     variables: Tuple[int, ...]       # the numerator's scope (the result's)
-    other: Tuple[int, ...]           # the denominator's scope ...
-    batched: bool                    # ... and whether it has a case axis
-    perm: Optional[Tuple[int, ...]]  # its array axes in numerator order
+    other: Tuple[int, ...]           # the denominator's scope
+    perm: Optional[Tuple[int, ...]]  # its axes in numerator order
 
 
 def plan_marginalize(
     variables: Sequence[int],
     cardinalities: Sequence[int],
     onto: Sequence[int],
-    batched: bool = False,
 ) -> MarginalizePlan:
     """Plan summing a table over ``variables`` down to the scope ``onto``."""
     variables, cardinalities = _scope(variables), _scope(cardinalities)
@@ -218,21 +189,18 @@ def plan_marginalize(
         and len(variables) < len(_LETTERS)
     ):
         subscripts = "{}->{}".format(
-            "".join(
-                _LETTERS[a]
-                for a in _permutation(range(len(variables)), batched)
-            ),
-            "".join(_LETTERS[a] for a in _permutation(source, batched)),
+            _LETTERS[:len(variables)],
+            "".join(_LETTERS[a] for a in source),
         )
         if in_order:
             split = _split(cardinalities, _run(dropped)) or _split(
                 cardinalities, _run(source), kept=True
             )
     return MarginalizePlan(
-        variables, cardinalities, bool(batched), onto,
+        variables, cardinalities, onto,
         tuple(cardinalities[i] for i in source),
-        _shifted(dropped, batched),
-        None if in_order else _permutation(order, batched),
+        tuple(dropped),
+        None if in_order else tuple(order),
         subscripts, split,
     )
 
@@ -242,7 +210,6 @@ def plan_extend(
     cardinalities: Sequence[int],
     target: Sequence[int],
     target_cards: Sequence[int],
-    batched: bool = False,
 ) -> ExtendPlan:
     """Plan broadcasting a table over ``variables`` up to ``target``."""
     variables, cardinalities = _scope(variables), _scope(cardinalities)
@@ -268,10 +235,8 @@ def plan_extend(
             [i for i, var in enumerate(target) if var not in cards]
         ))
     return ExtendPlan(
-        variables, cardinalities, bool(batched), target, target_cards,
-        None if in_order else _permutation(perm, batched),
-        (-1,) + shape if batched else shape,
-        split,
+        variables, cardinalities, target, target_cards,
+        None if in_order else tuple(perm), shape, split,
     )
 
 
@@ -280,7 +245,6 @@ def plan_multiply(
     cardinalities: Sequence[int],
     other: Sequence[int],
     other_cards: Sequence[int],
-    other_batched: bool = False,
 ) -> MultiplyPlan:
     """Plan ``a * b`` for ``a`` over ``variables`` and ``b`` over ``other``."""
     variables, other = _scope(variables), _scope(other)
@@ -291,16 +255,12 @@ def plan_multiply(
     return MultiplyPlan(
         variables, other,
         None if other == variables else plan_extend(
-            other, other_cards, variables, cardinalities, other_batched
+            other, other_cards, variables, cardinalities
         ),
     )
 
 
-def plan_divide(
-    variables: Sequence[int],
-    other: Sequence[int],
-    other_batched: bool = False,
-) -> DividePlan:
+def plan_divide(variables: Sequence[int], other: Sequence[int]) -> DividePlan:
     """Plan ``numerator / denominator`` over the scopes ``variables`` and
     ``other`` (the same variable set, possibly in another order)."""
     variables, other = _scope(variables), _scope(other)
@@ -309,9 +269,9 @@ def plan_divide(
             f"divide: scopes differ: {variables} vs {other}"
         )
     return DividePlan(
-        variables, other, bool(other_batched),
-        None if other == variables else _permutation(
-            [other.index(v) for v in variables], other_batched
+        variables, other,
+        None if other == variables else tuple(
+            other.index(v) for v in variables
         ),
     )
 
@@ -340,11 +300,11 @@ def _sum_run(values: np.ndarray, out: np.ndarray, split: Split) -> None:
 
 
 def _sum_around(values: np.ndarray, out: np.ndarray, split: Split) -> None:
-    """``out[c, r] = sum_{p, s} values[c, p, r, s]``: keep only the run
-    (and a batched table's case axis ``c``)."""
+    """``out[r] = sum_{p, s} values[p, r, s]``: keep only the run (as a
+    one-row array, so every lane is a reduction's ``out``)."""
     k, post = split.k, split.post
-    dst = out.reshape(-1, k)
-    src = values.reshape(dst.shape[0], -1, k, post)
+    dst = out.reshape(1, k)
+    src = values.reshape(1, -1, k, post)
     for r in range(k):
         lane = dst[:, r]
         np.add.reduce(src[:, :, r, 0], axis=1, out=lane)
@@ -376,31 +336,26 @@ def marginalize(
 ) -> PotentialTable:
     """Sum ``table`` down to the scope ``onto`` (a subset of its variables).
 
-    The result's axes follow the order of ``onto``; a batched table yields
-    a batched result (each case marginalized independently).  ``out``, a
-    table over exactly that scope, receives the result in place and is
-    returned.  ``plan`` is :func:`plan_marginalize` of these scopes, for
-    callers that make the same call many times.  Its size and split decide
-    the kernel: ``add.reduce`` on small tables, the slice kernel on a wide
-    table with a :class:`Split` (and C-contiguous arrays), einsum on the
-    other wide ones.
+    The result's axes follow the order of ``onto``.  ``out``, a table over
+    exactly that scope, receives the result in place and is returned.
+    ``plan`` is :func:`plan_marginalize` of these scopes, for callers that
+    make the same call many times.  Its size and split decide the kernel:
+    ``add.reduce`` on small tables, the slice kernel on a wide table with
+    a :class:`Split` (and C-contiguous arrays), einsum on the other wide
+    ones.
     """
-    batch = table.batch
     if plan is None:
-        plan = plan_marginalize(
-            table.variables, table.cardinalities, onto, batch is not None
-        )
+        plan = plan_marginalize(table.variables, table.cardinalities, onto)
     elif (
         plan.variables != table.variables
         or plan.cardinalities != table.cardinalities
-        or plan.batched != (batch is not None)
         or plan.onto != tuple(onto)
     ):
         raise _plan_mismatch("marginalize", plan)
     if out is None:
-        out = _result(plan.onto, plan.onto_cards, batch)
+        out = _result(plan.onto, plan.onto_cards)
     else:
-        out.require(plan.onto, plan.onto_cards, batch)
+        out.require(plan.onto, plan.onto_cards)
     if plan.subscripts is not None:
         split = plan.split
         values, target = table.values, out.values
@@ -438,24 +393,21 @@ def extend(
     with a :class:`Split` (and C-contiguous arrays) it copies one slice
     per added state instead of broadcasting.
     """
-    batch = table.batch
     if plan is None:
         plan = plan_extend(
-            table.variables, table.cardinalities, variables, cardinalities,
-            batch is not None,
+            table.variables, table.cardinalities, variables, cardinalities
         )
     elif (
         plan.variables != table.variables
         or plan.cardinalities != table.cardinalities
-        or plan.batched != (batch is not None)
         or plan.target != tuple(variables)
         or plan.target_cards != tuple(cardinalities)
     ):
         raise _plan_mismatch("extend", plan)
     if out is None:
-        out = _result(plan.target, plan.target_cards, batch)
+        out = _result(plan.target, plan.target_cards)
     else:
-        out.require(plan.target, plan.target_cards, batch)
+        out.require(plan.target, plan.target_cards)
     values = table.values
     if (
         plan.split is not None
@@ -485,19 +437,16 @@ def multiply(
     """
     if plan is None:
         plan = plan_multiply(
-            a.variables, a.cardinalities, b.variables, b.cardinalities,
-            b.batch is not None,
+            a.variables, a.cardinalities, b.variables, b.cardinalities
         )
     elif plan.variables != a.variables or plan.other != b.variables:
         raise _plan_mismatch("multiply", plan)
-    batch = _merged_batch(a, b)
     if plan.extend is not None:
         b = extend(b, a.variables, a.cardinalities, plan=plan.extend)
     if out is None:
-        out = _result(a.variables, a.cardinalities, batch)
+        out = _result(a.variables, a.cardinalities)
     else:
-        out.require(a.variables, a.cardinalities, batch)
-    # An unbatched operand broadcasts across the other's batch axis.
+        out.require(a.variables, a.cardinalities)
     np.multiply(a.values, b.values, out=out.values)
     return out
 
@@ -521,24 +470,19 @@ def divide(
     if out is numerator or out is denominator:
         raise ValueError("divide: out= must be neither operand")
     if plan is None:
-        plan = plan_divide(
-            numerator.variables, denominator.variables,
-            denominator.batch is not None,
-        )
+        plan = plan_divide(numerator.variables, denominator.variables)
     elif (
         plan.variables != numerator.variables
         or plan.other != denominator.variables
-        or plan.batched != (denominator.batch is not None)
     ):
         raise _plan_mismatch("divide", plan)
-    batch = _merged_batch(numerator, denominator)
     denom = denominator.values
     if plan.perm is not None:
         denom = denom.transpose(plan.perm)
     if out is None:
-        out = _result(numerator.variables, numerator.cardinalities, batch)
+        out = _result(numerator.variables, numerator.cardinalities)
     else:
-        out.require(numerator.variables, numerator.cardinalities, batch)
+        out.require(numerator.variables, numerator.cardinalities)
     out.values[...] = 0.0
     np.divide(numerator.values, denom, out=out.values, where=denom != 0)
     return out

@@ -3,12 +3,6 @@
 A :class:`PotentialTable` couples an ordered scope (variable ids with their
 cardinalities) to a dense numpy array whose axes follow the scope order.
 All junction-tree math in the library is built from these tables.
-
-A table may additionally carry a leading *batch* axis of ``B`` independent
-evidence cases (``values.shape == (B,) + cardinalities``): the scope
-describes the trailing axes only, and every primitive broadcasts over the
-batch axis, so one pass of junction-tree math propagates ``B`` cases at
-once.  ``batch is None`` (the default) is the classic single-case table.
 """
 
 from __future__ import annotations
@@ -31,20 +25,15 @@ class PotentialTable:
         Array of shape ``cardinalities`` (or a flat array of the matching
         size, which is reshaped).  Defaults to all-ones (the identity
         potential for multiplication).
-    batch:
-        When not ``None``, the number ``B`` of evidence cases stacked
-        along a leading batch axis; ``values`` then has shape
-        ``(B,) + cardinalities``.
     """
 
-    __slots__ = ("variables", "cardinalities", "values", "batch")
+    __slots__ = ("variables", "cardinalities", "values")
 
     def __init__(
         self,
         variables: Sequence[int],
         cardinalities: Sequence[int],
         values: np.ndarray = None,
-        batch: int = None,
     ):
         variables = tuple(int(v) for v in variables)
         cardinalities = tuple(int(c) for c in cardinalities)
@@ -56,13 +45,7 @@ class PotentialTable:
             )
         if any(c < 1 for c in cardinalities):
             raise ValueError(f"cardinalities must be >= 1, got {cardinalities}")
-        if batch is not None:
-            batch = int(batch)
-            if batch < 1:
-                raise ValueError(f"batch size must be >= 1, got {batch}")
         shape = cardinalities if cardinalities else ()
-        if batch is not None:
-            shape = (batch,) + shape
         if values is None:
             values = np.ones(shape, dtype=np.float64)
         else:
@@ -76,11 +59,10 @@ class PotentialTable:
         self.variables = variables
         self.cardinalities = cardinalities
         self.values = values
-        self.batch = batch
 
     @classmethod
     def wrap(
-        cls, variables, cardinalities, values: np.ndarray, batch: int = None
+        cls, variables, cardinalities, values: np.ndarray
     ) -> "PotentialTable":
         """A table over ``values`` as given: no validation, no copy.
 
@@ -92,7 +74,6 @@ class PotentialTable:
         table.variables = variables
         table.cardinalities = cardinalities
         table.values = values
-        table.batch = batch
         return table
 
     # ------------------------------------------------------------------ #
@@ -101,17 +82,8 @@ class PotentialTable:
 
     @property
     def size(self) -> int:
-        """Number of entries in the table (``prod(cardinalities)``, times
-        the batch size for batched tables)."""
+        """Number of entries in the table (``prod(cardinalities)``)."""
         return int(self.values.size)
-
-    @property
-    def case_size(self) -> int:
-        """Entries per evidence case (``prod(cardinalities)``)."""
-        size = 1
-        for c in self.cardinalities:
-            size *= c
-        return size
 
     @property
     def nbytes(self) -> int:
@@ -127,18 +99,13 @@ class PotentialTable:
         """Cardinality of ``variable``, which must be in the scope."""
         return self.cardinalities[self.variables.index(variable)]
 
-    def require(self, variables, cardinalities, batch) -> None:
+    def require(self, variables, cardinalities) -> None:
         """Raise unless this table is exactly the ``out=`` destination a
-        result over ``variables`` x ``cardinalities`` (``batch``) needs."""
-        if (
-            self.variables != variables
-            or self.cardinalities != cardinalities
-            or self.batch != batch
-        ):
+        result over ``variables`` x ``cardinalities`` needs."""
+        if self.variables != variables or self.cardinalities != cardinalities:
             raise ValueError(
-                f"out= has scope {self.variables} x {self.cardinalities} "
-                f"(batch {self.batch}), the result needs {variables} x "
-                f"{cardinalities} (batch {batch})"
+                f"out= has scope {self.variables} x {self.cardinalities}, "
+                f"the result needs {variables} x {cardinalities}"
             )
 
     def scope_cards(self) -> Dict[int, int]:
@@ -149,8 +116,7 @@ class PotentialTable:
         scope = ", ".join(
             f"{v}:{c}" for v, c in zip(self.variables, self.cardinalities)
         )
-        tag = "" if self.batch is None else f", batch={self.batch}"
-        return f"PotentialTable([{scope}], size={self.size}{tag})"
+        return f"PotentialTable([{scope}], size={self.size})"
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -159,31 +125,13 @@ class PotentialTable:
     def copy(self) -> "PotentialTable":
         """Deep copy (values are duplicated)."""
         return PotentialTable(
-            self.variables, self.cardinalities, self.values.copy(),
-            batch=self.batch,
+            self.variables, self.cardinalities, self.values.copy()
         )
 
     @classmethod
-    def ones(
-        cls,
-        variables: Sequence[int],
-        cardinalities: Sequence[int],
-        batch: int = None,
-    ):
+    def ones(cls, variables: Sequence[int], cardinalities: Sequence[int]):
         """Identity potential (all entries 1) over the given scope."""
-        return cls(variables, cardinalities, batch=batch)
-
-    def case(self, index: int) -> "PotentialTable":
-        """Extract evidence case ``index`` of a batched table (copied)."""
-        if self.batch is None:
-            raise ValueError("case() needs a batched table")
-        if not 0 <= index < self.batch:
-            raise IndexError(
-                f"case {index} out of range for batch of {self.batch}"
-            )
-        return PotentialTable(
-            self.variables, self.cardinalities, self.values[index].copy()
-        )
+        return cls(variables, cardinalities)
 
     @classmethod
     def random(
@@ -222,11 +170,8 @@ class PotentialTable:
             return self
         perm = [self.variables.index(v) for v in variables]
         cards = tuple(self.cardinalities[p] for p in perm)
-        if self.batch is not None:
-            perm = [0] + [p + 1 for p in perm]
         return PotentialTable(
-            variables, cards, np.transpose(self.values, perm),
-            batch=self.batch,
+            variables, cards, np.transpose(self.values, perm)
         )
 
     def reduce(
@@ -244,9 +189,8 @@ class PotentialTable:
         if out is None:
             out = self.copy()
         else:
-            out.require(self.variables, self.cardinalities, self.batch)
+            out.require(self.variables, self.cardinalities)
             np.copyto(out.values, self.values)
-        offset = 0 if self.batch is None else 1
         for var, state in evidence.items():
             if var not in self.variables:
                 continue
@@ -259,8 +203,8 @@ class PotentialTable:
                 )
             mask = np.zeros(card, dtype=np.float64)
             mask[state] = 1.0
-            shape = [1] * (len(self.cardinalities) + offset)
-            shape[axis + offset] = card
+            shape = [1] * len(self.cardinalities)
+            shape[axis] = card
             out.values *= mask.reshape(shape)
         return out
 
@@ -269,22 +213,7 @@ class PotentialTable:
     # ------------------------------------------------------------------ #
 
     def normalize(self) -> "PotentialTable":
-        """Return the table scaled to sum to 1 (no-op scale for all-zero).
-
-        Batched tables normalize *per case*: each batch row is scaled to
-        its own total, and all-zero rows are left untouched (matching the
-        single-case convention for impossible evidence).
-        """
-        if self.batch is not None:
-            totals = self.values.reshape(self.batch, -1).sum(axis=1)
-            scale = np.where(totals > 0, totals, 1.0)
-            shape = (self.batch,) + (1,) * len(self.cardinalities)
-            return PotentialTable.wrap(
-                self.variables,
-                self.cardinalities,
-                self.values / scale.reshape(shape),
-                self.batch,
-            )
+        """Return the table scaled to sum to 1 (no-op scale for all-zero)."""
         total = float(self.values.sum())
         if total <= 0:
             return self.copy()
@@ -296,17 +225,9 @@ class PotentialTable:
         """Sum of all entries (the partition function over this scope)."""
         return float(self.values.sum())
 
-    def case_totals(self) -> np.ndarray:
-        """Per-case partition functions, shape ``(B,)`` (``(1,)`` unbatched)."""
-        if self.batch is None:
-            return np.array([self.total()])
-        return self.values.reshape(self.batch, -1).sum(axis=1)
-
     def allclose(self, other: "PotentialTable", rtol=1e-9, atol=1e-12) -> bool:
         """Whether two tables over the same variable *set* are numerically equal."""
         if set(self.variables) != set(other.variables):
-            return False
-        if self.batch != other.batch:
             return False
         aligned = other.aligned_to(self.variables)
         return bool(

@@ -123,8 +123,8 @@ class ModelRegistry:
         budget overrun.
     sessions, cache_size:
         Per-model pool shape (see :class:`EngineSessionPool`).
-    max_queue, workers, max_batch:
-        Per-model :class:`InferenceService` admission/batching knobs.
+    max_queue, workers:
+        Per-model :class:`InferenceService` admission knobs.
     durable_root:
         Directory compiled-model artifacts (rerooted tree + baseline
         checkpoint) persist under.  A fresh process registering a model
@@ -141,7 +141,6 @@ class ModelRegistry:
         cache_size: int = 512,
         max_queue: int = 32,
         workers: Optional[int] = None,
-        max_batch: int = 1,
         durable_root: Optional[str] = None,
     ):
         if memory_budget is not None and memory_budget < 1:
@@ -151,7 +150,6 @@ class ModelRegistry:
         self.cache_size = cache_size
         self.max_queue = max_queue
         self.workers = workers
-        self.max_batch = max_batch
         self.durable_root = durable_root
         self._durable = (
             DurableModelStore(durable_root) if durable_root is not None else None
@@ -462,7 +460,6 @@ class ModelRegistry:
             compiled.pool,
             workers=self.workers,
             max_queue=self.max_queue,
-            max_batch=self.max_batch,
         )
         entry.state = _RESIDENT
         entry.misses += 1

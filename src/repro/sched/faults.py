@@ -129,10 +129,7 @@ class FaultPlan:
     corrupt_task:
         ``{tid: mode}`` with mode in :data:`CORRUPTION_MODES` — after
         the task's first execution its output table is overwritten with
-        NaN / Inf / garbage, exercising the numerical health guard.  A
-        value may also be ``(mode, column)`` to corrupt only one batch
-        column of a batched table (the batch axis is leading), which is
-        how the per-case quarantine path is exercised.
+        NaN / Inf / garbage, exercising the numerical health guard.
     fail_task:
         ``{tid: times}`` — the worker raises an injected exception on
         the task's first ``times`` dispatches (then runs clean): the run
@@ -172,7 +169,7 @@ class FaultPlan:
 
     kill_before_dispatch: Dict[int, int] = field(default_factory=dict)
     delay_task: Dict[int, float] = field(default_factory=dict)
-    corrupt_task: Dict[int, object] = field(default_factory=dict)
+    corrupt_task: Dict[int, str] = field(default_factory=dict)
     fail_task: Dict[int, int] = field(default_factory=dict)
     torn_write: Dict[int, int] = field(default_factory=dict)
     sim_kill_core: Dict[int, int] = field(default_factory=dict)
@@ -182,19 +179,11 @@ class FaultPlan:
     torn_append: Dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        for tid, spec in self.corrupt_task.items():
-            mode = spec[0] if isinstance(spec, tuple) else spec
+        for tid, mode in self.corrupt_task.items():
             if mode not in CORRUPTION_MODES:
                 raise ValueError(
                     f"corruption mode for task {tid} must be one of "
                     f"{CORRUPTION_MODES}, got {mode!r}"
-                )
-            if isinstance(spec, tuple) and (
-                len(spec) != 2 or int(spec[1]) < 0
-            ):
-                raise ValueError(
-                    f"batched corruption for task {tid} must be "
-                    f"(mode, column) with column >= 0, got {spec!r}"
                 )
         for tid, seconds in self.delay_task.items():
             if seconds < 0:
@@ -250,12 +239,8 @@ class FaultPlan:
             return self.delay_task[tid]
         return 0.0
 
-    def take_corruption(self, tid: int):
-        """Corruption spec to apply after running ``tid``, or ``None``.
-
-        The spec is a bare mode string, or ``(mode, column)`` when only
-        one batch column of a batched table should be corrupted.
-        """
+    def take_corruption(self, tid: int) -> Optional[str]:
+        """Corruption mode to apply after running ``tid``, or ``None``."""
         if tid in self.corrupt_task and tid not in self._taken_corruptions:
             self._taken_corruptions.add(tid)
             return self.corrupt_task[tid]
@@ -335,17 +320,8 @@ class FaultPlan:
         )
 
 
-def corrupt_array(flat: np.ndarray, mode, column: Optional[int] = None) -> None:
-    """Overwrite ``flat`` in place per ``mode`` (worker-side injection).
-
-    ``mode`` may be ``(mode, column)`` — equivalent to passing ``column``
-    explicitly — restricting the damage to one slice of the leading
-    (batch) axis, so batched quarantine attribution can be exercised
-    without poisoning every case.
-    """
-    if isinstance(mode, tuple):
-        mode, column = mode
-    target = flat if column is None else flat[int(column)]
+def corrupt_array(target: np.ndarray, mode: str) -> None:
+    """Overwrite ``target`` in place per ``mode`` (worker-side injection)."""
     if mode == "nan":
         target[...] = np.nan
     elif mode == "inf":
@@ -401,21 +377,18 @@ def scan_tables(tables: Mapping[object, object]) -> HealthReport:
 
     A table *underflows* when every entry is exactly zero — the signature
     of joint mass shrinking below ``float64``'s reach, which the
-    log-space engine (:mod:`repro.potential.logspace`) avoids.  A batched
-    table underflows when any one case's entries are all zero (one
-    vectorized reduction over the case axis).  Each table lands in at
-    most one list: NaN before Inf before underflow.
+    log-space engine (:mod:`repro.potential.logspace`) avoids.  Each
+    table lands in at most one list: NaN before Inf before underflow.
     """
     report = HealthReport()
     for key, table in tables.items():
         values = np.asarray(table.values)
         report.tables_scanned += 1
-        cases = getattr(table, "batch", None) or 1
         if np.isnan(values).any():
             report.nan_tables.append(key)
         elif np.isinf(values).any():
             report.inf_tables.append(key)
-        elif values.size and not values.reshape(cases, -1).any(axis=1).all():
+        elif not values.any():
             report.underflowed_tables.append(key)
     return report
 

@@ -311,10 +311,6 @@ class ProcessSharedMemoryExecutor:
     finish the run on a simpler tier instead.
     """
 
-    # The shared arena lays tables out per single case; batched states are
-    # refused (TaskExecutionError) so callers fall back to per-case runs.
-    supports_batched_state = False
-
     def __init__(
         self,
         num_workers: int = 4,
@@ -384,12 +380,6 @@ class ProcessSharedMemoryExecutor:
         stats.worker_pids[master_slot] = os.getpid()
         if graph.num_tasks == 0:
             return stats
-        if getattr(state, "batch", None) is not None:
-            raise TaskExecutionError(
-                "process executor does not support batched states; "
-                "run each case separately"
-            )
-
         # The arena holds the state's whole table buffer: one memcpy in,
         # the same PropagationState class over it on both sides of the
         # process boundary, one memcpy back out.

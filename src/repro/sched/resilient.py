@@ -83,15 +83,6 @@ class ResilientExecutor:
             tiers.append(SerialExecutor())
         self.tiers = tiers
 
-    @property
-    def supports_batched_state(self) -> bool:
-        """False when any tier refuses batched states (the engine then
-        runs a batch case by case, each case down the whole ladder)."""
-        return all(
-            getattr(tier, "supports_batched_state", True)
-            for tier in self.tiers
-        )
-
     def run(
         self,
         graph: TaskGraph,
@@ -197,13 +188,6 @@ class ResilientExecutor:
                 "logspace", "none",
                 "underflow detected but log-space rescue does not support "
                 "soft evidence",
-            ))
-            return False
-        if getattr(state, "batch", None) is not None:
-            records.append(DegradationRecord(
-                "logspace", "none",
-                "underflow detected but log-space rescue does not support "
-                "batched states",
             ))
             return False
         log_pots = propagate_reference_log(state.jt, state.evidence)

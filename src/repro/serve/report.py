@@ -93,13 +93,9 @@ class ServiceReport:
     replayed_ticks: int = 0
     dropped_unacked: int = 0
     recoveries: int = 0
-    # Micro-batching accounting: how many batched propagations ran, how
-    # many flights they carried, how many flights went through the
-    # single-flight path, and how many cases (single or batched) were
-    # quarantined for a likelihood that is not > 0 (their requests got
-    # explicit failures).
-    batches: int = 0
-    batched_flights: int = 0
+    # Flights answered (from the cache or by a propagation), and how many
+    # were quarantined for a likelihood that is not > 0 (their requests
+    # got explicit failures).
     single_flights: int = 0
     quarantined: int = 0
     # Per-tenant / per-model response-status breakdowns, e.g.
@@ -215,13 +211,8 @@ class ServiceReport:
             f"shed rate          {self.shed_rate:8.1%}",
             f"queue high water   {self.queue_high_water:8d}",
         ]
-        if self.batches or self.batched_flights or self.quarantined:
-            lines.append(
-                f"micro-batched      {self.batched_flights:8d}"
-                f"   flights in {self.batches} batches"
-                f" ({self.single_flights} single,"
-                f" {self.quarantined} quarantined)"
-            )
+        if self.quarantined:
+            lines.append(f"quarantined        {self.quarantined:8d}")
         if self.model_misses or self.model_hits or self.evictions:
             lines.append(
                 f"registry           {self.model_hits} hits, "

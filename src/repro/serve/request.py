@@ -12,6 +12,8 @@ explicit refusal*, never silence and never a silently-wrong posterior.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -102,7 +104,7 @@ _KIND_ERRORS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class QueryRequest:
     """One client query.
 
@@ -121,7 +123,8 @@ class QueryRequest:
         queued and cooperatively inside executors, so a request never
         silently overstays.  ``None`` means unbounded.
     priority:
-        Lower runs first among queued requests (0 is the default tier).
+        Lower runs first among queued requests (0 is the default tier);
+        an ``int``.
     max_staleness:
         When the admission queue is full, accept a cached last-known
         answer at most this many seconds old instead of being shed;
@@ -136,6 +139,11 @@ class QueryRequest:
         counts land in :attr:`~repro.serve.report.ServiceReport.per_tenant`,
         and the registry's fair scheduler budgets admission by tenant.
         The empty string (default) is the anonymous shared tenant.
+
+    ``deadline`` and ``max_staleness`` must be ``None`` or finite and
+    >= 0; any other value of them or of ``priority`` raises
+    ``ValueError`` here, before a service counts or queues anything.  A
+    request is frozen, so what was checked is what every service reads.
     """
 
     delta: Mapping[int, object] = field(default_factory=dict)
@@ -145,6 +153,24 @@ class QueryRequest:
     max_staleness: Optional[float] = None
     model_id: Optional[str] = None
     tenant: str = ""
+
+    def __post_init__(self):
+        priority = self.priority
+        if isinstance(priority, bool) or not isinstance(
+            priority, numbers.Integral
+        ):
+            raise ValueError(f"priority must be an int, got {priority!r}")
+        for name in ("deadline", "max_staleness"):
+            value = getattr(self, name)
+            if value is not None and not (
+                isinstance(value, numbers.Real)
+                and math.isfinite(value)
+                and value >= 0
+            ):
+                raise ValueError(
+                    f"{name} must be None or finite seconds >= 0, "
+                    f"got {value!r}"
+                )
 
     def evidence(self) -> Evidence:
         """Materialize the delta as a fresh :class:`Evidence` set."""
@@ -196,7 +222,6 @@ class QueryResponse(_TypedRefusal):
     latency: float = 0.0
     executor: str = ""
     coalesced: bool = False
-    batched: bool = False  # answered by a micro-batched propagation
     stale_age: Optional[float] = None
     error: Optional[str] = None
     # Finer refusal kind ("compile-deadline", "quota", "model-not-found")

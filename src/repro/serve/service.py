@@ -274,14 +274,6 @@ class InferenceService(ServingCore):
     breaker:
         The :class:`~repro.serve.breaker.CircuitBreaker` guarding the
         primary tier; a default one is built when the primary is set.
-    max_batch:
-        Micro-batching width: a worker that dequeues a flight drains up
-        to this many *compatible* queued flights (same model, not yet
-        fully expired) and serves them through one batched propagation,
-        splitting responses per case.  Requests keep their individual
-        deadlines and priorities; a case whose likelihood is not > 0 is
-        quarantined with an explicit failure while the rest of the batch
-        is answered exactly.  ``1`` (default) disables micro-batching.
     """
 
     def __init__(
@@ -292,13 +284,9 @@ class InferenceService(ServingCore):
         workers: Optional[int] = None,
         max_queue: int = 32,
         breaker: Optional[CircuitBreaker] = None,
-        max_batch: int = 1,
     ):
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        self.max_batch = max_batch
         self.pool = pool
         self.primary = primary
         if fallback is None:
@@ -457,59 +445,14 @@ class InferenceService(ServingCore):
     def serve(self, flight: _Flight) -> None:
         with self._admission:
             self._queued -= 1
-        group = (
-            self._collect_batch(flight) if self.max_batch > 1 else [flight]
-        )
         try:
-            self._serve_group(group)
+            self._serve_flight(flight)
         except BaseException as exc:  # never strand a client
-            for stranded in group:
-                self.refuse(
-                    self._close_flight(stranded),
-                    STATUS_FAILED,
-                    f"{type(exc).__name__}: {exc}",
-                )
-
-    def _batch_compatible(self, flight: _Flight) -> bool:
-        """Whether a queued flight may ride the current micro-batch.
-
-        All flights share the model (one pool, one tree), so the only
-        disqualifier is a flight whose every member has already expired —
-        batching it would waste a batch column on a guaranteed
-        deadline-missed response.
-        """
-        now = time.monotonic()
-        with self._admission:
-            members = list(flight.members)
-        return not all(m.expired(now) for m in members)
-
-    def _collect_batch(self, first: _Flight) -> List[_Flight]:
-        """Drain up to ``max_batch - 1`` compatible queued flights.
-
-        Incompatible flights (and any drain sentinel) go back on the
-        queue under their original ``(priority, seq)`` keys, so ordering
-        among the requests this worker does *not* take is preserved.
-        """
-        flights = [first]
-        requeue = []
-        while len(flights) < self.max_batch:
-            try:
-                item = self._ready.get_nowait()
-            except queue.Empty:
-                break
-            flight = item[2]
-            if flight is None:
-                requeue.append(item)
-                break
-            if self._batch_compatible(flight):
-                with self._admission:
-                    self._queued -= 1
-                flights.append(flight)
-            else:
-                requeue.append(item)
-        for item in requeue:
-            self._ready.put(item)
-        return flights
+            self.refuse(
+                self._close_flight(flight),
+                STATUS_FAILED,
+                f"{type(exc).__name__}: {exc}",
+            )
 
     def _close_flight(self, flight: _Flight) -> List[Ticket]:
         """Stop accepting joiners; returns the final member snapshot."""
@@ -520,7 +463,7 @@ class InferenceService(ServingCore):
             return list(flight.members)
 
     # ------------------------------------------------------------------ #
-    # Serving a group of flights (one, or a micro-batch)
+    # Serving one flight
     # ------------------------------------------------------------------ #
 
     def _union_vars(self, members: Sequence[Ticket]) -> Optional[List[int]]:
@@ -547,33 +490,22 @@ class InferenceService(ServingCore):
             results[var] = values
         return results
 
-    def _serve_group(self, flights: Sequence[_Flight]) -> None:
-        """Answer every flight: expired, from cache, or by propagating.
+    def _serve_flight(self, flight: _Flight) -> None:
+        """Answer the flight: expired, from cache, or by propagating.
 
-        Per-flight deadlines and priorities are preserved: expired
-        flights resolve as deadline-missed without costing a session,
-        cache-served flights never cost a batch column, and what is left
-        shares one propagation (batched when more than one flight).
+        Expired flights resolve as deadline-missed without costing a
+        session; a flight whose every marginal is cached never propagates.
         """
-        live: List[Tuple[_Flight, List[Ticket]]] = []
-        now = time.monotonic()
-        for flight in flights:
-            members = self._close_flight(flight)
-            if all(m.expired(now) for m in members):
-                self._miss_deadline(members)
-                continue
-            # Fast path: a previous flight with this signature already
-            # cached every marginal this one needs.
-            cached = self._cached_answer(flight.signature, members)
-            if cached is not None:
-                self._bump("single_flights")
-                self._resolve_ok(members, cached, "cache")
-                continue
-            live.append((flight, members))
-        if len(live) == 1:
-            self._serve_single(*live[0])
-        elif live:
-            self._serve_batch(live)
+        members = self._close_flight(flight)
+        if all(m.expired(time.monotonic()) for m in members):
+            self._miss_deadline(members)
+            return
+        cached = self._cached_answer(flight.signature, members)
+        if cached is not None:
+            self._bump("single_flights")
+            self._resolve_ok(members, cached, "cache")
+            return
+        self._propagate(flight, members)
 
     def _ladder(self) -> Tuple[Optional[object], ResilientExecutor]:
         """This flight's primary (None when absent or skipped by an open
@@ -603,24 +535,18 @@ class InferenceService(ServingCore):
         else:
             self.breaker.release_probe()
 
-    def _propagate(
-        self,
-        members: List[Ticket],
-        deadline_at: Optional[float],
-        propagate,
-        answer,
-    ) -> None:
+    def _propagate(self, flight: _Flight, members: List[Ticket]) -> None:
         """Answer ``members`` from one run down the recovery ladder.
 
-        ``propagate(engine, ladder)`` runs the flight's propagation with
-        the ladder as its executor and returns the state;
-        ``answer(engine, state, tier)`` resolves the members from it.
         The ladder rolls the state back before every step down, so a
         failed tier never writes the session's cached state.  Members are
         always answered: exactly, by their deadline, or — when every tier
         failed (serial included: pathological evidence or a corrupted
-        tree) — with an explicit failure, never a silent wrong answer.
+        tree) — with an explicit failure, never a silent wrong answer.  A
+        flight whose likelihood is not > 0 (impossible evidence, or a
+        non-finite root) is quarantined: refused, nothing of it cached.
         """
+        deadline_at = self._flight_deadline(members)
         with self.pool.session() as engine:
             if deadline_at is not None and time.monotonic() >= deadline_at:
                 self._miss_deadline(members)
@@ -628,7 +554,10 @@ class InferenceService(ServingCore):
             primary, ladder = self._ladder()
             before = engine.last_stats
             try:
-                state = propagate(engine, ladder)
+                engine.set_evidence(flight.evidence)
+                state = engine.propagate(
+                    executor=ladder, incremental=True, deadline=deadline_at
+                )
             except Exception as exc:
                 self._judge(primary, getattr(exc, "degradations", ()), False)
                 if (
@@ -650,82 +579,20 @@ class InferenceService(ServingCore):
                 stats.completed_executor if ran
                 else type(ladder.tiers[0]).__name__
             )
-            answer(engine, state, tier)
-
-    def _quarantine(self, members: Sequence[Ticket], likelihood) -> None:
-        """Refuse a case with no posterior: its likelihood is not > 0
-        (impossible evidence, or a non-finite root)."""
-        self._bump("quarantined")
-        self.refuse(
-            members,
-            STATUS_FAILED,
-            f"case quarantined: P(evidence) = {float(likelihood)!r} is not "
-            "> 0, no posterior to serve",
-        )
-
-    def _serve_single(self, flight: _Flight, members: List[Ticket]) -> None:
-        deadline_at = self._flight_deadline(members)
-
-        def propagate(engine, ladder):
-            engine.set_evidence(flight.evidence)
-            return engine.propagate(
-                executor=ladder, incremental=True, deadline=deadline_at
-            )
-
-        def answer(engine, state, tier):
             likelihood = state.likelihood()
             if not likelihood > 0:
-                self._quarantine(members, likelihood)
+                self._bump("quarantined")
+                self.refuse(
+                    members,
+                    STATUS_FAILED,
+                    f"case quarantined: P(evidence) = {likelihood!r} is not "
+                    "> 0, no posterior to serve",
+                )
                 return
             results = engine.query(vars=self._union_vars(members))
             self._record_stale(flight.signature, results)
             self._bump("single_flights")
             self._resolve_ok(members, results, tier)
-
-        self._propagate(members, deadline_at, propagate, answer)
-
-    def _serve_batch(self, live: List[Tuple[_Flight, List[Ticket]]]) -> None:
-        """One batched propagation answering several flights at once.
-
-        Each member's response is split out of its own batch case.  A
-        case whose likelihood is not > 0 is quarantined — its members get
-        an explicit failure, nothing of it is cached or served — while the
-        rest of the batch is answered exactly.
-        """
-        everyone = [m for _flight, members in live for m in members]
-        # The batch's propagation budget must accommodate every flight;
-        # members with earlier deadlines get explicit refusals at
-        # resolution, exactly like coalesced members of a single flight.
-        deadline_at = self._flight_deadline(everyone)
-        union = self._union_vars(everyone)
-        needed = union if union is not None else self.pool.variables
-
-        def propagate(engine, ladder):
-            return engine.propagate_batch(
-                [flight.evidence for flight, _members in live],
-                executor=ladder,
-                deadline=deadline_at,
-            )
-
-        def answer(engine, state, tier):
-            likelihoods = np.asarray(state.likelihood()).reshape(-1)
-            rows = {var: state.marginal(var) for var in needed}
-            for i, (flight, members) in enumerate(live):
-                if not likelihoods[i] > 0:
-                    self._quarantine(members, likelihoods[i])
-                    continue
-                results = {var: rows[var][i] for var in needed}
-                for var, values in results.items():
-                    self.pool.cache.put_marginal(flight.signature, var, values)
-                self.pool.cache.put_likelihood(
-                    flight.signature, float(likelihoods[i])
-                )
-                self._record_stale(flight.signature, results)
-                self._bump("batched_flights")
-                self._resolve_ok(members, results, tier, batched=True)
-            self._bump("batches")
-
-        self._propagate(everyone, deadline_at, propagate, answer)
 
     @staticmethod
     def _flight_deadline(members: Sequence[Ticket]) -> Optional[float]:
@@ -751,7 +618,6 @@ class InferenceService(ServingCore):
         members: Sequence[Ticket],
         results: Dict[int, np.ndarray],
         tier: str,
-        batched: bool = False,
     ) -> None:
         with self._stats_lock:
             self._tier_counts[tier] = self._tier_counts.get(tier, 0) + 1
@@ -778,7 +644,6 @@ class InferenceService(ServingCore):
                     marginals=marginals,
                     executor=tier,
                     coalesced=i > 0,
-                    batched=batched,
                 ),
             )
 

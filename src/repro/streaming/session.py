@@ -143,7 +143,7 @@ class _WindowTemplate:
     def __init__(self, bn: BayesianNetwork, ghosts: range):
         engine = _compile(bn)
         jt = engine.jt
-        table_layout(jt).pipelines(False)
+        table_layout(jt).pipelines()
         absorbed: Dict[int, List[int]] = {}
         for v in range(bn.num_variables):
             # The build's absorption: lowest variable first, each CPT into

@@ -124,7 +124,6 @@ def build_task_graph(
     jt: JunctionTree,
     collect_edges: Optional[Collection[Edge]] = None,
     distribute_edges: Optional[Collection[Edge]] = None,
-    batch: int = 1,
 ) -> TaskGraph:
     """Construct the task dependency graph ``G`` for a junction tree.
 
@@ -139,15 +138,7 @@ def build_task_graph(
     :func:`repro.inference.incremental.plan_incremental`, which guarantees
     the collect set is ancestor-closed and the distribute set is closed
     toward the root.
-
-    ``batch`` scales every task's input/output size by the number of
-    stacked evidence cases, so task weights and chunk plans match the
-    batch-major flat index space of a batched
-    :class:`~repro.tasks.state.PropagationState`.
     """
-    batch = int(batch)
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
     graph = TaskGraph()
     collect_edges = None if collect_edges is None else set(collect_edges)
     distribute_edges = (
@@ -169,12 +160,11 @@ def build_task_graph(
         if not children:
             collect_exit[p] = None
             continue
-        clique_size = jt.cliques[p].table_size * batch
+        clique_size = jt.cliques[p].table_size
         last_multiply: Optional[int] = None
         for c in children:
-            child_size = jt.cliques[c].table_size * batch
+            child_size = jt.cliques[c].table_size
             _, sep_size = _sizes(jt, p, c)
-            sep_size *= batch
             edge = (p, c)
             entry_deps = []
             if collect_exit[c] is not None:
@@ -208,14 +198,13 @@ def build_task_graph(
         for c in jt.children[p]:
             if distribute_edges is not None and (p, c) not in distribute_edges:
                 continue
-            child_size = jt.cliques[c].table_size * batch
+            child_size = jt.cliques[c].table_size
             _, sep_size = _sizes(jt, p, c)
-            sep_size *= batch
             edge = (p, c)
             entry_deps = []
             if distribute_exit.get(p) is not None:
                 entry_deps.append(distribute_exit[p])
-            parent_size = jt.cliques[p].table_size * batch
+            parent_size = jt.cliques[p].table_size
             marg = graph.add_task(
                 PrimitiveKind.MARGINALIZE, DISTRIBUTE, edge, c,
                 input_size=parent_size, output_size=sep_size, deps=entry_deps,

@@ -9,9 +9,6 @@ in-process state, the process executor's shared-memory arena, the
 incremental copy, the resilient snapshot and the checkpoint all hold that
 one vector and read tables out of it with :func:`table_view`.
 
-A batched state of ``B`` cases scales every slot by ``B``: slots keep
-their order, and each table is batch-major inside its slot.
-
 Because the slots fix the operand scopes of every task, the layout is also
 where Eq. 1 is *compiled*: :meth:`TableLayout.pipelines` holds, per
 (phase, edge), the plans of the four primitives
@@ -61,14 +58,14 @@ InterKey = Tuple[str, Edge, str]  # (phase, (parent, child), stage)
 PipeKey = Tuple[str, Edge]        # (phase, (parent, child))
 StepKey = Tuple[str, Edge, PrimitiveKind]  # a task's (phase, edge, kind)
 
-# Released single-case buffers one layout keeps for reuse.  Two covers a
+# Released buffers one layout keeps for reuse.  Two covers a
 # propagation loop (the state being replaced and its successor) and two
 # serving threads; every extra one is a whole buffer of resident memory.
 FREE_BUFFERS = 2
 
 
 class Slot(NamedTuple):
-    """Location (in float64 entries, per case) and scope of one table."""
+    """Location (in float64 entries) and scope of one table."""
 
     start: int
     size: int
@@ -168,8 +165,8 @@ class TableLayout:
     ``separators[(parent, child)]`` the edge's separator, and
     ``inter[(phase, edge, stage)]`` one pipeline intermediate (``sep_new``
     and ``ratio`` over the separator scope, ``extended`` over the scope of
-    the clique the pipeline updates).  ``size`` is the per-case entry
-    count of the whole buffer.  ``slots`` lists every slot in buffer order:
+    the clique the pipeline updates).  ``size`` is the entry count of the
+    whole buffer.  ``slots`` lists every slot in buffer order:
     a table's position there is its *slot index* (clique ``i``'s potential
     is slot ``i``; ``separator_at`` and ``inter_at`` give the others).
 
@@ -187,9 +184,9 @@ class TableLayout:
     def __init__(self, jt: JunctionTree):
         self.size = 0
         self.slots: List[Slot] = []
-        self._pipelines: Dict[bool, Dict[PipeKey, Pipeline]] = {}
-        self._steps: Dict[bool, Dict[StepKey, Step]] = {}
-        self._answers: Dict[Tuple[int, int, bool], MarginalizePlan] = {}
+        self._pipelines: Optional[Dict[PipeKey, Pipeline]] = None
+        self._steps: Optional[Dict[StepKey, Step]] = None
+        self._answers: Dict[Tuple[int, int], MarginalizePlan] = {}
         self.graphs = GraphCache()
         self.free = FreeList()
 
@@ -229,10 +226,10 @@ class TableLayout:
                     self.inter_at[key] = len(self.slots)
                     self.inter[key] = slot(variables, cardinalities)
 
-    def pipelines(self, batched: bool) -> Dict[PipeKey, Pipeline]:
-        """The compiled pipeline of every (phase, edge), for single-case
-        (``batched`` false) or batched states; built on first use."""
-        compiled = self._pipelines.get(batched)
+    def pipelines(self) -> Dict[PipeKey, Pipeline]:
+        """The compiled pipeline of every (phase, edge); built on first
+        use."""
+        compiled = self._pipelines
         if compiled is None:
             compiled = {}
             for (parent, child), sep in self.separators.items():
@@ -244,26 +241,25 @@ class TableLayout:
                     compiled[(phase, (parent, child))] = Pipeline(
                         source,
                         plan_marginalize(
-                            src.variables, src.cardinalities, sep.variables,
-                            batched,
+                            src.variables, src.cardinalities, sep.variables
                         ),
-                        plan_divide(sep.variables, sep.variables, batched),
+                        plan_divide(sep.variables, sep.variables),
                         plan_extend(
                             sep.variables, sep.cardinalities,
-                            tgt.variables, tgt.cardinalities, batched,
+                            tgt.variables, tgt.cardinalities,
                         ),
                         plan_multiply(
                             tgt.variables, tgt.cardinalities,
-                            tgt.variables, tgt.cardinalities, batched,
+                            tgt.variables, tgt.cardinalities,
                         ),
                     )
-            self._pipelines[batched] = compiled
+            self._pipelines = compiled
         return compiled
 
-    def steps(self, batched: bool) -> Dict[StepKey, Step]:
+    def steps(self) -> Dict[StepKey, Step]:
         """The :class:`Step` of every task of the tree, keyed by the task's
-        ``(phase, edge, kind)``; built on first use, per ``batched``."""
-        compiled = self._steps.get(batched)
+        ``(phase, edge, kind)``; built on first use."""
+        compiled = self._steps
         if compiled is None:
             compiled = {}
             at = self.inter_at
@@ -272,7 +268,7 @@ class TableLayout:
                 PrimitiveKind.MARGINALIZE, PrimitiveKind.DIVIDE,
                 PrimitiveKind.EXTEND, PrimitiveKind.MULTIPLY,
             )
-            for pipe_key, pipe in self.pipelines(batched).items():
+            for pipe_key, pipe in self.pipelines().items():
                 phase, edge = pipe_key
                 sep_new = pipe_key + ("sep_new",)
                 ratio = pipe_key + ("ratio",)
@@ -292,18 +288,18 @@ class TableLayout:
                 compiled[pipe_key + (mult,)] = Step(
                     mult, at[extended], -1, target, pipe.multiply, None,
                 )
-            self._steps[batched] = compiled
+            self._steps = compiled
         return compiled
 
-    def step_list(self, graph: TaskGraph, batched: bool) -> StepList:
+    def step_list(self, graph: TaskGraph) -> StepList:
         """``graph`` compiled into its steps, in topological order.
 
         Compiled on the graph's first run over this layout and kept on the
         graph (until its next ``add_task``), so the full graph and every
         cached restricted graph compile once.
         """
-        steps = self.steps(batched)
-        memo = graph._steps.get(batched)
+        steps = self.steps()
+        memo = graph._steps
         # The step table identifies the layout without the graph holding
         # the layout (whose graph cache holds the graph).
         if memo is not None and memo[0] is steps:
@@ -320,24 +316,22 @@ class TableLayout:
                 "task graph has tasks that are not tasks of this layout's tree"
             ) from None
         listed = StepList(tids, compiled)
-        graph._steps[batched] = (steps, listed)
+        graph._steps = (steps, listed)
         return listed
 
-    def answer(
-        self, clique: int, variable: int, batched: bool
-    ) -> MarginalizePlan:
+    def answer(self, clique: int, variable: int) -> MarginalizePlan:
         """The plan of summing ``clique``'s potential down to ``variable``
         alone (a posterior marginal read from its host clique).  On a
         wide clique with at most ``SPLIT_POST`` entries after the
         variable's axis, the plan keeps that axis as a
         :class:`~repro.potential.primitives.Split`: the read is one
         strided sum per state, not an einsum."""
-        key = (clique, variable, batched)
+        key = (clique, variable)
         plan = self._answers.get(key)
         if plan is None:
             slot = self.potentials[clique]
             plan = self._answers[key] = plan_marginalize(
-                slot.variables, slot.cardinalities, (variable,), batched
+                slot.variables, slot.cardinalities, (variable,)
             )
         return plan
 
@@ -355,19 +349,12 @@ def table_layout(jt: JunctionTree) -> TableLayout:
     return layout
 
 
-def table_view(
-    buffer: np.ndarray, slot: Slot, batch: Optional[int] = None
-) -> PotentialTable:
+def table_view(buffer: np.ndarray, slot: Slot) -> PotentialTable:
     """The table at ``slot`` as a zero-copy view into the flat ``buffer``.
 
     Scopes come from the layout, not from outside, so the validating
     :class:`PotentialTable` constructor is bypassed.
     """
     start, size, variables, cardinalities = slot
-    if batch is None:
-        values = buffer[start:start + size].reshape(cardinalities)
-    else:
-        values = buffer[start * batch:(start + size) * batch].reshape(
-            (batch,) + cardinalities
-        )
-    return PotentialTable.wrap(variables, cardinalities, values, batch)
+    values = buffer[start:start + size].reshape(cardinalities)
+    return PotentialTable.wrap(variables, cardinalities, values)

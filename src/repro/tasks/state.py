@@ -24,7 +24,7 @@ threaded executors' unit of work), :meth:`execute_chunk` one slice of it
 ``T̂_n`` — an addition for marginalization, nothing for the primitives
 whose chunks already wrote their disjoint output slices.
 
-**Buffer reuse.**  A single-case state built here — by the constructor,
+**Buffer reuse.**  A state built here — by the constructor,
 :meth:`incremental` or :meth:`copy` — takes its buffer, views already
 bound, from the layout's :class:`~repro.tasks.layout.FreeList`, and hands
 it back when the state becomes unreachable (its finalizer), unless a
@@ -110,11 +110,9 @@ class _Views:
     __slots__ = ("buffer", "tables", "potentials", "separators", "inter",
                  "clean")
 
-    def __init__(
-        self, layout: TableLayout, buffer: np.ndarray, batch: Optional[int]
-    ):
+    def __init__(self, layout: TableLayout, buffer: np.ndarray):
         self.buffer = buffer
-        tables = [table_view(buffer, slot, batch) for slot in layout.slots]
+        tables = [table_view(buffer, slot) for slot in layout.slots]
         self.tables = tables
         self.potentials = dict(enumerate(tables[:len(layout.potentials)]))
         self.separators = {
@@ -125,8 +123,8 @@ class _Views:
 
     @classmethod
     def recyclable(cls, layout: TableLayout) -> "_Views":
-        """Views over a new single-case buffer, ``clean`` recorded."""
-        views = cls(layout, np.zeros(layout.size), None)
+        """Views over a new buffer, ``clean`` recorded."""
+        views = cls(layout, np.zeros(layout.size))
         views.clean = views.refcounts()
         return views
 
@@ -173,7 +171,6 @@ class PropagationState:
         views: _Views,
         evidence,
         soft_evidence,
-        batch: Optional[int],
         computed: Optional[Iterable[InterKey]],
     ) -> None:
         """Make ``views`` (a buffer and its bound tables) this state's.
@@ -187,9 +184,6 @@ class PropagationState:
         self.jt = jt
         self.evidence = dict(evidence or {})
         self.soft_evidence = dict(soft_evidence or {})
-        # Single-case unless built via batched()/from_cases().
-        self.batch = batch
-        self.case_evidence = None
         self.buffer = views.buffer
         self._layout = layout
         self._views = views
@@ -199,7 +193,7 @@ class PropagationState:
         self._epoch = 0
         self._tables = views.tables
         # Eq. 1 compiled per task.
-        self._steps = layout.steps(batch is not None)
+        self._steps = layout.steps()
         self.potentials: Dict[int, PotentialTable] = dict(views.potentials)
         self.separators: Dict[Tuple[int, int], PotentialTable] = dict(
             views.separators
@@ -214,15 +208,15 @@ class PropagationState:
     def _bind_recycled(
         self, jt: JunctionTree, evidence, soft_evidence, computed
     ) -> None:
-        """Bind a single-case buffer from the layout's free list (a new
-        one when the list is empty), to be handed back by ``__del__``."""
+        """Bind a buffer from the layout's free list (a new one when the
+        list is empty), to be handed back by ``__del__``."""
         layout = table_layout(jt)
         free = layout.free
         epoch = free.epoch
         views = free.take()
         if views is None:
             views = _Views.recyclable(layout)
-        self._bind(jt, views, evidence, soft_evidence, None, computed)
+        self._bind(jt, views, evidence, soft_evidence, computed)
         self._free = free
         self._epoch = epoch
 
@@ -245,7 +239,6 @@ class PropagationState:
         buffer: np.ndarray,
         evidence: Optional[Mapping[int, int]] = None,
         soft_evidence: Optional[Mapping[int, "np.ndarray"]] = None,
-        batch: Optional[int] = None,
         computed: Optional[Iterable[InterKey]] = None,
     ) -> "PropagationState":
         """A state whose tables are views into ``buffer``, adopted uncopied.
@@ -258,7 +251,7 @@ class PropagationState:
         The buffer stays the caller's: it never enters the free list.
         """
         layout = table_layout(jt)
-        size = layout.size * (1 if batch is None else batch)
+        size = layout.size
         if (buffer.dtype, buffer.shape, buffer.flags.c_contiguous) != (
             np.float64, (size,), True
         ):
@@ -268,8 +261,7 @@ class PropagationState:
             )
         state = cls.__new__(cls)
         state._bind(
-            jt, _Views(layout, buffer, batch), evidence, soft_evidence, batch,
-            computed,
+            jt, _Views(layout, buffer), evidence, soft_evidence, computed
         )
         return state
 
@@ -298,77 +290,12 @@ class PropagationState:
             table.values *= weights.reshape(shape)
 
     # ------------------------------------------------------------------ #
-    # Batched construction (B evidence cases through one propagation)
-    # ------------------------------------------------------------------ #
-
-    @classmethod
-    def batched(cls, jt: JunctionTree, cases) -> "PropagationState":
-        """State carrying ``B`` independent evidence cases at once.
-
-        ``cases`` is a sequence of ``(evidence, soft_evidence)`` pairs,
-        one per case.  Each case's evidence is absorbed into its own batch
-        row exactly as the single-case constructor would, so propagating
-        the batched state is numerically identical to ``B`` separate runs.
-        """
-        cases = list(cases)
-        if not cases:
-            raise ValueError("batched state needs at least one case")
-        singles = [
-            cls(jt, evidence=ev, soft_evidence=soft) for ev, soft in cases
-        ]
-        return cls.from_cases(singles)
-
-    @classmethod
-    def from_cases(cls, states: Sequence["PropagationState"]) -> "PropagationState":
-        """Stack single-case states over the same tree into a batched state.
-
-        Works on fresh states (before propagation) and on propagated ones —
-        the engine's per-case fallback path uses the latter to return a
-        batched state from ``B`` individual runs.  Intermediates are only
-        present for keys present in *every* case.
-        """
-        states = list(states)
-        if not states:
-            raise ValueError("from_cases needs at least one state")
-        jt = states[0].jt
-        for s in states:
-            if s.jt is not jt:
-                raise ValueError("all cases must share one junction tree")
-            if s.batch is not None:
-                raise ValueError("from_cases expects single-case states")
-        shared_keys = set(states[0]._inter)
-        for s in states[1:]:
-            shared_keys &= set(s._inter)
-        batch = len(states)
-        buffer = np.zeros(table_layout(jt).size * batch)
-        state = cls.over(jt, buffer, batch=batch, computed=shared_keys)
-        state.case_evidence = [
-            (dict(s.evidence), dict(s.soft_evidence)) for s in states
-        ]
-        # Every single-case buffer has the same layout, so each slot of the
-        # batched buffer is its B single-case slots stacked batch-major.
-        for row, s in enumerate(states):
-            for stacked, single in (
-                (state.potentials, s.potentials),
-                (state.separators, s.separators),
-                (state._inter, s._inter),
-            ):
-                for key, table in stacked.items():
-                    table.values[row] = single[key].values
-        return state
-
-    # ------------------------------------------------------------------ #
     # Incremental construction (reuse a previous run's tables)
     # ------------------------------------------------------------------ #
 
     def _copied(self, evidence, soft_evidence) -> "PropagationState":
-        """A new single-case state holding a copy of this one's bytes and
-        written intermediates, under the given findings."""
-        if self.batch is not None:
-            raise ValueError(
-                "incremental repropagation needs a single-case previous "
-                "state; batched runs must repropagate from scratch"
-            )
+        """A new state holding a copy of this one's bytes and written
+        intermediates, under the given findings."""
         state = type(self).__new__(type(self))
         state._bind_recycled(self.jt, evidence, soft_evidence, self._inter)
         np.copyto(state.buffer, self.buffer)
@@ -376,8 +303,7 @@ class PropagationState:
 
     def copy(self) -> "PropagationState":
         """An independent state with this one's findings, tables and
-        written intermediates (single-case states only): writing either
-        never changes the other."""
+        written intermediates: writing either never changes the other."""
         return self._copied(self.evidence, self.soft_evidence)
 
     @classmethod
@@ -445,7 +371,7 @@ class PropagationState:
         Returns the embedded manifest.  See
         :mod:`repro.integrity.checkpoint` for the format and guarantees
         (bit-identical restore, tree/evidence signatures, whole-state
-        checksum).  Batched states are refused.
+        checksum).
         """
         from repro.integrity.checkpoint import save_state
 
@@ -470,7 +396,7 @@ class PropagationState:
 
     def step_list(self, graph: TaskGraph) -> StepList:
         """``graph`` compiled for this state's layout (once per graph)."""
-        return self._layout.step_list(graph, self.batch is not None)
+        return self._layout.step_list(graph)
 
     def run_steps(
         self, steps: StepList, trace=None, deadline: Optional[float] = None
@@ -618,27 +544,16 @@ class PropagationState:
     # ------------------------------------------------------------------ #
 
     def marginal(self, variable: int) -> np.ndarray:
-        """Posterior ``P(variable | evidence)`` after full propagation.
-
-        For batched states the result has shape ``(B, card)``: row ``i``
-        is the posterior of case ``i``.
-        """
+        """Posterior ``P(variable | evidence)`` after full propagation."""
         host, _axis = self.jt.host(variable)
-        plan = self._layout.answer(host, variable, self.batch is not None)
+        plan = self._layout.answer(host, variable)
         table = marginalize(self.potentials[host], (variable,), plan=plan)
         return table.normalize().values
 
     def clique_marginal(self, clique: int) -> PotentialTable:
-        """Normalized joint over one clique's scope (per case if batched)."""
+        """Normalized joint over one clique's scope."""
         return self.potentials[clique].normalize()
 
-    def likelihood(self):
-        """Probability of the evidence ``P(e)`` (root mass after collect).
-
-        Returns a float for single-case states, an array of shape ``(B,)``
-        for batched ones.
-        """
-        root = self.potentials[self.jt.root]
-        if self.batch is not None:
-            return root.case_totals()
-        return root.total()
+    def likelihood(self) -> float:
+        """Probability of the evidence ``P(e)`` (root mass after collect)."""
+        return self.potentials[self.jt.root].total()

@@ -9,7 +9,7 @@ the scheduler balances on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.potential.primitives import PrimitiveKind, primitive_flops
 
@@ -84,9 +84,9 @@ class TaskGraph:
         self.succs: List[List[int]] = []
         # topological_order()'s result until the next add_task.
         self._order: Optional[Tuple[int, ...]] = None
-        # The graph compiled into steps (TableLayout.step_list), per
-        # batched flag, until the next add_task.
-        self._steps: Dict[bool, Tuple[object, object]] = {}
+        # The graph compiled into steps (TableLayout.step_list), until the
+        # next add_task.
+        self._steps: Optional[Tuple[object, object]] = None
 
     def add_task(
         self,
@@ -115,7 +115,7 @@ class TaskGraph:
         for d in deps:
             self.succs[d].append(tid)
         self._order = None
-        self._steps = {}
+        self._steps = None
         return tid
 
     # ------------------------------------------------------------------ #
@@ -200,4 +200,4 @@ class TaskGraph:
         # Checked afresh: a caller that edited the adjacency lists directly
         # is exactly what validate() is for.
         self._order = tuple(self._kahn())
-        self._steps = {}
+        self._steps = None

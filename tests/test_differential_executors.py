@@ -140,7 +140,7 @@ def test_wide_table_reduction_runs_whole_under_every_executor():
     from repro.tasks.layout import table_layout
 
     tree, graph, evidence = _tree_workload(*TREE_SCENARIOS[-1])
-    plans = table_layout(tree).pipelines(False).values()
+    plans = table_layout(tree).pipelines().values()
     assert any(p.marginalize.subscripts is not None for p in plans)
     chunked = PropagationState(tree, evidence)
     CollaborativeExecutor(num_threads=3, partition_threshold=16).run(
@@ -220,43 +220,3 @@ def test_restricted_graphs_agree_with_from_scratch_serial(
         _assert_states_close(
             engine.jt, reference, state, f"{label} seed={seed} restricted"
         )
-
-
-@pytest.mark.parametrize(
-    "seed,num_cliques,width,states,children,num_evidence", TREE_SCENARIOS[2::4]
-)
-def test_batched_states_agree_with_per_case_serial(
-    seed, num_cliques, width, states, children, num_evidence
-):
-    """B = 3 cases through one batched state, per executor that accepts
-    batched states: every batch row equals its own single-case run."""
-    tree, _graph, evidence = _tree_workload(
-        seed, num_cliques, width, states, children, num_evidence
-    )
-    free = sorted(
-        {v for c in tree.cliques for v in c.variables} - set(evidence)
-    )
-    cases = [
-        (evidence, {}),
-        ({**evidence, free[0]: 1}, {}),
-        ({free[1]: 0}, {free[0]: np.linspace(0.2, 0.8, states)}),
-    ]
-    singles = []
-    for hard, soft in cases:
-        single = PropagationState(tree, hard, soft)
-        SerialExecutor().run(build_task_graph(tree), single)
-        singles.append(single)
-    reference = PropagationState.from_cases(singles)
-    graph = build_task_graph(tree, batch=len(cases))
-    accepted = 0
-    for label, make in ALL_EXECUTORS:
-        executor = make()
-        if not getattr(executor, "supports_batched_state", True):
-            continue
-        accepted += 1
-        state = PropagationState.batched(tree, cases)
-        executor.run(graph, state)
-        _assert_states_close(
-            tree, reference, state, f"{label} seed={seed} batched"
-        )
-    assert accepted == len(ALL_EXECUTORS) - 1  # all but the process tier

@@ -122,6 +122,13 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="fail count"):
             FaultPlan(fail_task={0: 0})
 
+    def test_torn_write_plan_validates(self):
+        with pytest.raises(ValueError):
+            FaultPlan(torn_write={1: 0})
+        plan = FaultPlan(torn_write={4: 2})
+        assert plan.take_torn(4) == 2
+        assert plan.take_torn(4) is None  # one-shot
+
 
 class TestTaskExecutionError:
     def test_pickle_round_trip_keeps_attribution(self):
@@ -453,10 +460,6 @@ class TestResilientExecutor:
         ]
         assert len(ResilientExecutor().tiers) == 1
         assert len(ResilientExecutor(fallbacks=[SerialExecutor()]).tiers) == 2
-        assert ResilientExecutor(_AlwaysRaises()).supports_batched_state
-        assert not ResilientExecutor(
-            ProcessSharedMemoryExecutor(num_workers=1)
-        ).supports_batched_state
 
     def test_step_down_restores_buffer_and_written_set(self):
         """A tier that wrote intermediates before dying leaves neither its
@@ -743,148 +746,3 @@ class TestSimulatorFaults:
         assert with_plan.makespan == base.makespan
         assert with_plan.cores_lost == 0
         assert with_plan.faults_injected == 0
-
-
-# --------------------------------------------------------------------- #
-# Batch-axis faults and batch-aware health scanning
-# --------------------------------------------------------------------- #
-
-
-def _batched_table(rows):
-    rows = np.asarray(rows, dtype=float)
-    return PotentialTable(
-        (0,), (rows.shape[1],), rows, batch=rows.shape[0]
-    )
-
-
-class TestBatchAxisCorruption:
-    def test_corrupt_array_single_column(self):
-        flat = np.ones((3, 4))
-        corrupt_array(flat, "nan", column=1)
-        assert np.isnan(flat[1]).all()
-        assert np.isfinite(flat[0]).all() and np.isfinite(flat[2]).all()
-
-    def test_tuple_spec_round_trips_through_the_plan(self):
-        plan = FaultPlan(corrupt_task={3: ("inf", 2)})
-        assert plan.take_corruption(3) == ("inf", 2)
-        assert plan.take_corruption(3) is None  # one-shot
-
-    def test_invalid_tuple_specs_are_rejected(self):
-        with pytest.raises(ValueError):
-            FaultPlan(corrupt_task={1: ("nan", -1)})
-        with pytest.raises(ValueError):
-            FaultPlan(corrupt_task={1: ("bogus", 0)})
-
-    def test_torn_write_plan_validates(self):
-        with pytest.raises(ValueError):
-            FaultPlan(torn_write={1: 0})
-        plan = FaultPlan(torn_write={4: 2})
-        assert plan.take_torn(4) == 2
-        assert plan.take_torn(4) is None  # one-shot
-
-
-class TestBatchAwareHealthScan:
-    def test_columns_are_attributed(self):
-        """A defect in one batch column classifies its whole table; a
-        batched table with one all-zero column counts as underflowed."""
-        clean = [0.2, 0.8]
-        report = scan_tables({
-            "a": _batched_table([clean, [np.nan, 1.0], clean]),
-            "b": _batched_table([[np.inf, 1.0], clean, clean]),
-            "c": _batched_table([clean, clean, [0.0, 0.0]]),
-            "d": _batched_table([clean, clean]),
-        })
-        assert not report.healthy
-        assert report.nan_tables == ["a"]
-        assert report.inf_tables == ["b"]
-        assert report.underflowed_tables == ["c"]
-        assert report.tables_scanned == 4
-        assert "underflow in ['c']" in report.summary()
-
-    def test_clean_batched_tables_have_no_poisoned_columns(self):
-        report = scan_tables({
-            "a": _batched_table([[0.2, 0.8], [0.5, 0.5]]),
-            "b": _batched_table([[0.0, 0.8], [0.5, 0.0]]),
-        })
-        assert report.healthy
-        assert not report.underflowed
-        assert report.summary() == "healthy (2 tables)"
-
-    def test_nan_column_is_not_double_counted_as_underflow(self):
-        report = scan_tables({
-            "a": _batched_table([[np.nan, np.nan], [0.0, 0.0]]),
-        })
-        assert report.nan_tables == ["a"]
-        assert report.underflowed_tables == []
-
-
-class TestBatchedFaultDifferential:
-    """Batched propagation under faults vs a serial per-case oracle.
-
-    The process tier refuses batched states and falls back to per-case
-    runs, so injected kills and delays land inside individual cases; the
-    ladder finishes a killed case on the next tier, and the batch as a
-    whole must still match a fresh serial oracle per case at 1e-9.
-    """
-
-    CASES = [{0: 1}, {1: 0}, {}]
-
-    def _oracle_rows(self, tree, variables):
-        from repro.inference.engine import InferenceEngine
-
-        rows = []
-        for case in self.CASES:
-            oracle = InferenceEngine(tree, reroot=False)
-            oracle.set_evidence(case)
-            oracle.propagate()
-            rows.append({v: oracle.marginal(v) for v in variables})
-        return rows
-
-    def test_kill_and_delay_faults_match_serial_oracle(self):
-        from repro.inference.engine import InferenceEngine
-
-        tree, _graph, _reference = _workload(num_cliques=8, seed=31)
-        engine = InferenceEngine(tree, reroot=False)
-        variables = sorted(
-            {v for clique in tree.cliques for v in clique.variables}
-        )[:6]
-        executor = ResilientExecutor(ProcessSharedMemoryExecutor(
-            num_workers=2,
-            inline_threshold=0,
-            fault_plan=FaultPlan(
-                kill_before_dispatch={2: 0}, delay_task={1: 0.2}
-            ),
-        ))
-        state = engine.propagate_batch(self.CASES, executor=executor)
-        assert state.batch == len(self.CASES)
-        # The kill ended one case's process run; the ladder finished it.
-        assert len(engine.last_stats.degradations) == 1
-        for i, expected in enumerate(self._oracle_rows(tree, variables)):
-            for v in variables:
-                np.testing.assert_allclose(
-                    state.marginal(v)[i], expected[v],
-                    rtol=1e-9, atol=1e-12,
-                )
-
-    def test_nan_fault_is_quarantined_by_resilience_and_matches(self):
-        from repro.inference.engine import InferenceEngine
-
-        tree, graph, _reference = _workload(num_cliques=8, seed=31)
-        engine = InferenceEngine(tree, reroot=False)
-        variables = sorted(
-            {v for clique in tree.cliques for v in clique.variables}
-        )[:6]
-        primary = ProcessSharedMemoryExecutor(
-            num_workers=2,
-            inline_threshold=0,
-            fault_plan=FaultPlan(corrupt_task={graph.tasks[0].tid: "nan"}),
-        )
-        state = engine.propagate_batch(
-            self.CASES, executor=ResilientExecutor(primary)
-        )
-        for i, expected in enumerate(self._oracle_rows(tree, variables)):
-            for v in variables:
-                np.testing.assert_allclose(
-                    state.marginal(v)[i], expected[v],
-                    rtol=1e-9, atol=1e-12,
-                )

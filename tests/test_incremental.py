@@ -12,7 +12,7 @@ Covers the stale-evidence correctness fix and the incremental machinery:
 * The weakening-delta fallback: retraction over zeroed separators must
   refuse the incremental plan and fall back to full propagation.
 * :class:`~repro.inference.cache.QueryCache` LRU behavior and the
-  ``engine.query()`` batch API.
+  ``engine.query()`` delta API.
 """
 
 import numpy as np

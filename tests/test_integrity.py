@@ -23,7 +23,6 @@ import pytest
 from repro.inference.engine import InferenceEngine
 from repro.integrity import (
     CheckpointCorrupt,
-    CheckpointError,
     CheckpointMismatch,
     TornWriteError,
     crc32_array,
@@ -451,13 +450,6 @@ class TestCheckpointRefusals:
         np.savez(tampered, **arrays)
         with pytest.raises(CheckpointMismatch, match="evidence"):
             InferenceEngine.from_checkpoint(tree, tampered)
-
-    def test_batched_state_refuses_to_checkpoint(self):
-        tree = _tree(seed=7)
-        engine = InferenceEngine(tree)
-        state = engine.propagate_batch([{0: 1}, {0: 0}])
-        with pytest.raises(CheckpointError, match="batched"):
-            state.save(io.BytesIO())
 
     def test_format_version_mismatch_is_refused(self, tmp_path):
         tree = _tree(seed=7)

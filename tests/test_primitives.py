@@ -202,14 +202,12 @@ class TestEq1Propagation:
 class TestOutDestination:
     """``out=`` is a destination, not a mode: same values, written in place."""
 
-    @pytest.mark.parametrize("batch", [None, 3])
-    def test_each_primitive_is_bitwise_equal_with_and_without_out(self, batch):
+    def test_each_primitive_is_bitwise_equal_with_and_without_out(self):
         rng = np.random.default_rng(8)
 
         def table(variables, cards):
-            shape = tuple(cards) if batch is None else (batch,) + tuple(cards)
             return PotentialTable(
-                variables, cards, rng.uniform(0.1, 2.0, shape), batch=batch
+                variables, cards, rng.uniform(0.1, 2.0, tuple(cards))
             )
 
         def blank(variables, cards):
@@ -257,21 +255,18 @@ class TestOutDestination:
         with pytest.raises(ValueError, match="out="):
             multiply(clique, clique, out=PotentialTable.ones([1, 0], [3, 2]))
         with pytest.raises(ValueError, match="out="):
-            divide(clique, clique, out=PotentialTable.ones([0, 1], [2, 3], batch=2))
+            divide(clique, clique, out=PotentialTable.ones([0, 1], [2, 2]))
 
 
 class TestPlans:
     """``plan=`` is the derivation done ahead, not a second body."""
 
-    @pytest.mark.parametrize("batch", [None, 3])
-    def test_each_primitive_is_bitwise_equal_with_and_without_plan(self, batch):
+    def test_each_primitive_is_bitwise_equal_with_and_without_plan(self):
         rng = np.random.default_rng(9)
-        batched = batch is not None
 
         def table(variables, cards):
-            shape = tuple(cards) if batch is None else (batch,) + tuple(cards)
             return PotentialTable(
-                variables, cards, rng.uniform(0.1, 2.0, shape), batch=batch
+                variables, cards, rng.uniform(0.1, 2.0, tuple(cards))
             )
 
         def blank(variables, cards):
@@ -289,13 +284,12 @@ class TestPlans:
         ):
             cards = tuple(clique.card_of(v) for v in onto)
             plan = plan_marginalize(
-                clique.variables, clique.cardinalities, onto, batched
+                clique.variables, clique.cardinalities, onto
             )
             derived = marginalize(clique, onto)
             planned = marginalize(clique, onto, plan=plan)
             assert planned.variables == onto
             assert planned.cardinalities == cards
-            assert planned.batch == batch
             assert np.array_equal(planned.values, derived.values)
             assert not np.shares_memory(planned.values, clique.values)
             out = blank(onto, cards)
@@ -304,7 +298,7 @@ class TestPlans:
 
             sep = table(onto, cards)
             plan = plan_extend(
-                onto, cards, clique.variables, clique.cardinalities, batched
+                onto, cards, clique.variables, clique.cardinalities
             )
             derived = extend(sep, clique.variables, clique.cardinalities)
             out = blank(clique.variables, clique.cardinalities)
@@ -320,7 +314,7 @@ class TestPlans:
                 assert np.array_equal(planned.values, derived.values)
 
             plan = plan_multiply(
-                clique.variables, clique.cardinalities, onto, cards, batched
+                clique.variables, clique.cardinalities, onto, cards
             )
             derived = multiply(clique, sep)
             assert np.array_equal(
@@ -332,7 +326,7 @@ class TestPlans:
 
             den = table(onto[::-1], cards[::-1])
             den.values.reshape(-1)[::3] = 0.0
-            plan = plan_divide(onto, onto[::-1], batched)
+            plan = plan_divide(onto, onto[::-1])
             derived = divide(sep, den)
             out = blank(onto, cards)
             for planned in (
@@ -340,23 +334,6 @@ class TestPlans:
                 divide(sep, den, out=out, plan=plan),
             ):
                 assert np.array_equal(planned.values, derived.values)
-
-    def test_unbatched_operand_broadcasts_under_a_plan(self):
-        rng = np.random.default_rng(10)
-        clique = PotentialTable(
-            [0, 1], [2, 3], rng.uniform(0.1, 2.0, (4, 2, 3)), batch=4
-        )
-        sep = PotentialTable([1], [3], rng.uniform(0.1, 2.0, 3))
-        plan = plan_multiply([0, 1], [2, 3], [1], [3], other_batched=False)
-        assert np.array_equal(
-            multiply(clique, sep, plan=plan).values,
-            multiply(clique, sep).values,
-        )
-        num = PotentialTable([1], [3], rng.uniform(0.1, 2.0, (4, 3)), batch=4)
-        plan = plan_divide([1], [1], other_batched=False)
-        assert np.array_equal(
-            divide(num, sep, plan=plan).values, divide(num, sep).values
-        )
 
     def test_plan_for_other_operands_is_rejected(self):
         clique = _random([0, 1, 2], [2, 3, 2])
@@ -368,8 +345,8 @@ class TestPlans:
         with pytest.raises(ValueError, match="plan="):
             marginalize(clique, [1], plan=fits)
         with pytest.raises(ValueError, match="plan="):
-            marginalize(  # a single-case plan on a batched table
-                PotentialTable([0, 1, 2], [2, 3, 2], batch=2), [0], plan=fits
+            marginalize(  # a plan for other cardinalities
+                PotentialTable.ones([0, 1, 2], [2, 3, 3]), [0], plan=fits
             )
         with pytest.raises(ValueError, match="out="):
             marginalize(
@@ -402,33 +379,25 @@ class TestPlans:
         with pytest.raises(ValueError, match="scopes differ"):
             plan_divide([0, 1], [0, 2])
 
-    @pytest.mark.parametrize("batch", [None, 2])
-    def test_wide_table_reduction_matches_add_reduce(self, batch):
+    def test_wide_table_reduction_matches_add_reduce(self):
         rng = np.random.default_rng(11)
         width = 12
         assert 2 ** width >= WIDE_TABLE
         variables = list(range(width))
         cards = [2] * width
-        shape = tuple(cards) if batch is None else (batch,) + tuple(cards)
         wide = PotentialTable(
-            variables, cards, rng.uniform(0.1, 2.0, shape), batch=batch
+            variables, cards, rng.uniform(0.1, 2.0, tuple(cards))
         )
-        offset = 0 if batch is None else 1
         # Drop an inner axis, keep an inner axis, an out-of-order target.
         for onto in (
             tuple(v for v in variables if v != 10), (10,), (7, 2, 11), (),
         ):
-            plan = plan_marginalize(
-                variables, cards, onto, batch is not None
-            )
+            plan = plan_marginalize(variables, cards, onto)
             assert plan.subscripts is not None
-            drop = tuple(
-                v + offset for v in variables if v not in onto
-            )
+            drop = tuple(v for v in variables if v not in onto)
             kept = [v for v in variables if v in onto]
             expected = PotentialTable(
-                kept, [2] * len(kept),
-                np.add.reduce(wide.values, axis=drop), batch=batch,
+                kept, [2] * len(kept), np.add.reduce(wide.values, axis=drop)
             ).aligned_to(onto)
             for result in (
                 marginalize(wide, onto), marginalize(wide, onto, plan=plan)
@@ -441,7 +410,7 @@ class TestPlans:
         assert small.subscripts is None
 
 
-# Wide tables (>= WIDE_TABLE entries per case) for the slice-kernel
+# Wide tables (>= WIDE_TABLE entries) for the slice-kernel
 # matrix: the changed run is one axis of cardinality k at the first,
 # a middle, the second-to-last or the last position.  Only the last two
 # leave at most primitives.SPLIT_POST entries after the run, so only they
@@ -457,19 +426,21 @@ def _wide_cards(position, k):
     return tuple(cards)
 
 
-def _out(variables, cards, batch, contiguous):
+def _out(variables, cards, contiguous):
     """An ``out=`` table; the non-contiguous one is every other entry of
     a larger array."""
-    shape = cards if batch is None else (batch,) + cards
     if contiguous:
-        values = np.full(shape, np.nan)
+        values = np.full(cards, np.nan)
     else:
-        values = np.full(shape + (2,), np.nan)[..., 0]
-    return PotentialTable.wrap(tuple(variables), tuple(cards), values, batch)
+        values = np.full(cards + (2,), np.nan)[..., 0]
+    return PotentialTable.wrap(tuple(variables), tuple(cards), values)
 
 
-_MATRIX = pytest.mark.parametrize("contiguous", [True, False])
-_CASES = pytest.mark.parametrize("batch", [None, 3])
+# Each case id carries "None" for the table's (single) case axis, so the
+# cases keep the names they are tracked under across runs.
+_MATRIX = pytest.mark.parametrize(
+    "contiguous", [True, False], ids=["None-True", "None-False"]
+)
 _RUNS = pytest.mark.parametrize("k", [2, 3])
 _AT = pytest.mark.parametrize("position", list(_POSITIONS))
 
@@ -479,71 +450,59 @@ class TestSliceKernels:
     ``add.reduce`` (to 1e-12 relative) and a broadcasting ``copyto``
     (bitwise)."""
 
-    def _table(self, position, k, batch, seed=5):
+    def _table(self, position, k, seed=5):
         cards = _wide_cards(position, k)
-        shape = cards if batch is None else (batch,) + cards
-        values = np.random.default_rng(seed).uniform(0.1, 2.0, shape)
-        return PotentialTable(range(len(cards)), cards, values, batch=batch)
+        values = np.random.default_rng(seed).uniform(0.1, 2.0, cards)
+        return PotentialTable(range(len(cards)), cards, values)
 
     @_MATRIX
-    @_CASES
     @_RUNS
     @_AT
-    def test_marginalize_drop_run(self, position, k, batch, contiguous):
-        table = self._table(position, k, batch)
+    def test_marginalize_drop_run(self, position, k, contiguous):
+        table = self._table(position, k)
         axis = _POSITIONS[position]
         onto = tuple(v for v in table.variables if v != axis)
-        plan = plan_marginalize(
-            table.variables, table.cardinalities, onto, batch is not None
-        )
+        plan = plan_marginalize(table.variables, table.cardinalities, onto)
         assert (plan.split is not None) == (axis >= 4)
-        offset = 0 if batch is None else 1
-        expected = np.add.reduce(table.values, axis=axis + offset)
-        out = _out(onto, plan.onto_cards, batch, contiguous)
+        expected = np.add.reduce(table.values, axis=axis)
+        out = _out(onto, plan.onto_cards, contiguous)
         result = marginalize(table, onto, out=out, plan=plan)
         assert result is out
         assert np.allclose(out.values, expected, rtol=1e-12, atol=0.0)
 
     @_MATRIX
-    @_CASES
     @_RUNS
     @_AT
-    def test_marginalize_kept_run(self, position, k, batch, contiguous):
-        table = self._table(position, k, batch)
+    def test_marginalize_kept_run(self, position, k, contiguous):
+        table = self._table(position, k)
         axis = _POSITIONS[position]
         plan = plan_marginalize(
-            table.variables, table.cardinalities, (axis,), batch is not None
+            table.variables, table.cardinalities, (axis,)
         )
         assert (plan.split is not None) == (axis >= 4)
-        offset = 0 if batch is None else 1
         expected = np.add.reduce(
             table.values,
-            axis=tuple(
-                v + offset for v in table.variables if v != axis
-            ),
+            axis=tuple(v for v in table.variables if v != axis),
         )
-        out = _out((axis,), (k,), batch, contiguous)
+        out = _out((axis,), (k,), contiguous)
         marginalize(table, (axis,), out=out, plan=plan)
         assert np.allclose(out.values, expected, rtol=1e-12, atol=0.0)
 
     @_MATRIX
-    @_CASES
     @_RUNS
     @_AT
-    def test_extend_adds_run_bitwise(self, position, k, batch, contiguous):
-        wide = self._table(position, k, batch)
+    def test_extend_adds_run_bitwise(self, position, k, contiguous):
+        wide = self._table(position, k)
         axis = _POSITIONS[position]
         keep = tuple(v for v in wide.variables if v != axis)
         source = marginalize(wide, keep)
         plan = plan_extend(
-            keep, source.cardinalities, wide.variables, wide.cardinalities,
-            batch is not None,
+            keep, source.cardinalities, wide.variables, wide.cardinalities
         )
         assert (plan.split is not None) == (axis >= 4)
-        offset = 0 if batch is None else 1
         expected = np.empty_like(wide.values)
-        np.copyto(expected, np.expand_dims(source.values, axis + offset))
-        out = _out(wide.variables, wide.cardinalities, batch, contiguous)
+        np.copyto(expected, np.expand_dims(source.values, axis))
+        out = _out(wide.variables, wide.cardinalities, contiguous)
         extend(
             source, wide.variables, wide.cardinalities, out=out, plan=plan
         )
@@ -553,28 +512,22 @@ class TestSliceKernels:
             expected,
         )
 
-    @_CASES
-    @_RUNS
-    def test_state_marginal(self, k, batch):
+    @pytest.mark.parametrize("k", [2, 3], ids=["2-None", "3-None"])
+    def test_state_marginal(self, k):
         cards = _wide_cards("last", k)
         tree = JunctionTree([Clique(0, range(len(cards)), cards)], [None])
         tree.initialize_potentials(np.random.default_rng(k))
-        if batch is None:
-            state = PropagationState(tree)
-        else:
-            state = PropagationState.batched(tree, [({}, {})] * batch)
+        state = PropagationState(tree)
         values = state.potentials[0].values
-        offset = 0 if batch is None else 1
         for position, axis in _POSITIONS.items():
             assert (
-                table_layout(tree).answer(0, axis, batch is not None).split
-                is not None
+                table_layout(tree).answer(0, axis).split is not None
             ) == (axis >= 4), position
             joint = np.add.reduce(
                 values,
-                axis=tuple(a + offset for a in range(len(cards)) if a != axis),
+                axis=tuple(a for a in range(len(cards)) if a != axis),
             )
-            expected = joint / joint.sum(axis=-1, keepdims=True)
+            expected = joint / joint.sum()
             assert np.allclose(
                 state.marginal(axis), expected, rtol=1e-12, atol=0.0
             ), position

@@ -19,6 +19,7 @@ from repro.bn.generation import random_network
 from repro.inference.cache import QueryCache
 from repro.inference.engine import InferenceEngine
 from repro.jt.build import junction_tree_from_network
+from repro.registry import ModelRegistry, RegistryService
 from repro.sched import CollaborativeExecutor, WorkStealingExecutor
 from repro.sched.faults import TaskExecutionError
 from repro.sched.resilient import ResilientExecutor
@@ -752,7 +753,7 @@ class TestServiceDrain:
 
 
 # --------------------------------------------------------------------- #
-# Micro-batching
+# Queued flights behind a wedged worker
 # --------------------------------------------------------------------- #
 
 
@@ -760,7 +761,7 @@ class _GateExecutor(SerialExecutor):
     """SerialExecutor whose first run blocks until released.
 
     With ``workers=1`` this pins the single worker on one flight while a
-    test fills the queue, making the micro-batch grouping deterministic.
+    test fills the queue, making the serving order deterministic.
     """
 
     def __init__(self):
@@ -777,84 +778,44 @@ class _GateExecutor(SerialExecutor):
         return super().run(graph, state, **kw)
 
 
-class TestServiceMicroBatching:
-    def _gated_service(self, serve_tree, **kw):
-        gate = _GateExecutor()
-        service = make_service(
-            serve_tree, sessions=1, workers=1, fallback=gate, **kw
-        )
-        return service, gate
+def _gated_service(serve_tree, **kw):
+    """A one-worker, one-session service wedged on its first flight."""
+    gate = _GateExecutor()
+    service = make_service(
+        serve_tree, sessions=1, workers=1, fallback=gate, **kw
+    )
+    blocker = service.submit(
+        # Non-empty delta: an empty one is a propagation no-op on the
+        # pre-warmed session and would never reach the gate.
+        QueryRequest(delta={17: 1}, vars=[1], deadline=30.0)
+    )
+    assert gate.started.wait(timeout=30.0)
+    return service, gate, blocker
 
-    def test_queued_flights_batch_together_and_stay_exact(
-        self, serve_tree, oracle
-    ):
-        service, gate = self._gated_service(serve_tree, max_batch=8)
-        blocker = service.submit(
-            # Non-empty delta: an empty one is a propagation no-op on the
-            # pre-warmed session and would never reach the gate.
-            QueryRequest(delta={17: 1}, vars=[1], deadline=30.0)
-        )
-        assert gate.started.wait(timeout=30.0)
-        requests = [
-            QueryRequest(delta={v: 1}, vars=[10, 15], deadline=30.0)
-            for v in range(4)
-        ]
-        futures = [service.submit(r) for r in requests]
-        gate.release.set()
-        responses = [f.result(timeout=30) for f in futures]
-        assert blocker.result(timeout=30).status == "ok"
-        assert not blocker.result().batched
-        for request, response in zip(requests, responses):
-            assert response.status == "ok"
-            assert response.batched
-            exact = exact_marginals(oracle, request)
-            for var in request.vars:
-                np.testing.assert_allclose(
-                    response.marginals[var], exact[var],
-                    rtol=1e-9, atol=1e-12,
-                )
-        report = service.drain()
-        assert report.batches == 1
-        assert report.batched_flights == 4
-        assert report.single_flights == 1
-        assert report.quarantined == 0
 
-    def test_priority_order_preserved_under_batching(self, serve_tree):
-        # max_batch=2 with three queued priorities: the batch takes the
-        # two best priorities, the worst is served afterwards on its own.
-        service, gate = self._gated_service(serve_tree, max_batch=2)
-        blocker = service.submit(
-            # Non-empty delta: an empty one is a propagation no-op on the
-            # pre-warmed session and would never reach the gate.
-            QueryRequest(delta={17: 1}, vars=[1], deadline=30.0)
-        )
-        assert gate.started.wait(timeout=30.0)
-        by_priority = {
-            prio: service.submit(
+class TestQueuedFlights:
+    def test_priority_order_preserved(self, serve_tree):
+        service, gate, blocker = _gated_service(serve_tree)
+        served = []
+        futures = {}
+        for prio in (2, 0, 1):
+            futures[prio] = service.submit(
                 QueryRequest(
                     delta={prio: 0}, vars=[5], deadline=30.0, priority=prio
                 )
             )
-            for prio in (5, 0, 9)
-        }
+            futures[prio].add_done_callback(
+                lambda _response, p=prio: served.append(p)
+            )
         gate.release.set()
-        responses = {
-            prio: f.result(timeout=30) for prio, f in by_priority.items()
-        }
         assert blocker.result(timeout=30).status == "ok"
-        assert all(r.status == "ok" for r in responses.values())
-        assert responses[0].batched and responses[5].batched
-        assert not responses[9].batched
+        for future in futures.values():
+            assert future.result(timeout=30).status == "ok"
+        assert served == [0, 1, 2]
         service.drain()
 
     def test_expired_member_refused_others_exact(self, serve_tree, oracle):
-        service, gate = self._gated_service(serve_tree, max_batch=8)
-        blocker = service.submit(
-            # Non-empty delta: an empty one is a propagation no-op on the
-            # pre-warmed session and would never reach the gate.
-            QueryRequest(delta={17: 1}, vars=[1], deadline=30.0)
-        )
-        assert gate.started.wait(timeout=30.0)
+        service, gate, blocker = _gated_service(serve_tree)
         doomed = service.submit(
             QueryRequest(delta={2: 1}, vars=[4], deadline=0.05)
         )
@@ -873,139 +834,93 @@ class TestServiceMicroBatching:
         report = service.drain()
         assert report.deadline_missed == 1
 
-    def test_poisoned_case_quarantined_individually(
-        self, serve_tree, oracle, monkeypatch
+
+# --------------------------------------------------------------------- #
+# Admission: a bad request value is refused before anything is queued
+# --------------------------------------------------------------------- #
+
+
+BAD_REQUEST_VALUES = pytest.mark.parametrize(
+    "field,value",
+    [
+        ("priority", "high"),
+        ("priority", True),
+        ("priority", 1.5),
+        ("deadline", float("nan")),
+        ("deadline", float("inf")),
+        ("deadline", -1.0),
+        ("deadline", "soon"),
+        ("max_staleness", float("nan")),
+        ("max_staleness", -0.5),
+    ],
+)
+
+
+def _no_request_lost(report):
+    assert report.submitted == (
+        report.served_ok + report.served_stale + report.shed
+        + report.deadline_missed + report.failed
+    )
+
+
+class TestRequestValidation:
+    @BAD_REQUEST_VALUES
+    def test_inference_service_refuses_and_keeps_its_worker(
+        self, serve_tree, field, value
     ):
-        # Fault injection: one batch column comes back NaN from the
-        # engine.  That request must get an explicit failure — never a
-        # silently wrong posterior — while its batch-mates stay exact.
-        poison_delta = {7: 1}
-        original = InferenceEngine.propagate_batch
-
-        def poisoned(self, evidences, **kw):
-            state = original(self, evidences, **kw)
-            for i, (hard, _soft) in enumerate(state.case_evidence or []):
-                if hard == poison_delta:
-                    state.potentials[state.jt.root].values[i] = np.nan
-            return state
-
-        monkeypatch.setattr(InferenceEngine, "propagate_batch", poisoned)
-        service, gate = self._gated_service(serve_tree, max_batch=8)
-        blocker = service.submit(
-            # Non-empty delta: an empty one is a propagation no-op on the
-            # pre-warmed session and would never reach the gate.
-            QueryRequest(delta={17: 1}, vars=[1], deadline=30.0)
+        service, gate, blocker = _gated_service(serve_tree)
+        # One valid flight queued ahead: a bad priority would otherwise
+        # have to be compared with it inside the ready queue.
+        ahead = service.submit(
+            QueryRequest(delta={6: 1}, vars=[2], deadline=30.0)
         )
-        assert gate.started.wait(timeout=30.0)
-        victim = service.submit(
-            QueryRequest(delta=dict(poison_delta), vars=[4], deadline=30.0)
-        )
-        healthy_request = QueryRequest(delta={3: 0}, vars=[4], deadline=30.0)
-        healthy = service.submit(healthy_request)
+        fields = {"deadline": 30.0, field: value}
+        with pytest.raises(ValueError):
+            service.submit(QueryRequest(delta={4: 1}, vars=[3], **fields))
         gate.release.set()
         assert blocker.result(timeout=30).status == "ok"
-        failed = victim.result(timeout=30)
-        assert failed.status == "failed"
-        assert "quarantin" in (failed.error or "")
-        assert failed.marginals == {}
-        response = healthy.result(timeout=30)
-        assert response.status == "ok" and response.batched
-        exact = exact_marginals(oracle, healthy_request)
-        np.testing.assert_allclose(
-            response.marginals[4], exact[4], rtol=1e-9, atol=1e-12
+        assert ahead.result(timeout=30).status == "ok"
+        # The same evidence again finds no orphaned flight to join.
+        follow_up = service.submit(
+            QueryRequest(delta={4: 1}, vars=[3], deadline=2.0)
         )
+        assert follow_up.result(timeout=10).status == "ok"
+        assert service._workers[0].is_alive()
         report = service.drain()
-        assert report.quarantined == 1
-        assert report.batched_flights == 1
+        assert report.submitted == 3
+        _no_request_lost(report)
 
-    def test_drain_reports_batched_vs_single_counts(self, serve_tree):
-        service, gate = self._gated_service(serve_tree, max_batch=4)
-        blocker = service.submit(
-            QueryRequest(delta={17: 1}, vars=[2], deadline=30.0)
-        )
-        assert gate.started.wait(timeout=30.0)
-        futures = [
-            service.submit(
-                QueryRequest(delta={v: 1}, vars=[2], deadline=30.0)
-            )
-            for v in range(3)
-        ]
-        gate.release.set()
-        for f in [blocker, *futures]:
-            assert f.result(timeout=30).status == "ok"
-        report = service.drain()
-        assert report.batches == 1
-        assert report.batched_flights == 3
-        assert report.single_flights == 1
-        assert report.batched_flights + report.single_flights == 4
-        rendered = report.to_dict()
-        for key in (
-            "batches", "batched_flights", "single_flights", "quarantined"
-        ):
-            assert key in rendered
-        assert "micro-batched" in report.format()
-
-    def test_default_service_never_batches(self, serve_tree):
-        service = make_service(serve_tree)  # max_batch defaults to 1
-        responses = [
-            service.query(delta={v: 0}, vars=[6], deadline=30.0)
-            for v in range(4)
-        ]
-        assert all(r.status == "ok" and not r.batched for r in responses)
-        report = service.drain()
-        assert report.batches == 0
-        assert report.batched_flights == 0
-
-
-# --------------------------------------------------------------------- #
-# Robustness satellites: drain vs in-flight batch, abandoned probes
-# --------------------------------------------------------------------- #
-
-
-class TestDrainRacesBatchedFlight:
-    def test_drain_waits_for_inflight_batch_and_loses_nothing(
-        self, serve_tree
+    @BAD_REQUEST_VALUES
+    def test_registry_service_refuses_and_keeps_serving(
+        self, serve_network, field, value
     ):
-        gate = _GateExecutor()
-        service = make_service(
-            serve_tree, sessions=1, workers=1, fallback=gate, max_batch=8
-        )
-        blocker = service.submit(
-            QueryRequest(delta={17: 1}, vars=[1], deadline=30.0)
-        )
-        assert gate.started.wait(timeout=30.0)
-        futures = [
+        registry = ModelRegistry(sessions=1, workers=1)
+        registry.register("m", network=serve_network)
+        service = RegistryService(registry)
+        fields = {"deadline": 30.0, field: value}
+        with pytest.raises(ValueError):
             service.submit(
-                QueryRequest(delta={v: 1}, vars=[2], deadline=30.0)
+                QueryRequest(
+                    delta={4: 1}, vars=[3], model_id="m", tenant="t",
+                    **fields,
+                )
             )
-            for v in range(3)
-        ]
-        # Drain begins while the worker is wedged mid-flight and three
-        # flights are queued behind it.
-        drained = {}
+        follow_up = service.submit(
+            QueryRequest(
+                delta={4: 1}, vars=[3], deadline=2.0, model_id="m",
+                tenant="t",
+            )
+        )
+        assert follow_up.result(timeout=10).status == "ok"
+        report = service.drain()
+        assert report.submitted == 1
+        _no_request_lost(report)
+        assert service.scheduler.snapshot()["t"]["inflight"] == 0
 
-        def drain_target():
-            drained["report"] = service.drain()
 
-        drainer = threading.Thread(target=drain_target)
-        drainer.start()
-        time.sleep(0.05)
-        assert "report" not in drained  # drain is genuinely waiting
-        with pytest.raises(ServiceClosed):
-            service.submit(QueryRequest(vars=[0]))
-        gate.release.set()
-        drainer.join(timeout=30.0)
-        assert not drainer.is_alive()
-        report = drained["report"]
-        # Every admitted request resolved exactly; the queued flights
-        # rode one batch served after drain began.
-        assert blocker.result(timeout=1).status == "ok"
-        for future in futures:
-            assert future.result(timeout=1).status == "ok"
-        assert report.submitted == 4
-        assert report.served_ok == 4
-        assert report.batches == 1
-        assert report.batched_flights == 3
+# --------------------------------------------------------------------- #
+# Abandoned breaker probes
+# --------------------------------------------------------------------- #
 
 
 class TestAbandonedProbeRelease:
@@ -1130,28 +1045,6 @@ class TestImpossibleEvidence:
         assert not service._stale_store or all(
             sig != signature for _v, _ts, sig in service._stale_store.values()
         )
-
-    def test_micro_batch_refuses_the_case_and_serves_the_rest(self, asia_pool):
-        gate = _GateExecutor()
-        service = InferenceService(
-            asia_pool, fallback=gate, workers=1, max_batch=8
-        )
-        blocker = service.submit(QueryRequest(delta={0: 1}, vars=[7]))
-        assert gate.started.wait(timeout=30.0)
-        victim = service.submit(QueryRequest(delta=dict(IMPOSSIBLE), vars=[7]))
-        healthy = service.submit(QueryRequest(delta={2: 1}, vars=[7]))
-        gate.release.set()
-        assert blocker.result(timeout=30).status == "ok"
-        self._assert_refused(victim.result(timeout=30))
-        response = healthy.result(timeout=30)
-        assert response.status == "ok" and response.batched
-        # The repeat is refused again on the single-flight path.
-        self._assert_refused(
-            service.query(delta=dict(IMPOSSIBLE), vars=[7], deadline=30.0)
-        )
-        report = service.drain()
-        assert report.quarantined == 2
-        assert report.batches == 1
 
 
 def test_non_finite_soft_evidence_is_refused_at_the_request():

@@ -278,7 +278,7 @@ def test_finish_retains_only_the_most_recent_latencies_and_spans(monkeypatch):
 # --------------------------------------------------------------------- #
 
 TO_DICT_KEYS = {
-    "batched_flights", "batches", "breaker_short_circuits",
+    "breaker_short_circuits",
     "breaker_transitions", "coalesced", "compile_deadline_refusals",
     "compiles", "deadline_missed", "dropped_unacked", "evictions", "failed",
     "latency", "memory_budget", "model_hits", "model_misses",
@@ -295,7 +295,7 @@ MAX_FIELDS = {"queue_high_water", "peak_resident_bytes"}
 
 
 def test_merge_covers_every_int_field():
-    assert len(INT_FIELDS) >= 31 and "stale_signature_miss" in INT_FIELDS
+    assert len(INT_FIELDS) >= 29 and "stale_signature_miss" in INT_FIELDS
     ours = ServiceReport(**{n: i + 1 for i, n in enumerate(INT_FIELDS)})
     theirs = ServiceReport(
         **{n: 1000 * (i + 1) for i, n in enumerate(INT_FIELDS)}

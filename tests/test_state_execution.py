@@ -97,27 +97,18 @@ class TestCompiledPipelines:
         second = PropagationState(tree, {tree.cliques[0].variables[0]: 1})
         assert first._steps is second._steps
         layout = table_layout(tree)
-        single = layout.pipelines(False)
-        assert first._steps is layout.steps(False)
+        pipelines = layout.pipelines()
+        assert layout.pipelines() is pipelines
+        assert first._steps is layout.steps()
         graph = build_task_graph(tree)
-        assert set(single) == {(t.phase, t.edge) for t in graph.tasks}
-        for key, pipe in single.items():
+        assert set(pipelines) == {(t.phase, t.edge) for t in graph.tasks}
+        for key, pipe in pipelines.items():
             step = first._steps[key + (PrimitiveKind.MARGINALIZE,)]
             assert step.plan is pipe.marginalize
             assert step.source == pipe.source
-        # Batched states compile their own (axes shifted by the case axis).
-        batched = PropagationState.batched(tree, [({}, {}), ({}, {})])
-        assert batched._steps is layout.steps(True)
-        assert batched._steps is not first._steps
-        for key, pipe in single.items():
-            stacked = batched._steps[key + (PrimitiveKind.MARGINALIZE,)]
-            assert not pipe.marginalize.batched
-            assert stacked.plan.batched
-            assert stacked.plan is layout.pipelines(True)[key].marginalize
-            assert pipe.source == stacked.source
         var = tree.variables()[0]
         host, _axis = tree.host(var)
-        assert layout.answer(host, var, False) is layout.answer(host, var, False)
+        assert layout.answer(host, var) is layout.answer(host, var)
 
 
 class TestChunkedExecution:

@@ -161,24 +161,26 @@ class TestStepLists:
         tree = _shape_tree("prop-small")
         layout = table_layout(tree)
         graph = build_task_graph(tree)
-        steps = layout.step_list(graph, False)
-        assert layout.step_list(graph, False) is steps
+        steps = layout.step_list(graph)
+        assert layout.step_list(graph) is steps
         assert steps.tids == graph.topological_order()
         assert len(steps.steps) == graph.num_tasks
-        assert layout.step_list(graph, True) is not steps  # batched plans
+        # The memo names its layout: another tree's layout compiles anew.
+        other = table_layout(_shape_tree("prop-small"))
+        assert other.step_list(graph) is not steps
         task = graph.tasks[steps.tids[0]]
         graph.add_task(
             PrimitiveKind.MARGINALIZE, COLLECT, task.edge, task.clique,
             task.input_size, task.output_size,
         )
-        rebuilt = layout.step_list(graph, False)
+        rebuilt = layout.step_list(graph)
         assert rebuilt is not steps and len(rebuilt.steps) == graph.num_tasks
 
     def test_steps_name_the_slots_the_layout_placed(self):
         tree = _shape_tree("prop-small")
         layout = table_layout(tree)
         graph = build_task_graph(tree)
-        listed = layout.step_list(graph, False)
+        listed = layout.step_list(graph)
         for tid, step in zip(listed.tids, listed.steps):
             task = graph.tasks[tid]
             out = layout.slots[step.out]

@@ -23,11 +23,11 @@ Six phases:
   on its own: each fault ends its run and the recovery ladder answers
   from the next tier.  Every exact answer served *during* the chaos is
   still checked against the oracle.
-* **Phase C — micro-batch chaos.**  One worker with ``max_batch=4`` and
-  a burst-submitting client swarm, so queued flights ride batched
-  propagations, under a fault plan that adds a *torn write* on top of
+* **Phase C — burst chaos.**  One worker and a burst-submitting client
+  swarm, so flights queue behind it (the queue's high water must reach
+  two), under a fault plan that adds a *torn write* on top of
   kill/delay/NaN: the checksum layer must refuse the torn result, the
-  recovery ladder must roll it back and recompute the case on the next
+  recovery ladder must roll it back and recompute the flight on the next
   tier, and every answer must match the oracle — zero ``failed``
   responses are tolerated.
 * **Phase E — streaming chaos.**  Concurrent
@@ -386,7 +386,7 @@ def phase_b(seed: int, duration: float, failures: List[str]):
 
 
 def phase_c(seed: int, duration: float, failures: List[str]):
-    print("== phase C: micro-batch chaos + torn write ==")
+    print("== phase C: burst chaos + torn write ==")
     rng = random.Random(seed + 2)
     num_vars = 18
     bn = random_network(num_vars, max_parents=3, edge_probability=0.6,
@@ -399,7 +399,7 @@ def phase_c(seed: int, duration: float, failures: List[str]):
     # Kill/delay/NaN as in phase B, plus a torn write: the worker stamps
     # a correct checksum and then scribbles finite garbage — only the
     # crc verification can catch it, and the ladder must roll the torn
-    # bytes back and recompute the case rather than serve or refuse it.
+    # bytes back and recompute the flight rather than serve or refuse it.
     plan = FaultPlan(
         kill_before_dispatch={3: 0},
         delay_task={0: 0.2},
@@ -418,7 +418,6 @@ def phase_c(seed: int, duration: float, failures: List[str]):
         breaker=CircuitBreaker(failure_threshold=3, reset_timeout=0.3),
         max_queue=64,
         workers=1,
-        max_batch=4,
     )
     per_client = max(6, int(duration * 2))
     clients = 4
@@ -432,7 +431,7 @@ def phase_c(seed: int, duration: float, failures: List[str]):
         )
         schedules.append(sched)
         # Pure burst: no pauses, so flights pile up behind the single
-        # worker and get drained into micro-batches.
+        # worker.
         pauses.append([0.0] * len(sched))
 
     results = run_clients(service, schedules, pauses)
@@ -440,9 +439,10 @@ def phase_c(seed: int, duration: float, failures: List[str]):
     for request, response in results:
         verify_response(oracle, request, response, failures)
     leak_check(before, failures)
-    if report.batches == 0:
+    if report.queue_high_water < 2:
         failures.append(
-            "phase C never micro-batched — burst setup is broken"
+            "phase C never queued a flight behind another — burst setup "
+            "is broken"
         )
     if not plan._taken_torn:
         failures.append("the torn write never fired — fault setup is broken")
