@@ -178,7 +178,6 @@ def _serve_demo_registry(args) -> int:
     registry = ModelRegistry(
         memory_budget=budget,
         sessions=args.sessions,
-        max_queue=args.max_queue,
         durable_root=args.durable_root,
     )
     model_ids = [f"model-{i}" for i in range(args.models)]
@@ -192,6 +191,7 @@ def _serve_demo_registry(args) -> int:
     service = RegistryService(
         registry,
         scheduler=TenantScheduler(capacity=max(8, 4 * args.tenants)),
+        max_queue=args.max_queue,
     )
     budget_label = (
         f"{args.budget_mb:g} MB budget" if budget else "no budget"

@@ -1,7 +1,7 @@
 """Per-tenant weighted fair admission for the multi-model service.
 
-The per-model :class:`~repro.serve.InferenceService` already has a
-bounded *priority* queue; what it cannot see is *who* is submitting.  One
+The registry's one serving queue is a bounded *priority* queue; what it
+cannot see is *who* is submitting.  One
 hot tenant burst-submitting at priority 0 fills every queue slot and
 starves everyone else — explicitly the failure mode the ROADMAP's
 "millions of users" north star forbids.
@@ -19,13 +19,13 @@ with two mechanisms layered over the existing priority queue:
   others actually show up.  The quota never drops below 1, so a tenant
   that submits serially (one request at a time) is **never** refused for
   quota — the no-starvation guarantee the Hypothesis property test pins.
-* **Priority penalty** — admitted requests are forwarded with an
+* **Priority penalty** — admitted requests are queued at an
   *effective* priority of ``base x levels + penalty`` where the penalty
   grows stepwise as the tenant's in-flight count climbs past multiples
   of its fair share (capped at ``levels - 1``).  Base-priority bands are
   preserved exactly (the multiplication), but *within* a band a
   saturating tenant's overflow sorts behind lighter tenants' requests in
-  the per-model priority queue — weighted fair scheduling without a
+  the shared priority queue — weighted fair scheduling without a
   separate dispatcher thread.
 
 Accounting (admit/refuse/release/peak per tenant) feeds the
@@ -57,9 +57,8 @@ class TenantScheduler:
     Parameters
     ----------
     capacity:
-        Total in-flight requests the service is sized for (roughly the
-        sum of the per-model admission queues).  Fair shares are slices
-        of this.
+        Total in-flight requests the service is sized for (roughly its
+        admission queue bound).  Fair shares are slices of this.
     default_weight:
         Weight assigned to tenants never seen by :meth:`set_weight`.
     burst_factor:
@@ -159,8 +158,8 @@ class TenantScheduler:
         refusal (tenant at quota) nothing is charged and
         ``effective_priority`` echoes the base.  On admission the
         tenant's in-flight count is charged; the caller **must** pair it
-        with exactly one :meth:`release`, normally via the forwarded
-        future's done callback.
+        with exactly one :meth:`release`, normally when the request's
+        response resolves.
         """
         with self._lock:
             state = self._state(tenant)

@@ -3,10 +3,11 @@
 Admission → ready queue → worker threads → resolve each response exactly
 once → sentinel drain → :class:`~repro.serve.report.ServiceReport`:
 :class:`ServingCore` owns that lifecycle once, and
-:class:`~repro.serve.service.InferenceService`,
-:class:`~repro.serve.streaming.StreamingService` and
-:class:`~repro.registry.RegistryService` subclass it to supply only
-their decisions:
+:class:`~repro.serve.service.FlightService` (under
+:class:`~repro.serve.service.InferenceService` and
+:class:`~repro.registry.RegistryService`) and
+:class:`~repro.serve.streaming.StreamingService` subclass it to supply
+only their decisions:
 
 * :meth:`ServingCore.place` — what the unit of work is and what a full
   queue means (runs under the admission lock; enqueue a unit, or return
@@ -106,9 +107,7 @@ class Future:
     def add_done_callback(self, callback) -> None:
         """Run ``callback(response)`` on resolution (immediately if done).
 
-        The registry layer uses this to release tenant-admission charges
-        without polling futures.  Callbacks run on the resolving thread;
-        exceptions are swallowed.
+        Callbacks run on the resolving thread; exceptions are swallowed.
         """
         with self._lock:
             if self._response is None:
@@ -245,8 +244,9 @@ class ServingCore:
             **labels,
         )
 
-    def admit(self, ticket: Ticket, *context) -> Future:
-        """Count ``ticket`` in and :meth:`place` it; returns its future.
+    def admit(self, ticket: Ticket, *context, response=None) -> Future:
+        """Count ``ticket`` in and :meth:`place` it — or, given
+        ``response``, answer it with that on the spot; returns its future.
 
         ``closed`` is re-checked under the admission lock: :meth:`drain`
         closes and enqueues its sentinels while holding it, so anything
@@ -256,7 +256,8 @@ class ServingCore:
         with self._admission:
             self._check_open()
             self._bump("submitted")
-            response = self.place(ticket, *context)
+            if response is None:
+                response = self.place(ticket, *context)
             if response is not None:
                 self.finish(ticket, response)
         return ticket.future

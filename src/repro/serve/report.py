@@ -8,10 +8,9 @@ from its counters: every admission decision, every tier that served,
 every breaker transition, and latency percentiles over the responses
 ``finish`` recorded as served — the numbers an operator needs to answer
 "did the service refuse work, and what did the work it accepted cost?".
-Reports of several services (the registry's per-model services, its
-front door) combine with :meth:`ServiceReport.merge`, which walks the
-dataclass fields, so a counter added here is aggregated without a
-second list to keep in step.
+Reports of several parts (a registry service and its registry) combine
+with :meth:`ServiceReport.merge`, which walks the dataclass fields, so a
+counter added here is aggregated without a second list to keep in step.
 """
 
 from __future__ import annotations
@@ -100,8 +99,7 @@ class ServiceReport:
     quarantined: int = 0
     # Per-tenant / per-model response-status breakdowns, e.g.
     # {"tenant-a": {"ok": 10, "shed": 2}}.  Filled by the service from
-    # request stamps; the registry aggregates them across every
-    # per-model service it drained.
+    # request stamps.
     per_tenant: Dict[str, Dict[str, int]] = field(default_factory=dict)
     per_model: Dict[str, Dict[str, int]] = field(default_factory=dict)
     # Registry-level accounting (zero/empty for a plain single-model

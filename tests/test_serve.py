@@ -894,7 +894,7 @@ class TestRequestValidation:
     def test_registry_service_refuses_and_keeps_serving(
         self, serve_network, field, value
     ):
-        registry = ModelRegistry(sessions=1, workers=1)
+        registry = ModelRegistry(sessions=1)
         registry.register("m", network=serve_network)
         service = RegistryService(registry)
         fields = {"deadline": 30.0, field: value}
@@ -1042,8 +1042,8 @@ class TestImpossibleEvidence:
         assert fine.status == "ok"
         assert report.quarantined == 2
         assert "cache" not in report.tier_counts
-        assert not service._stale_store or all(
-            sig != signature for _v, _ts, sig in service._stale_store.values()
+        assert all(
+            sig != signature for _v, _ts, sig in asia_pool.stale.values()
         )
 
 

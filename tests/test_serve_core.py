@@ -346,13 +346,13 @@ def test_to_dict_keys_are_the_published_ones():
 
 def test_registry_report_keeps_stale_signature_misses():
     """Full queue + ``max_staleness`` + another conditioning, through the
-    front door: the per-model service's miss must reach the merged report."""
+    front door: the stale-signature miss must reach the drain report."""
     network = random_network(
         10, cardinality=2, max_parents=2, edge_probability=0.7, seed=40
     )
-    registry = ModelRegistry(sessions=1, workers=1, max_queue=1)
+    registry = ModelRegistry(sessions=1)
     registry.register("m", network=network)
-    front = RegistryService(registry)
+    front = RegistryService(registry, max_queue=1)
     # Prime the stale store for var 3 under the conditioning {0: 0}.
     assert front.query(delta={0: 0}, vars=[3], deadline=WAIT).status == "ok"
     entry = registry.acquire("m")

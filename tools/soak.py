@@ -477,17 +477,14 @@ def phase_d(seed: int, duration: float, failures: List[str]):
     budget = int(sum(costs.values()) * 0.6)
 
     before = live_resources()
-    registry = ModelRegistry(
-        memory_budget=budget,
-        sessions=2,
-        cache_size=64,
-        max_queue=16,
-        workers=2,
-    )
+    registry = ModelRegistry(memory_budget=budget, sessions=2, cache_size=64)
     for mid, bn in networks.items():
         registry.register(mid, network=bn)
+    # One bound over all four models: 16 queued flights per model.
     service = RegistryService(
-        registry, scheduler=TenantScheduler(capacity=24, burst_factor=2.0)
+        registry,
+        scheduler=TenantScheduler(capacity=24, burst_factor=2.0),
+        max_queue=16 * len(model_ids),
     )
 
     tenants = ["acme", "globex", "initech"]
@@ -516,8 +513,36 @@ def phase_d(seed: int, duration: float, failures: List[str]):
         schedules.append(sched)
         pauses.append([crng.choice([0.0, 0.0, 0.001]) for _ in sched])
 
+    # One queue and one set of workers serve every model: however many
+    # models are resident, the live serve workers are the service's own.
+    worker_prefix = f"{service.row_prefix}-worker"
+    worker_counts = set()
+    storm_over = threading.Event()
+
+    def count_workers():
+        while not storm_over.wait(0.005):
+            worker_counts.add(sum(
+                t.name.startswith(worker_prefix)
+                for t in threading.enumerate()
+            ))
+
+    counter = threading.Thread(target=count_workers, name="soak-worker-count")
+    counter.start()
     results = run_clients(service, schedules, pauses)
+    storm_over.set()
+    counter.join()
     report = service.drain()
+
+    workers = len(service._workers)
+    print(
+        f"serve workers seen during the storm: {sorted(worker_counts)} "
+        f"(the service runs {workers})"
+    )
+    if worker_counts != {workers}:
+        failures.append(
+            f"serve-worker threads during the storm numbered "
+            f"{sorted(worker_counts)}, not the service's {workers}"
+        )
 
     for request, response in results:
         mid = response.model_id or request.model_id
