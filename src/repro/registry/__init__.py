@@ -12,7 +12,7 @@ recompiling), and a :class:`RegistryService` routes requests by
 ``model_id`` with per-tenant weighted fair admission
 (:class:`TenantScheduler`).  Every refusal is typed:
 :class:`TenantQuotaExceeded`, :class:`CompileDeadlineExceeded`,
-:class:`ModelNotFound`.  See ``docs/registry.md``.
+:class:`ModelNotFound`, :class:`ModelEvicted`.  See ``docs/registry.md``.
 """
 
 from repro.registry.compiler import (
@@ -26,6 +26,7 @@ from repro.registry.fairness import TenantScheduler, TenantState
 from repro.registry.registry import ModelRegistry, RegistryService
 from repro.serve.request import (
     CompileDeadlineExceeded,
+    ModelEvicted,
     ModelNotFound,
     TenantQuotaExceeded,
 )
@@ -41,6 +42,7 @@ __all__ = [
     "ModelRegistry",
     "RegistryService",
     "CompileDeadlineExceeded",
+    "ModelEvicted",
     "ModelNotFound",
     "TenantQuotaExceeded",
 ]

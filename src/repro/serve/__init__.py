@@ -24,6 +24,7 @@ from repro.serve.request import (
     STATUS_STALE,
     CompileDeadlineExceeded,
     DeadlineExceeded,
+    ModelEvicted,
     ModelNotFound,
     Overloaded,
     QueryRequest,
@@ -40,6 +41,7 @@ from repro.serve.streaming import StreamHandle, StreamingService
 
 __all__ = [
     "CompileDeadlineExceeded",
+    "ModelEvicted",
     "ModelNotFound",
     "TenantQuotaExceeded",
     "BreakerTransition",

@@ -62,6 +62,11 @@ class TenantQuotaExceeded(Overloaded):
     """
 
 
+class ModelEvicted(Overloaded):
+    """The model went cold (or was evicted twice) while the request
+    queued; a serve worker never compiles, so it sheds the request."""
+
+
 class StreamOverflow(Overloaded):
     """A stream's bounded tick queue was full; the tick was refused.
 
@@ -99,6 +104,7 @@ _KIND_ERRORS = {
     "compile-deadline": CompileDeadlineExceeded,
     "quota": TenantQuotaExceeded,
     "model-not-found": ModelNotFound,
+    "model-evicted": ModelEvicted,
     "stream-overflow": StreamOverflow,
     "stream-closed": StreamClosed,
 }
@@ -224,8 +230,9 @@ class QueryResponse(_TypedRefusal):
     coalesced: bool = False
     stale_age: Optional[float] = None
     error: Optional[str] = None
-    # Finer refusal kind ("compile-deadline", "quota", "model-not-found")
-    # set by the registry layer; None for plain service responses.
+    # Finer refusal kind ("compile-deadline", "quota", "model-not-found",
+    # "model-evicted") set by the registry layer; None for plain service
+    # responses.
     kind: Optional[str] = None
     # Which model/tenant the response belongs to (stamped by the registry
     # router; empty for direct single-model service use).
