@@ -54,7 +54,6 @@ from repro.jt.rerooting import reroot_optimally
 from repro.sched.resilient import ResilientExecutor
 from repro.sched.serial import SerialExecutor
 from repro.sched.stats import ExecutionStats
-from repro.tasks.dag import build_task_graph
 from repro.tasks.layout import table_layout
 from repro.tasks.state import PropagationState
 from repro.tasks.task import TaskGraph
@@ -101,7 +100,8 @@ class InferenceEngine:
         for clique in self.jt.cliques:
             for var, card in zip(clique.variables, clique.cardinalities):
                 self._cardinalities[var] = card
-        self.task_graph: TaskGraph = build_task_graph(self.jt)
+        # Built once per tree structure and shared through its layout.
+        self.task_graph: TaskGraph = table_layout(self.jt).task_graph(self.jt)
         self._init_runtime(cache_size)
 
     def _init_runtime(self, cache_size: int) -> None:
@@ -600,8 +600,7 @@ class InferenceEngine:
     def marginals_all(self) -> Dict[int, np.ndarray]:
         """Posterior of every variable in the tree, keyed by variable id."""
         with self._lock:
-            state = self._sync()
-            return {v: state.marginal(v) for v in self.jt.variables()}
+            return self._sync().marginals_all()
 
     def clique_marginal(self, clique: int):
         """Normalized joint over one clique's scope."""

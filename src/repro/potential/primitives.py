@@ -20,6 +20,14 @@ the result as ``plan=``: derived on the spot when absent, so there is one
 body per primitive either way.  :class:`~repro.tasks.layout.TableLayout`
 builds the plans of every message pipeline once per tree.
 
+A :class:`Wave` is a plan too, for many small tables at once: the tasks
+of one primitive kind in one level of a task graph, as flat index maps
+into a propagation state's buffer.  Handed a wave as ``plan=`` (and
+:class:`Entries` as operands), each primitive runs one numpy call for all
+of them (:meth:`~repro.tasks.layout.TableLayout.wave_list` compiles them).
+A small table's own MARGINALIZE runs the same ``bincount`` as the wave
+that carries it, so a task gives the same bits either way.
+
 :func:`primitive_flops` gives the operation-count estimate used both for
 task weights in the scheduler and for the multicore cost model.
 """
@@ -27,9 +35,10 @@ task weights in the scheduler and for the multicore cost model.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import string
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -50,10 +59,12 @@ class PrimitiveKind(enum.Enum):
 
 
 # Tables of at least this many entries marginalize through
-# ``np.einsum``, smaller ones through ``np.add.reduce``.  ``add.reduce``
-# wins on small tables (1.0 vs 1.6 us on 32 entries) and ties up to 2**10,
-# but crawls when a wide table drops or keeps a small *inner* axis: on
-# 2**16 entries it takes 430-690 us where einsum takes 85-125 us.
+# ``np.einsum`` (or a slice kernel), smaller ones through ``np.bincount``
+# over a precomputed scatter map: 1.7 us on 32 entries where
+# ``add.reduce`` takes 3.1 us, and the same call sums any number of
+# small tables at once (a wave).  Only tasks whose every table is below
+# this bound join a wave: gathering a 2**16-entry table is 5x slower than
+# the slice kernels.
 WIDE_TABLE = 1 << 12
 
 # A wide table whose changed run of axes has at most SPLIT_POST entries
@@ -131,11 +142,9 @@ class MarginalizePlan(NamedTuple):
     cardinalities: Tuple[int, ...]
     onto: Tuple[int, ...]            # the result's scope
     onto_cards: Tuple[int, ...]
-    drop_axes: Tuple[int, ...]       # array axes summed out
-    # The result's array axes in the order the table keeps them (its
-    # transpose is what add.reduce writes); None when that is the order
-    # ``onto`` asks for.
-    out_perm: Optional[Tuple[int, ...]]
+    # Small tables: the result's flat index of every table entry, in C
+    # order (read-only, shared per shape).  None on wide tables.
+    scatter: Optional[np.ndarray]
     subscripts: Optional[str]        # einsum form, wide tables only
     split: Optional[Split]           # the slice kernel's, when it wins
 
@@ -164,6 +173,26 @@ class DividePlan(NamedTuple):
     perm: Optional[Tuple[int, ...]]  # its axes in numerator order
 
 
+@functools.lru_cache(maxsize=256)
+def scatter_map(
+    cardinalities: Tuple[int, ...], source: Tuple[int, ...]
+) -> np.ndarray:
+    """For a table of shape ``cardinalities`` summed onto its axes
+    ``source`` (in that order), the flat result index of every entry, in
+    C order.  Cached per shape and returned read-only."""
+    scatter = np.zeros(cardinalities, dtype=np.intp)
+    stride = 1
+    for axis in reversed(source):
+        card = cardinalities[axis]
+        shape = [1] * len(cardinalities)
+        shape[axis] = card
+        scatter += np.arange(0, card * stride, stride).reshape(shape)
+        stride *= card
+    scatter = scatter.reshape(-1)
+    scatter.flags.writeable = False
+    return scatter
+
+
 def plan_marginalize(
     variables: Sequence[int],
     cardinalities: Sequence[int],
@@ -177,13 +206,9 @@ def plan_marginalize(
         raise ValueError(f"marginalize target has unknown variables {missing}")
     if len(set(onto)) != len(onto):
         raise ValueError(f"duplicate variables in marginalize target {onto}")
-    # The table axis behind each result axis, and the result axes in the
-    # order the table keeps them.
-    source = [variables.index(v) for v in onto]
-    order = sorted(range(len(onto)), key=source.__getitem__)
-    dropped = [i for i in range(len(variables)) if i not in source]
-    in_order = source == sorted(source)
-    subscripts = split = None
+    # The table axis behind each result axis.
+    source = tuple(variables.index(v) for v in onto)
+    scatter = subscripts = split = None
     if (
         math.prod(cardinalities) >= WIDE_TABLE
         and len(variables) < len(_LETTERS)
@@ -192,16 +217,17 @@ def plan_marginalize(
             _LETTERS[:len(variables)],
             "".join(_LETTERS[a] for a in source),
         )
-        if in_order:
+        if list(source) == sorted(source):
+            dropped = [i for i in range(len(variables)) if i not in source]
             split = _split(cardinalities, _run(dropped)) or _split(
                 cardinalities, _run(source), kept=True
             )
+    else:
+        scatter = scatter_map(cardinalities, source)
     return MarginalizePlan(
         variables, cardinalities, onto,
         tuple(cardinalities[i] for i in source),
-        tuple(dropped),
-        None if in_order else tuple(order),
-        subscripts, split,
+        scatter, subscripts, split,
     )
 
 
@@ -276,6 +302,52 @@ def plan_divide(variables: Sequence[int], other: Sequence[int]) -> DividePlan:
     )
 
 
+# An index into a flat buffer: a slice when the entries are one
+# contiguous run (a view, no gather), else an array of entry offsets.
+Index = Union[slice, np.ndarray]
+
+
+class Entries:
+    """The entries ``index`` of a flat ``buffer``, in index order: one
+    operand of a :class:`Wave` (its tables laid end to end)."""
+
+    __slots__ = ("buffer", "index")
+
+    def __init__(self, buffer: np.ndarray, index: Index):
+        self.buffer = buffer
+        self.index = index
+
+    @property
+    def values(self) -> np.ndarray:
+        """The entries: a view for a slice index, a gathered copy
+        otherwise."""
+        return self.buffer[self.index]
+
+    def assign(self, values: np.ndarray) -> None:
+        """Write ``values`` into the entries."""
+        self.buffer[self.index] = values
+
+
+class Wave(NamedTuple):
+    """One primitive run over many small tasks at once: the plan of a
+    call whose operands are :class:`Entries` of one state buffer.
+
+    ``source`` indexes the entries read — MARGINALIZE's source tables,
+    DIVIDE's numerators, the ratio entry behind every entry EXTEND writes,
+    MULTIPLY's extended tables — ``other`` DIVIDE's denominators (``None``
+    for the other kinds), ``out`` the entries written; ``scatter`` is
+    MARGINALIZE's result index of every source entry (the tasks' scatter
+    maps, offset to their outputs) and ``size`` the entries written.
+    """
+
+    code: PrimitiveKind
+    source: Index
+    other: Optional[Index]
+    out: Index
+    scatter: Optional[np.ndarray]
+    size: int
+
+
 def _plan_mismatch(name: str, plan) -> ValueError:
     return ValueError(f"{name}: plan= was built for other operands ({plan})")
 
@@ -340,10 +412,23 @@ def marginalize(
     exactly that scope, receives the result in place and is returned.
     ``plan`` is :func:`plan_marginalize` of these scopes, for callers that
     make the same call many times.  Its size and split decide the kernel:
-    ``add.reduce`` on small tables, the slice kernel on a wide table with
-    a :class:`Split` (and C-contiguous arrays), einsum on the other wide
-    ones.
+    ``bincount`` over the scatter map on small tables, the slice kernel on
+    a wide table with a :class:`Split` (and C-contiguous arrays), einsum
+    on the other wide ones.
+
+    With a :class:`Wave` as ``plan``, ``table`` and ``out`` are
+    :class:`Entries` and ``onto`` is unused: one ``bincount`` sums every
+    task of the wave into ``out`` (into new :class:`Entries` when ``out``
+    is None).
     """
+    if type(plan) is Wave:
+        sums = np.bincount(
+            plan.scatter, weights=table.values, minlength=plan.size
+        )
+        if out is None:
+            return Entries(sums, slice(None))
+        out.assign(sums)
+        return out
     if plan is None:
         plan = plan_marginalize(table.variables, table.cardinalities, onto)
     elif (
@@ -370,10 +455,10 @@ def marginalize(
         else:
             _sum_run(values, target, split)
         return out
-    target = out.values
-    if plan.out_perm is not None:
-        target = target.transpose(plan.out_perm)
-    np.add.reduce(table.values, axis=plan.drop_axes, out=target)
+    # Every result entry has a source entry: the bins are exactly the
+    # result's entries.
+    sums = np.bincount(plan.scatter, table.values.reshape(-1))
+    np.copyto(out.values, sums.reshape(plan.onto_cards))
     return out
 
 
@@ -391,8 +476,13 @@ def extend(
     ``out``, a table over exactly the target scope, receives the result in
     place and is returned.  ``plan`` is :func:`plan_extend` of these scopes;
     with a :class:`Split` (and C-contiguous arrays) it copies one slice
-    per added state instead of broadcasting.
+    per added state instead of broadcasting.  With a :class:`Wave`,
+    ``table`` (whose index is the gather map) is copied into ``out``, both
+    :class:`Entries`.
     """
+    if type(plan) is Wave:
+        out.assign(table.values)
+        return out
     if plan is None:
         plan = plan_extend(
             table.variables, table.cardinalities, variables, cardinalities
@@ -433,8 +523,13 @@ def multiply(
     The result keeps ``a``'s scope and axis order (the common case is
     multiplying an extended separator ratio into a clique table).
     ``out`` receives the result in place and is returned; it may be ``a``
-    itself (``a *= b``).  ``plan`` is :func:`plan_multiply` of these scopes.
+    itself (``a *= b``).  ``plan`` is :func:`plan_multiply` of these scopes;
+    with a :class:`Wave`, ``a``, ``b`` and ``out`` are :class:`Entries` of
+    tables over equal scopes.
     """
+    if type(plan) is Wave:
+        out.assign(a.values * b.values)
+        return out
     if plan is None:
         plan = plan_multiply(
             a.variables, a.cardinalities, b.variables, b.cardinalities
@@ -465,10 +560,17 @@ def divide(
     over the numerator's scope that is neither operand, receives the result
     in place and is returned (an operand as ``out`` raises
     ``ValueError``: the body clears ``out`` before it reads them).
-    ``plan`` is :func:`plan_divide` of these scopes.
+    ``plan`` is :func:`plan_divide` of these scopes; with a :class:`Wave`,
+    the operands and ``out`` are :class:`Entries` of equal scopes.
     """
     if out is numerator or out is denominator:
         raise ValueError("divide: out= must be neither operand")
+    if type(plan) is Wave:
+        num, denom = numerator.values, denominator.values
+        ratio = np.zeros_like(num)
+        np.divide(num, denom, out=ratio, where=denom != 0)
+        out.assign(ratio)
+        return out
     if plan is None:
         plan = plan_divide(numerator.variables, denominator.variables)
     elif (

@@ -1,12 +1,21 @@
 """Reference serial executor: a task graph as one straight-line run.
 
-The graph is compiled once into its step list (every task in topological
+A tree's full task graph, from its second run on, runs level by level
+as *waves* (:meth:`repro.tasks.layout.TableLayout.wave_list`): every
+level of the DAG is one gather / scatter numpy call per primitive kind
+over the tasks whose tables are small, with the wide tasks as single
+steps between them — the paper's level-synchronous baseline, run as data
+parallelism inside numpy rather than as a thread team
+(:meth:`repro.tasks.state.PropagationState.run_waves`).  Every other
+run — a restricted graph (mostly run once), the full graph's first run,
+a run traced by a :class:`~repro.obs.tracer.Tracer` (one span per task)
+— walks the graph's step list, compiled once (every task in topological
 order, with operand slot indices and its pipeline's plan:
-:meth:`repro.tasks.layout.TableLayout.step_list`), and the run walks that
-list against the state's slot-indexed table views
-(:meth:`repro.tasks.state.PropagationState.run_steps`): no dependency
-counters, no per-task lookups.  Tracing and the deadline check go through
-the same loop.
+:meth:`repro.tasks.layout.TableLayout.step_list`), against the state's
+slot-indexed table views
+(:meth:`repro.tasks.state.PropagationState.run_steps`).  Neither path
+has dependency counters or per-task lookups, and both leave the same
+bits in every table.  The deadline is checked before every wave or step.
 """
 
 from __future__ import annotations
@@ -35,15 +44,19 @@ class SerialExecutor:
         deadline: Optional[float] = None,
     ) -> ExecutionStats:
         """Run the graph; ``deadline`` is an absolute ``time.monotonic()``
-        instant checked between tasks (the serial form of the parallel
-        executors' fetch-boundary check).  A whole-run overrun surfaces
-        only as :class:`~repro.sched.faults.TaskExecutionError` with
-        ``phase="deadline"``; no stats object outlives it."""
-        buf = tracer.bind(0) if tracer is not None else None
+        instant checked between waves or tasks (the serial form of the
+        parallel executors' fetch-boundary check).  A whole-run overrun
+        surfaces only as :class:`~repro.sched.faults.TaskExecutionError`
+        with ``phase="deadline"``; no stats object outlives it."""
         start_ns = time.perf_counter_ns()
-        executed, compute_ns = state.run_steps(
-            state.step_list(graph), buf, deadline
-        )
+        waves = state.wave_list(graph) if tracer is None else None
+        if waves is not None:
+            executed, compute_ns = state.run_waves(waves, deadline)
+        else:
+            buf = tracer.bind(0) if tracer is not None else None
+            executed, compute_ns = state.run_steps(
+                state.step_list(graph), buf, deadline
+            )
         if executed < graph.num_tasks:
             raise TaskExecutionError(
                 f"serial propagation exceeded its deadline with "

@@ -21,7 +21,24 @@ topological order, once per graph (kept on the graph, like its order).  A
 state runs a step against its list of table views, one per slot, so
 running a task costs no key building, no dictionary lookup and no view
 construction.  Nothing about the slots, the buffer size or the checkpoint
-format depends on the plans or the steps.
+format depends on the plans, the steps or the waves.
+
+The layout holds the tree's **full** task graph
+(:meth:`TableLayout.task_graph`, built once per tree structure and
+shared by every engine over it), and :meth:`TableLayout.wave_list`
+compiles that graph, and only that one, on its second run, level by
+level into *waves*: the
+tasks of one primitive kind in one level of the DAG
+(:meth:`~repro.tasks.task.TaskGraph.levels`), every table they touch
+below :data:`~repro.potential.primitives.WIDE_TABLE`, become one
+:class:`~repro.potential.primitives.Wave` — a gather / scatter over flat
+index maps into the state buffer that runs as one numpy call.  A task
+with a wide table stays a :class:`Step` between the waves.  Tasks of one
+level are independent, so the kinds may run in any order within it, and
+each entry gets the same arithmetic as in the step list: a wave run is
+bitwise equal to it.  :meth:`TableLayout.reads` compiles the posterior
+read of every variable the same way: one MARGINALIZE wave over every
+small host clique.
 
 The layout also carries the tree's :class:`~repro.tasks.dag.GraphCache` of
 restricted task graphs and its :class:`FreeList` of released state
@@ -32,25 +49,31 @@ object: trees that share it
 
 from __future__ import annotations
 
+import functools
+import math
 from collections import deque
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.jt.junction_tree import JunctionTree
 from repro.potential.primitives import (
+    WIDE_TABLE,
     DividePlan,
     ExtendPlan,
+    Index,
     MarginalizePlan,
     MultiplyPlan,
     PrimitiveKind,
+    Wave,
     plan_divide,
     plan_extend,
     plan_marginalize,
     plan_multiply,
+    scatter_map,
 )
 from repro.potential.table import PotentialTable
-from repro.tasks.dag import GraphCache
+from repro.tasks.dag import GraphCache, build_task_graph
 from repro.tasks.task import COLLECT, DISTRIBUTE, TaskGraph
 
 Edge = Tuple[int, int]
@@ -109,6 +132,42 @@ class StepList(NamedTuple):
 
     tids: Tuple[int, ...]
     steps: Tuple[Step, ...]
+
+
+class WaveList(NamedTuple):
+    """A full task graph compiled into waves, level by level.
+
+    ``units[i]`` is a :class:`~repro.potential.primitives.Wave` or, for a
+    task with a wide table, that task's :class:`Step`; it runs the tasks
+    ``tids[i]`` and writes the intermediates ``written[i]``: their keys,
+    and their slot indices in the same order.  ``writes_all``: the units
+    together write every intermediate of the layout.
+    """
+
+    units: Tuple[Union[Wave, Step], ...]
+    tids: Tuple[Tuple[int, ...], ...]
+    written: Tuple[Tuple[Tuple[InterKey, ...], Tuple[int, ...]], ...]
+    writes_all: bool
+
+
+class Reads(NamedTuple):
+    """The posterior read of every variable of a tree, compiled.
+
+    The posteriors lie end to end in one vector of ``size`` entries;
+    ``parts`` maps every variable, ascending, to its slice of it.
+    ``wave`` sums every variable hosted by a small clique at once into the
+    first ``wave.size`` entries (None when there is none), the states of
+    its ``i``-th variable from ``starts[i]`` on, ``cards[i]`` of them.
+    ``wide`` lists the variables hosted by a wide clique, each read on its
+    own with its plan into the entries after.
+    """
+
+    wave: Optional[Wave]
+    parts: Dict[int, slice]
+    starts: np.ndarray
+    cards: np.ndarray
+    wide: Tuple[int, ...]
+    size: int
 
 
 class FreeList:
@@ -170,15 +229,18 @@ class TableLayout:
     a table's position there is its *slot index* (clique ``i``'s potential
     is slot ``i``; ``separator_at`` and ``inter_at`` give the others).
 
-    :meth:`pipelines`, :meth:`steps` and :meth:`answer` are the
-    primitives' plans over these slots, each built once per tree, on first
-    use; ``graphs`` holds the tree's restricted task graphs, each built on
-    first use, and ``free`` the released state buffers.
+    :meth:`pipelines`, :meth:`steps`, :meth:`answer` and :meth:`reads`
+    are the primitives' plans over these slots, each built once per tree,
+    on first use; :meth:`task_graph` is the tree's full task graph and
+    :meth:`wave_list` its waves, each built on first use; ``graphs`` holds
+    the tree's restricted task graphs, each built on first use, and
+    ``free`` the released state buffers.
     """
 
     __slots__ = (
         "potentials", "separators", "inter", "size", "slots", "separator_at",
-        "inter_at", "_pipelines", "_steps", "_answers", "graphs", "free",
+        "inter_at", "_pipelines", "_steps", "_answers", "_graph", "_reads",
+        "graphs", "free",
     )
 
     def __init__(self, jt: JunctionTree):
@@ -187,6 +249,8 @@ class TableLayout:
         self._pipelines: Optional[Dict[PipeKey, Pipeline]] = None
         self._steps: Optional[Dict[StepKey, Step]] = None
         self._answers: Dict[Tuple[int, int], MarginalizePlan] = {}
+        self._graph: Optional[TaskGraph] = None
+        self._reads: Optional[Reads] = None
         self.graphs = GraphCache()
         self.free = FreeList()
 
@@ -319,6 +383,33 @@ class TableLayout:
         graph._steps = (steps, listed)
         return listed
 
+    def task_graph(self, jt: JunctionTree) -> TaskGraph:
+        """The full task graph of ``jt`` (a tree with this layout),
+        built on first use: every engine over the tree structure runs
+        this one graph, and only it gets waves."""
+        graph = self._graph
+        if graph is None:
+            graph = self._graph = build_task_graph(jt)
+        return graph
+
+    def wave_list(self, graph: TaskGraph) -> Optional[WaveList]:
+        """``graph`` compiled into waves for its run, or None: it is not
+        this layout's full graph (a restricted graph, mostly run once,
+        keeps its step list), this is the graph's first run, or none of
+        its tasks is small enough to join a wave.  A full graph run once
+        (a filtering stream's first window) never pays the compile; from
+        the second call on the waves are compiled once and kept on the
+        graph next to its step list (until its next ``add_task``)."""
+        if graph is not self._graph:
+            return None
+        memo = graph._waves
+        if memo is None:
+            graph._waves = ()  # seen: the next run compiles
+            return None
+        if not memo:
+            memo = graph._waves = (compile_waves(self, graph),)
+        return memo[0]
+
     def answer(self, clique: int, variable: int) -> MarginalizePlan:
         """The plan of summing ``clique``'s potential down to ``variable``
         alone (a posterior marginal read from its host clique).  On a
@@ -334,6 +425,259 @@ class TableLayout:
                 slot.variables, slot.cardinalities, (variable,)
             )
         return plan
+
+    def reads(self, jt: JunctionTree) -> Reads:
+        """The compiled posterior read of every variable of ``jt`` (a
+        tree with this layout), in variable order; built on first use."""
+        compiled = self._reads
+        if compiled is None:
+            compiled = self._reads = _compile_reads(self, jt)
+        return compiled
+
+
+def _indexes(groups: Sequence[Sequence[Slot]]) -> List[Index]:
+    """For each group of slots, its entries laid end to end: a slice when
+    the group's slots are adjacent in the buffer, else a view into one
+    array of entry offsets built for every group at once."""
+    flat = [slot for group in groups for slot in group]
+    sizes = np.array([slot.size for slot in flat], dtype=np.intp)
+    ends = np.cumsum(sizes)
+    entries = np.arange(ends[-1]) + np.repeat(
+        np.array([slot.start for slot in flat], dtype=np.intp) - ends + sizes,
+        sizes,
+    )
+    indexes: List[Index] = []
+    at = 0
+    for group in groups:
+        first = group[0].start
+        end = first
+        for slot in group:
+            if slot.start != end:
+                end = -1
+                break
+            end += slot.size
+        count = sum(slot.size for slot in group)
+        indexes.append(
+            slice(first, end) if end >= 0 else entries[at:at + count]
+        )
+        at += count
+    return indexes
+
+
+@functools.lru_cache(maxsize=256)
+def gather_map(
+    cardinalities: Tuple[int, ...],
+    perm: Optional[Tuple[int, ...]],
+    shape: Tuple[int, ...],
+    target_cards: Tuple[int, ...],
+) -> np.ndarray:
+    """For an extension (an :class:`ExtendPlan`'s shapes), the flat
+    index into the source table of every result entry, in C order.
+    Cached per shape and returned read-only."""
+    index = np.arange(math.prod(cardinalities)).reshape(cardinalities)
+    if perm is not None:
+        index = index.transpose(perm)
+    gather = np.broadcast_to(index.reshape(shape), target_cards).reshape(-1)
+    gather.flags.writeable = False
+    return gather
+
+
+def _maps(
+    maps: List[np.ndarray], shifts: List[int], counts: Sequence[int]
+) -> List[np.ndarray]:
+    """Each map of ``maps`` plus its shift, laid end to end and cut into
+    consecutive runs of ``counts`` maps (one numpy pass for all)."""
+    sizes = [part.size for part in maps]
+    joined = np.concatenate(maps) + np.repeat(
+        np.array(shifts, dtype=np.intp), sizes
+    )
+    cuts: List[np.ndarray] = []
+    at = task = 0
+    for count in counts:
+        size = sum(sizes[task:task + count])
+        cuts.append(joined[at:at + size])
+        at += size
+        task += count
+    return cuts
+
+
+def _waves(
+    layout: TableLayout, code: PrimitiveKind, groups: List[List[Step]]
+) -> List[Wave]:
+    """The :class:`Wave` of each group of ``groups`` (small steps of kind
+    ``code``, pairwise independent within a group), built together."""
+    slots = layout.slots
+    for steps in groups:
+        written = [step.out for step in steps]
+        if code is PrimitiveKind.DIVIDE:
+            written += [step.other for step in steps]
+        if len(set(written)) != len(written):
+            # Two tasks of one level writing one table (two MULTIPLYs
+            # into one clique) would race under a thread team and lose
+            # an update here.
+            raise AssertionError(
+                f"a {code.value} wave writes one table twice: its tasks "
+                f"are not independent"
+            )
+    if code is PrimitiveKind.DIVIDE and any(
+        step.plan.perm is not None for steps in groups for step in steps
+    ) or code is PrimitiveKind.MULTIPLY and any(
+        step.plan.extend is not None for steps in groups for step in steps
+    ):
+        # DIVIDE's operands and MULTIPLY's extended table have the scope,
+        # in the order, of the table they are combined with.
+        raise AssertionError(f"{code.value} wave over unequal scopes")
+    counts = [len(steps) for steps in groups]
+    steps = [step for group in groups for step in group]
+    outs = _indexes([[slots[step.out] for step in group] for group in groups])
+    sizes = [sum(slots[step.out].size for step in group) for group in groups]
+    others: List[Optional[Index]] = [None] * len(groups)
+    scatters: List[Optional[np.ndarray]] = [None] * len(groups)
+    if code is PrimitiveKind.EXTEND:
+        sources = _maps(
+            [
+                gather_map(
+                    step.plan.cardinalities, step.plan.perm,
+                    step.plan.shape, step.plan.target_cards,
+                ) for step in steps
+            ],
+            [slots[step.source].start for step in steps], counts,
+        )
+    else:
+        sources = _indexes(
+            [[slots[step.source] for step in group] for group in groups]
+        )
+    if code is PrimitiveKind.MARGINALIZE:
+        # Each task sums into its own bins: offset by the outputs before
+        # it in its wave.
+        offsets: List[int] = []
+        for group in groups:
+            at = 0
+            for step in group:
+                offsets.append(at)
+                at += slots[step.out].size
+        scatters = _maps(
+            [step.plan.scatter for step in steps], offsets, counts
+        )
+    elif code is PrimitiveKind.DIVIDE:
+        others = _indexes(
+            [[slots[step.other] for step in group] for group in groups]
+        )
+    return [
+        Wave(code, *fields)
+        for fields in zip(sources, others, outs, scatters, sizes)
+    ]
+
+
+# The kinds of one level, in the order their waves run.  Any order is
+# correct (a level's tasks are independent); this one is fixed so every
+# compile of a graph is the same.
+_KINDS = (
+    PrimitiveKind.MARGINALIZE, PrimitiveKind.DIVIDE, PrimitiveKind.EXTEND,
+    PrimitiveKind.MULTIPLY,
+)
+
+
+def compile_waves(layout: TableLayout, graph: TaskGraph) -> Optional[WaveList]:
+    """``graph``'s levels compiled into waves (see the module docstring),
+    or None when no task is small enough to join one."""
+    steps = layout.step_list(graph)
+    step_of = dict(zip(steps.tids, steps.steps))
+    wide_slots = {
+        at for at, slot in enumerate(layout.slots) if slot.size >= WIDE_TABLE
+    }
+    rank = {kind: i for i, kind in enumerate(_KINDS)}
+    # Run order: per level, one wave per kind present, then the tasks
+    # with a wide table.  A wave is a (kind rank, its tids) placeholder
+    # until every wave of its kind is built at once, below.
+    order: List[Tuple[int, List[int]]] = []
+    for level in graph.levels():
+        small: List[List[int]] = [[] for _ in _KINDS]
+        wide: List[int] = []
+        for tid in level:
+            step = step_of[tid]
+            if wide_slots and (
+                step.source in wide_slots or step.other in wide_slots
+                or step.out in wide_slots
+            ):
+                wide.append(tid)
+            else:
+                small[rank[step.code]].append(tid)
+        order.extend((i, members) for i, members in enumerate(small) if members)
+        order.extend((-1, [tid]) for tid in wide)
+    if all(i < 0 for i, _members in order):
+        return None
+    groups: List[List[List[Step]]] = [[] for _ in _KINDS]
+    for i, members in order:
+        if i >= 0:
+            groups[i].append([step_of[tid] for tid in members])
+    built = [
+        iter(_waves(layout, kind, kind_groups)) if kind_groups else None
+        for kind, kind_groups in zip(_KINDS, groups)
+    ]
+    units: List[Union[Wave, Step]] = []
+    written: List[Tuple[Tuple[InterKey, ...], Tuple[int, ...]]] = []
+    for i, members in order:
+        units.append(next(built[i]) if i >= 0 else step_of[members[0]])
+        done = [
+            step_of[tid] for tid in members
+            if step_of[tid].written is not None
+        ]
+        written.append((
+            tuple(step.written for step in done),
+            tuple(step.out for step in done),
+        ))
+    return WaveList(
+        tuple(units), tuple(tuple(members) for _i, members in order),
+        tuple(written),
+        len({key for keys, _outs in written for key in keys})
+        == len(layout.inter),
+    )
+
+
+def _compile_reads(layout: TableLayout, jt: JunctionTree) -> Reads:
+    variables = jt.variables()
+    hosts = [jt.host(var) for var in variables]
+    small = [
+        i for i, (host, _axis) in enumerate(hosts)
+        if layout.potentials[host].size < WIDE_TABLE
+    ]
+    wide = sorted(set(range(len(variables))) - set(small))
+    starts: List[int] = []
+    cards: List[int] = []
+    size = 0
+    for i in small + wide:
+        host, axis = hosts[i]
+        starts.append(size)
+        cards.append(layout.potentials[host].cardinalities[axis])
+        size += cards[-1]
+    at = dict(zip(small + wide, zip(starts, cards)))
+    wave = None
+    if small:
+        waved = sum(cards[:len(small)])
+        wave = Wave(
+            PrimitiveKind.MARGINALIZE,
+            _indexes([[layout.potentials[hosts[i][0]] for i in small]])[0],
+            None, slice(0, waved),
+            np.concatenate([
+                scatter_map(
+                    layout.potentials[hosts[i][0]].cardinalities,
+                    (hosts[i][1],),
+                ) + at[i][0]
+                for i in small
+            ]),
+            waved,
+        )
+    return Reads(
+        wave,
+        {
+            var: slice(at[i][0], at[i][0] + at[i][1])
+            for i, var in enumerate(variables)
+        },
+        np.array(starts[:len(small)], dtype=np.intp),
+        np.array(cards[:len(small)], dtype=np.intp),
+        tuple(variables[i] for i in wide), size,
+    )
 
 
 def table_layout(jt: JunctionTree) -> TableLayout:

@@ -13,16 +13,23 @@ slot the layout names.  Executing the tasks of a
 :class:`~repro.tasks.task.TaskGraph` in any order consistent with its
 dependencies leaves every clique potential calibrated.
 
-There is one body per step kind, :func:`_apply`, and the primitives it
-calls — by their module-level names, which a tracer may rebind — are the
-only arithmetic.  :meth:`run_steps` is the straight-line run: it walks a
-graph's compiled step list (:meth:`repro.tasks.layout.TableLayout.step_list`)
-in order, with the deadline check and the optional per-step trace span in
-the same loop.  :meth:`execute` runs one task through the same body (the
-threaded executors' unit of work), :meth:`execute_chunk` one slice of it
-(the Partition module), and :meth:`combine_chunks` is the last subtask
-``T̂_n`` — an addition for marginalization, nothing for the primitives
-whose chunks already wrote their disjoint output slices.
+There is one body per step kind, :func:`_apply`, one per wave kind,
+:func:`_run_wave`, and the primitives they call — by their module-level
+names, which a tracer may rebind — are the only arithmetic.
+:meth:`run_steps` is the straight-line run: it walks a graph's compiled
+step list (:meth:`repro.tasks.layout.TableLayout.step_list`) in order,
+with the deadline check and the optional per-step trace span in the same
+loop.  :meth:`run_waves` runs a tree's full graph compiled into waves
+(:meth:`repro.tasks.layout.TableLayout.wave_list`): one numpy call per
+primitive kind per level of the DAG for every task whose tables are
+small, the wide tasks as steps between them, the deadline checked once
+per wave — bitwise the result of :meth:`run_steps`.  :meth:`execute` runs
+one task through the step body (the threaded executors' unit of work),
+:meth:`execute_chunk` one slice of it (the Partition module), and
+:meth:`combine_chunks` is the last subtask ``T̂_n`` — an addition for
+marginalization, nothing for the primitives whose chunks already wrote
+their disjoint output slices.  :meth:`marginals_all` reads every
+posterior with one MARGINALIZE wave over the small host cliques.
 
 **Buffer reuse.**  A state built here — by the constructor,
 :meth:`incremental` or :meth:`copy` — takes its buffer, views already
@@ -42,16 +49,19 @@ gives it to the list.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterator, Mapping
 from operator import attrgetter
 from time import monotonic, perf_counter_ns
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.jt.junction_tree import JunctionTree
 from repro.potential import partition as chunked
 from repro.potential.primitives import (
+    Entries,
     PrimitiveKind,
+    Wave,
     divide,
     extend,
     marginalize,
@@ -63,6 +73,7 @@ from repro.tasks.layout import (
     Step,
     StepList,
     TableLayout,
+    WaveList,
     table_layout,
     table_view,
 )
@@ -95,6 +106,51 @@ def _apply(tables: List[PotentialTable], step: Step) -> None:
     else:
         target = tables[out]
         multiply(target, tables[source], out=target, plan=plan)
+
+
+def _run_wave(buffer: np.ndarray, wave: Wave) -> None:
+    """Run one wave (Eq. 1 for all its tasks, in place) against a state's
+    flat buffer: the body of every wave kind, :func:`_apply`'s twin."""
+    code = wave.code
+    out = Entries(buffer, wave.out)
+    if code is MARGINALIZE:
+        marginalize(Entries(buffer, wave.source), None, out=out, plan=wave)
+    elif code is DIVIDE:
+        divide(
+            Entries(buffer, wave.source), Entries(buffer, wave.other),
+            out=out, plan=wave,
+        )
+        buffer[wave.other] = buffer[wave.source]
+    elif code is EXTEND:
+        extend(Entries(buffer, wave.source), None, None, out=out, plan=wave)
+    else:
+        multiply(out, Entries(buffer, wave.source), out=out, plan=wave)
+
+
+class Posteriors(Mapping):
+    """The posterior of every variable of a tree, as one read
+    (:meth:`PropagationState.marginals_all`): a read-only mapping from
+    variable id, ascending, to its posterior vector.  The vectors lie end
+    to end in one flat array, ``values``, and each lookup is a view into
+    it, so an answer kept costs one array, not one per variable."""
+
+    __slots__ = ("values", "_parts")
+
+    def __init__(self, values: np.ndarray, parts: Mapping[int, slice]):
+        self.values = values
+        self._parts = parts
+
+    def __getitem__(self, variable: int) -> np.ndarray:
+        return self.values[self._parts[variable]]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._parts)
+
+    def __len__(self) -> int:
+        return len(self._parts)
+
+    def __repr__(self) -> str:
+        return f"Posteriors({len(self._parts)} variables)"
 
 
 class _Views:
@@ -435,6 +491,45 @@ class PropagationState:
             compute_ns = perf_counter_ns() - start
         return done, compute_ns
 
+    def wave_list(self, graph: TaskGraph) -> Optional[WaveList]:
+        """``graph`` compiled into waves for this state's layout, or None
+        when it runs as a step list (see
+        :meth:`~repro.tasks.layout.TableLayout.wave_list`)."""
+        return self._layout.wave_list(graph)
+
+    def run_waves(
+        self, waves: WaveList, deadline: Optional[float] = None
+    ) -> Tuple[int, int]:
+        """The level-synchronous run: every unit of ``waves``, in order.
+
+        ``deadline``, an absolute :func:`time.monotonic` instant, is
+        checked before every unit (a wave, or a wide task's step); past it
+        the run stops.  Returns ``(tasks run, nanoseconds of the run)``.
+        The intermediates of the units that completed count as written,
+        even when a later unit raised.
+        """
+        buffer = self.buffer
+        tables = self._tables
+        done = 0
+        start = perf_counter_ns()
+        try:
+            for unit in waves.units:
+                if deadline is not None and monotonic() >= deadline:
+                    break
+                if type(unit) is Wave:
+                    _run_wave(buffer, unit)
+                else:
+                    _apply(tables, unit)
+                done += 1
+        finally:
+            inter = self._inter
+            if done == len(waves.units) and waves.writes_all:
+                inter.update(self._views.inter)
+            else:
+                for keys, outs in waves.written[:done]:
+                    inter.update(zip(keys, map(tables.__getitem__, outs)))
+        return sum(map(len, waves.tids[:done])), perf_counter_ns() - start
+
     def _mark_written(self, steps: StepList, done: int) -> None:
         """Count the intermediates the first ``done`` steps wrote as
         present."""
@@ -549,6 +644,28 @@ class PropagationState:
         plan = self._layout.answer(host, variable)
         table = marginalize(self.potentials[host], (variable,), plan=plan)
         return table.normalize().values
+
+    def marginals_all(self) -> Posteriors:
+        """Posterior of every variable of the tree, by variable id: one
+        MARGINALIZE wave sums every variable hosted by a small clique, one
+        ``add.reduceat`` normalizes them (an all-zero posterior stays
+        zero, as in :meth:`marginal`); a variable on a wide host is read
+        on its own, as :meth:`marginal` reads it."""
+        reads = self._layout.reads(self.jt)
+        values = np.empty(reads.size)
+        wave = reads.wave
+        if wave is not None:
+            sums = marginalize(
+                Entries(self.buffer, wave.source), None, plan=wave
+            ).values
+            totals = np.add.reduceat(sums, reads.starts)
+            totals[totals <= 0] = 1.0
+            np.divide(
+                sums, np.repeat(totals, reads.cards), out=values[:wave.size]
+            )
+        for var in reads.wide:
+            values[reads.parts[var]] = self.marginal(var)
+        return Posteriors(values, reads.parts)
 
     def clique_marginal(self, clique: int) -> PotentialTable:
         """Normalized joint over one clique's scope."""

@@ -84,9 +84,11 @@ class TaskGraph:
         self.succs: List[List[int]] = []
         # topological_order()'s result until the next add_task.
         self._order: Optional[Tuple[int, ...]] = None
-        # The graph compiled into steps (TableLayout.step_list), until the
-        # next add_task.
+        # The graph compiled into steps (TableLayout.step_list) and, for a
+        # tree's full graph, into waves (TableLayout.wave_list: () once the
+        # graph has run, then the compiled waves), until the next add_task.
         self._steps: Optional[Tuple[object, object]] = None
+        self._waves: Optional[Tuple[object, ...]] = None
 
     def add_task(
         self,
@@ -115,7 +117,7 @@ class TaskGraph:
         for d in deps:
             self.succs[d].append(tid)
         self._order = None
-        self._steps = None
+        self._steps = self._waves = None
         return tid
 
     # ------------------------------------------------------------------ #
@@ -200,4 +202,4 @@ class TaskGraph:
         # Checked afresh: a caller that edited the adjacency lists directly
         # is exactly what validate() is for.
         self._order = tuple(self._kahn())
-        self._steps = None
+        self._steps = self._waves = None

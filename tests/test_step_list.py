@@ -2,8 +2,10 @@
 
 A step list is a graph's tasks in topological order, each compiled to a
 kind code, operand and output slot indices and its pipeline's plan.  The
-serial executor walks it; every other executor runs the same per-step
-body one task at a time through ``PropagationState.execute``.  So both
+serial executor walks it (a tree's own full graph, untraced, runs as
+waves instead: ``tests/test_waves.py``); every other executor runs the
+same per-step body one task at a time through
+``PropagationState.execute``.  So both
 paths — and every executor that runs whole tasks — must leave the same
 bytes in every table, on the suite's two propagation shapes, for the
 full graph and for a cached restricted graph.  The deadline check and
@@ -204,30 +206,57 @@ class TestStepLists:
 
 
 class TestOneLoop:
-    def test_deadline_expiring_mid_list_leaves_the_engine_state(
-        self, monkeypatch
-    ):
+    def _expire(self, monkeypatch, trace, checks):
+        """A prop-small engine whose next full propagation meets its
+        deadline after ``checks`` deadline checks (a clock that ticks
+        once per check); returns the error's message, after asserting
+        that the engine kept its state, bit for bit."""
         tree = _shape_tree("prop-small")
         engine = InferenceEngine(tree)
         engine.set_evidence(_evidence(tree))
         before = engine.propagate(incremental=False)
         snapshot = before.buffer.copy()
         engine.set_evidence(_evidence(tree, seed=9))
-        # A clock that ticks once per check: the deadline lands between
-        # the 300th and the 301st step.
         ticks = itertools.count()
         monkeypatch.setattr(state_module, "monotonic", lambda: next(ticks))
         with pytest.raises(TaskExecutionError) as excinfo:
-            engine.propagate(incremental=False, deadline=299.5)
-        total = engine.task_graph.num_tasks
+            engine.propagate(
+                incremental=False, trace=trace, deadline=checks - 0.5
+            )
         assert excinfo.value.phase == "deadline"
+        assert engine._state is before
+        assert np.array_equal(before.buffer, snapshot)
+        return engine, str(excinfo.value)
+
+    def test_deadline_expiring_mid_list_leaves_the_engine_state(
+        self, monkeypatch
+    ):
+        # Untraced, the full graph runs as waves and the deadline is
+        # checked once per wave: it lands between the 30th and the 31st.
+        engine, message = self._expire(monkeypatch, trace=None, checks=30)
+        waves = table_layout(engine.jt).wave_list(engine.task_graph)
+        assert len(waves.units) > 31
+        run = sum(map(len, waves.tids[:30]))
+        total = engine.task_graph.num_tasks
+        assert 30 < run < total
+        assert re.fullmatch(
+            rf"serial propagation exceeded its deadline with {total - run} "
+            rf"of {total} tasks unexecuted",
+            message,
+        )
+
+    def test_deadline_expiring_mid_step_list_leaves_the_engine_state(
+        self, monkeypatch
+    ):
+        # A traced run walks the step list, one check per step: the
+        # deadline lands between the 300th and the 301st step.
+        engine, message = self._expire(monkeypatch, trace=True, checks=300)
+        total = engine.task_graph.num_tasks
         assert re.fullmatch(
             rf"serial propagation exceeded its deadline with {total - 300} "
             rf"of {total} tasks unexecuted",
-            str(excinfo.value),
+            message,
         )
-        assert engine._state is before
-        assert np.array_equal(before.buffer, snapshot)
 
     @pytest.mark.parametrize("incremental", [False, True])
     def test_a_traced_run_records_one_task_span_per_step(self, incremental):
