@@ -8,6 +8,7 @@ separator (the intersection of the adjacent cliques' scopes).
 from __future__ import annotations
 
 import copy
+from operator import attrgetter, is_
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -61,6 +62,86 @@ class Clique:
         return f"Clique({self.index}, vars={self.variables})"
 
 
+_values = attrgetter("values")
+
+
+class PriorImage:
+    """Every prior of a tree in one flat float64 vector, clique by clique.
+
+    Clique ``i``'s prior, in the clique's axis order, lies at the offset
+    of clique ``i``'s slot in the tree's table layout (the clique tables
+    come first, end to end, in clique order), so a propagation state
+    starts as one copy of ``values``.  Building the image moves the
+    priors into it: every prior table's ``values`` becomes a view of its
+    part (transposed back when the table's axis order is not the
+    clique's), and the tree keeps one copy of its priors.  ``holds``
+    tells whether a tree's priors are still exactly these tables and
+    views; an in-place write through a prior's ``values`` lands in the
+    image and needs no check.
+    """
+
+    __slots__ = ("values", "keys", "tables", "views")
+
+    def __init__(self, jt: "JunctionTree"):
+        sizes = [clique.table_size for clique in jt.cliques]
+        values = np.empty(sum(sizes))
+        views = []
+        start = 0
+        for clique, size in zip(jt.cliques, sizes):
+            table = jt.potential(clique.index)
+            part = values[start:start + size].reshape(clique.cardinalities)
+            start += size
+            if table.variables == clique.variables:
+                view = part
+            elif set(table.variables) == set(clique.variables):
+                perm = [table.variables.index(v) for v in clique.variables]
+                view = part.transpose(np.argsort(perm))
+            else:
+                view = None
+            if view is None or view.shape != table.values.shape:
+                raise ValueError(
+                    f"prior of clique {clique.index} has scope "
+                    f"{table.variables} x {table.cardinalities}, the clique "
+                    f"is {clique.variables} x {clique.cardinalities}"
+                )
+            np.copyto(view, table.values)
+            # The old array goes as soon as its table lets go of it, so
+            # the build holds at most one prior twice.
+            table.values = view
+            views.append(view)
+        self.values = values
+        self.keys = tuple(jt.potentials)
+        self.tables = tuple(jt.potentials.values())
+        self.views = tuple(views[i] for i in self.keys)
+
+    def holds(self, potentials: Mapping[int, "PotentialTable"]) -> bool:
+        """Whether ``potentials`` are the tables this image was built from,
+        each still viewing its part of the image."""
+        return (
+            tuple(potentials) == self.keys
+            and all(map(is_, potentials.values(), self.tables))
+            and all(map(is_, map(_values, self.tables), self.views))
+        )
+
+
+class _PriorCell:
+    """The prior image trees with one set of prior tables share: a tree,
+    the trees rerooted from it and its ``with_priors`` twins that keep
+    every table.  A tree whose tables moved on builds a new image into
+    the cell, and one that moved back builds again: two live trees never
+    share an image they do not both hold."""
+
+    __slots__ = ("image",)
+
+    def __init__(self):
+        self.image: Optional[PriorImage] = None
+
+    def __reduce__(self):
+        # A pickled tree carries its priors as their own tables; the
+        # image is built again on the first state.
+        return (_PriorCell, ())
+
+
 class JunctionTree:
     """A rooted tree of cliques with per-clique potential tables.
 
@@ -68,6 +149,13 @@ class JunctionTree:
     children lists.  Potentials are optional until
     :meth:`initialize_potentials` or an explicit assignment; structural
     algorithms (rerooting, task-graph construction) only need the skeleton.
+
+    A propagation state reads the priors through :meth:`prior_image`, and
+    sees every change a caller makes to them: a table replaced in
+    ``potentials`` (directly, by :meth:`set_potential` or by
+    :meth:`initialize_potentials`) or written in place through
+    ``potentials[i].values``.  An array that was a prior's ``values``
+    before the image was built is no longer the prior afterwards.
     """
 
     def __init__(self, cliques: Sequence[Clique], parent: Sequence[Optional[int]]):
@@ -91,6 +179,8 @@ class JunctionTree:
         self.potentials: Dict[int, PotentialTable] = {}
         # variable -> (host clique, axis there); see :meth:`host`.
         self._hosts: Optional[Dict[int, Tuple[int, int]]] = None
+        self._priors = _PriorCell()
+
 
     # ------------------------------------------------------------------ #
     # Structure
@@ -200,6 +290,16 @@ class JunctionTree:
                 )
             self.potentials[clique.index] = table
 
+    def prior_image(self) -> np.ndarray:
+        """The tree's priors as one flat vector in clique-slot order (see
+        :class:`PriorImage`), built on first use and again after a prior
+        table was replaced."""
+        cell = self._priors
+        image = cell.image
+        if image is None or not image.holds(self.potentials):
+            image = cell.image = PriorImage(self)
+        return image.values
+
     def potential(self, i: int) -> PotentialTable:
         if i not in self.potentials:
             raise KeyError(f"clique {i} has no potential assigned")
@@ -226,12 +326,17 @@ class JunctionTree:
         at call time — the variable → host map, the table layout with its
         pipeline plans and restricted task graphs — so a tree whose
         numbers change but whose structure does not is compiled once.
-        Neither tree is modified by the other afterwards: clique priors
-        are never written in place.
+        A twin that keeps every prior table shares this tree's prior
+        image as well; one with a new table builds its own.  The trees
+        share their unchanged prior tables, so an in-place write through
+        one of those tables' ``values`` reaches both.
         """
         self._host_map()
         twin = copy.copy(self)
-        twin.potentials = {**self.potentials, **priors}
+        potentials = self.potentials
+        if any(potentials.get(i) is not t for i, t in priors.items()):
+            twin._priors = _PriorCell()
+        twin.potentials = {**potentials, **priors}
         return twin
 
     def copy(self) -> "JunctionTree":

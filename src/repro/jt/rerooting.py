@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.jt.junction_tree import JunctionTree
+from repro.tasks.layout import table_layout
 
 
 def clique_cost(jt: JunctionTree, index: int) -> float:
@@ -179,15 +180,29 @@ def reroot(jt: JunctionTree, new_root: int) -> JunctionTree:
                 stack.append(nxt)
     rerooted = JunctionTree(jt.cliques, parent)
     rerooted.potentials = dict(jt.potentials)
+    # Same prior tables, same clique slots: the prior image is shared.
+    rerooted._priors = jt._priors
     return rerooted
 
 
 def reroot_optimally(jt: JunctionTree) -> Tuple[JunctionTree, int, float]:
     """Convenience: run Algorithm 1 and return the rerooted tree.
 
-    Returns ``(rerooted_tree, root_index, critical_path_weight)``.
+    Returns ``(rerooted_tree, root_index, critical_path_weight)``.  The
+    rerooted structure is computed once per input tree and kept on it:
+    every later call returns a ``with_priors`` twin of it carrying the
+    input tree's current priors, so engines over one tree share its
+    table layout, task graph, free list and prior image, and still see a
+    prior replaced on the input tree.
     """
-    root, weight = select_root(jt)
-    if root == jt.root:
-        return jt, root, weight
-    return reroot(jt, root), root, weight
+    memo = jt.__dict__.get("_rerooted")
+    if memo is None:
+        root, weight = select_root(jt)
+        if root == jt.root:
+            return jt, root, weight
+        tree = reroot(jt, root)
+        # Compiled before the first twin copies it, so every twin shares it.
+        table_layout(tree)
+        memo = jt._rerooted = (root, weight, tree)
+    root, weight, tree = memo
+    return tree.with_priors(jt.potentials), root, weight

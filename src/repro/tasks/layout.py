@@ -40,6 +40,13 @@ bitwise equal to it.  :meth:`TableLayout.reads` compiles the posterior
 read of every variable the same way: one MARGINALIZE wave over every
 small host clique.
 
+A state starts as one copy of its tree's prior image
+(:meth:`~repro.jt.junction_tree.JunctionTree.prior_image`: the clique
+slots come first, end to end, so the image is the buffer's first
+``cliques_end`` entries) plus one write per hard finding:
+:meth:`TableLayout.finding` compiles where a (variable, state) finding's
+zeros go, once per layout, so every tree of one structure shares it.
+
 The layout also carries the tree's :class:`~repro.tasks.dag.GraphCache` of
 restricted task graphs and its :class:`FreeList` of released state
 buffers, so everything compiled from a tree's structure travels as one
@@ -170,6 +177,30 @@ class Reads(NamedTuple):
     size: int
 
 
+class Finding(NamedTuple):
+    """A hard finding ``variable = state`` compiled against the slots:
+    every entry of a clique holding ``variable`` whose coordinate on its
+    axis is not ``state`` (what :meth:`PotentialTable.reduce` zeroes).
+
+    ``small`` lists those entries of the small clique tables (below
+    :data:`~repro.potential.primitives.WIDE_TABLE`) as buffer offsets.
+    ``wide`` lists the wide cliques' entries as strided ranges ``(start,
+    stop, step, cols, lo, hi)``: ``buffer[start:stop:step]`` when ``cols``
+    is 0, else the columns ``lo:hi`` of ``buffer[start:stop]`` cut into
+    rows of ``cols``.
+    """
+
+    small: np.ndarray
+    wide: Tuple[Tuple[int, int, int, int, int, int], ...]
+
+
+# A wide table whose observed axis has at most this many (excluded
+# states x entries after the axis) is zeroed one strided range per entry
+# after it: a 2-D range with rows that short runs 115-270 us on 2**16
+# entries, the 1-D ranges 20-95 us together.
+_STRIDED_RANGES = 8
+
+
 class FreeList:
     """Released buffers of one layout, at most :data:`FREE_BUFFERS`.
 
@@ -229,28 +260,38 @@ class TableLayout:
     a table's position there is its *slot index* (clique ``i``'s potential
     is slot ``i``; ``separator_at`` and ``inter_at`` give the others).
 
+    ``cliques_end`` is where the clique slots, first in the buffer,
+    end; ``separator_reset`` the indexes that set every separator to
+    ones (one for all the small separators, one slice per wide one).
+
     :meth:`pipelines`, :meth:`steps`, :meth:`answer` and :meth:`reads`
-    are the primitives' plans over these slots, each built once per tree,
-    on first use; :meth:`task_graph` is the tree's full task graph and
+    are the primitives' plans over these slots, and :meth:`finding` a
+    finding's entries, each built once per tree, on first use;
+    :meth:`task_graph` is the tree's full task graph and
     :meth:`wave_list` its waves, each built on first use; ``graphs`` holds
     the tree's restricted task graphs, each built on first use, and
-    ``free`` the released state buffers.
+    ``free`` the released state buffers.  A layout pickles as the tree
+    structure it is computed from: the slots are computed again on
+    unpickling, everything else on first use.
     """
 
     __slots__ = (
         "potentials", "separators", "inter", "size", "slots", "separator_at",
-        "inter_at", "_pipelines", "_steps", "_answers", "_graph", "_reads",
+        "inter_at", "cliques_end", "separator_reset", "_structure",
+        "_pipelines", "_steps", "_answers", "_graph", "_reads", "_findings",
         "graphs", "free",
     )
 
     def __init__(self, jt: JunctionTree):
         self.size = 0
         self.slots: List[Slot] = []
+        self._structure = (jt.cliques, jt.parent)
         self._pipelines: Optional[Dict[PipeKey, Pipeline]] = None
         self._steps: Optional[Dict[StepKey, Step]] = None
         self._answers: Dict[Tuple[int, int], MarginalizePlan] = {}
         self._graph: Optional[TaskGraph] = None
         self._reads: Optional[Reads] = None
+        self._findings: Dict[Tuple[int, int], Finding] = {}
         self.graphs = GraphCache()
         self.free = FreeList()
 
@@ -289,6 +330,19 @@ class TableLayout:
                     key = (phase, edge, stage)
                     self.inter_at[key] = len(self.slots)
                     self.inter[key] = slot(variables, cardinalities)
+        self.cliques_end = sum(slot.size for slot in self.potentials)
+        seps = sorted(self.separators.values())
+        small = [slot for slot in seps if slot.size < WIDE_TABLE]
+        wide = [
+            slice(slot.start, slot.start + slot.size)
+            for slot in seps if slot.size >= WIDE_TABLE
+        ]
+        self.separator_reset: Tuple[Index, ...] = tuple(
+            (_indexes([small]) if small else []) + wide
+        )
+
+    def __reduce__(self):
+        return (_layout_of, self._structure)
 
     def pipelines(self) -> Dict[PipeKey, Pipeline]:
         """The compiled pipeline of every (phase, edge); built on first
@@ -425,6 +479,19 @@ class TableLayout:
                 slot.variables, slot.cardinalities, (variable,)
             )
         return plan
+
+    def finding(self, variable: int, state: int) -> Finding:
+        """The entries the hard finding ``variable = state`` zeroes,
+        compiled on its first use (see :class:`Finding`).  Raises
+        ``ValueError``, as :meth:`PotentialTable.reduce` does, for a state
+        out of the variable's range; a variable no clique holds zeroes
+        nothing."""
+        key = (variable, state)
+        compiled = self._findings.get(key)
+        if compiled is None:
+            compiled = _compile_finding(self, variable, state)
+            self._findings[key] = compiled
+        return compiled
 
     def reads(self, jt: JunctionTree) -> Reads:
         """The compiled posterior read of every variable of ``jt`` (a
@@ -635,6 +702,43 @@ def compile_waves(layout: TableLayout, graph: TaskGraph) -> Optional[WaveList]:
     )
 
 
+def _compile_finding(
+    layout: TableLayout, variable: int, state: int
+) -> Finding:
+    small: List[np.ndarray] = []
+    wide: List[Tuple[int, int, int, int, int, int]] = []
+    for start, size, variables, cards in layout.potentials:
+        if variable not in variables:
+            continue
+        axis = variables.index(variable)
+        k = cards[axis]
+        if not 0 <= state < k:
+            raise ValueError(
+                f"evidence state {state} out of range for variable "
+                f"{variable} with {k} states"
+            )
+        pre = math.prod(cards[:axis])
+        post = size // (pre * k)
+        stop = start + size
+        if size < WIDE_TABLE:
+            entries = np.arange(start, stop).reshape(pre, k, post)
+            small.append(np.delete(entries, state, axis=1).reshape(-1))
+        elif post * (k - 1) <= _STRIDED_RANGES:
+            wide.extend(
+                (start + j * post + p, stop, k * post, 0, 0, 0)
+                for j in range(k) if j != state for p in range(post)
+            )
+        else:
+            wide.extend(
+                (start, stop, 1, k * post, lo * post, hi * post)
+                for lo, hi in ((0, state), (state + 1, k)) if lo < hi
+            )
+    return Finding(
+        np.concatenate(small) if small else np.empty(0, dtype=np.intp),
+        tuple(wide),
+    )
+
+
 def _compile_reads(layout: TableLayout, jt: JunctionTree) -> Reads:
     variables = jt.variables()
     hosts = [jt.host(var) for var in variables]
@@ -678,6 +782,11 @@ def _compile_reads(layout: TableLayout, jt: JunctionTree) -> Reads:
         np.array(cards[:len(small)], dtype=np.intp),
         tuple(variables[i] for i in wide), size,
     )
+
+
+def _layout_of(cliques, parent) -> TableLayout:
+    """A layout computed again from a tree structure (unpickling)."""
+    return TableLayout(JunctionTree(cliques, parent))
 
 
 def table_layout(jt: JunctionTree) -> TableLayout:

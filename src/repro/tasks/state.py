@@ -31,19 +31,33 @@ marginalization, nothing for the primitives whose chunks already wrote
 their disjoint output slices.  :meth:`marginals_all` reads every
 posterior with one MARGINALIZE wave over the small host cliques.
 
+**State entry.**  The constructor fills the clique region with one
+copy of the tree's prior image
+(:meth:`~repro.jt.junction_tree.JunctionTree.prior_image`), multiplies
+every entry a hard finding rules out by zero through the finding's
+compiled entries (:meth:`~repro.tasks.layout.TableLayout.finding`), then
+multiplies the soft findings into their host cliques and sets the
+separators to ones: no primitive runs, and the bits are those
+:meth:`PotentialTable.reduce` would leave.  :meth:`incremental` reduces
+the rebuilt cliques' slices of the same image.
+
 **Buffer reuse.**  A state built here — by the constructor,
 :meth:`incremental` or :meth:`copy` — takes its buffer, views already
 bound, from the layout's :class:`~repro.tasks.layout.FreeList`, and hands
 it back when the state becomes unreachable (its finalizer), unless a
 table, a view or the buffer of the dead state is still referenced from
 outside, or the list was cleared since the take (a closed session pool):
-then the buffer is simply left to the garbage collector.  A
-reused buffer still holds another propagation's bytes in every slot no
-task of this state has written; such a slot is *absent* (not in
-``_inter``), is never read, and the checkpoint packs it as zeros.  A
-state made by :meth:`over` adopts a vector someone else allocated (the
-process executor's shared-memory arena, a loaded checkpoint) and never
-gives it to the list.
+then the buffer is simply left to the garbage collector.  The check
+reads the reference counts of the buffer, the table list, every table
+and every view's array (listed once per buffer, ``_Views.arrays``)
+against the counts taken when the buffer was new.  A reused buffer
+still holds another propagation's bytes in every slot no task of this
+state has written, the clique and separator slots excepted (the entry
+above rewrites them all); such a slot is *absent* (not in ``_inter``),
+is never read, and the checkpoint packs it as zeros.  A state made by
+:meth:`over` adopts a vector someone else allocated (the process
+executor's shared-memory arena, a loaded checkpoint) and never gives it
+to the list.
 """
 
 from __future__ import annotations
@@ -69,6 +83,7 @@ from repro.potential.primitives import (
 )
 from repro.potential.table import PotentialTable
 from repro.tasks.layout import (
+    Finding,
     InterKey,
     Step,
     StepList,
@@ -127,6 +142,18 @@ def _run_wave(buffer: np.ndarray, wave: Wave) -> None:
         multiply(out, Entries(buffer, wave.source), out=out, plan=wave)
 
 
+def _absorb(buffer: np.ndarray, finding: Finding) -> None:
+    """Multiply every entry a hard finding rules out by zero, in place:
+    bitwise what :meth:`PotentialTable.reduce`'s mask multiply leaves,
+    NaN, inf and -0.0 included (a consistent entry times one is itself)."""
+    buffer[finding.small] *= 0.0
+    for start, stop, step, cols, lo, hi in finding.wide:
+        if cols:
+            buffer[start:stop].reshape(-1, cols)[:, lo:hi] *= 0.0
+        else:
+            buffer[start:stop:step] *= 0.0
+
+
 class Posteriors(Mapping):
     """The posterior of every variable of a tree, as one read
     (:meth:`PropagationState.marginals_all`): a read-only mapping from
@@ -163,13 +190,15 @@ class _Views:
     the views: a buffer whose counts exceed it has a reader outside.
     """
 
-    __slots__ = ("buffer", "tables", "potentials", "separators", "inter",
-                 "clean")
+    __slots__ = ("buffer", "tables", "arrays", "potentials", "separators",
+                 "inter", "clean")
 
     def __init__(self, layout: TableLayout, buffer: np.ndarray):
         self.buffer = buffer
         tables = [table_view(buffer, slot) for slot in layout.slots]
         self.tables = tables
+        # Every view's array, listed once so the guard reads no attribute.
+        self.arrays = tuple(map(_values, tables))
         self.potentials = dict(enumerate(tables[:len(layout.potentials)]))
         self.separators = {
             edge: tables[at] for edge, at in layout.separator_at.items()
@@ -193,7 +222,7 @@ class _Views:
             sys.getrefcount(self.buffer),
             sys.getrefcount(tables),
             max(map(sys.getrefcount, tables), default=0),
-            max(map(sys.getrefcount, map(_values, tables)), default=0),
+            max(map(sys.getrefcount, self.arrays), default=0),
         )
 
 
@@ -215,11 +244,12 @@ class PropagationState:
         # variables zeroes inconsistent entries; soft findings multiply
         # their likelihood vector into one host clique), leaving the
         # tree's prior potentials untouched.
-        self._load_priors(range(jt.num_cliques))
+        self._load_priors(None)
         # Separator tables start as the identity so the first DIVIDE in the
         # collect phase passes the marginal through unchanged.
-        for table in self.separators.values():
-            table.values.fill(1.0)
+        buffer = self.buffer
+        for index in self._layout.separator_reset:
+            buffer[index] = 1.0
 
     def _bind(
         self,
@@ -321,18 +351,26 @@ class PropagationState:
         )
         return state
 
-    def _load_priors(self, cliques) -> None:
-        """(Re)build the working potentials of ``cliques`` (a range or set)
-        from the tree's priors with the evidence absorbed."""
-        for i in cliques:
-            table = self.potentials[i]
-            prior = self.jt.potential(i)
-            if prior.variables != table.variables:
-                prior = prior.aligned_to(table.variables)
-            prior.reduce(self.evidence, out=table)
+    def _load_priors(self, cliques: Optional[set]) -> None:
+        """(Re)build the working potentials of ``cliques`` (a set; None:
+        every clique) from the tree's prior image with the evidence
+        absorbed.  A full state copies the whole image and zeroes each
+        hard finding's compiled entries; a rebuilt clique reduces its
+        slice of the image."""
+        layout = self._layout
+        buffer = self.buffer
+        image = self.jt.prior_image()
+        if cliques is None:
+            np.copyto(buffer[:layout.cliques_end], image)
+            for var, state in self.evidence.items():
+                _absorb(buffer, layout.finding(var, state))
+        else:
+            for i in cliques:
+                prior = table_view(image, layout.potentials[i])
+                prior.reduce(self.evidence, out=self.potentials[i])
         for var, weights in self.soft_evidence.items():
             host, axis = self.jt.host(var)
-            if host not in cliques:
+            if cliques is not None and host not in cliques:
                 continue
             table = self.potentials[host]
             weights = np.asarray(weights, dtype=np.float64)

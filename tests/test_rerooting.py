@@ -179,3 +179,41 @@ class TestRerootOptimally:
         result, root, _ = reroot_optimally(centred)
         assert root == 1
         assert result is centred
+
+    def test_engines_over_one_tree_share_the_rerooted_structure(self):
+        from repro.inference.engine import InferenceEngine
+        from repro.potential.table import PotentialTable
+        from repro.tasks.layout import table_layout
+
+        tree = synthetic_tree(
+            128, clique_width=5, states=2, avg_children=4, width_jitter=0,
+            seed=11,
+        )
+        tree.initialize_potentials(np.random.default_rng(11))
+        first = InferenceEngine(tree)
+        assert first.jt.root != tree.root  # this tree is rerooted
+        second = InferenceEngine(tree)
+        assert table_layout(second.jt) is table_layout(first.jt)
+        assert second.task_graph is first.task_graph
+        assert second.jt.parent is first.jt.parent
+        assert second.jt.prior_image() is first.jt.prior_image()
+        var = first.jt.cliques[0].variables[0]
+        first.propagate()
+        before = first.marginal(var)
+        # A prior replaced on the input tree reaches the next engine (and
+        # leaves the existing one alone).
+        clique = tree.cliques[0]
+        values = np.ones(clique.cardinalities)
+        values[(0,) * clique.width] = 50.0
+        tree.potentials[0] = PotentialTable(
+            clique.variables, clique.cardinalities, values
+        )
+        third = InferenceEngine(tree)
+        assert table_layout(third.jt) is table_layout(first.jt)
+        third.propagate()
+        assert not np.allclose(third.marginal(var), before)
+        assert np.array_equal(first.marginal(var), before)
+        fresh = InferenceEngine(tree.copy())
+        fresh.propagate()
+        assert np.allclose(third.marginal(var), fresh.marginal(var),
+                           rtol=1e-12, atol=0)
