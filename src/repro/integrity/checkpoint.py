@@ -16,9 +16,11 @@ saving packs nothing, and restoring adopts the loaded vector through
 the same layout the live state uses.
 The manifest records:
 
-* the checkpoint format version (``2``: layout-ordered buffer; a
-  format-``1`` archive, packed in sorted-key order, is refused like any
-  other foreign format),
+* the checkpoint format version (``3``: layout-ordered buffer with no
+  ``extended`` slot for a pipeline whose target clique is wide; a
+  format-``2`` archive, which has one, and a format-``1`` archive,
+  packed in sorted-key order, are refused like any other foreign
+  format),
 * :func:`tree_signature` of the junction tree the state was calibrated
   on (clique scopes, topology *and* prior potentials — a checkpoint is
   only valid against the exact tree it came from; the layout is a
@@ -52,7 +54,7 @@ import numpy as np
 
 from repro.tasks.layout import table_layout
 
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 
 _MANIFEST_KEY = "__manifest__"
 _TABLES_KEY = "__tables__"

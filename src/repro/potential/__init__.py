@@ -27,6 +27,7 @@ from repro.potential.partition import (
     extend_chunk_into,
     marginalize_chunk,
     multiply_chunk_into,
+    multiply_extended_chunk_into,
 )
 
 __all__ = [
@@ -41,6 +42,7 @@ __all__ = [
     "marginalize_chunk",
     "extend_chunk_into",
     "multiply_chunk_into",
+    "multiply_extended_chunk_into",
     "divide_chunk_into",
     "add_partials_into",
 ]

@@ -11,7 +11,9 @@ Slices are expressed over the *flat* (C-order) index space of a table:
 * For extend/multiply/divide the **output** index space is partitioned:
   the output table lives in a buffer every worker (thread or process)
   sees, each chunk owns a disjoint slice of it and writes that slice in
-  place (``*_chunk_into``), and nothing is left to combine.
+  place (``*_chunk_into``), and nothing is left to combine.  A wide
+  pipeline's MULTIPLY gathers the ratio entries its chunk needs
+  (:func:`multiply_extended_chunk_into`): it has no extended table.
 * For marginalization the **input** index space is partitioned; each chunk
   returns a partial output table (:func:`marginalize_chunk`) and the
   combiner adds them (:func:`add_partials_into`).
@@ -83,19 +85,15 @@ def marginalize_chunk(
     return PotentialTable(onto, cards, out)
 
 
-def extend_chunk_into(
-    out_flat: np.ndarray,
+def extended_chunk(
     table: PotentialTable,
     variables: Sequence[int],
     cardinalities: Sequence[int],
     lo: int,
     hi: int,
-) -> None:
-    """Write entries ``[lo, hi)`` of the flat extended table into ``out_flat``.
-
-    Writing every chunk of a full partition reproduces
-    :func:`repro.potential.primitives.extend`.
-    """
+) -> np.ndarray:
+    """Entries ``[lo, hi)`` of ``table`` extended to the superset scope
+    ``variables`` (flat, C order), gathered for the chunk alone."""
     variables = tuple(int(v) for v in variables)
     cardinalities = tuple(int(c) for c in cardinalities)
     total = int(np.prod(cardinalities)) if cardinalities else 1
@@ -113,14 +111,49 @@ def extend_chunk_into(
         )
     else:
         src_flat = np.zeros(hi - lo, dtype=np.intp)
-    out_flat[lo:hi] = table.values.reshape(-1)[src_flat]
+    return table.values.reshape(-1)[src_flat]
+
+
+def extend_chunk_into(
+    out_flat: np.ndarray,
+    table: PotentialTable,
+    variables: Sequence[int],
+    cardinalities: Sequence[int],
+    lo: int,
+    hi: int,
+) -> None:
+    """Write entries ``[lo, hi)`` of the flat extended table into ``out_flat``.
+
+    Writing every chunk of a full partition reproduces
+    :func:`repro.potential.primitives.extend`.
+    """
+    out_flat[lo:hi] = extended_chunk(table, variables, cardinalities, lo, hi)
 
 
 def multiply_chunk_into(
     out_flat: np.ndarray, other_flat: np.ndarray, lo: int, hi: int
 ) -> None:
-    """``out_flat[lo:hi] *= other_flat[lo:hi]`` (the in-place MULTIPLY chunk)."""
+    """``out_flat[lo:hi] *= other_flat[lo:hi]`` (the in-place MULTIPLY chunk
+    of a table by an already extended one)."""
     out_flat[lo:hi] *= other_flat[lo:hi]
+
+
+def multiply_extended_chunk_into(
+    out_flat: np.ndarray,
+    table: PotentialTable,
+    variables: Sequence[int],
+    cardinalities: Sequence[int],
+    lo: int,
+    hi: int,
+) -> None:
+    """``out_flat[lo:hi] *=`` entries ``[lo, hi)`` of ``table`` extended to
+    ``variables``: the MULTIPLY chunk of a wide pipeline, which has no
+    extended table to read; only the chunk's entries are gathered.
+
+    Multiplying every chunk of a full partition reproduces
+    :func:`repro.potential.primitives.multiply` bitwise.
+    """
+    out_flat[lo:hi] *= extended_chunk(table, variables, cardinalities, lo, hi)
 
 
 def divide_chunk_into(

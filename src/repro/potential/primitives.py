@@ -9,6 +9,13 @@ Propagating evidence from clique Y to clique X through separator S is
 (Eq. 1 of the paper).  Each primitive here is a function of potential
 tables that returns a new table or, given ``out=``, writes the same values
 into a table the caller already holds (the propagation state's hot path).
+:func:`multiply` of a clique by a table over a subset of its scope never
+materialises the extension: it multiplies through a zero-copy broadcast
+view of the smaller table (or one strided lane per slice, with the
+plan's :class:`Split`), so a wide message pipeline updates its clique
+straight from the separator ``ratio`` and has no ``extended`` table at
+all (:class:`~repro.tasks.layout.TableLayout`); :func:`extend` itself
+is left to the small pipelines, whose extensions run as waves.
 
 What a call has to work out before it touches a number — which axes to
 sum, how to permute and reshape so numpy broadcasts, whether the scopes
@@ -107,7 +114,8 @@ class Split(NamedTuple):
     run and ``post`` after it.
 
     The run is what MARGINALIZE drops or, with ``kept`` set, the only
-    axes it keeps (a posterior read); for EXTEND it is what it adds.
+    axes it keeps (a posterior read); for EXTEND, and MULTIPLY by a
+    table over a subset of the scope, it is what the extension adds.
     """
 
     pre: int
@@ -395,6 +403,21 @@ def _copy_run(values: np.ndarray, out: np.ndarray, split: Split) -> None:
             np.copyto(dst[:, r, s], lane)
 
 
+def _multiply_run(
+    table: np.ndarray, values: np.ndarray, out: np.ndarray, split: Split
+) -> None:
+    """``out[p, r, s] = table[p, r, s] * values[p, s]``: multiply by the
+    extension over the run without building it."""
+    k, post = split.k, split.post
+    src = table.reshape(-1, k, post)
+    ratio = values.reshape(-1, post)
+    dst = out.reshape(-1, k, post)
+    for s in range(post):
+        lane = ratio[:, s]
+        for r in range(k):
+            np.multiply(src[:, r, s], lane, out=dst[:, r, s])
+
+
 # --------------------------------------------------------------------- #
 # The primitives
 # --------------------------------------------------------------------- #
@@ -521,10 +544,15 @@ def multiply(
     """Pointwise product; ``b``'s scope must be a subset of ``a``'s.
 
     The result keeps ``a``'s scope and axis order (the common case is
-    multiplying an extended separator ratio into a clique table).
-    ``out`` receives the result in place and is returned; it may be ``a``
-    itself (``a *= b``).  ``plan`` is :func:`plan_multiply` of these scopes;
-    with a :class:`Wave`, ``a``, ``b`` and ``out`` are :class:`Entries` of
+    multiplying a separator ratio into a clique table).  ``out`` receives
+    the result in place and is returned; it may be ``a`` itself
+    (``a *= b``).  ``plan`` is :func:`plan_multiply` of these scopes.  A
+    ``b`` over fewer variables is never extended into a table of ``a``'s
+    size: it is broadcast through a view (permuted, with a size-1 axis
+    per added variable), or, when the plan's extension carries a
+    :class:`Split` (and the arrays are C-contiguous), multiplied in one
+    strided lane per slice — bitwise ``a * extend(b)`` either way.  With
+    a :class:`Wave`, ``a``, ``b`` and ``out`` are :class:`Entries` of
     tables over equal scopes.
     """
     if type(plan) is Wave:
@@ -534,15 +562,32 @@ def multiply(
         plan = plan_multiply(
             a.variables, a.cardinalities, b.variables, b.cardinalities
         )
-    elif plan.variables != a.variables or plan.other != b.variables:
+    elif plan.variables != a.variables or plan.other != b.variables or (
+        plan.extend is not None and (
+            plan.extend.cardinalities != b.cardinalities
+            or plan.extend.target_cards != a.cardinalities
+        )
+    ):
         raise _plan_mismatch("multiply", plan)
-    if plan.extend is not None:
-        b = extend(b, a.variables, a.cardinalities, plan=plan.extend)
     if out is None:
         out = _result(a.variables, a.cardinalities)
     else:
         out.require(a.variables, a.cardinalities)
-    np.multiply(a.values, b.values, out=out.values)
+    table, values, target = a.values, b.values, out.values
+    ext = plan.extend
+    if ext is not None:
+        if (
+            ext.split is not None
+            and table.flags.c_contiguous
+            and values.flags.c_contiguous
+            and target.flags.c_contiguous
+        ):
+            _multiply_run(table, values, target, ext.split)
+            return out
+        if ext.perm is not None:
+            values = values.transpose(ext.perm)
+        values = values.reshape(ext.shape)
+    np.multiply(table, values, out=target)
     return out
 
 

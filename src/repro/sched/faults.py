@@ -30,6 +30,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.tasks.layout import table_layout
+
 CORRUPTION_MODES = ("nan", "inf", "garbage")
 
 
@@ -394,5 +396,20 @@ def scan_tables(tables: Mapping[object, object]) -> HealthReport:
 
 
 def check_state_health(state) -> HealthReport:
-    """Health scan over a :class:`~repro.tasks.state.PropagationState`."""
-    return scan_tables(state.potentials)
+    """Health scan over a :class:`~repro.tasks.state.PropagationState`'s
+    clique potentials: :func:`scan_tables` of ``state.potentials``, as
+    one vectorised pass per check over the buffer's clique region (the
+    clique slots lie end to end from its start), reduced per clique with
+    ``np.logical_or.reduceat``."""
+    layout = table_layout(state.jt)
+    region = state.buffer[:layout.cliques_end]
+    starts = layout.clique_starts
+    nan = np.logical_or.reduceat(np.isnan(region), starts)
+    inf = np.logical_or.reduceat(np.isinf(region), starts)
+    nonzero = np.logical_or.reduceat(region != 0.0, starts)
+    return HealthReport(
+        np.flatnonzero(nan).tolist(),
+        np.flatnonzero(inf & ~nan).tolist(),
+        np.flatnonzero(~nonzero).tolist(),
+        len(starts),
+    )

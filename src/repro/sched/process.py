@@ -81,12 +81,16 @@ def _written_flat(
     order are the protocol, shared across the process boundary via
     this one function.  DIVIDE writes two regions (the ratio *and* the
     promoted separator); MARGINALIZE chunks write nothing shared
-    (their partials travel back by pickle), so they return no
-    regions and carry no checksum.
+    (their partials travel back by pickle), and a wide pipeline's EXTEND
+    writes nothing at all, so they return no regions and carry no
+    checksum.
     """
     if task.kind is PrimitiveKind.MARGINALIZE and chunk:
         return []
-    regions = [state.output_table(task).values.reshape(-1)]
+    out = state.output_table(task)
+    if out is None:
+        return []
+    regions = [out.values.reshape(-1)]
     if task.kind is PrimitiveKind.DIVIDE:
         regions.append(state.separators[task.edge].values.reshape(-1))
     return regions
@@ -185,13 +189,14 @@ def _exec(
         else:
             state.combine_chunks(task, parts, ranges)
         if corrupt is not None:
+            # None: a wide pipeline's EXTEND writes no table to corrupt.
+            out = state.output_table(task)
             if partial is not None:
                 corrupt_array(partial, corrupt)
-            elif chunk:
-                out = state.output_table(task).values.reshape(-1)
-                corrupt_array(out[lo:hi], corrupt)
-            else:
-                corrupt_array(state.output_table(task).values, corrupt)
+            elif out is not None and chunk:
+                corrupt_array(out.values.reshape(-1)[lo:hi], corrupt)
+            elif out is not None:
+                corrupt_array(out.values, corrupt)
         crc = _stamp_and_tear(task, chunk, lo, hi, checksum, torn)
     except TaskExecutionError:
         raise
@@ -442,6 +447,10 @@ class ProcessSharedMemoryExecutor:
             else plan is not None
         )
         tasks = graph.tasks
+        # Tasks that write no table: a wide pipeline's EXTEND.
+        idle = frozenset(
+            task.tid for task in tasks if shared.output_table(task) is None
+        ) if plan is not None else frozenset()
         dep_count = graph.indegrees()
         ready = deque(graph.roots())
         pending: Dict[object, _Dispatch] = {}
@@ -507,14 +516,14 @@ class ProcessSharedMemoryExecutor:
                 delay = plan.take_delay(disp.tid)
                 corrupt = plan.take_corruption(disp.tid)
                 fail = plan.take_failure(disp.tid)
-                if not (
+                if disp.tid not in idle and not (
                     disp.kind == "chunk"
                     and tasks[disp.tid].kind is PrimitiveKind.MARGINALIZE
                 ):
                     # MARGINALIZE chunks write nothing shared (partials
-                    # travel by pickle), so a torn write there cannot
-                    # exist; leave the fault armed for a dispatch that
-                    # actually writes the arena.
+                    # travel by pickle) and an idle task nothing at all,
+                    # so a torn write there cannot exist; leave the fault
+                    # armed for a dispatch that actually writes the arena.
                     torn = plan.take_torn(disp.tid)
                 if mbuf is not None and (
                     delay or corrupt is not None or fail or torn is not None

@@ -16,6 +16,11 @@ slot-indexed table views
 (:meth:`repro.tasks.state.PropagationState.run_steps`).  Neither path
 has dependency counters or per-task lookups, and both leave the same
 bits in every table.  The deadline is checked before every wave or step.
+A wide pipeline (its target clique has at least
+:data:`~repro.potential.primitives.WIDE_TABLE` entries) has no
+``extended`` table: its EXTEND step runs nothing and its MULTIPLY
+multiplies the separator ratio straight into the clique, so on a tree
+of wide cliques only three primitives run per pipeline.
 """
 
 from __future__ import annotations

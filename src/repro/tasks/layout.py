@@ -3,7 +3,12 @@
 Every table a propagation over a junction tree reads or writes — the
 working clique potentials, the per-edge separators, and the ``sep_new`` /
 ``ratio`` / ``extended`` intermediates of each (phase, edge) message
-pipeline — has a fixed slot in one flat float64 vector.
+pipeline — has a fixed slot in one flat float64 vector.  A *wide*
+pipeline, one whose target clique has at least
+:data:`~repro.potential.primitives.WIDE_TABLE` entries, has no
+``extended`` table: its MULTIPLY multiplies the ``ratio`` into the
+clique through a broadcast (:func:`~repro.potential.primitives.multiply`),
+and its EXTEND task runs no arithmetic.
 :func:`table_layout` is the only place offsets are computed; the
 in-process state, the process executor's shared-memory arena, the
 incremental copy, the resilient snapshot and the checkpoint all hold that
@@ -33,7 +38,8 @@ tasks of one primitive kind in one level of the DAG
 below :data:`~repro.potential.primitives.WIDE_TABLE`, become one
 :class:`~repro.potential.primitives.Wave` — a gather / scatter over flat
 index maps into the state buffer that runs as one numpy call.  A task
-with a wide table stays a :class:`Step` between the waves.  Tasks of one
+with a wide table, and a wide pipeline's EXTEND, stays a :class:`Step`
+between the waves.  Tasks of one
 level are independent, so the kinds may run in any order within it, and
 each entry gets the same arithmetic as in the step list: a wave run is
 bitwise equal to it.  :meth:`TableLayout.reads` compiles the posterior
@@ -119,10 +125,12 @@ class Step(NamedTuple):
 
     ``code`` is the primitive the step runs.  ``source`` is the slot it
     reads (the source clique for MARGINALIZE, ``sep_new`` for DIVIDE,
-    ``ratio`` for EXTEND, ``extended`` for MULTIPLY), ``other`` the
-    separator DIVIDE divides by and then overwrites (``-1`` for the other
-    kinds), ``out`` the slot written.  ``written`` is the intermediate's
-    key, or ``None`` when the step updates a clique potential.
+    ``ratio`` for EXTEND, ``extended`` for MULTIPLY — ``ratio`` in a wide
+    pipeline), ``other`` the separator DIVIDE divides by and then
+    overwrites (``-1`` for the other kinds), ``out`` the slot written
+    (``-1`` for a wide pipeline's EXTEND, which writes nothing and runs
+    nothing).  ``written`` is the intermediate's key, or ``None`` when
+    the step updates a clique potential or writes nothing.
     """
 
     code: PrimitiveKind
@@ -255,14 +263,16 @@ class TableLayout:
     ``separators[(parent, child)]`` the edge's separator, and
     ``inter[(phase, edge, stage)]`` one pipeline intermediate (``sep_new``
     and ``ratio`` over the separator scope, ``extended`` over the scope of
-    the clique the pipeline updates).  ``size`` is the entry count of the
-    whole buffer.  ``slots`` lists every slot in buffer order:
+    the clique the pipeline updates, for small target cliques only: a
+    wide pipeline has no ``extended`` key).  ``size`` is the entry count
+    of the whole buffer.  ``slots`` lists every slot in buffer order:
     a table's position there is its *slot index* (clique ``i``'s potential
     is slot ``i``; ``separator_at`` and ``inter_at`` give the others).
 
     ``cliques_end`` is where the clique slots, first in the buffer,
-    end; ``separator_reset`` the indexes that set every separator to
-    ones (one for all the small separators, one slice per wide one).
+    end, and ``clique_starts`` where each begins; ``separator_reset``
+    the indexes that set every separator to ones (one for all the small
+    separators, one slice per wide one).
 
     :meth:`pipelines`, :meth:`steps`, :meth:`answer` and :meth:`reads`
     are the primitives' plans over these slots, and :meth:`finding` a
@@ -277,7 +287,8 @@ class TableLayout:
 
     __slots__ = (
         "potentials", "separators", "inter", "size", "slots", "separator_at",
-        "inter_at", "cliques_end", "separator_reset", "_structure",
+        "inter_at", "cliques_end", "clique_starts", "separator_reset",
+        "_structure",
         "_pipelines", "_steps", "_answers", "_graph", "_reads", "_findings",
         "graphs", "free",
     )
@@ -321,16 +332,20 @@ class TableLayout:
             self.separators[edge] = slot(sep, cards)
             # Collect updates the parent, distribute the child.
             for phase, target in ((COLLECT, parent), (DISTRIBUTE, child)):
-                clique = jt.cliques[target]
-                for stage, variables, cardinalities in (
-                    ("sep_new", sep, cards),
-                    ("ratio", sep, cards),
-                    ("extended", clique.variables, clique.cardinalities),
-                ):
+                clique = self.potentials[target]
+                stages = [("sep_new", sep, cards), ("ratio", sep, cards)]
+                if clique.size < WIDE_TABLE:
+                    stages.append(
+                        ("extended", clique.variables, clique.cardinalities)
+                    )
+                for stage, variables, cardinalities in stages:
                     key = (phase, edge, stage)
                     self.inter_at[key] = len(self.slots)
                     self.inter[key] = slot(variables, cardinalities)
         self.cliques_end = sum(slot.size for slot in self.potentials)
+        self.clique_starts = np.array(
+            [slot.start for slot in self.potentials], dtype=np.intp
+        )
         seps = sorted(self.separators.values())
         small = [slot for slot in seps if slot.size < WIDE_TABLE]
         wide = [
@@ -356,6 +371,8 @@ class TableLayout:
                 ):
                     src = self.potentials[source]
                     tgt = self.potentials[target]
+                    # A wide pipeline multiplies the ratio itself in.
+                    factor = sep if tgt.size >= WIDE_TABLE else tgt
                     compiled[(phase, (parent, child))] = Pipeline(
                         source,
                         plan_marginalize(
@@ -368,7 +385,7 @@ class TableLayout:
                         ),
                         plan_multiply(
                             tgt.variables, tgt.cardinalities,
-                            tgt.variables, tgt.cardinalities,
+                            factor.variables, factor.cardinalities,
                         ),
                     )
             self._pipelines = compiled
@@ -392,6 +409,9 @@ class TableLayout:
                 ratio = pipe_key + ("ratio",)
                 extended = pipe_key + ("extended",)
                 target = edge[0] if phase == COLLECT else edge[1]
+                # A wide pipeline has no extended slot: its EXTEND
+                # writes nothing (out -1), its MULTIPLY reads the ratio.
+                wide = extended not in at
                 compiled[pipe_key + (marg,)] = Step(
                     marg, pipe.source, -1, at[sep_new], pipe.marginalize,
                     sep_new,
@@ -401,10 +421,12 @@ class TableLayout:
                     ratio,
                 )
                 compiled[pipe_key + (ext,)] = Step(
-                    ext, at[ratio], -1, at[extended], pipe.extend, extended,
+                    ext, at[ratio], -1, -1 if wide else at[extended],
+                    pipe.extend, None if wide else extended,
                 )
                 compiled[pipe_key + (mult,)] = Step(
-                    mult, at[extended], -1, target, pipe.multiply, None,
+                    mult, at[ratio] if wide else at[extended], -1, target,
+                    pipe.multiply, None,
                 )
             self._steps = compiled
         return compiled
@@ -655,15 +677,16 @@ def compile_waves(layout: TableLayout, graph: TaskGraph) -> Optional[WaveList]:
     }
     rank = {kind: i for i, kind in enumerate(_KINDS)}
     # Run order: per level, one wave per kind present, then the tasks
-    # with a wide table.  A wave is a (kind rank, its tids) placeholder
-    # until every wave of its kind is built at once, below.
+    # with a wide table, and each wide pipeline's EXTEND (``out`` -1)
+    # however small its ratio.  A wave is a (kind rank, its tids)
+    # placeholder until every wave of its kind is built at once, below.
     order: List[Tuple[int, List[int]]] = []
     for level in graph.levels():
         small: List[List[int]] = [[] for _ in _KINDS]
         wide: List[int] = []
         for tid in level:
             step = step_of[tid]
-            if wide_slots and (
+            if step.out < 0 or wide_slots and (
                 step.source in wide_slots or step.other in wide_slots
                 or step.out in wide_slots
             ):

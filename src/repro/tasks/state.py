@@ -4,7 +4,11 @@ A :class:`PropagationState` owns **one flat float64 buffer** holding every
 table of a propagation — the working clique potentials (evidence absorbed),
 the per-edge separators and the ``sep_new`` / ``ratio`` / ``extended``
 intermediates of each message pipeline — at the offsets
-:func:`repro.tasks.layout.table_layout` fixes once per junction tree.
+:func:`repro.tasks.layout.table_layout` fixes once per junction tree.  A
+wide pipeline (target clique of at least
+:data:`~repro.potential.primitives.WIDE_TABLE` entries) has no
+``extended`` table: its EXTEND step runs nothing and its MULTIPLY
+multiplies the ``ratio`` into the clique through a broadcast.
 Every table is a :class:`~repro.potential.table.PotentialTable` *view*
 into that buffer, bound once per buffer into a list indexed by the
 layout's slot index; ``potentials``, ``separators`` and the intermediates
@@ -114,10 +118,11 @@ def _apply(tables: List[PotentialTable], step: Step) -> None:
         divide(sep_new, sep, out=tables[out], plan=plan)
         sep.values[...] = sep_new.values
     elif code is EXTEND:
-        extend(
-            tables[source], plan.target, plan.target_cards, out=tables[out],
-            plan=plan,
-        )
+        if out >= 0:  # a wide pipeline's MULTIPLY extends as it multiplies
+            extend(
+                tables[source], plan.target, plan.target_cards,
+                out=tables[out], plan=plan,
+            )
     else:
         target = tables[out]
         multiply(target, tables[source], out=target, plan=plan)
@@ -448,9 +453,10 @@ class PropagationState:
         """Resident bytes of this state's tables: its buffer.
 
         Covers the working clique potentials, the separators and every
-        pipeline intermediate slot.  The model registry charges each
-        pooled session's state at this cost against its global memory
-        budget.
+        pipeline intermediate slot — no ``extended`` table for a wide
+        pipeline, which multiplies its ratio straight into the clique.
+        The model registry charges each pooled session's state at this
+        cost against its global memory budget.
         """
         return self.buffer.nbytes
 
@@ -577,14 +583,17 @@ class PropagationState:
             if step.written is not None:
                 inter[step.written] = tables[step.out]
 
-    def output_table(self, task: Task) -> PotentialTable:
+    def output_table(self, task: Task) -> Optional[PotentialTable]:
         """The table ``task`` writes, counted present from now on.
 
         MARGINALIZE / DIVIDE / EXTEND write the ``sep_new`` / ``ratio`` /
         ``extended`` intermediate of their pipeline; MULTIPLY updates the
-        potential of the clique the pipeline targets.
+        potential of the clique the pipeline targets.  None for a wide
+        pipeline's EXTEND, which writes no table.
         """
         step = self._step(task)
+        if step.out < 0:
+            return None
         table = self._tables[step.out]
         if step.written is not None:
             self._inter[step.written] = table
@@ -633,6 +642,8 @@ class PropagationState:
             )
             return partial.values.reshape(-1)
         out = self.output_table(task)
+        if out is None:  # a wide pipeline's EXTEND: nothing to write
+            return None
         out_flat = out.values.reshape(-1)
         if code is DIVIDE:
             sep_new = tables[source].values.reshape(-1)
@@ -645,9 +656,14 @@ class PropagationState:
                 out_flat, tables[source], out.variables, out.cardinalities,
                 lo, hi,
             )
-        else:
+        elif plan.extend is None:
             extended = tables[source].values.reshape(-1)
             chunked.multiply_chunk_into(out_flat, extended, lo, hi)
+        else:
+            chunked.multiply_extended_chunk_into(
+                out_flat, tables[source], out.variables, out.cardinalities,
+                lo, hi,
+            )
         return None
 
     def combine_chunks(

@@ -197,6 +197,52 @@ class TestHealthScan:
         SerialExecutor().run(graph, state)
         assert check_state_health(state).healthy
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_state_scan_equals_the_per_table_scan(self, seed):
+        """The one-pass scan over the buffer's clique region reports what
+        ``scan_tables(state.potentials)`` reports, table for table and in
+        order: NaN before inf before all-zero, and -0.0 counts as zero."""
+        tree, graph, _ = _workload(num_cliques=9, width=4, seed=seed)
+        state = PropagationState(tree)
+        SerialExecutor().run(graph, state)
+        rng = np.random.default_rng(seed)
+        for i, table in state.potentials.items():
+            flat = table.values.reshape(-1)
+            salt = rng.integers(7)
+            if salt == 1:
+                flat[rng.integers(flat.size)] = np.nan
+            elif salt == 2:
+                flat[rng.integers(flat.size)] = rng.choice([np.inf, -np.inf])
+            elif salt == 3:
+                flat[...] = 0.0
+            elif salt == 4:
+                flat[...] = -0.0
+            elif salt == 5:
+                flat[...] = 0.0
+                flat[-1] = np.nan
+                flat[0] = np.inf
+            elif salt == 6:
+                flat[-1] = -0.0
+        scanned = check_state_health(state)
+        assert scanned == scan_tables(state.potentials)
+        assert all(type(key) is int for key in (
+            scanned.nan_tables + scanned.inf_tables
+            + scanned.underflowed_tables
+        ))
+
+    def test_state_scan_flags_each_kind(self):
+        tree, graph, _ = _workload(num_cliques=5, seed=3)
+        state = PropagationState(tree)
+        SerialExecutor().run(graph, state)
+        state.potentials[0].values.reshape(-1)[-1] = np.nan
+        state.potentials[1].values.reshape(-1)[0] = -np.inf
+        state.potentials[2].values[...] = -0.0
+        report = check_state_health(state)
+        assert report == scan_tables(state.potentials)
+        assert (report.nan_tables, report.inf_tables) == ([0], [1])
+        assert report.underflowed_tables == [2]
+        assert report.tables_scanned == tree.num_cliques
+
     def test_empty_report_is_healthy(self):
         assert HealthReport().healthy
 

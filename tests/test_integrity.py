@@ -38,7 +38,7 @@ from repro.serve import EngineSessionPool, InferenceService
 from repro.tasks.dag import build_task_graph
 from repro.tasks.layout import table_layout
 from repro.tasks.state import PropagationState
-from repro.tasks.task import DISTRIBUTE
+from repro.tasks.task import COLLECT, DISTRIBUTE
 
 
 def _tree(num_cliques=14, width=5, seed=11):
@@ -217,7 +217,7 @@ class TestCheckpointRoundTrip:
         path = tmp_path / "state.npz"
         engine.checkpoint(path)
         manifest = read_manifest(path)
-        assert manifest["format"] == 2
+        assert manifest["format"] == 3
         assert "state_checksum" in manifest
 
     def test_file_like_round_trip(self):
@@ -463,6 +463,37 @@ class TestCheckpointRefusals:
         np.savez(future, **arrays)
         with pytest.raises(CheckpointMismatch, match="format"):
             InferenceEngine.from_checkpoint(tree, future)
+
+    def test_format_2_archive_is_refused(self, tmp_path):
+        """Format 2 packed an ``extended`` slot for every pipeline; a tree
+        with a wide clique now has none for the pipelines into it, so an
+        archive of the old layout is refused by its format, before its
+        vector's size is even read."""
+        tree = _tree(num_cliques=4, width=12, seed=7)
+        engine = InferenceEngine(tree)
+        engine.propagate()
+        layout = table_layout(engine.jt)
+        wide = [slot for slot in layout.potentials if slot.size >= 4096]
+        assert wide, "the tree needs a wide clique"
+        buf = io.BytesIO()
+        engine.checkpoint(buf)
+        with np.load(io.BytesIO(buf.getvalue()), allow_pickle=False) as data:
+            arrays = {name: np.array(data[name]) for name in data.files}
+        manifest = json.loads(str(arrays["__manifest__"][()]))
+        manifest["format"] = 2
+        # Format 2's vector: every wide target's extended slot put back.
+        missing = sum(
+            layout.potentials[parent if phase == COLLECT else child].size
+            for phase, (parent, child) in layout.pipelines()
+            if (phase, (parent, child), "extended") not in layout.inter
+        )
+        assert missing > 0
+        arrays["__tables__"] = np.zeros(layout.size + missing)
+        arrays["__manifest__"] = np.array(json.dumps(manifest))
+        old = tmp_path / "format2.npz"
+        np.savez(old, **arrays)
+        with pytest.raises(CheckpointMismatch, match="format 2 "):
+            InferenceEngine.from_checkpoint(tree, old)
 
     def test_checkpoint_is_a_plain_zip(self):
         # Operational property: the artifact is inspectable with stock

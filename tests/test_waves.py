@@ -14,6 +14,8 @@ zeroes separators (DIVIDE's 0/0).  The waves are compiled once per tree
 structure, on its full graph's second run, whoever runs it.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,6 +174,12 @@ def test_waves_equal_the_step_list_on_mixed_shuffled_trees(workload):
     _assert_same_buffer(steps, waved, "waves vs steps")
     for unit in waves.units:
         if type(unit) is not Wave:
+            if unit.out < 0:
+                # A wide pipeline's EXTEND, which writes nothing, however
+                # small its ratio.
+                assert unit.code is PrimitiveKind.EXTEND
+                assert math.prod(unit.plan.target_cards) >= WIDE_TABLE
+                continue
             slots = (unit.source, unit.other, unit.out)
             assert max(layout.slots[s].size for s in slots if s >= 0) >= (
                 WIDE_TABLE
